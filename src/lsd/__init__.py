@@ -21,11 +21,7 @@ from .models import (AitParams, CevParams, CirParams, DomainReport,
                      Heston32Params, WfParams, domain_report, lamperti_forward,
                      lamperti_inverse)
 from .rootfind import MonotoneSpec, invert_monotone
-from .schemes import (SchemeId, StepState, ait_companion_step, ait_lsd_step,
-                      cev_companion_step, cev_lsd_step, cir_companion_step,
-                      cir_exact_ou_step, cir_lsd_step, heston_companion_step,
-                      heston_lsd_step, make_stepper, wf_companion_step,
-                      wf_lsd_step)
+from .schemes import SCHEMES, SchemeId, make_stepper
 from .wiener import (WienerLattice, cir_effective_increment, coarsen,
                      generate_lattice, path_seed)
 

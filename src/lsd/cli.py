@@ -18,11 +18,11 @@ from typing import List, Tuple
 
 from .config import ExperimentConfig, parse_config
 from .errors import LsdError
-from .experiments import (difference_trajectories, domain_violation_scan,
-                          exact_cir_error_decay, exact_cir_experiment,
-                          simulate_path, strong_error)
+from .experiments import (_steps_for, difference_trajectories,
+                          domain_violation_scan, exact_cir_error_decay,
+                          exact_cir_experiment, simulate_path, strong_error)
 from .models import PARAMS_BY_MODEL, domain_report
-from .schemes import SchemeId
+from .schemes import SchemeId, make_stepper
 from .wiener import generate_lattice, path_seed
 
 
@@ -50,8 +50,7 @@ def _run_convergence(cfg, params, threads):
         report = strong_error(
             scheme, reference, params, cfg.x0, cfg.T, cfg.dts,
             cfg.resolved_ref_step(), cfg.resolved_m_samples(), cfg.seed,
-            theta=cfg.theta, wf_implicit_sign=cfg.wf_implicit_sign,
-            n_jobs=threads)
+            theta=cfg.theta, n_jobs=threads)
         for dt, rms, se in zip(report.step_sizes, report.rms_errors,
                                report.stderrs):
             rows.append((scheme.variant, _fmt(dt), _fmt(rms), _fmt(se)))
@@ -65,20 +64,18 @@ def _run_convergence(cfg, params, threads):
 def _run_simulate(cfg, params, threads):
     del threads
     ids = _scheme_ids(cfg)
+    drivers = [make_stepper(s, params, m_split=cfg.m).drivers for s in ids]
     rows = [("dt", "t") + tuple(s.variant for s in ids)]
     for k, dt in enumerate(cfg.dts):
-        n = round(cfg.T / dt)
-        drivers = 2 if any(s.variant == "exact_ou" for s in ids) else 1
+        n = _steps_for(cfg.T, dt)
         lattice = generate_lattice(path_seed(cfg.seed, k), cfg.T, n, 0,
-                                   drivers=drivers)
+                                   drivers=max(drivers))
         paths = []
-        for s in ids:
-            driver = lattice.increments if (drivers == 1 or s.variant == "exact_ou") \
+        for s, d in zip(ids, drivers):
+            driver = lattice.increments if d == max(drivers) \
                 else lattice.increments[0]
             paths.append(simulate_path(s, params, cfg.x0, cfg.T, n, driver,
-                                       theta=cfg.theta,
-                                       wf_implicit_sign=cfg.wf_implicit_sign,
-                                       m_split=cfg.m))
+                                       theta=cfg.theta, m_split=cfg.m))
         times = paths[0].times
         for j, t in enumerate(times):
             rows.append((_fmt(dt), _fmt(t)) + tuple(_fmt(p.values[j]) for p in paths))
@@ -97,7 +94,7 @@ def _run_compare(cfg, params, threads):
     for other in ids[1:]:
         series = difference_trajectories(
             ids[0], other, params, cfg.x0, cfg.T, cfg.dts, cfg.seed,
-            theta=cfg.theta, wf_implicit_sign=cfg.wf_implicit_sign)
+            theta=cfg.theta)
         peak = 0.0
         for s in series:
             for t, d in zip(s.times, s.diffs):
@@ -131,9 +128,7 @@ def _run_scan(cfg, params, threads):
     ids = _scheme_ids(cfg)
     scan = domain_violation_scan(ids, params, cfg.dts, cfg.T,
                                  cfg.resolved_m_samples(), cfg.seed, x0=cfg.x0,
-                                 theta=cfg.theta,
-                                 wf_implicit_sign=cfg.wf_implicit_sign,
-                                 n_jobs=threads)
+                                 theta=cfg.theta, n_jobs=threads)
     rows = [("scheme", "dt", "negative_states", "non_real_events",
              "clamp_events")]
     summary = {}

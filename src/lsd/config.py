@@ -55,10 +55,18 @@ class ExperimentConfig:
         return self.ref_step if self.ref_step is not None else min(self.dts) / 8.0
 
     def scheme_variant(self, name: str) -> str:
-        """Map a configured scheme name to a registry variant."""
-        if (self.model, name) == ("ait", "implicit") and \
-                self.ait_implicit_variant == "drift":
-            return "implicit_drift"
+        """Map a configured scheme name to a variant in the scheme table.
+
+        ``wf_implicit_sign = corrected`` makes the Wright-Fisher ``implicit``
+        the ``implicit_corrected`` variant, and ``ait_implicit_variant =
+        drift`` makes the Ait-Sahalia one ``implicit_drift``; both variants
+        can also be named directly.
+        """
+        if name == "implicit":
+            if self.model == "wf" and self.wf_implicit_sign == "corrected":
+                return "implicit_corrected"
+            if self.model == "ait" and self.ait_implicit_variant == "drift":
+                return "implicit_drift"
         return name
 
     def to_text(self) -> str:
@@ -212,14 +220,6 @@ def parse_config(text: str) -> ExperimentConfig:
     schemes = _split_list(schemes_raw)
     if not schemes:
         raise ConfigurationError(f"line {schemes_line}: empty scheme list")
-    ait_variant = run.get("ait_implicit_variant", ("printed", 0))[0]
-    for s in schemes:
-        variant = "implicit_drift" if (model, s, ait_variant) == \
-            ("ait", "implicit", "drift") else s
-        if variant not in VARIANTS[model]:
-            raise ConfigurationError(
-                f"line {schemes_line}: scheme {s!r} is not valid for model "
-                f"{model!r}; expected one of {VARIANTS[model]}")
     dt_raw, dt_line = need("dt")
     dts = [_to_float(v, "dt", dt_line) for v in _split_list(dt_raw)]
     if not dts or any(d <= 0 for d in dts):
@@ -238,7 +238,7 @@ def parse_config(text: str) -> ExperimentConfig:
         m=(_to_float(run["m"][0], "m", run["m"][1]) if "m" in run else 0.5),
         reference=run.get("reference", (None, 0))[0],
         wf_implicit_sign=run.get("wf_implicit_sign", ("printed", 0))[0],
-        ait_implicit_variant=ait_variant,
+        ait_implicit_variant=run.get("ait_implicit_variant", ("printed", 0))[0],
     )
     if cfg.wf_implicit_sign not in ("printed", "corrected"):
         raise ConfigurationError(
@@ -248,7 +248,13 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigurationError(
             f"ait_implicit_variant must be 'printed' or 'drift', "
             f"got {cfg.ait_implicit_variant!r}")
-    if cfg.reference is not None and cfg.reference not in VARIANTS[model]:
+    for s in schemes:
+        if cfg.scheme_variant(s) not in VARIANTS[model]:
+            raise ConfigurationError(
+                f"line {schemes_line}: scheme {s!r} is not valid for model "
+                f"{model!r}; expected one of {VARIANTS[model]}")
+    if cfg.reference is not None and \
+            cfg.scheme_variant(cfg.reference) not in VARIANTS[model]:
         raise ConfigurationError(
             f"reference scheme {cfg.reference!r} is not valid for {model!r}")
     if not cfg.T > 0:

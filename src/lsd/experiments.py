@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, NumericError
 from .models import ModelParams
 from .schemes import SchemeId, make_stepper
 from .wiener import (cir_effective_increment, generate_lattice,
@@ -161,18 +161,17 @@ def _terminal_batch(stepper, x0, dt, increments, counters: Optional[ScanCounters
 
 def simulate_path(scheme: SchemeId, params: ModelParams, x0: float, T: float,
                   n: int, driver, theta: float = 1.0,
-                  wf_implicit_sign: str = "printed",
                   m_split: float = 0.5) -> PathResult:
     """Run one trajectory on the uniform grid (T, n) from given increments.
 
     LSD schemes iterate in the transformed coordinate starting from the
     forward transform of ``x0`` and record the inverse transform after every
-    step.  Errors raised by a step carry the step index.
+    step.  An error raised by a step is re-raised as it is, its message
+    prefixed with the scheme, dt and step index.
     """
     if n < 0:
         raise ConfigurationError(f"step count must be >= 0, got {n}")
-    stepper = make_stepper(scheme, params, theta=theta,
-                           wf_implicit_sign=wf_implicit_sign, m_split=m_split)
+    stepper = make_stepper(scheme, params, theta=theta, m_split=m_split)
     driver = np.asarray(driver, dtype=float)
     if stepper.drivers == 2:
         if driver.ndim != 2 or driver.shape[0] != 2 or driver.shape[1] < n:
@@ -192,7 +191,10 @@ def simulate_path(scheme: SchemeId, params: ModelParams, x0: float, T: float,
         try:
             state, events = stepper.step(state, dw, dt)
         except Exception as exc:
-            raise type(exc)(f"at step {j}: {exc}") from exc
+            detail = exc.args[0] if exc.args else ""
+            exc.args = (f"{scheme}, dt={dt!r}, at step {j}: {detail}",
+                        ) + exc.args[1:]
+            raise
         non_real += _count(events.non_real)
         clamped += _count(events.clamped)
         values[j + 1] = stepper.x_of(state)
@@ -223,12 +225,14 @@ def fit_order(step_sizes, errors):
 def strong_error(scheme: SchemeId, reference: SchemeId, params: ModelParams,
                  x0: float, T: float, step_sizes: Sequence[float],
                  ref_step: float, M: int, seed: int, theta: float = 1.0,
-                 wf_implicit_sign: str = "printed", n_jobs: int = 1,
+                 n_jobs: int = 1,
                  batch_size: int = _DEFAULT_BATCH) -> ErrorReport:
     """Root-mean-square terminal distance to a fine-step reference solution.
 
     All runs for one path index are driven by coarsenings of that path's
     lattice, so the difference at the horizon is a pathwise coupling error.
+    A level whose error is not finite raises NumericError; levels with zero
+    error are left out of the fit.
     """
     if M < 2:
         raise ConfigurationError(f"need at least 2 paths, got {M}")
@@ -237,9 +241,8 @@ def strong_error(scheme: SchemeId, reference: SchemeId, params: ModelParams,
             f"scheme {scheme} and reference {reference} use different models")
     dts = sorted(set(float(d) for d in step_sizes), reverse=True)
     base, levels, level_of = _dyadic_plan(T, dts, ref_step)
-    stepper_kw = dict(theta=theta, wf_implicit_sign=wf_implicit_sign)
-    run = make_stepper(scheme, params, **stepper_kw)
-    ref = make_stepper(reference, params, **stepper_kw)
+    run = make_stepper(scheme, params, theta=theta)
+    ref = make_stepper(reference, params, theta=theta)
     if run.drivers != 1 or ref.drivers != 1:
         raise ConfigurationError("strong_error supports single-driver schemes")
 
@@ -266,6 +269,10 @@ def strong_error(scheme: SchemeId, reference: SchemeId, params: ModelParams,
         rms.append(r)
         stderr.append(se)
     rms_arr = np.array(rms)
+    bad = [dt for dt, r in zip(dts, rms) if not math.isfinite(r)]
+    if bad:
+        raise NumericError(
+            f"{scheme} against {reference}: non-finite error at dt={bad}")
     positive = rms_arr > 0
     if np.count_nonzero(positive) >= 2:
         slope, intercept = fit_order(np.array(dts)[positive], rms_arr[positive])
@@ -291,9 +298,7 @@ class DifferenceSeries:
 def difference_trajectories(scheme_a: SchemeId, scheme_b: SchemeId,
                             params: ModelParams, x0: float, T: float,
                             step_sizes: Sequence[float], seed: int,
-                            theta: float = 1.0,
-                            wf_implicit_sign: str = "printed",
-                            ) -> List[DifferenceSeries]:
+                            theta: float = 1.0) -> List[DifferenceSeries]:
     """Pointwise difference of two schemes driven by one path per step size."""
     if scheme_a.model != scheme_b.model:
         raise ConfigurationError(
@@ -302,9 +307,10 @@ def difference_trajectories(scheme_a: SchemeId, scheme_b: SchemeId,
     for k, dt in enumerate(step_sizes):
         n = _steps_for(T, dt)
         lattice = generate_lattice(path_seed(seed, k), T, n, 0)
-        kwargs = dict(theta=theta, wf_implicit_sign=wf_implicit_sign)
-        pa = simulate_path(scheme_a, params, x0, T, n, lattice.increments, **kwargs)
-        pb = simulate_path(scheme_b, params, x0, T, n, lattice.increments, **kwargs)
+        pa = simulate_path(scheme_a, params, x0, T, n, lattice.increments,
+                           theta=theta)
+        pb = simulate_path(scheme_b, params, x0, T, n, lattice.increments,
+                           theta=theta)
         series.append(DifferenceSeries(dt=dt, times=pa.times,
                                        diffs=pa.values - pb.values))
     return series
@@ -406,8 +412,7 @@ def exact_cir_error_decay(params: ModelParams, x0: float, m_split: float,
 def domain_violation_scan(schemes: Sequence[SchemeId], params: ModelParams,
                           step_sizes: Sequence[float], T: float, M: int,
                           seed: int, x0: float = 4.0, theta: float = 1.0,
-                          wf_implicit_sign: str = "printed", n_jobs: int = 1,
-                          batch_size: int = _DEFAULT_BATCH,
+                          n_jobs: int = 1, batch_size: int = _DEFAULT_BATCH,
                           ) -> Dict[str, Dict[float, ScanCounters]]:
     """Tally negative, non-real, and clamped states per scheme and step size.
 
@@ -418,8 +423,7 @@ def domain_violation_scan(schemes: Sequence[SchemeId], params: ModelParams,
     for k, dt in enumerate(step_sizes):
         n = _steps_for(T, dt)
         dt_seed = path_seed(seed, k)
-        steppers = {str(s): make_stepper(s, params, theta=theta,
-                                         wf_implicit_sign=wf_implicit_sign)
+        steppers = {str(s): make_stepper(s, params, theta=theta)
                     for s in schemes}
         if any(st.drivers != 1 for st in steppers.values()):
             raise ConfigurationError("scan supports single-driver schemes only")

@@ -43,7 +43,9 @@ class MonotoneSpec:
 def _toward(endpoint: float, x: float) -> float:
     """Next probe when expanding from x toward an interval endpoint."""
     if math.isinf(endpoint):
-        return x * 2.0 if x > 0 else (x * 2.0 if x < 0 else 1.0)
+        if x == 0.0 or (x > 0) != (endpoint > 0):
+            return math.copysign(max(1.0, abs(x)), endpoint)
+        return x * 2.0
     if endpoint == 0.0:
         return x / 2.0
     return endpoint + (x - endpoint) / 2.0

@@ -1,41 +1,99 @@
-"""Scheme registry, one-step wrappers, and steppers for the path engine.
+"""The scheme table and the steppers the path engine iterates.
 
-Every one-step map lives in a per-model module (:mod:`cir`, :mod:`cev`,
-:mod:`wf`, :mod:`heston`, :mod:`ait`).  This package names them through
-:class:`SchemeId`, exposes the per-model wrapper functions, and builds
-:func:`make_stepper` objects that the experiments engine iterates.  All step
-functions are pure and accept scalars or per-path arrays.
+The one-step maps live in the per-model modules (:mod:`cir`, :mod:`cev`,
+:mod:`wf`, :mod:`heston`, :mod:`ait`) and are pure functions of scalars or
+per-path arrays.  :data:`SCHEMES` holds one row per (model, variant) with
+what the engine needs to run it; :func:`make_stepper` builds its stepper.
 """
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from functools import partial
+from typing import Any, Callable, Optional
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..models import ModelParams, lamperti_forward
-from ..rootfind import MonotoneSpec, invert_monotone  # noqa: F401  (re-export)
 from . import ait, cev, cir, heston, wf
 from ._complex import real_part
 
-VARIANTS = {
-    "cir": ("lsd1", "lsd2", "lsd3", "sd_theta", "alf", "ns", "exact_ou"),
-    "cev": ("lsd1", "lsd2", "lsd3", "sd_theta", "implicit"),
-    "wf": ("lsd1", "lsd2", "lsd3", "lsd4", "sd", "sd_alt", "biss", "hyb",
-           "implicit"),
-    "heston32": ("lsd1", "lsd2", "sd_exp", "implicit"),
-    "ait": ("lsd1", "lsd2", "implicit", "implicit_drift"),
+
+@dataclass(frozen=True)
+class Scheme:
+    """One row of :data:`SCHEMES`.
+
+    ``step(p, state, dw, dt)`` advances the iterated coordinate (``theta``
+    rows take theta fifth).  ``to_state(p, x)`` and ``to_x(p, state)`` map
+    x to it and back; they are unset where it is the Lamperti coordinate.
+    ``mask``: the step returns ``(state, mask)`` with a ``"non_real"`` mask
+    (the state may leave the real line; x is then its real part) or a
+    ``"clamped"`` one, or, if unset, the state alone.  ``per_path`` rows
+    solve one path at a time on floats; ``check(p)`` is a precondition;
+    ``drivers = 2`` marks the squared-OU row, run by :class:`ExactOuStepper`.
+    """
+
+    step: Callable
+    to_state: Optional[Callable] = None
+    to_x: Optional[Callable] = None
+    mask: Optional[str] = None
+    per_path: bool = False
+    theta: bool = False
+    check: Optional[Callable] = None
+    drivers: int = 1
+
+
+# The maps of the rows that iterate x itself.
+_IN_X = dict(to_state=lambda p, x: x, to_x=lambda p, x: x)
+
+SCHEMES = {
+    ("cir", "lsd1"): Scheme(cir.lsd1_step),
+    ("cir", "lsd2"): Scheme(cir.lsd2_step),
+    ("cir", "lsd3"): Scheme(cir.lsd3_step),
+    ("cir", "sd_theta"): Scheme(cir.sd_theta_step, **_IN_X, mask="non_real", theta=True),
+    ("cir", "alf"): Scheme(cir.alf_step, **_IN_X, mask="non_real"),
+    ("cir", "ns"): Scheme(cir.ns_step, to_state=lambda p, x: np.sqrt(x),
+                          to_x=lambda p, v: v * v, mask="non_real"),
+    ("cir", "exact_ou"): Scheme(cir.exact_ou_step, drivers=2),
+    ("cev", "lsd1"): Scheme(cev.lsd1_step),
+    ("cev", "lsd2"): Scheme(cev.lsd2_step),
+    ("cev", "lsd3"): Scheme(cev.lsd3_step),
+    ("cev", "sd_theta"): Scheme(cev.sd_theta_step, **_IN_X, mask="non_real", theta=True),
+    ("cev", "implicit"): Scheme(
+        cev.implicit_step, to_state=lambda p, x: x ** (1.0 - p.q),
+        to_x=lambda p, u: u ** (1.0 / (1.0 - p.q)), per_path=True),
+    ("wf", "lsd1"): Scheme(wf.lsd1_step, mask="clamped"),
+    ("wf", "lsd2"): Scheme(wf.lsd2_step, mask="clamped"),
+    ("wf", "lsd3"): Scheme(wf.lsd3_step, mask="clamped"),
+    ("wf", "lsd4"): Scheme(wf.lsd4_step, mask="clamped"),
+    ("wf", "sd"): Scheme(wf.sd_step, **_IN_X, mask="clamped"),
+    ("wf", "sd_alt"): Scheme(wf.sd_alt_step, **_IN_X, mask="clamped"),
+    ("wf", "biss"): Scheme(wf.biss_step, **_IN_X, mask="clamped"),
+    ("wf", "hyb"): Scheme(wf.hyb_step, **_IN_X, check=wf.check_hyb_admissible),
+    ("wf", "implicit"): Scheme(
+        partial(wf.implicit_step, sign_mode="printed"), per_path=True),
+    ("wf", "implicit_corrected"): Scheme(
+        partial(wf.implicit_step, sign_mode="corrected"), per_path=True),
+    ("heston32", "lsd1"): Scheme(heston.lsd1_step),
+    ("heston32", "lsd2"): Scheme(heston.lsd2_step),
+    ("heston32", "sd_exp"): Scheme(heston.sd_exp_step, **_IN_X),
+    ("heston32", "implicit"): Scheme(
+        heston.implicit_step, to_state=lambda p, x: x ** -0.5,
+        to_x=lambda p, v: v ** -2.0),
+    ("ait", "lsd1"): Scheme(ait.lsd1_step),
+    ("ait", "lsd2"): Scheme(ait.lsd2_step),
+    ("ait", "implicit"): Scheme(
+        partial(ait.implicit_step, variant="printed"), per_path=True),
+    ("ait", "implicit_drift"): Scheme(
+        partial(ait.implicit_step, variant="drift"), per_path=True),
 }
 
-LSD_VARIANTS = {
-    model: tuple(v for v in variants if v.startswith("lsd"))
-    for model, variants in VARIANTS.items()
-}
+VARIANTS = {model: tuple(v for m, v in SCHEMES if m == model)
+            for model, _ in SCHEMES}
 
 
 @dataclass(frozen=True)
 class SchemeId:
-    """A (model, variant) pair naming one one-step map."""
+    """A (model, variant) pair naming one row of :data:`SCHEMES`."""
 
     model: str
     variant: str
@@ -48,134 +106,9 @@ class SchemeId:
                 f"unknown variant {self.variant!r} for model {self.model!r}; "
                 f"expected one of {VARIANTS[self.model]}")
 
-    @property
-    def is_lsd(self) -> bool:
-        return self.variant.startswith("lsd")
-
     def __str__(self) -> str:
         return f"{self.model}:{self.variant}"
 
-
-@dataclass
-class StepState:
-    """State carried between steps by the spec-level wrapper functions.
-
-    ``value`` is the scheme's native coordinate: the transformed state for LSD
-    variants, the original state for most companions, and the recursion
-    coordinate printed in the scheme for the square-root style implicit maps.
-    ``non_real`` latches once a negative radicand has pushed the value into
-    the complex plane; ``clamped`` marks a domain fold/clip in this step.
-    """
-
-    value: Any
-    aux: Optional[tuple] = None
-    non_real: bool = False
-    clamped: bool = False
-
-
-# ---------------------------------------------------------------------------
-# Spec-surface wrapper functions (scalar oriented; array capable)
-# ---------------------------------------------------------------------------
-
-_CIR_LSD = {"lsd1": cir.lsd1_step, "lsd2": cir.lsd2_step, "lsd3": cir.lsd3_step}
-_CEV_LSD = {"lsd1": cev.lsd1_step, "lsd2": cev.lsd2_step, "lsd3": cev.lsd3_step}
-_WF_LSD = {"lsd1": wf.lsd1_step, "lsd2": wf.lsd2_step, "lsd3": wf.lsd3_step,
-           "lsd4": wf.lsd4_step}
-_HESTON_LSD = {"lsd1": heston.lsd1_step, "lsd2": heston.lsd2_step}
-_AIT_LSD = {"lsd1": ait.lsd1_step, "lsd2": ait.lsd2_step}
-
-
-def cir_lsd_step(variant, p, y, dw, dt):
-    return _CIR_LSD[variant](p, y, dw, dt)
-
-
-def cir_companion_step(variant, p, state: StepState, dw, dt, theta=1.0) -> StepState:
-    if variant == "sd_theta":
-        value, nonreal = cir.sd_theta_step(p, state.value, dw, dt, theta)
-    elif variant == "alf":
-        value, nonreal = cir.alf_step(p, state.value, dw, dt)
-    elif variant == "ns":
-        value, nonreal = cir.ns_step(p, state.value, dw, dt)
-    else:
-        raise ConfigurationError(f"not a companion variant: {variant!r}")
-    return StepState(value=value, non_real=bool(state.non_real or np.any(nonreal)))
-
-
-def cir_exact_ou_step(p, state, dw1, dw2, dt):
-    """Advance the squared-OU pair; returns (x1', x2', x')."""
-    cir.check_exact_ou_dimension(p)
-    x1, x2 = state
-    x1n, x2n = cir.exact_ou_step(p, x1, x2, dw1, dw2, dt)
-    return x1n, x2n, x1n * x1n + x2n * x2n
-
-
-def cev_lsd_step(variant, p, y, dw, dt):
-    return _CEV_LSD[variant](p, y, dw, dt)
-
-
-def cev_companion_step(variant, p, state: StepState, dw, dt, theta=1.0) -> StepState:
-    if variant == "sd_theta":
-        value, nonreal = cev.sd_theta_step(p, state.value, dw, dt, theta)
-        return StepState(value=value, non_real=bool(state.non_real or np.any(nonreal)))
-    if variant == "implicit":
-        u = state.value ** (1.0 - p.q)
-        u_new = cev.implicit_step(p, u, dw, dt)
-        return StepState(value=u_new ** (1.0 / (1.0 - p.q)), non_real=state.non_real)
-    raise ConfigurationError(f"not a companion variant: {variant!r}")
-
-
-def wf_lsd_step(variant, p, y, dw, dt):
-    out = _WF_LSD[variant](p, y, dw, dt)
-    value, _clamped = out
-    return value
-
-
-def wf_companion_step(variant, p, x, dw, dt, wf_implicit_sign="printed"):
-    if variant == "sd":
-        return wf.sd_step(p, x, dw, dt)[0]
-    if variant == "sd_alt":
-        return wf.sd_alt_step(p, x, dw, dt)[0]
-    if variant == "biss":
-        return wf.biss_step(p, x, dw, dt)[0]
-    if variant == "hyb":
-        wf.check_hyb_admissible(p)
-        return wf.hyb_step(p, x, dw, dt)
-    if variant == "implicit":
-        y = 2.0 * np.arcsin(np.sqrt(x))
-        y_new = wf.implicit_step(p, y, dw, dt, sign_mode=wf_implicit_sign)
-        return np.sin(0.5 * y_new) ** 2
-    raise ConfigurationError(f"not a companion variant: {variant!r}")
-
-
-def heston_lsd_step(variant, p, y, dw, dt):
-    return _HESTON_LSD[variant](p, y, dw, dt)
-
-
-def heston_companion_step(variant, p, x, dw, dt):
-    if variant == "sd_exp":
-        return heston.sd_exp_step(p, x, dw, dt)
-    if variant == "implicit":
-        v = x ** -0.5
-        return heston.implicit_step(p, v, dw, dt) ** -2.0
-    raise ConfigurationError(f"not a companion variant: {variant!r}")
-
-
-def ait_lsd_step(variant, p, y, dw, dt):
-    return _AIT_LSD[variant](p, y, dw, dt)
-
-
-def ait_companion_step(variant, p, x, dw, dt):
-    if variant in ("implicit", "implicit_drift"):
-        kind = "printed" if variant == "implicit" else "drift"
-        z = x ** (1.0 - p.rho)
-        z_new = ait.implicit_step(p, z, dw, dt, variant=kind)
-        return z_new ** (1.0 / (1.0 - p.rho))
-    raise ConfigurationError(f"not a companion variant: {variant!r}")
-
-
-# ---------------------------------------------------------------------------
-# Steppers: the uniform state-advancing interface used by the engine
-# ---------------------------------------------------------------------------
 
 @dataclass
 class StepEvents:
@@ -183,105 +116,53 @@ class StepEvents:
     clamped: Any = None
 
 
-def _check_initial(params, x0):
-    if params.model == "wf":
-        if not np.all((np.asarray(x0) > 0) & (np.asarray(x0) < 1)):
-            raise ConfigurationError(f"initial state must lie in (0,1), got {x0}")
-    elif not np.all(np.asarray(x0) > 0):
-        raise ConfigurationError(f"initial state must be positive, got {x0}")
+_NO_EVENTS = StepEvents()
 
 
-class _StepperBase:
+def _broadcast(value, size):
+    return value if size is None else np.full(size, value, dtype=float)
+
+
+class Stepper:
+    """Advances one single-driver scheme; built by :func:`make_stepper`."""
+
     drivers = 1
 
-    def init(self, x0, size=None):
-        raise NotImplementedError
-
-    def step(self, state, dw, dt):
-        raise NotImplementedError
-
-    def x_of(self, state):
-        raise NotImplementedError
-
-    @staticmethod
-    def _broadcast(value, size):
-        return value if size is None else np.full(size, value, dtype=float)
-
-
-class _LampertiStepper(_StepperBase):
-    """Iterates in the transformed coordinate and reports the inverse map."""
-
-    def __init__(self, params, step_fn, emits_clamp=False):
+    def __init__(self, scheme: Scheme, params: ModelParams, theta: float):
+        self.scheme = scheme
         self.params = params
-        self.step_fn = step_fn
-        self.emits_clamp = emits_clamp
+        self.extra = (theta,) if scheme.theta else ()
 
     def init(self, x0, size=None):
-        return self._broadcast(lamperti_forward(self.params, x0), size)
+        state = lamperti_forward(self.params, x0)   # checks the domain too
+        if self.scheme.to_state is not None:
+            state = self.scheme.to_state(self.params, x0)
+        return _broadcast(state, size)
 
     def step(self, state, dw, dt):
-        out = self.step_fn(self.params, state, dw, dt)
-        if self.emits_clamp:
-            value, clamped = out
-            return value, StepEvents(clamped=clamped)
-        return out, StepEvents()
-
-    def x_of(self, state):
-        return self.params.inverse(state)
-
-
-class _MappedStepper(_StepperBase):
-    """Iterates a scheme-native coordinate with explicit to/from-x maps."""
-
-    def __init__(self, params, step_fn, to_state, to_x, emits=None):
-        self.params = params
-        self.step_fn = step_fn
-        self.to_state = to_state
-        self.to_x = to_x
-        self.emits = emits  # None | "non_real" | "clamped"
-
-    def init(self, x0, size=None):
-        _check_initial(self.params, x0)
-        return self._broadcast(self.to_state(x0), size)
-
-    def step(self, state, dw, dt):
-        if self.emits is None:
-            return self.step_fn(self.params, state, dw, dt), StepEvents()
-        value, mask = self.step_fn(self.params, state, dw, dt)
-        if self.emits == "non_real":
+        s, p = self.scheme, self.params
+        if s.per_path:
+            if np.ndim(state) == 0:
+                return s.step(p, float(state), float(dw), dt), _NO_EVENTS
+            dw_arr = np.broadcast_to(dw, np.shape(state))
+            return np.array([s.step(p, float(y), float(w), dt)
+                             for y, w in zip(state, dw_arr)]), _NO_EVENTS
+        out = s.step(p, state, dw, dt, *self.extra)
+        if s.mask is None:
+            return out, _NO_EVENTS
+        value, mask = out
+        if s.mask == "non_real":
             return value, StepEvents(non_real=mask)
         return value, StepEvents(clamped=mask)
 
     def x_of(self, state):
-        return real_part(self.to_x(state))
+        if self.scheme.to_x is None:
+            return self.params.inverse(state)
+        x = self.scheme.to_x(self.params, state)
+        return real_part(x) if self.scheme.mask == "non_real" else x
 
 
-class _ScalarImplicitStepper(_StepperBase):
-    """Root-finding steps run one path at a time."""
-
-    def __init__(self, params, scalar_step, to_state, to_x):
-        self.params = params
-        self.scalar_step = scalar_step
-        self.to_state = to_state
-        self.to_x = to_x
-
-    def init(self, x0, size=None):
-        _check_initial(self.params, x0)
-        return self._broadcast(self.to_state(x0), size)
-
-    def step(self, state, dw, dt):
-        if np.ndim(state) == 0:
-            return self.scalar_step(self.params, float(state), float(dw), dt), StepEvents()
-        dw_arr = np.broadcast_to(dw, np.shape(state))
-        out = np.array([self.scalar_step(self.params, float(s), float(w), dt)
-                        for s, w in zip(state, dw_arr)])
-        return out, StepEvents()
-
-    def x_of(self, state):
-        return self.to_x(state)
-
-
-class ExactOuStepper(_StepperBase):
+class ExactOuStepper:
     """Squared-OU reference construction; needs two drivers per step."""
 
     drivers = 2
@@ -296,12 +177,12 @@ class ExactOuStepper(_StepperBase):
     def init(self, x0, size=None):
         x1 = np.sqrt(self.m_split * x0)
         x2 = np.sqrt((1.0 - self.m_split) * x0)
-        return self._broadcast(x1, size), self._broadcast(x2, size)
+        return _broadcast(x1, size), _broadcast(x2, size)
 
     def step(self, state, dw, dt):
         dw1, dw2 = dw
         x1, x2 = state
-        return cir.exact_ou_step(self.params, x1, x2, dw1, dw2, dt), StepEvents()
+        return cir.exact_ou_step(self.params, x1, x2, dw1, dw2, dt), _NO_EVENTS
 
     def x_of(self, state):
         x1, x2 = state
@@ -309,77 +190,21 @@ class ExactOuStepper(_StepperBase):
 
 
 def make_stepper(scheme: SchemeId, params: ModelParams, theta: float = 1.0,
-                 wf_implicit_sign: str = "printed", m_split: float = 0.5):
-    """Build the state-advancing object for one scheme.
+                 m_split: float = 0.5):
+    """Build the stepper for one scheme from its row in :data:`SCHEMES`.
 
-    ``theta`` only affects the theta-semi-discrete companions; the
-    Wright-Fisher implicit sign flag selects the printed or drift-consistent
-    inversion map; ``m_split`` sets the initial split of the squared-OU
-    construction.
+    Checks the row's precondition (the splitting scheme's admissibility,
+    the squared-OU dimension).  ``theta`` reaches only the rows that take
+    it; ``m_split`` sets the initial split of the squared-OU construction.
+    A stepper has ``drivers``, ``init(x0, size=None)``,
+    ``step(state, dw, dt) -> (state, events)`` and ``x_of(state)``.
     """
     if params.model != scheme.model:
         raise ConfigurationError(
             f"params are for {params.model!r} but scheme is {scheme}")
-    model, variant = scheme.model, scheme.variant
-    p = params
-
-    if scheme.is_lsd:
-        table = {"cir": _CIR_LSD, "cev": _CEV_LSD, "wf": _WF_LSD,
-                 "heston32": _HESTON_LSD, "ait": _AIT_LSD}[model]
-        return _LampertiStepper(p, table[variant], emits_clamp=(model == "wf"))
-
-    if model == "cir":
-        if variant == "sd_theta":
-            return _MappedStepper(
-                p, lambda pp, x, dw, dt: cir.sd_theta_step(pp, x, dw, dt, theta),
-                to_state=lambda x: x, to_x=lambda s: s, emits="non_real")
-        if variant == "alf":
-            return _MappedStepper(p, cir.alf_step, to_state=lambda x: x,
-                                  to_x=lambda s: s, emits="non_real")
-        if variant == "ns":
-            return _MappedStepper(p, cir.ns_step, to_state=np.sqrt,
-                                  to_x=lambda v: v * v, emits="non_real")
-        if variant == "exact_ou":
-            return ExactOuStepper(p, m_split=m_split)
-    if model == "cev":
-        if variant == "sd_theta":
-            return _MappedStepper(
-                p, lambda pp, x, dw, dt: cev.sd_theta_step(pp, x, dw, dt, theta),
-                to_state=lambda x: x, to_x=lambda s: s, emits="non_real")
-        if variant == "implicit":
-            return _ScalarImplicitStepper(
-                p, cev.implicit_step,
-                to_state=lambda x: x ** (1.0 - p.q),
-                to_x=lambda u: u ** (1.0 / (1.0 - p.q)))
-    if model == "wf":
-        if variant in ("sd", "sd_alt", "biss"):
-            fn = {"sd": wf.sd_step, "sd_alt": wf.sd_alt_step,
-                  "biss": wf.biss_step}[variant]
-            return _MappedStepper(p, fn, to_state=lambda x: x,
-                                  to_x=lambda s: s, emits="clamped")
-        if variant == "hyb":
-            wf.check_hyb_admissible(p)
-            return _MappedStepper(p, wf.hyb_step, to_state=lambda x: x,
-                                  to_x=lambda s: s)
-        if variant == "implicit":
-            return _ScalarImplicitStepper(
-                p, lambda pp, y, dw, dt: wf.implicit_step(
-                    pp, y, dw, dt, sign_mode=wf_implicit_sign),
-                to_state=lambda x: 2.0 * np.arcsin(np.sqrt(x)),
-                to_x=lambda y: np.sin(0.5 * y) ** 2)
-    if model == "heston32":
-        if variant == "sd_exp":
-            return _MappedStepper(p, heston.sd_exp_step, to_state=lambda x: x,
-                                  to_x=lambda s: s)
-        if variant == "implicit":
-            return _MappedStepper(p, heston.implicit_step,
-                                  to_state=lambda x: x ** -0.5,
-                                  to_x=lambda v: v ** -2.0)
-    if model == "ait":
-        if variant in ("implicit", "implicit_drift"):
-            kind = "printed" if variant == "implicit" else "drift"
-            return _ScalarImplicitStepper(
-                p, lambda pp, z, dw, dt: ait.implicit_step(pp, z, dw, dt, variant=kind),
-                to_state=lambda x: x ** (1.0 - p.rho),
-                to_x=lambda z: z ** (1.0 / (1.0 - p.rho)))
-    raise ConfigurationError(f"no stepper for {scheme}")
+    row = SCHEMES[scheme.model, scheme.variant]
+    if row.drivers == 2:
+        return ExactOuStepper(params, m_split=m_split)
+    if row.check is not None:
+        row.check(params)
+    return Stepper(row, params, theta)

@@ -11,6 +11,12 @@ def cir_params():
 
 
 @pytest.fixture
+def cir_ou_params():
+    """Dimension 4 k1 / k3^2 = 2, as the squared-OU construction needs."""
+    return CirParams(k1=2.0, k2=2.0, k3=2.0)
+
+
+@pytest.fixture
 def cev_params():
     return CevParams(k1=1.0 / 16.0, k2=1.0, k3=0.4, q=0.75)
 

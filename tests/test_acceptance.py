@@ -27,8 +27,9 @@ from lsd.experiments import (domain_violation_scan, exact_cir_error_decay,
 from lsd.models import (AitParams, CevParams, CirParams, Heston32Params,
                         WfParams)
 from lsd.rootfind import MonotoneSpec, invert_monotone
-from lsd.schemes import (SchemeId, cir_lsd_step, make_stepper, wf_lsd_step)
+from lsd.schemes import SchemeId, make_stepper
 from lsd.schemes import ait as ait_mod
+from lsd.schemes import cir as cir_mod
 from lsd.schemes import cev as cev_mod
 from lsd.schemes import heston as heston_mod
 from lsd.schemes import wf as wf_mod
@@ -210,15 +211,15 @@ def test_c6_steps_agree_with_closed_forms():
         y = math.exp(rng.uniform(math.log(1e-2), math.log(50.0)))
         dw = rng.normal() * 0.3
         dt = 10 ** rng.uniform(-5, -2)
-        got1 = cir_lsd_step("lsd1", CIR, y, dw, dt)
+        got1 = cir_mod.lsd1_step(CIR, y, dw, dt)
         want1 = math.sqrt(bernoulli_solution(BernoulliCoeffs(
             A=dw + (1.0 - CIR.b * dt) * y, B=CIR.a, C=0.0, l=1.0, dt=dt)))
-        got2 = cir_lsd_step("lsd2", CIR, y, dw, dt)
+        got2 = cir_mod.lsd2_step(CIR, y, dw, dt)
         want2 = math.sqrt(bernoulli_solution(BernoulliCoeffs(
             A=dw + y, B=CIR.a, C=-CIR.b, l=1.0, dt=dt)))
         worst = max(worst, ulps_apart(got1, want1), ulps_apart(got2, want2))
         yw = rng.uniform(0.1, math.pi - 0.1)
-        got3 = wf_lsd_step("lsd1", WF, yw, dw, dt)
+        got3 = wf_mod.lsd1_step(WF, yw, dw, dt)[0]
         denom = 1.0 + (WF.b / yw) * math.tan(0.5 * yw) * dt
         phi = (WF.k3 * dw + yw) / denom
         want3 = 2.0 * math.acos(min(1.0, wf_cosine_solution(phi, WF.a / denom, dt)))

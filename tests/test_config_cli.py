@@ -44,6 +44,24 @@ M = 16
 seed = 77
 """
 
+MINIMAL_WF_SIMULATE = """
+[experiment]
+kind = simulate
+model = wf
+name = wfsim
+
+[params]
+k1 = 1
+k2 = 2
+k3 = 0.20101
+
+[run]
+x0 = 0.5
+T = 1
+schemes = lsd1, implicit
+dt = 0.01
+"""
+
 SCAN_STRESSED = """
 [experiment]
 kind = scan
@@ -138,6 +156,15 @@ ait_implicit_variant = drift
         cfg = parse_config(text)
         assert cfg.scheme_variant("implicit") == "implicit_drift"
 
+    def test_wf_implicit_sign_names_a_variant(self):
+        text = MINIMAL_WF_SIMULATE + "wf_implicit_sign = corrected\n"
+        assert parse_config(text).scheme_variant("implicit") == "implicit_corrected"
+        direct = parse_config(MINIMAL_WF_SIMULATE.replace(
+            "implicit", "implicit_corrected"))
+        assert direct.scheme_variant("implicit_corrected") == "implicit_corrected"
+        with pytest.raises(ConfigurationError, match="wf_implicit_sign"):
+            parse_config(MINIMAL_WF_SIMULATE + "wf_implicit_sign = other\n")
+
 
 class TestCli:
     def _write(self, tmp_path, text, name="exp.cfg"):
@@ -200,6 +227,13 @@ class TestCli:
     def test_parse_error_exit_code(self, tmp_path):
         cfg = self._write(tmp_path, "nonsense")
         assert main([str(cfg), "--out", str(tmp_path)]) == 1
+
+    def test_simulate_rejects_step_not_dividing_horizon(self, tmp_path):
+        text = MINIMAL_WF_SIMULATE.replace("dt = 0.01", "dt = 0.3")
+        cfg = self._write(tmp_path, text.replace("lsd1, implicit", "lsd1"))
+        out = tmp_path / "o"
+        assert main([str(cfg), "--out", str(out)]) == 1
+        assert not list(out.glob("*"))
 
     def test_simulate_kind(self, tmp_path):
         text = """

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lsd.errors import ConfigurationError, DataError
+from lsd.errors import (ConfigurationError, DataError, InversionError,
+                        NumericError)
 from lsd.experiments import (_terminal_batch, difference_trajectories,
                              domain_violation_scan, exact_cir_error_decay,
                              exact_cir_experiment, fit_order, simulate_path,
@@ -47,6 +48,14 @@ class TestSimulatePath:
         with pytest.raises(Exception, match="at step 0"):
             simulate_path(SchemeId("wf", "lsd2"), wf_params, x0, 1.0 / c, 1,
                           np.zeros(1))
+
+    def test_error_keeps_its_type_and_bracket(self, wf_params):
+        # from x0 = 0.999 the target lies above the printed map's maximum
+        with pytest.raises(InversionError,
+                           match=r"wf:implicit, dt=0\.01, at step 0: ") as excinfo:
+            simulate_path(SchemeId("wf", "implicit"), wf_params, 0.999, 0.01,
+                          1, np.array([5.0]))
+        assert excinfo.value.bracket is not None
 
     def test_batch_matches_single_path(self, cir_params):
         # the vectorised engine and the scalar path recursion agree bitwise
@@ -94,6 +103,13 @@ class TestStrongError:
                            0.25, M=4, seed=3)
         assert rep.rms_errors[0] == 0.0
         assert math.isnan(rep.slope)
+
+    def test_non_finite_level_raises(self, cir_params):
+        # from x0 near the largest float both terminal values overflow
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match=r"cir:lsd1 .*dt=\[.*0\.25\]"):
+            strong_error(CIR_LSD1, CIR_LSD2, cir_params, 1.7e308, 1.0,
+                         [0.5, 0.25], 0.125, M=4, seed=3)
 
     def test_deterministic_and_thread_invariant(self, cir_params):
         kwargs = dict(x0=4.0, T=1.0, step_sizes=[2.0**-4, 2.0**-5],

@@ -142,3 +142,11 @@ def test_crossing_against_declared_direction_is_still_a_root():
     spec = MonotoneSpec(lambda x: -x)
     x = invert_monotone(spec, -3.0, seed=1.0)
     assert x == pytest.approx(3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("u, seed", [(-5.0, None), (10.0, -3.0)])
+def test_expands_toward_an_infinite_endpoint_of_either_sign(u, seed):
+    # from the default seed 1 toward -inf, and from -3 toward +inf, the hunt
+    # must cross zero and grow, not double away from the endpoint
+    spec = MonotoneSpec(lambda x: x, lo=-math.inf)
+    assert invert_monotone(spec, u, seed=seed) == pytest.approx(u, rel=1e-12)

@@ -1,0 +1,41 @@
+"""Every row of the scheme table runs through the stepper interface."""
+
+import numpy as np
+import pytest
+
+from lsd.schemes import SCHEMES, SchemeId, make_stepper
+
+FIXTURE = {"cir": "cir_params", "cev": "cev_params", "wf": "wf_params",
+           "heston32": "heston_params", "ait": "ait_params"}
+X0 = {"cir": 4.0, "cev": 1.0 / 16.0, "wf": 0.5, "heston32": 1.0, "ait": 4.0}
+DT = 1e-2
+
+
+@pytest.mark.parametrize("key", list(SCHEMES), ids=lambda k: f"{k[0]}:{k[1]}")
+def test_row_runs_through_its_stepper(key, request):
+    model, variant = key
+    row = SCHEMES[key]
+    params = request.getfixturevalue(
+        "cir_ou_params" if variant == "exact_ou" else FIXTURE[model])
+    stepper = make_stepper(SchemeId(model, variant), params)
+    x0 = X0[model]
+    assert stepper.x_of(stepper.init(x0)) == pytest.approx(x0, rel=1e-12)
+
+    rng = np.random.default_rng(7)
+    for size in (None, 1, 8):
+        shape = () if size is None else (size,)
+        state = stepper.init(x0, size=size)
+        for _ in range(10):
+            dw = rng.standard_normal((stepper.drivers,) + shape) * np.sqrt(DT)
+            state, events = stepper.step(
+                state, tuple(dw) if stepper.drivers == 2 else dw[0], DT)
+            for kind in ("non_real", "clamped"):
+                mask = getattr(events, kind)
+                if kind == row.mask:
+                    assert np.asarray(mask).dtype == bool
+                    assert np.shape(mask) == shape
+                else:
+                    assert mask is None
+        x = stepper.x_of(state)
+        assert np.shape(x) == shape
+        assert np.all(np.isfinite(x))

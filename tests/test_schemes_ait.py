@@ -3,30 +3,41 @@ import math
 import numpy as np
 import pytest
 
-from lsd.schemes import ait_companion_step, ait_lsd_step
+from lsd.schemes import SchemeId, make_stepper
 from lsd.schemes import ait as ait_mod
 from oracles import bisect
+
+
+def _lsd(variant):
+    return getattr(ait_mod, f"{variant}_step")
+
+
+def _companion(variant, p, x, dw, dt):
+    """One companion step from x, reported in x."""
+    stepper = make_stepper(SchemeId("ait", variant), p)
+    state, _ = stepper.step(stepper.init(x), dw, dt)
+    return stepper.x_of(state)
 
 
 class TestLsdValues:
     def test_lsd1_worked_example(self, ait_params):
         y0 = ait_params.forward(4.0)
         assert y0 == 0.5
-        y = ait_lsd_step("lsd1", ait_params, y0, 0.0, 0.01)
+        y = ait_mod.lsd1_step(ait_params, y0, 0.0, 0.01)
         assert y == pytest.approx(0.5516741398556624, rel=1e-13)
         assert ait_params.inverse(y) == pytest.approx(3.2857517425959491,
                                                       rel=1e-12)
 
     @pytest.mark.parametrize("variant", ["lsd1", "lsd2"])
     def test_identity_limit(self, ait_params, variant):
-        y = ait_lsd_step(variant, ait_params, 0.5, 0.0, 1e-12)
+        y = _lsd(variant)(ait_params, 0.5, 0.0, 1e-12)
         assert abs(y - 0.5) <= 1e-6
 
     @pytest.mark.parametrize("variant", ["lsd1", "lsd2"])
     def test_bulk_positivity(self, ait_params, variant, rng):
         y = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), 1000))
         dw = rng.standard_normal(1000) * 2.0
-        out = ait_lsd_step(variant, ait_params, y, dw, 1e-2)
+        out = _lsd(variant)(ait_params, y, dw, 1e-2)
         assert np.all(out > 0)
 
     def test_zero_exponent_uses_unit_power(self, ait_params):
@@ -42,7 +53,7 @@ class TestLsdValues:
         for _ in range(300):
             y = math.exp(rng.uniform(math.log(1e-2), math.log(5.0)))
             dw, dt = rng.normal() * 0.3, 10 ** rng.uniform(-5, -2)
-            out = ait_lsd_step(variant, p, y, dw, dt)
+            out = _lsd(variant)(p, y, dw, dt)
             if variant == "lsd1":
                 phi = -p.K3 * dw + y + p.K0 * y**p.e2 * dt
                 c2 = 1.0 + p.Km1 * y**p.e4 * dt + p.K1 * dt
@@ -58,7 +69,7 @@ class TestLsdValues:
 class TestImplicit:
     @pytest.mark.parametrize("variant", ["implicit", "implicit_drift"])
     def test_identity_limit(self, ait_params, variant):
-        out = ait_companion_step(variant, ait_params, 4.0, 0.0, 1e-12)
+        out = _companion(variant, ait_params, 4.0, 0.0, 1e-12)
         assert abs(out - 4.0) <= 1e-6
 
     def test_round_trip_printed(self, ait_params):
@@ -78,7 +89,7 @@ class TestImplicit:
     def test_variants_differ_by_order_dt(self, ait_params):
         ratios = []
         for dt in (1e-2, 1e-3, 1e-4):
-            a = ait_companion_step("implicit", ait_params, 4.0, 0.0, dt)
-            b = ait_companion_step("implicit_drift", ait_params, 4.0, 0.0, dt)
+            a = _companion("implicit", ait_params, 4.0, 0.0, dt)
+            b = _companion("implicit_drift", ait_params, 4.0, 0.0, dt)
             ratios.append(abs(a - b) / dt)
         assert max(ratios) <= 3.0 * min(ratios)

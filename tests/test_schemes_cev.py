@@ -4,38 +4,49 @@ import numpy as np
 import pytest
 
 from lsd.models import CevParams
-from lsd.schemes import StepState, cev_companion_step, cev_lsd_step
+from lsd.schemes import SchemeId, make_stepper
 from lsd.schemes import cev as cev_mod
 from oracles import bisect
 
 
+def _lsd(variant):
+    return getattr(cev_mod, f"{variant}_step")
+
+
+def _companion(variant, p, x, dw, dt, theta=1.0):
+    """One companion step from x; returns (x', events)."""
+    stepper = make_stepper(SchemeId("cev", variant), p, theta=theta)
+    state, events = stepper.step(stepper.init(x), dw, dt)
+    return stepper.x_of(state), events
+
+
 class TestLsdValues:
     def test_lsd1_worked_example(self, cev_params):
-        y = cev_lsd_step("lsd1", cev_params, 5.0, 0.0, 0.01)
+        y = cev_mod.lsd1_step(cev_params, 5.0, 0.0, 0.01)
         assert y == pytest.approx(4.9865319703583006, rel=1e-12)
         x = cev_params.inverse(y)
         assert x == pytest.approx(0.0618293144526685, abs=1e-4)
 
     def test_lsd2_degenerate_quadratic(self, cev_params):
-        y = cev_lsd_step("lsd2", cev_params, 5.0, 0.0, 1e-12)
+        y = cev_mod.lsd2_step(cev_params, 5.0, 0.0, 1e-12)
         assert abs(y - 5.0) <= 1e-6
 
     @pytest.mark.parametrize("variant", ["lsd1", "lsd2", "lsd3"])
     def test_identity_limit(self, cev_params, variant):
-        y = cev_lsd_step(variant, cev_params, 2.4, 0.0, 1e-12)
+        y = _lsd(variant)(cev_params, 2.4, 0.0, 1e-12)
         assert abs(y - 2.4) <= 1e-6
 
     def test_lsd3_always_positive(self, cev_params, rng):
         y = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), 1000))
         dw = rng.standard_normal(1000) * 2.0
-        out = cev_lsd_step("lsd3", cev_params, y, dw, 0.01)
+        out = cev_mod.lsd3_step(cev_params, y, dw, 0.01)
         assert np.all(out > 0)
 
     @pytest.mark.parametrize("variant", ["lsd1", "lsd2"])
     def test_bulk_positivity(self, cev_params, variant, rng):
         y = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), 1000))
         dw = rng.standard_normal(1000) * 2.0
-        out = cev_lsd_step(variant, cev_params, y, dw, 0.01)
+        out = _lsd(variant)(cev_params, y, dw, 0.01)
         assert np.all(out > 0)
 
 
@@ -47,7 +58,7 @@ class TestQuadraticResidual:
         for _ in range(300):
             y = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
             dw, dt = rng.normal() * 0.5, 10 ** rng.uniform(-5, -1)
-            out = cev_lsd_step(variant, p, y, dw, dt)
+            out = _lsd(variant)(p, y, dw, dt)
             c2 = 1.0 + p.c * dt
             if variant == "lsd2":
                 c1 = -(dw + y - p.b * dt / y)
@@ -64,22 +75,20 @@ class TestQuadraticResidual:
 
 class TestCompanions:
     def test_sd_theta_drift_only(self, cev_params):
-        state = cev_companion_step("sd_theta", cev_params, StepState(1.0 / 16.0),
-                                   0.0, 0.01, theta=1.0)
-        assert state.value == pytest.approx(0.0624019703950593, rel=1e-13)
-        assert not state.non_real
+        x, events = _companion("sd_theta", cev_params, 1.0 / 16.0, 0.0, 0.01,
+                               theta=1.0)
+        assert x == pytest.approx(0.0624019703950593, rel=1e-13)
+        assert not events.non_real
 
     def test_sd_theta_can_go_nonreal(self):
         # tiny state and large diffusion make the inner value negative
         p = CevParams(k1=1e-4, k2=1.0, k3=2.0, q=0.75)
-        state = cev_companion_step("sd_theta", p, StepState(1e-6), 0.0, 0.01,
-                                   theta=0.0)
-        assert state.non_real
+        _, events = _companion("sd_theta", p, 1e-6, 0.0, 0.01, theta=0.0)
+        assert events.non_real
 
     def test_implicit_identity_limit(self, cev_params):
-        state = cev_companion_step("implicit", cev_params, StepState(1.0 / 16.0),
-                                   0.0, 1e-12)
-        assert abs(state.value - 1.0 / 16.0) <= 1e-6
+        x, _ = _companion("implicit", cev_params, 1.0 / 16.0, 0.0, 1e-12)
+        assert abs(x - 1.0 / 16.0) <= 1e-6
 
     def test_implicit_round_trip(self, cev_params):
         # with no noise the step solves g(y) = u_prev exactly

@@ -4,37 +4,48 @@ import numpy as np
 import pytest
 
 from lsd.closedform import BernoulliCoeffs, bernoulli_solution
-from lsd.schemes import heston_companion_step, heston_lsd_step
+from lsd.schemes import SchemeId, make_stepper
 from lsd.schemes import heston as heston_mod
 from oracles import bisect, ulps_apart
+
+
+def _lsd(variant):
+    return getattr(heston_mod, f"{variant}_step")
+
+
+def _companion(variant, p, x, dw, dt):
+    """One companion step from x, reported in x."""
+    stepper = make_stepper(SchemeId("heston32", variant), p)
+    state, _ = stepper.step(stepper.init(x), dw, dt)
+    return stepper.x_of(state)
 
 
 class TestLsdValues:
     def test_lsd1_worked_example(self, heston_params):
         y0 = heston_params.forward(1.0)
         assert y0 == pytest.approx(4.4721359549995794, rel=1e-14)
-        y = heston_lsd_step("lsd1", heston_params, y0, 0.0, 1e-4)
+        y = heston_mod.lsd1_step(heston_params, y0, 0.0, 1e-4)
         assert y == pytest.approx(4.4878056999495867, rel=1e-12)
         assert heston_params.inverse(y) == pytest.approx(0.9930289368385675,
                                                          rel=1e-12)
 
     @pytest.mark.parametrize("variant", ["lsd1", "lsd2"])
     def test_identity_limit(self, heston_params, variant):
-        y = heston_lsd_step(variant, heston_params, 4.5, 0.0, 1e-12)
+        y = _lsd(variant)(heston_params, 4.5, 0.0, 1e-12)
         assert abs(y - 4.5) <= 1e-6
 
     def test_lsd1_lower_bound(self, heston_params, rng):
         y = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), 5000))
         dw = rng.standard_normal(5000) * 2.0
         dt = 1e-3
-        out = heston_lsd_step("lsd1", heston_params, y, dw, dt)
+        out = heston_mod.lsd1_step(heston_params, y, dw, dt)
         assert np.all(out >= math.sqrt(heston_params.c_star * dt) - 1e-15)
 
     @pytest.mark.parametrize("variant", ["lsd1", "lsd2"])
     def test_bulk_positivity(self, heston_params, variant, rng):
         y = np.exp(rng.uniform(np.log(1e-4), np.log(1e3), 10_000))
         dw = rng.standard_normal(10_000) * 3.0
-        out = heston_lsd_step(variant, heston_params, y, dw, 1e-2)
+        out = _lsd(variant)(heston_params, y, dw, 1e-2)
         assert np.all(out > 0)
 
 
@@ -44,7 +55,7 @@ class TestClosedFormAgreement:
         for _ in range(200):
             y = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
             dw, dt = rng.normal() * 0.2, 10 ** rng.uniform(-6, -2)
-            got = heston_lsd_step("lsd1", p, y, dw, dt)
+            got = heston_mod.lsd1_step(p, y, dw, dt)
             A = dw + (1.0 - 0.5 * p.k1 * dt) * y
             want = math.sqrt(bernoulli_solution(
                 BernoulliCoeffs(A=A, B=0.5 * p.c_star, C=0.0, l=1.0, dt=dt)))
@@ -55,7 +66,7 @@ class TestClosedFormAgreement:
         for _ in range(200):
             y = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
             dw, dt = rng.normal() * 0.2, 10 ** rng.uniform(-6, -2)
-            got = heston_lsd_step("lsd2", p, y, dw, dt)
+            got = heston_mod.lsd2_step(p, y, dw, dt)
             want = math.sqrt(bernoulli_solution(
                 BernoulliCoeffs(A=dw + y, B=0.5 * p.c_star, C=-0.5 * p.k1,
                                 l=1.0, dt=dt)))
@@ -64,17 +75,17 @@ class TestClosedFormAgreement:
 
 class TestCompanions:
     def test_sd_exp_drift_only(self, heston_params):
-        out = heston_companion_step("sd_exp", heston_params, 1.0, 0.0, 1e-4)
+        out = _companion("sd_exp", heston_params, 1.0, 0.0, 1e-4)
         assert out == pytest.approx(0.9930244429332351, rel=1e-13)
 
     def test_sd_exp_positivity(self, heston_params, rng):
         x = np.exp(rng.uniform(np.log(1e-4), np.log(10.0), 5000))
         dw = rng.standard_normal(5000) * 0.5
-        out = heston_companion_step("sd_exp", heston_params, x, dw, 1e-3)
+        out = _companion("sd_exp", heston_params, x, dw, 1e-3)
         assert np.all(out > 0)
 
     def test_implicit_identity_limit(self, heston_params):
-        out = heston_companion_step("implicit", heston_params, 1.0, 0.0, 1e-12)
+        out = _companion("implicit", heston_params, 1.0, 0.0, 1e-12)
         assert abs(out - 1.0) <= 1e-6
 
     def test_implicit_closed_form_matches_bisection(self, heston_params):

@@ -6,31 +6,42 @@ import pytest
 from lsd.closedform import wf_cosine_solution
 from lsd.errors import InversionError, StepSizeError
 from lsd.models import WfParams
-from lsd.schemes import wf_companion_step, wf_lsd_step
+from lsd.schemes import SchemeId, make_stepper
 from lsd.schemes import wf as wf_mod
 from oracles import ulps_apart
 
 HALF_PI = math.pi / 2.0
 
 
+def _lsd(variant):
+    return getattr(wf_mod, f"{variant}_step")
+
+
+def _companion(variant, p, x, dw, dt):
+    """One companion step from x, reported in x."""
+    stepper = make_stepper(SchemeId("wf", variant), p)
+    state, _ = stepper.step(stepper.init(x), dw, dt)
+    return stepper.x_of(state)
+
+
 class TestLsdValues:
     def test_lsd3_steady_state(self, wf_params):
         # a == b at these parameters, so pi/2 is an exact fixed point of the
         # drift-only update
-        y = wf_lsd_step("lsd3", wf_params, HALF_PI, 0.0, 0.01)
+        y = wf_mod.lsd3_step(wf_params, HALF_PI, 0.0, 0.01)[0]
         assert abs(y - HALF_PI) <= 1e-12
         assert wf_params.inverse(y) == pytest.approx(0.5, abs=1e-6)
 
     @pytest.mark.parametrize("variant", ["lsd1", "lsd2", "lsd3", "lsd4"])
     def test_identity_limit(self, wf_params, variant):
-        y = wf_lsd_step(variant, wf_params, 1.1, 0.0, 1e-12)
+        y = _lsd(variant)(wf_params, 1.1, 0.0, 1e-12)[0]
         assert abs(y - 1.1) <= 1e-6
 
     @pytest.mark.parametrize("variant", ["lsd1", "lsd2", "lsd3", "lsd4"])
     def test_states_map_into_unit_interval(self, wf_params, variant, rng):
         y = rng.uniform(0.05, math.pi - 0.05, 10_000)
         dw = rng.standard_normal(10_000) * 0.5
-        out = wf_lsd_step(variant, wf_params, y, dw, 1e-3)
+        out = _lsd(variant)(wf_params, y, dw, 1e-3)[0]
         x = wf_params.inverse(out)
         assert np.all((x >= 0.0) & (x <= 1.0))
         assert np.all((out >= 0.0) & (out <= math.pi))
@@ -41,14 +52,14 @@ class TestLsdValues:
         c = (wf_params.a / y) * cot - (wf_params.b / y) * math.tan(0.5 * y)
         dt_critical = 1.0 / c
         with pytest.raises(StepSizeError):
-            wf_lsd_step("lsd2", wf_params, y, 0.0, dt_critical)
+            wf_mod.lsd2_step(wf_params, y, 0.0, dt_critical)
 
     def test_lsd1_matches_cosine_solution(self, wf_params, rng):
         p = wf_params
         for _ in range(300):
             y = rng.uniform(0.1, math.pi - 0.1)
             dw, dt = rng.normal() * 0.1, 10 ** rng.uniform(-5, -2)
-            got = wf_lsd_step("lsd1", p, y, dw, dt)
+            got = wf_mod.lsd1_step(p, y, dw, dt)[0]
             denom = 1.0 + (p.b / y) * math.tan(0.5 * y) * dt
             phi = (p.k3 * dw + y) / denom
             decay = wf_cosine_solution(phi, p.a / denom, dt)
@@ -70,22 +81,22 @@ class TestLsdValues:
 class TestCompanions:
     def test_sd_fixed_point(self, wf_params):
         # drift term a + beta*x vanishes identically at x = 1/2 here
-        out = wf_companion_step("sd", wf_params, 0.5, 0.0, 0.01)
+        out = _companion("sd", wf_params, 0.5, 0.0, 0.01)
         assert out == pytest.approx(0.5, abs=1e-12)
 
     def test_sd_alt_stabilised_inner_value(self, wf_params):
         # the prestabilised variant divides the steady state by 1+(a+beta)dt
         p, dt = wf_params, 0.01
-        out = wf_companion_step("sd_alt", p, 0.5, 0.0, dt)
+        out = _companion("sd_alt", p, 0.5, 0.0, dt)
         expected = (0.5 * (1.0 + p.beta * dt) + p.a * dt) / (1.0 + (p.a + p.beta) * dt)
         assert out == pytest.approx(expected, abs=1e-14)
 
     def test_biss_drift_only(self, wf_params):
-        out = wf_companion_step("biss", wf_params, 0.5, 0.0, 0.01)
+        out = _companion("biss", wf_params, 0.5, 0.0, 0.01)
         assert out == pytest.approx(0.5 + (1.0 - 2.0 * 0.5) * 0.01, abs=1e-15)
 
     def test_hyb_fixed_point(self, wf_params):
-        out = wf_companion_step("hyb", wf_params, 0.5, 0.0, 0.01)
+        out = _companion("hyb", wf_params, 0.5, 0.0, 0.01)
         assert out == pytest.approx(0.5, abs=1e-7)
 
     def test_sd_clamps_and_flags(self, wf_params):
@@ -98,7 +109,7 @@ class TestCompanions:
     def test_outputs_stay_in_unit_interval(self, wf_params, variant, rng):
         x = rng.uniform(0.01, 0.99, 2000)
         dw = rng.standard_normal(2000) * 0.05
-        out = wf_companion_step(variant, wf_params, x, dw, 1e-3)
+        out = _companion(variant, wf_params, x, dw, 1e-3)
         assert np.all((out >= 0.0) & (out <= 1.0))
 
     def test_implicit_round_trip_printed(self, wf_params):
@@ -123,10 +134,8 @@ class TestCompanions:
     def test_implicit_sign_modes_differ_by_order_dt(self, wf_params):
         gaps = []
         for dt in (1e-2, 1e-3, 1e-4):
-            a = wf_companion_step("implicit", wf_params, 0.31, 0.0, dt,
-                                  wf_implicit_sign="printed")
-            b = wf_companion_step("implicit", wf_params, 0.31, 0.0, dt,
-                                  wf_implicit_sign="corrected")
+            a = _companion("implicit", wf_params, 0.31, 0.0, dt)
+            b = _companion("implicit_corrected", wf_params, 0.31, 0.0, dt)
             gaps.append(abs(a - b) / dt)
         assert max(gaps) <= 3.0 * min(gaps)
 

@@ -1,11 +1,11 @@
-"""Command line runner: `lsd <config> [--seed N] [--out DIR] [--threads K]`.
+"""Command line runner: `lsd <config> [--seed N] [--out DIR]`.
 
 Each run writes ``<name>.csv`` (data, 17-significant-digit reals so every
 float round-trips) and ``<name>.json`` (summary with fitted slopes, counters,
 and wall time).  Outputs are byte-stable for a fixed (config, seed)
-combination; ``--threads`` only changes how path batches are scheduled, never
-a number.  On any error the partially written files are removed and the exit
-status is nonzero.
+combination.  Paths run serially in one process; a worker-count option is
+still accepted for old command lines and has no effect.  On any error the
+partially written files are removed and the exit status is nonzero.
 """
 
 import argparse
@@ -41,7 +41,7 @@ def _scheme_ids(cfg: ExperimentConfig) -> List[SchemeId]:
     return [SchemeId(cfg.model, cfg.scheme_variant(s)) for s in cfg.schemes]
 
 
-def _run_convergence(cfg, params, threads):
+def _run_convergence(cfg, params):
     rows = [("scheme", "dt", "rms", "stderr")]
     slopes, intercepts = {}, {}
     for scheme in _scheme_ids(cfg):
@@ -50,7 +50,7 @@ def _run_convergence(cfg, params, threads):
         report = strong_error(
             scheme, reference, params, cfg.x0, cfg.T, cfg.dts,
             cfg.resolved_ref_step(), cfg.resolved_m_samples(), cfg.seed,
-            theta=cfg.theta, n_jobs=threads)
+            theta=cfg.theta)
         for dt, rms, se in zip(report.step_sizes, report.rms_errors,
                                report.stderrs):
             rows.append((scheme.variant, _fmt(dt), _fmt(rms), _fmt(se)))
@@ -61,8 +61,7 @@ def _run_convergence(cfg, params, threads):
                   "M": cfg.resolved_m_samples()}
 
 
-def _run_simulate(cfg, params, threads):
-    del threads
+def _run_simulate(cfg, params):
     ids = _scheme_ids(cfg)
     drivers = [make_stepper(s, params, m_split=cfg.m).drivers for s in ids]
     rows = [("dt", "t") + tuple(s.variant for s in ids)]
@@ -84,8 +83,7 @@ def _run_simulate(cfg, params, threads):
     return rows, {"counters_last_dt": counters}
 
 
-def _run_compare(cfg, params, threads):
-    del threads
+def _run_compare(cfg, params):
     ids = _scheme_ids(cfg)
     if len(ids) < 2:
         raise LsdError("compare needs at least two schemes")
@@ -105,14 +103,14 @@ def _run_compare(cfg, params, threads):
     return rows, {"baseline": ids[0].variant, "max_abs_diff": max_abs}
 
 
-def _run_exact_cir(cfg, params, threads):
+def _run_exact_cir(cfg, params):
     ids = _scheme_ids(cfg)
     rows = [("scheme", "dt", "mean_abs_terminal_diff")]
     means = {}
     for scheme in ids:
         decay = exact_cir_error_decay(
             params, cfg.x0, cfg.m, cfg.dts, cfg.T, cfg.resolved_m_samples(),
-            cfg.seed, scheme, theta=cfg.theta, n_jobs=threads)
+            cfg.seed, scheme, theta=cfg.theta)
         means[scheme.variant] = {str(dt): v for dt, v in decay.items()}
         for dt in sorted(decay, reverse=True):
             rows.append((scheme.variant, _fmt(dt), _fmt(decay[dt])))
@@ -124,11 +122,11 @@ def _run_exact_cir(cfg, params, threads):
                   "M": cfg.resolved_m_samples(), "m": cfg.m}
 
 
-def _run_scan(cfg, params, threads):
+def _run_scan(cfg, params):
     ids = _scheme_ids(cfg)
     scan = domain_violation_scan(ids, params, cfg.dts, cfg.T,
                                  cfg.resolved_m_samples(), cfg.seed, x0=cfg.x0,
-                                 theta=cfg.theta, n_jobs=threads)
+                                 theta=cfg.theta)
     rows = [("scheme", "dt", "negative_states", "non_real_events",
              "clamp_events")]
     summary = {}
@@ -152,12 +150,11 @@ _RUNNERS = {
 }
 
 
-def run(cfg: ExperimentConfig, out_dir: Path, name: str,
-        threads: int = 1) -> Tuple[Path, Path]:
+def run(cfg: ExperimentConfig, out_dir: Path, name: str) -> Tuple[Path, Path]:
     """Execute one experiment; returns the written (csv, json) paths."""
     params = _build_params(cfg)
     started = time.perf_counter()
-    rows, extra = _RUNNERS[cfg.kind](cfg, params, threads)
+    rows, extra = _RUNNERS[cfg.kind](cfg, params)
     elapsed = time.perf_counter() - started
     summary = {
         "kind": cfg.kind,
@@ -204,7 +201,7 @@ def main(argv=None) -> int:
                         help="override the config seed")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads; never affects numeric output")
+                        help="accepted for old command lines; has no effect")
     args = parser.parse_args(argv)
 
     config_path = Path(args.config)
@@ -213,8 +210,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         name = cfg.name or config_path.stem
-        csv_path, json_path = run(cfg, Path(args.out), name,
-                                  threads=max(1, args.threads))
+        csv_path, json_path = run(cfg, Path(args.out), name)
     except (LsdError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,8 +2,7 @@
 
 All Monte-Carlo machinery here is deterministic given (seed, configuration):
 each path owns a seed stream derived from the master seed and its index, and
-reductions happen in path-index order, so thread count and scheduling never
-change a single output bit.
+paths run in fixed batches whose partial sums are added in path-index order.
 
 Simulations at several step sizes share one Brownian path per path index via
 dyadic coarsening of a finest-level increment lattice, which is what turns
@@ -11,7 +10,6 @@ terminal differences into pathwise strong-error estimates.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -23,7 +21,10 @@ from .schemes import SchemeId, make_stepper
 from .wiener import (cir_effective_increment, generate_lattice,
                      halve_increments, path_seed)
 
-_DEFAULT_BATCH = 256
+# Paths per batch.  Each batch's partial sums, added in path order, set the
+# rounding of every reported number, so this is part of the output; one
+# batch's lattice at the reference step 2^-14 is 256 x 2^14 x 8 B = 32 MiB.
+_BATCH = 256
 
 
 @dataclass
@@ -89,8 +90,16 @@ def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-def _dyadic_plan(T: float, step_sizes: Sequence[float], ref_step: float):
-    """Base step count, finest level, and per-dt level for one shared lattice."""
+def _dyadic_plan(T: float, step_sizes: Sequence[float],
+                 ref_step: Optional[float] = None):
+    """Base step count, finest level, and per-dt level for one shared lattice.
+
+    The reference step defaults to the finest step of the ladder.
+    """
+    if not step_sizes:
+        raise ConfigurationError("step ladder is empty")
+    if ref_step is None:
+        ref_step = min(step_sizes)
     n_ref = _steps_for(T, ref_step)
     n_of = {}
     for dt in step_sizes:
@@ -99,32 +108,20 @@ def _dyadic_plan(T: float, step_sizes: Sequence[float], ref_step: float):
             raise ConfigurationError(
                 f"step {dt} is not a dyadic multiple of the reference step {ref_step}")
         n_of[dt] = n
+    # every n_ref // n is a power of two, so the coarsest n divides each n
     base = min(n_of.values())
-    if n_ref % base != 0 or not _is_pow2(n_ref // base):
-        raise ConfigurationError("step ladder is not dyadic")
     levels = (n_ref // base).bit_length() - 1
-    level_of = {}
-    for dt, n in n_of.items():
-        if n % base != 0 or not _is_pow2(n // base):
-            raise ConfigurationError(
-                f"step ladder is not dyadic: {dt} vs coarsest {T / base}")
-        level_of[dt] = (n // base).bit_length() - 1
+    level_of = {dt: (n // base).bit_length() - 1 for dt, n in n_of.items()}
     return base, levels, level_of
 
 
-def _batches(n_items: int, batch_size: int) -> List[range]:
-    return [range(s, min(s + batch_size, n_items))
-            for s in range(0, n_items, batch_size)]
+def _map_batches(task, n_items: int) -> list:
+    """Run ``task(range)`` on consecutive ranges of ``_BATCH`` paths, in order.
 
-
-def _map_batches(task, n_items: int, batch_size: int, n_jobs: int) -> list:
-    """Run `task(range)` per batch; results come back in batch order."""
-    chunks = _batches(n_items, batch_size)
-    if n_jobs <= 1 or len(chunks) == 1:
-        return [task(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        futures = [pool.submit(task, c) for c in chunks]
-        return [f.result() for f in futures]
+    A batch's arrays are ``task``'s locals, so only one lattice is alive.
+    """
+    return [task(range(s, min(s + _BATCH, n_items)))
+            for s in range(0, n_items, _BATCH)]
 
 
 def _batch_increments(master_seed, indices, T, base, levels, drivers=1):
@@ -144,19 +141,40 @@ def _count(mask) -> int:
     return int(np.count_nonzero(mask))
 
 
-def _terminal_batch(stepper, x0, dt, increments, counters: Optional[ScanCounters] = None):
-    """Advance a batch to the horizon; increments is (B, n) or (B, 2, n)."""
-    n = increments.shape[-1]
-    state = stepper.init(x0, size=increments.shape[0])
-    two = stepper.drivers == 2
-    for j in range(n):
-        dw = (increments[:, 0, j], increments[:, 1, j]) if two else increments[:, j]
-        state, events = stepper.step(state, dw, dt)
-        if counters is not None:
-            counters.non_real_events += _count(events.non_real)
-            counters.clamp_events += _count(events.clamped)
-            counters.negative_states += _count(stepper.x_of(state) < 0)
-    return stepper.x_of(state)
+def _terminal_batch(stepper, x0, dt, increments,
+                    counters: Optional[ScanCounters] = None,
+                    values: Optional[np.ndarray] = None,
+                    paths: Optional[range] = None):
+    """Advance one path or a batch of paths to the horizon; returns x there.
+
+    ``increments`` is ``(n,)``, ``(2, n)``, ``(B, n)`` or ``(B, 2, n)``.
+    ``counters`` tallies events and negative x over every step;
+    ``values[j + 1]`` gets x after step j.  An error is re-raised as it is,
+    its message prefixed with the scheme, dt, step index and ``paths``.
+    """
+    batched = increments.ndim > stepper.drivers
+    state = stepper.init(x0, size=increments.shape[0] if batched else None)
+    step, x_of = stepper.step, stepper.x_of
+    record = counters is not None or values is not None
+    try:
+        # the transpose puts the step axis first; dw is (), (2,), (B,) or (2, B)
+        for j, dw in enumerate(increments.T):
+            state, events = step(state, dw, dt)
+            if record:
+                x = x_of(state)
+                if values is not None:
+                    values[j + 1] = x
+                if counters is not None:
+                    counters.non_real_events += _count(events.non_real)
+                    counters.clamp_events += _count(events.clamped)
+                    counters.negative_states += _count(x < 0)
+    except Exception as exc:
+        where = f", paths {paths[0]}..{paths[-1]}" if paths else ""
+        detail = exc.args[0] if exc.args else ""
+        exc.args = (f"{stepper.scheme_id}, dt={dt!r}, at step {j}{where}: "
+                    f"{detail}",) + exc.args[1:]
+        raise
+    return x_of(state)
 
 
 def simulate_path(scheme: SchemeId, params: ModelParams, x0: float, T: float,
@@ -166,8 +184,9 @@ def simulate_path(scheme: SchemeId, params: ModelParams, x0: float, T: float,
 
     LSD schemes iterate in the transformed coordinate starting from the
     forward transform of ``x0`` and record the inverse transform after every
-    step.  An error raised by a step is re-raised as it is, its message
-    prefixed with the scheme, dt and step index.
+    step.  The path runs through the experiments' stepping loop, so an
+    error raised by a step is re-raised as it is, its message prefixed with
+    the scheme, dt and step index.
     """
     if n < 0:
         raise ConfigurationError(f"step count must be >= 0, got {n}")
@@ -184,22 +203,12 @@ def simulate_path(scheme: SchemeId, params: ModelParams, x0: float, T: float,
     times = np.linspace(0.0, T, n + 1)
     values = np.empty(n + 1)
     values[0] = x0
-    state = stepper.init(x0)
-    non_real = clamped = 0
-    for j in range(n):
-        dw = (driver[0, j], driver[1, j]) if stepper.drivers == 2 else driver[j]
-        try:
-            state, events = stepper.step(state, dw, dt)
-        except Exception as exc:
-            detail = exc.args[0] if exc.args else ""
-            exc.args = (f"{scheme}, dt={dt!r}, at step {j}: {detail}",
-                        ) + exc.args[1:]
-            raise
-        non_real += _count(events.non_real)
-        clamped += _count(events.clamped)
-        values[j + 1] = stepper.x_of(state)
+    counters = ScanCounters()
+    _terminal_batch(stepper, x0, dt, driver[..., :n], counters=counters,
+                    values=values)
     return PathResult(times=times, values=values,
-                      non_real_count=non_real, clamp_count=clamped)
+                      non_real_count=counters.non_real_events,
+                      clamp_count=counters.clamp_events)
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +233,8 @@ def fit_order(step_sizes, errors):
 
 def strong_error(scheme: SchemeId, reference: SchemeId, params: ModelParams,
                  x0: float, T: float, step_sizes: Sequence[float],
-                 ref_step: float, M: int, seed: int, theta: float = 1.0,
-                 n_jobs: int = 1,
-                 batch_size: int = _DEFAULT_BATCH) -> ErrorReport:
+                 ref_step: float, M: int, seed: int,
+                 theta: float = 1.0) -> ErrorReport:
     """Root-mean-square terminal distance to a fine-step reference solution.
 
     All runs for one path index are driven by coarsenings of that path's
@@ -248,16 +256,16 @@ def strong_error(scheme: SchemeId, reference: SchemeId, params: ModelParams,
 
     def task(indices):
         inc = _batch_increments(seed, indices, T, base, levels)
-        x_ref = _terminal_batch(ref, x0, ref_step, inc)
+        x_ref = _terminal_batch(ref, x0, ref_step, inc, paths=indices)
         out = {}
         for dt in dts:
             inc_dt = halve_increments(inc, levels - level_of[dt])
-            x_dt = _terminal_batch(run, x0, dt, inc_dt)
+            x_dt = _terminal_batch(run, x0, dt, inc_dt, paths=indices)
             diff_sq = (x_dt - x_ref) ** 2
             out[dt] = (float(np.sum(diff_sq)), float(np.sum(diff_sq**2)))
         return out
 
-    partials = _map_batches(task, M, batch_size, n_jobs)
+    partials = _map_batches(task, M)
     rms, stderr = [], []
     for dt in dts:
         sum2 = sum(p[dt][0] for p in partials)
@@ -376,17 +384,15 @@ def exact_cir_experiment(params: ModelParams, x0: float, m_split: float,
 
 def exact_cir_error_decay(params: ModelParams, x0: float, m_split: float,
                           step_sizes: Sequence[float], T: float, M: int,
-                          seed: int, scheme: SchemeId, theta: float = 1.0,
-                          n_jobs: int = 1,
-                          batch_size: int = _DEFAULT_BATCH) -> Dict[float, float]:
+                          seed: int, scheme: SchemeId,
+                          theta: float = 1.0) -> Dict[float, float]:
     """Mean terminal distance between a scheme and the squared-OU path per dt.
 
     Step sizes must form a dyadic family; each path's two-driver lattice is
     generated at the finest step and coarsened, so refinements stay coupled.
     """
     dts = sorted(set(float(d) for d in step_sizes), reverse=True)
-    ref_step = dts[-1]
-    base, levels, level_of = _dyadic_plan(T, dts, ref_step)
+    base, levels, level_of = _dyadic_plan(T, dts)
     stepper = make_stepper(scheme, params, theta=theta)
     if stepper.drivers != 1:
         raise ConfigurationError("decay experiment needs a one-driver scheme")
@@ -397,11 +403,11 @@ def exact_cir_error_decay(params: ModelParams, x0: float, m_split: float,
         for dt in dts:
             inc_dt = halve_increments(inc, levels - level_of[dt])
             _, _, x, dw_eff = _exact_ou_paths(params, x0, m_split, dt, inc_dt)
-            x_scheme = _terminal_batch(stepper, x0, dt, dw_eff)
+            x_scheme = _terminal_batch(stepper, x0, dt, dw_eff, paths=indices)
             out[dt] = float(np.sum(np.abs(x_scheme - x[..., -1])))
         return out
 
-    partials = _map_batches(task, M, batch_size, n_jobs)
+    partials = _map_batches(task, M)
     return {dt: sum(p[dt] for p in partials) / M for dt in dts}
 
 
@@ -412,37 +418,27 @@ def exact_cir_error_decay(params: ModelParams, x0: float, m_split: float,
 def domain_violation_scan(schemes: Sequence[SchemeId], params: ModelParams,
                           step_sizes: Sequence[float], T: float, M: int,
                           seed: int, x0: float = 4.0, theta: float = 1.0,
-                          n_jobs: int = 1, batch_size: int = _DEFAULT_BATCH,
                           ) -> Dict[str, Dict[float, ScanCounters]]:
     """Tally negative, non-real, and clamped states per scheme and step size.
 
     The same Brownian paths drive every scheme at a given step size, so the
     counters compare schemes like-for-like.
     """
-    results: Dict[str, Dict[float, ScanCounters]] = {str(s): {} for s in schemes}
+    steppers = {str(s): make_stepper(s, params, theta=theta) for s in schemes}
+    if any(st.drivers != 1 for st in steppers.values()):
+        raise ConfigurationError("scan supports single-driver schemes only")
+    results: Dict[str, Dict[float, ScanCounters]] = {name: {} for name in steppers}
     for k, dt in enumerate(step_sizes):
         n = _steps_for(T, dt)
         dt_seed = path_seed(seed, k)
-        steppers = {str(s): make_stepper(s, params, theta=theta)
-                    for s in schemes}
-        if any(st.drivers != 1 for st in steppers.values()):
-            raise ConfigurationError("scan supports single-driver schemes only")
+        for name in steppers:
+            results[name][dt] = ScanCounters()
 
-        def task(indices, _n=n, _dt=dt, _dt_seed=dt_seed, _steppers=steppers):
-            inc = _batch_increments(_dt_seed, indices, T, _n, 0)
-            out = {}
-            for name, st in _steppers.items():
-                counters = ScanCounters()
-                _terminal_batch(st, x0, _dt, inc, counters=counters)
-                out[name] = counters
-            return out
+        def task(indices):
+            inc = _batch_increments(dt_seed, indices, T, n, 0)
+            for name, st in steppers.items():
+                _terminal_batch(st, x0, dt, inc, counters=results[name][dt],
+                                paths=indices)
 
-        partials = _map_batches(task, M, batch_size, n_jobs)
-        for name in results:
-            total = ScanCounters()
-            for p in partials:
-                total.negative_states += p[name].negative_states
-                total.non_real_events += p[name].non_real_events
-                total.clamp_events += p[name].clamp_events
-            results[name][dt] = total
+        _map_batches(task, M)
     return results

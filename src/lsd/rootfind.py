@@ -14,7 +14,7 @@ _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 class MonotoneSpec:
     """A function to invert on an open interval, monotone where it matters.
 
-    ``lo``/``hi`` may be 0 and +inf.  ``increasing`` gives the direction in
+    ``lo``/``hi`` may be infinite.  ``increasing`` gives the direction in
     which the function crosses the target at the root that is wanted; it
     decides which way to expand when hunting for a bracket.  The function
     needs to be monotone only on the branch that holds the root: an interior
@@ -105,6 +105,8 @@ def invert_monotone(spec: MonotoneSpec, u: float, tol: float = 1e-12,
     if seed is None or not spec.lo < seed < spec.hi:
         if math.isinf(spec.hi):
             seed = max(1.0, 2.0 * spec.lo)
+        elif math.isinf(spec.lo):
+            seed = min(-1.0, 2.0 * spec.hi)
         else:
             seed = 0.5 * (spec.lo + spec.hi)
 

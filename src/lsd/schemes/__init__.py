@@ -196,15 +196,16 @@ def make_stepper(scheme: SchemeId, params: ModelParams, theta: float = 1.0,
     Checks the row's precondition (the splitting scheme's admissibility,
     the squared-OU dimension).  ``theta`` reaches only the rows that take
     it; ``m_split`` sets the initial split of the squared-OU construction.
-    A stepper has ``drivers``, ``init(x0, size=None)``,
+    A stepper has ``scheme_id``, ``drivers``, ``init(x0, size=None)``,
     ``step(state, dw, dt) -> (state, events)`` and ``x_of(state)``.
     """
     if params.model != scheme.model:
         raise ConfigurationError(
             f"params are for {params.model!r} but scheme is {scheme}")
     row = SCHEMES[scheme.model, scheme.variant]
-    if row.drivers == 2:
-        return ExactOuStepper(params, m_split=m_split)
     if row.check is not None:
         row.check(params)
-    return Stepper(row, params, theta)
+    stepper = (ExactOuStepper(params, m_split=m_split) if row.drivers == 2
+               else Stepper(row, params, theta))
+    stepper.scheme_id = scheme
+    return stepper

@@ -24,7 +24,7 @@ class WienerLattice:
 
     ``increments`` has shape ``(n,)`` for one driver and ``(2, n)`` for two,
     where ``n = base_steps * 2**finest_level``.  Each entry is N(0, fine_dt).
-    Instances are immutable and safe to share between threads.
+    Instances are immutable.
     """
 
     seed: int

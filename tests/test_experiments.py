@@ -65,6 +65,17 @@ class TestSimulatePath:
         batch = _terminal_batch(stepper, 4.0, 1.0 / 64, lat.increments[None, :])
         assert batch[0] == single.values[-1]
 
+    def test_two_driver_batch_matches_single_paths(self, cir_ou_params):
+        exact_ou = SchemeId("cir", "exact_ou")
+        inc = np.stack([generate_lattice(path_seed(9, i), 1.0, 64, 0,
+                                         drivers=2).increments
+                        for i in range(3)])
+        batch = _terminal_batch(make_stepper(exact_ou, cir_ou_params), 4.0,
+                                1.0 / 64, inc)
+        for i in range(3):
+            single = simulate_path(exact_ou, cir_ou_params, 4.0, 1.0, 64, inc[i])
+            assert batch[i] == single.values[-1]
+
 
 class TestFitOrder:
     def test_exact_linear(self):
@@ -111,18 +122,47 @@ class TestStrongError:
             strong_error(CIR_LSD1, CIR_LSD2, cir_params, 1.7e308, 1.0,
                          [0.5, 0.25], 0.125, M=4, seed=3)
 
-    def test_deterministic_and_thread_invariant(self, cir_params):
+    def test_rerun_is_identical(self, cir_params):
+        # M = 300 spans two batches of paths
         kwargs = dict(x0=4.0, T=1.0, step_sizes=[2.0**-4, 2.0**-5],
-                      ref_step=2.0**-8, M=64, seed=12)
+                      ref_step=2.0**-8, M=300, seed=12)
         a = strong_error(CIR_LSD2, CIR_LSD1, cir_params, **kwargs)
         b = strong_error(CIR_LSD2, CIR_LSD1, cir_params, **kwargs)
-        c = strong_error(CIR_LSD2, CIR_LSD1, cir_params, **kwargs, n_jobs=4,
-                         batch_size=16)
-        d = strong_error(CIR_LSD2, CIR_LSD1, cir_params, **kwargs, n_jobs=1,
-                         batch_size=16)
         np.testing.assert_array_equal(a.rms_errors, b.rms_errors)
-        # thread count never changes a bit; batching is fixed per run
-        np.testing.assert_array_equal(c.rms_errors, d.rms_errors)
+        np.testing.assert_array_equal(a.stderrs, b.stderrs)
+
+    def test_batches_are_summed_in_path_order(self, cir_params):
+        # the rms is built from per-batch sums over paths 0..255 and
+        # 256..299, added in that order; at this seed one sum over all 300
+        # paths differs in the last bits at both levels
+        T, ref_step, M, seed = 1.0, 2.0**-8, 300, 2
+        rep = strong_error(CIR_LSD2, CIR_LSD1, cir_params, 4.0, T,
+                           [2.0**-4, 2.0**-5], ref_step, M=M, seed=seed)
+        run = make_stepper(CIR_LSD2, cir_params)
+        ref = make_stepper(CIR_LSD1, cir_params)
+        for dt, rms in zip(rep.step_sizes, rep.rms_errors):
+            sum2 = 0.0
+            for lo, hi in ((0, 256), (256, 300)):
+                inc = np.stack([generate_lattice(path_seed(seed, i), T, 16,
+                                                 4).increments
+                                for i in range(lo, hi)])
+                x_ref = _terminal_batch(ref, 4.0, ref_step, inc)
+                inc_dt = halve_increments(inc, round(math.log2(dt / ref_step)))
+                x_dt = _terminal_batch(run, 4.0, dt, inc_dt)
+                sum2 += float(np.sum((x_dt - x_ref) ** 2))
+            assert rms == math.sqrt(sum2 / M)
+
+    def test_error_names_scheme_dt_step_and_paths(self, wf_params):
+        # from x0 = 0.999 the first reference step's target lies above the
+        # printed map's maximum
+        wf_implicit = SchemeId("wf", "implicit")
+        with pytest.raises(
+                InversionError,
+                match=r"wf:implicit, dt=0\.125, at step 0, paths 0\.\.3: ",
+        ) as excinfo:
+            strong_error(wf_implicit, wf_implicit, wf_params, 0.999, 1.0,
+                         [0.5, 0.25], 0.125, M=4, seed=3)
+        assert excinfo.value.bracket is not None
 
     def test_non_dyadic_ladder_rejected(self, cir_params):
         with pytest.raises(ConfigurationError):
@@ -131,6 +171,14 @@ class TestStrongError:
         with pytest.raises(ConfigurationError):
             strong_error(CIR_LSD1, CIR_LSD1, cir_params, 4.0, 1.0, [0.25],
                          0.25 / 3.0, M=4, seed=1)
+
+    def test_empty_ladder_rejected(self, cir_params, cir_ou_params):
+        with pytest.raises(ConfigurationError, match="empty"):
+            strong_error(CIR_LSD1, CIR_LSD1, cir_params, 4.0, 1.0, [], 0.125,
+                         M=4, seed=1)
+        with pytest.raises(ConfigurationError, match="empty"):
+            exact_cir_error_decay(cir_ou_params, 4.0, 0.5, [], 1.0, M=4,
+                                  seed=1, scheme=CIR_LSD1)
 
     def test_requires_two_paths(self, cir_params):
         with pytest.raises(ConfigurationError):
@@ -225,11 +273,12 @@ class TestExactCir:
                                  schemes=[])
 
     def test_decay_is_deterministic(self):
+        # M = 300 spans two batches of paths
         p = CirParams(2.0, 2.0, 2.0)
         kwargs = dict(x0=4.0, m_split=0.5, step_sizes=[1e-2, 5e-3], T=1.0,
-                      M=16, seed=9, scheme=CIR_LSD1, batch_size=5)
+                      M=300, seed=9, scheme=CIR_LSD1)
         a = exact_cir_error_decay(p, **kwargs)
-        b = exact_cir_error_decay(p, **kwargs, n_jobs=3)
+        b = exact_cir_error_decay(p, **kwargs)
         assert a == b
 
 
@@ -244,10 +293,10 @@ class TestScan:
             assert counters.non_real_events == 0
             assert counters.clamp_events == 0
 
-    def test_thread_invariance(self):
+    def test_rerun_is_identical(self):
+        # M = 300 spans two batches of paths
         p = CirParams(1.0, 2.0, 10.0)
         ids = [SchemeId("cir", "alf")]
-        a = domain_violation_scan(ids, p, [1e-2], 1.0, 30, seed=6, x0=4.0)
-        b = domain_violation_scan(ids, p, [1e-2], 1.0, 30, seed=6, x0=4.0,
-                                  n_jobs=4, batch_size=7)
+        a = domain_violation_scan(ids, p, [1e-2], 1.0, 300, seed=6, x0=4.0)
+        b = domain_violation_scan(ids, p, [1e-2], 1.0, 300, seed=6, x0=4.0)
         assert a[str(ids[0])][1e-2] == b[str(ids[0])][1e-2]

@@ -150,3 +150,9 @@ def test_expands_toward_an_infinite_endpoint_of_either_sign(u, seed):
     # must cross zero and grow, not double away from the endpoint
     spec = MonotoneSpec(lambda x: x, lo=-math.inf)
     assert invert_monotone(spec, u, seed=seed) == pytest.approx(u, rel=1e-12)
+
+
+def test_default_seed_is_finite_below_a_finite_upper_endpoint():
+    # on (-inf, 0) the midpoint seed would be -inf
+    spec = MonotoneSpec(lambda x: x, lo=-math.inf, hi=0.0)
+    assert invert_monotone(spec, -5.0) == pytest.approx(-5.0, rel=1e-12)

@@ -78,7 +78,8 @@ def _run_simulate(cfg, params):
         times = paths[0].times
         for j, t in enumerate(times):
             rows.append((_fmt(dt), _fmt(t)) + tuple(_fmt(p.values[j]) for p in paths))
-    counters = {s.variant: {"non_real": p.non_real_count, "clamped": p.clamp_count}
+    counters = {s.variant: {"non_real": p.non_real_count, "clamped": p.clamp_count,
+                            "negative": p.negative_count}
                 for s, p in zip(ids, paths)}
     return rows, {"counters_last_dt": counters}
 

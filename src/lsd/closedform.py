@@ -43,7 +43,8 @@ def bernoulli_power(A, B, C, l, dt):
 
     The exponential branch is evaluated through expm1 so that C -> 0 is
     continuous; |(1+l) C dt| below 1e-12 falls through to the exact linear
-    branch r = (1+l) B dt + A**(1+l).  Vectorized over any argument.
+    branch r = (1+l) B dt + A**(1+l).  Vectorized over any argument; returns
+    an array of the broadcast shape (0-d when every argument is a scalar).
     """
     A, B, C = np.asarray(A, float), np.asarray(B, float), np.asarray(C, float)
     power = 1.0 + l
@@ -55,12 +56,11 @@ def bernoulli_power(A, B, C, l, dt):
     growth = np.exp(k)
     exact = (B / c_safe) * np.expm1(k) + A**power * growth
     approx = power * B * dt + A**power
-    out = np.where(linear, approx, exact)
-    return out if out.ndim else float(out)
+    return np.where(linear, approx, exact)
 
 
-def bernoulli_solution(coeffs: BernoulliCoeffs) -> float:
-    """Closed form of the Bernoulli step equation, as r = y**(1+l)."""
+def bernoulli_solution(coeffs: BernoulliCoeffs) -> np.ndarray:
+    """Closed form of the Bernoulli step equation, as r = y**(1+l) (0-d)."""
     return bernoulli_power(coeffs.A, coeffs.B, coeffs.C, coeffs.l, coeffs.dt)
 
 

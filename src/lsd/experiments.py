@@ -35,6 +35,7 @@ class PathResult:
     values: np.ndarray
     non_real_count: int = 0
     clamp_count: int = 0
+    negative_count: int = 0
 
 
 @dataclass
@@ -145,19 +146,19 @@ def _terminal_batch(stepper, x0, dt, increments,
                     counters: Optional[ScanCounters] = None,
                     values: Optional[np.ndarray] = None,
                     paths: Optional[range] = None):
-    """Advance one path or a batch of paths to the horizon; returns x there.
+    """Advance a batch of paths to the horizon; returns x there, shape ``(B,)``.
 
-    ``increments`` is ``(n,)``, ``(2, n)``, ``(B, n)`` or ``(B, 2, n)``.
+    ``increments`` is ``(B, n)``, or ``(B, 2, n)`` for a two-driver stepper.
     ``counters`` tallies events and negative x over every step;
-    ``values[j + 1]`` gets x after step j.  An error is re-raised as it is,
-    its message prefixed with the scheme, dt, step index and ``paths``.
+    ``values[j + 1]``, of shape ``(B,)``, gets x after step j.  An error is
+    re-raised as it is, its message prefixed with the scheme, dt, step index
+    and ``paths``.
     """
-    batched = increments.ndim > stepper.drivers
-    state = stepper.init(x0, size=increments.shape[0] if batched else None)
+    state = stepper.init(x0, size=increments.shape[0])
     step, x_of = stepper.step, stepper.x_of
     record = counters is not None or values is not None
     try:
-        # the transpose puts the step axis first; dw is (), (2,), (B,) or (2, B)
+        # the transpose puts the step axis first; dw is (B,) or (2, B)
         for j, dw in enumerate(increments.T):
             state, events = step(state, dw, dt)
             if record:
@@ -184,9 +185,10 @@ def simulate_path(scheme: SchemeId, params: ModelParams, x0: float, T: float,
 
     LSD schemes iterate in the transformed coordinate starting from the
     forward transform of ``x0`` and record the inverse transform after every
-    step.  The path runs through the experiments' stepping loop, so an
-    error raised by a step is re-raised as it is, its message prefixed with
-    the scheme, dt and step index.
+    step.  The path runs through the experiments' stepping loop as a batch
+    of one, so it takes the same values as inside any batch, and an error
+    raised by a step is re-raised as it is, its message prefixed with the
+    scheme, dt and step index.
     """
     if n < 0:
         raise ConfigurationError(f"step count must be >= 0, got {n}")
@@ -204,11 +206,12 @@ def simulate_path(scheme: SchemeId, params: ModelParams, x0: float, T: float,
     values = np.empty(n + 1)
     values[0] = x0
     counters = ScanCounters()
-    _terminal_batch(stepper, x0, dt, driver[..., :n], counters=counters,
-                    values=values)
+    _terminal_batch(stepper, x0, dt, driver[np.newaxis, ..., :n],
+                    counters=counters, values=values[:, np.newaxis])
     return PathResult(times=times, values=values,
                       non_real_count=counters.non_real_events,
-                      clamp_count=counters.clamp_events)
+                      clamp_count=counters.clamp_events,
+                      negative_count=counters.negative_states)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +346,7 @@ def _exact_ou_paths(params, x0, m_split, dt, increments):
     x1 = np.empty(batch + (n + 1,))
     x2 = np.empty(batch + (n + 1,))
     dw_eff = np.empty(batch + (n,))
-    state = stepper.init(x0, size=batch if batch else None)
+    state = stepper.init(x0, size=batch)
     x1[..., 0], x2[..., 0] = state
     for j in range(n):
         dw1 = increments[..., 0, j]

@@ -225,11 +225,6 @@ PARAMS_BY_MODEL = {
     "ait": AitParams,
 }
 
-# Models for which the forward transform is strictly increasing; the remaining
-# two (heston32, ait) are strictly decreasing.
-INCREASING_MODELS = frozenset({"cir", "cev", "wf"})
-
-
 def _require_positive(params, *names):
     for name in names:
         value = getattr(params, name)

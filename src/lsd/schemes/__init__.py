@@ -1,9 +1,10 @@
 """The scheme table and the steppers the path engine iterates.
 
 The one-step maps live in the per-model modules (:mod:`cir`, :mod:`cev`,
-:mod:`wf`, :mod:`heston`, :mod:`ait`) and are pure functions of scalars or
-per-path arrays.  :data:`SCHEMES` holds one row per (model, variant) with
-what the engine needs to run it; :func:`make_stepper` builds its stepper.
+:mod:`wf`, :mod:`heston`, :mod:`ait`) and are pure functions of per-path
+arrays (a lone state is a 0-d array).  :data:`SCHEMES` holds one row per
+(model, variant) with what the engine needs to run it; :func:`make_stepper`
+builds its stepper.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,6 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..models import ModelParams, lamperti_forward
 from . import ait, cev, cir, heston, wf
-from ._complex import real_part
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,9 @@ _NO_EVENTS = StepEvents()
 
 
 def _broadcast(value, size):
-    return value if size is None else np.full(size, value, dtype=float)
+    if size is None:
+        return np.asarray(value, float)
+    return np.full(size, value, dtype=float)
 
 
 class Stepper:
@@ -134,6 +136,7 @@ class Stepper:
         self.extra = (theta,) if scheme.theta else ()
 
     def init(self, x0, size=None):
+        """The state at x0 as an array shaped like x0, or ``size`` copies."""
         state = lamperti_forward(self.params, x0)   # checks the domain too
         if self.scheme.to_state is not None:
             state = self.scheme.to_state(self.params, x0)
@@ -142,11 +145,11 @@ class Stepper:
     def step(self, state, dw, dt):
         s, p = self.scheme, self.params
         if s.per_path:
-            if np.ndim(state) == 0:
-                return s.step(p, float(state), float(dw), dt), _NO_EVENTS
-            dw_arr = np.broadcast_to(dw, np.shape(state))
-            return np.array([s.step(p, float(y), float(w), dt)
-                             for y, w in zip(state, dw_arr)]), _NO_EVENTS
+            shape = np.shape(state)
+            dws = np.broadcast_to(dw, shape).ravel()
+            out = [s.step(p, float(y), float(w), dt)
+                   for y, w in zip(np.ravel(state), dws)]
+            return np.reshape(out, shape), _NO_EVENTS
         out = s.step(p, state, dw, dt, *self.extra)
         if s.mask is None:
             return out, _NO_EVENTS
@@ -159,7 +162,7 @@ class Stepper:
         if self.scheme.to_x is None:
             return self.params.inverse(state)
         x = self.scheme.to_x(self.params, state)
-        return real_part(x) if self.scheme.mask == "non_real" else x
+        return np.real(x) if self.scheme.mask == "non_real" else x
 
 
 class ExactOuStepper:

@@ -20,14 +20,9 @@ def _fold(y_raw):
     raw = np.asarray(y_raw, float)
     inside = (raw > 0.0) & (raw < np.pi)
     if np.all(inside):
-        if raw.ndim == 0:
-            return float(raw), False
         return y_raw, np.zeros(raw.shape, dtype=bool)
     folded = 2.0 * np.arcsin(np.abs(np.sin(0.5 * raw)))
-    out = np.where(inside, raw, folded)
-    if raw.ndim == 0:
-        return float(out), True
-    return out, ~inside
+    return np.where(inside, raw, folded), ~inside
 
 
 def lsd1_step(p, y, dw, dt):
@@ -37,10 +32,7 @@ def lsd1_step(p, y, dw, dt):
     decay = wf_cosine_solution(phi, p.a / denom, dt)
     clipped = np.minimum(decay, 1.0)
     clamped = decay > 1.0
-    y_new = 2.0 * np.arccos(clipped)
-    if np.ndim(y) == 0:
-        return float(y_new), bool(clamped)
-    return y_new, clamped
+    return 2.0 * np.arccos(clipped), clamped
 
 
 def lsd2_step(p, y, dw, dt):
@@ -70,8 +62,6 @@ def lsd4_step(p, y, dw, dt):
 def _clip_unit(value):
     clipped = np.clip(value, 0.0, 1.0)
     clamped = (value < 0.0) | (value > 1.0)
-    if np.ndim(value) == 0:
-        return float(clipped), bool(clamped)
     return clipped, clamped
 
 
@@ -105,7 +95,7 @@ def biss_step(p, x, dw, dt):
                   k3 * np.sqrt(high / (1.0 - high)))
     noise = k3 * np.sqrt(np.clip(xa * (1.0 - xa), 0.0, None)) * dw
     out = xa + (k1 - k2 * xa) * dt + noise / (1.0 + d1 * np.abs(dw)) * (1.0 - k2 * dt)
-    return _clip_unit(out if out.ndim else float(out))
+    return _clip_unit(out)
 
 
 def check_hyb_admissible(p):

@@ -260,6 +260,32 @@ seed = 3
         assert lines[0] == "dt,t,lsd1,lsd3,hyb"
         assert len(lines) == 1 + 101
 
+    def test_simulate_reports_negative_states(self, tmp_path):
+        text = """
+[experiment]
+kind = simulate
+model = cir
+name = stressed
+
+[params]
+k1 = 1
+k2 = 2
+k3 = 20
+
+[run]
+x0 = 4
+T = 1
+schemes = alf, lsd1
+dt = 0.01
+seed = 6
+"""
+        cfg = self._write(tmp_path, text)
+        assert main([str(cfg), "--out", str(tmp_path / "o")]) == 0
+        summary = json.loads((tmp_path / "o" / "stressed.json").read_text())
+        counters = summary["counters_last_dt"]
+        assert counters["alf"]["negative"] == 85
+        assert counters["lsd1"] == {"non_real": 0, "clamped": 0, "negative": 0}
+
     def test_compare_kind(self, tmp_path):
         text = """
 [experiment]

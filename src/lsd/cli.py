@@ -38,14 +38,14 @@ def _build_params(cfg: ExperimentConfig):
 
 
 def _scheme_ids(cfg: ExperimentConfig) -> List[SchemeId]:
-    return [SchemeId(cfg.model, cfg.scheme_variant(s)) for s in cfg.schemes]
+    return [SchemeId(cfg.model, s) for s in cfg.schemes]
 
 
 def _run_convergence(cfg, params):
     rows = [("scheme", "dt", "rms", "stderr")]
     slopes, intercepts = {}, {}
     for scheme in _scheme_ids(cfg):
-        reference = (SchemeId(cfg.model, cfg.scheme_variant(cfg.reference))
+        reference = (SchemeId(cfg.model, cfg.reference)
                      if cfg.reference else scheme)
         report = strong_error(
             scheme, reference, params, cfg.x0, cfg.T, cfg.dts,

@@ -18,7 +18,7 @@ KINDS = ("simulate", "convergence", "compare", "exact-cir", "scan")
 
 _EXPERIMENT_KEYS = ("kind", "model", "name")
 _RUN_KEYS = ("x0", "T", "schemes", "dt", "ref_step", "M", "seed", "theta",
-             "m", "reference", "wf_implicit_sign", "ait_implicit_variant")
+             "m", "reference")
 
 _PARAM_KEYS = {model: tuple(f.name for f in fields(cls))
                for model, cls in PARAMS_BY_MODEL.items()}
@@ -45,8 +45,6 @@ class ExperimentConfig:
     theta: float = 1.0
     m: float = 0.5
     reference: Optional[str] = None
-    wf_implicit_sign: str = "printed"
-    ait_implicit_variant: str = "printed"
 
     def resolved_m_samples(self) -> int:
         return self.M if self.M is not None else _DEFAULT_M[self.kind]
@@ -55,18 +53,10 @@ class ExperimentConfig:
         return self.ref_step if self.ref_step is not None else min(self.dts) / 8.0
 
     def scheme_variant(self, name: str) -> str:
-        """Map a configured scheme name to a variant in the scheme table.
+        """The scheme-table variant a configured name selects: the name itself.
 
-        ``wf_implicit_sign = corrected`` makes the Wright-Fisher ``implicit``
-        the ``implicit_corrected`` variant, and ``ait_implicit_variant =
-        drift`` makes the Ait-Sahalia one ``implicit_drift``; both variants
-        can also be named directly.
+        Kept only because ``perfbench/child.py`` calls it.
         """
-        if name == "implicit":
-            if self.model == "wf" and self.wf_implicit_sign == "corrected":
-                return "implicit_corrected"
-            if self.model == "ait" and self.ait_implicit_variant == "drift":
-                return "implicit_drift"
         return name
 
     def to_text(self) -> str:
@@ -92,8 +82,6 @@ class ExperimentConfig:
         lines.append(f"m = {_fmt(self.m)}")
         if self.reference is not None:
             lines.append(f"reference = {self.reference}")
-        lines.append(f"wf_implicit_sign = {self.wf_implicit_sign}")
-        lines.append(f"ait_implicit_variant = {self.ait_implicit_variant}")
         return "\n".join(lines) + "\n"
 
 
@@ -237,24 +225,13 @@ def parse_config(text: str) -> ExperimentConfig:
                if "theta" in run else 1.0),
         m=(_to_float(run["m"][0], "m", run["m"][1]) if "m" in run else 0.5),
         reference=run.get("reference", (None, 0))[0],
-        wf_implicit_sign=run.get("wf_implicit_sign", ("printed", 0))[0],
-        ait_implicit_variant=run.get("ait_implicit_variant", ("printed", 0))[0],
     )
-    if cfg.wf_implicit_sign not in ("printed", "corrected"):
-        raise ConfigurationError(
-            f"wf_implicit_sign must be 'printed' or 'corrected', "
-            f"got {cfg.wf_implicit_sign!r}")
-    if cfg.ait_implicit_variant not in ("printed", "drift"):
-        raise ConfigurationError(
-            f"ait_implicit_variant must be 'printed' or 'drift', "
-            f"got {cfg.ait_implicit_variant!r}")
     for s in schemes:
-        if cfg.scheme_variant(s) not in VARIANTS[model]:
+        if s not in VARIANTS[model]:
             raise ConfigurationError(
                 f"line {schemes_line}: scheme {s!r} is not valid for model "
                 f"{model!r}; expected one of {VARIANTS[model]}")
-    if cfg.reference is not None and \
-            cfg.scheme_variant(cfg.reference) not in VARIANTS[model]:
+    if cfg.reference is not None and cfg.reference not in VARIANTS[model]:
         raise ConfigurationError(
             f"reference scheme {cfg.reference!r} is not valid for {model!r}")
     if not cfg.T > 0:

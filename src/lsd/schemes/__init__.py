@@ -4,7 +4,10 @@ The one-step maps live in the per-model modules (:mod:`cir`, :mod:`cev`,
 :mod:`wf`, :mod:`heston`, :mod:`ait`) and are pure functions of per-path
 arrays (a lone state is a 0-d array).  :data:`SCHEMES` holds one row per
 (model, variant) with what the engine needs to run it; :func:`make_stepper`
-builds its stepper.
+builds its stepper.  A name selects exactly one computation.  The rows named
+``implicit_printed`` run a drift-implicit map as printed in its source, whose
+drift does not match the SDE; the plain ``implicit`` rows run the consistent
+form.
 """
 
 from dataclasses import dataclass
@@ -26,8 +29,8 @@ class Scheme:
     rows take theta fifth).  ``to_state(p, x)`` and ``to_x(p, state)`` map
     x to it and back; they are unset where it is the Lamperti coordinate.
     ``mask``: the step returns ``(state, mask)`` with a ``"non_real"`` mask
-    (the state may leave the real line; x is then its real part) or a
-    ``"clamped"`` one, or, if unset, the state alone.  ``per_path`` rows
+    (the state is complex and may leave the real line; x is its real part)
+    or a ``"clamped"`` one, or, if unset, the state alone.  ``per_path`` rows
     solve one path at a time on floats; ``check(p)`` is a precondition;
     ``drivers = 2`` marks the squared-OU row, run by :class:`ExactOuStepper`.
     """
@@ -70,9 +73,9 @@ SCHEMES = {
     ("wf", "biss"): Scheme(wf.biss_step, **_IN_X, mask="clamped"),
     ("wf", "hyb"): Scheme(wf.hyb_step, **_IN_X, check=wf.check_hyb_admissible),
     ("wf", "implicit"): Scheme(
-        partial(wf.implicit_step, sign_mode="printed"), per_path=True),
-    ("wf", "implicit_corrected"): Scheme(
         partial(wf.implicit_step, sign_mode="corrected"), per_path=True),
+    ("wf", "implicit_printed"): Scheme(
+        partial(wf.implicit_step, sign_mode="printed"), per_path=True),
     ("heston32", "lsd1"): Scheme(heston.lsd1_step),
     ("heston32", "lsd2"): Scheme(heston.lsd2_step),
     ("heston32", "sd_exp"): Scheme(heston.sd_exp_step, **_IN_X),
@@ -82,9 +85,9 @@ SCHEMES = {
     ("ait", "lsd1"): Scheme(ait.lsd1_step),
     ("ait", "lsd2"): Scheme(ait.lsd2_step),
     ("ait", "implicit"): Scheme(
-        partial(ait.implicit_step, variant="printed"), per_path=True),
-    ("ait", "implicit_drift"): Scheme(
         partial(ait.implicit_step, variant="drift"), per_path=True),
+    ("ait", "implicit_printed"): Scheme(
+        partial(ait.implicit_step, variant="printed"), per_path=True),
 }
 
 VARIANTS = {model: tuple(v for m, v in SCHEMES if m == model)

@@ -11,17 +11,13 @@ import numpy as np
 
 
 def sqrt_with_fallback(radicand):
-    """Square root that promotes to complex when the radicand leaves [0, inf).
+    """Complex square root of the radicand, whatever its values.
 
-    Returns ``(root, nonreal)`` where ``nonreal`` is a boolean mask shaped
-    like the radicand, marking entries that were negative or already had an
-    imaginary part.  One such entry makes the whole root complex.
+    Returns ``(root, nonreal)``: ``root`` is always complex, so a path runs
+    the same arithmetic whether or not its batch-mates leave the real line,
+    and ``nonreal`` is a boolean mask shaped like the radicand, marking
+    entries that were negative or already had an imaginary part.
     """
     rad = np.asarray(radicand)
-    if np.iscomplexobj(rad):
-        nonreal = (rad.imag != 0) | (rad.real < 0)
-        return np.sqrt(rad), nonreal
-    nonreal = rad < 0
-    if np.any(nonreal):
-        return np.sqrt(rad.astype(complex)), nonreal
-    return np.sqrt(rad), nonreal
+    nonreal = (rad.imag != 0) | (rad.real < 0)
+    return np.sqrt(np.asarray(rad, complex)), nonreal

@@ -4,9 +4,11 @@ The transformed state y = x**(1-rho) has drift
 -Km1 y^e1 + K0 y^e2 - K1 y + K2 y^e5 + K4 / y and diffusion -K3.  Both LSD
 variants solve a quadratic whose constant term is strictly negative, so the
 returned root is positive for every noise value.  The drift-implicit
-competitor exists in two readings: the map exactly as printed in its source
-(with a constant 1 inside the dt bracket and +K4/y), and the backward-Euler
-map implied by the transformed drift.
+competitor exists in two readings: the backward-Euler map implied by the
+transformed drift, which the ``implicit`` row runs, and the map exactly as
+printed in its source (with a constant 1 inside the dt bracket and +K4/y),
+which the ``implicit_printed`` row runs and whose drift does not match the
+SDE.
 """
 
 import numpy as np
@@ -28,8 +30,8 @@ def lsd2_step(p, y, dw, dt):
     return (phi + np.sqrt(phi * phi + 4.0 * c1 * c2)) / (2.0 * c1)
 
 
-def implicit_map(p, dt, variant="printed"):
-    """Drift-implicit map on (0, inf), in either of its two readings."""
+def implicit_map(p, dt, variant):
+    """Drift-implicit map on (0, inf): ``drift`` or ``printed`` reading."""
     if variant == "printed":
 
         def g(y):
@@ -47,7 +49,8 @@ def implicit_map(p, dt, variant="printed"):
     return g
 
 
-def implicit_step(p, y, dw, dt, variant="printed", tol=1e-13):
+def implicit_step(p, y, dw, dt, variant, tol=1e-13):
+    """Solve g(y') = y - K3 dw for y' > 0, g the ``variant`` reading's map."""
     target = y - p.K3 * dw
     spec = MonotoneSpec(implicit_map(p, dt, variant), lo=0.0, hi=np.inf,
                         increasing=True)

@@ -76,7 +76,12 @@ def check_exact_ou_dimension(p):
 
 
 def exact_ou_step(p, x1, x2, dw1, dw2, dt):
-    """Advance the two independent OU components whose squares sum to x."""
+    """Advance the two independent OU components whose squares sum to x.
+
+    Each component solves dX = -(k2/2) X dt + (k3/2) dW exactly over dt: it
+    decays by e^(-k2 dt/2) and gains noise of variance
+    (k3^2/4)(1 - e^(-k2 dt))/k2, carried here by the increment dw ~ N(0, dt).
+    """
     decay = np.exp(-0.5 * p.k2 * dt)
-    gain = (p.k3 / p.k2) * (1.0 - decay)
+    gain = 0.5 * p.k3 * np.sqrt(-np.expm1(-p.k2 * dt) / (p.k2 * dt))
     return decay * x1 + gain * dw1, decay * x2 + gain * dw2

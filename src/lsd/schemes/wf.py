@@ -4,6 +4,9 @@ The transformed state y = 2 arcsin(sqrt(x)) lives in (0, pi) with drift
 a cot(y/2) - b tan(y/2) and diffusion k3.  Updates that can land outside
 (0, pi) are folded back through y -> 2 arcsin(|sin(y/2)|), which leaves the
 original-space value sin^2(y/2) untouched; the fold is counted as a clamp.
+The drift-implicit competitor runs the backward-Euler map of that drift; the
+map as printed in its source, which has the wrong sign on the tangent term,
+is kept as the separate ``implicit_printed`` row.
 """
 
 import numpy as np
@@ -113,12 +116,14 @@ def hyb_step(p, x, dw, dt):
     return (p.a / p.beta) * (growth - 1.0) + growth * rotated
 
 
-def implicit_map(p, dt, sign_mode="printed"):
+def implicit_map(p, dt, sign_mode):
     """Drift-implicit map on (0, pi).
 
-    ``printed`` subtracts both trigonometric drift terms; ``corrected`` adds
-    the tangent term back, which is the form consistent with the transformed
-    drift a cot - b tan (and the one that is globally monotone).
+    ``corrected`` is y - (a cot(y/2) - b tan(y/2)) dt, the backward-Euler map
+    of the transformed drift and globally monotone; the ``wf:implicit`` row
+    runs it.  ``printed`` is the map as printed in its source, which
+    subtracts the tangent term as well; the ``wf:implicit_printed`` row runs
+    it, and its drift does not match the SDE.
 
     The printed map is concave: it rises from -inf at 0 to a single maximum
     and falls to -inf at pi (for k1, k2, k3 = 1, 2, 0.20101 at dt = 1e-2 the
@@ -134,8 +139,8 @@ def implicit_map(p, dt, sign_mode="printed"):
     return g
 
 
-def implicit_step(p, y, dw, dt, sign_mode="printed", tol=1e-13):
-    """Solve g(y') = y + k3 dw for y' in (0, pi).
+def implicit_step(p, y, dw, dt, sign_mode, tol=1e-13):
+    """Solve g(y') = y + k3 dw for y' in (0, pi), g the ``sign_mode`` map.
 
     Where the printed map gives two preimages, the one on its increasing
     branch, left of the maximum, is returned: it is the one that tends to

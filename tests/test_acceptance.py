@@ -162,7 +162,7 @@ def test_c5_exact_construction_identity():
     reason="the transformed-space drift pair (a, b) embeds a reversion-rate "
            "shift of k3^2/4, so the scheme tracks a different process than "
            "the squared-OU construction and the coupling gap does not decay; "
-           "see the decisions ledger for the full analysis")
+           "see direction 2 in ROADMAP.md")
 def test_c5_exact_coupling_decay():
     params = CirParams(2.0, 2.0, 2.0)
     decay = exact_cir_error_decay(params, 4.0, 0.5, [1e-3, 5e-4], 1.0, M=100,

@@ -131,39 +131,14 @@ class TestParse:
         cfg = parse_config(TINY_CONVERGENCE)
         assert parse_config(cfg.to_text()) == cfg
 
-    def test_ait_implicit_variant_mapping(self):
-        text = """
-[experiment]
-kind = simulate
-model = ait
-
-[params]
-km1 = 2
-k0 = 3
-k1 = 4
-k2 = 6
-k3 = 1
-r = 2
-rho = 1.5
-
-[run]
-x0 = 4
-T = 1
-schemes = implicit
-dt = 0.01
-ait_implicit_variant = drift
-"""
-        cfg = parse_config(text)
-        assert cfg.scheme_variant("implicit") == "implicit_drift"
-
-    def test_wf_implicit_sign_names_a_variant(self):
-        text = MINIMAL_WF_SIMULATE + "wf_implicit_sign = corrected\n"
-        assert parse_config(text).scheme_variant("implicit") == "implicit_corrected"
-        direct = parse_config(MINIMAL_WF_SIMULATE.replace(
-            "implicit", "implicit_corrected"))
-        assert direct.scheme_variant("implicit_corrected") == "implicit_corrected"
-        with pytest.raises(ConfigurationError, match="wf_implicit_sign"):
-            parse_config(MINIMAL_WF_SIMULATE + "wf_implicit_sign = other\n")
+    @pytest.mark.parametrize("key", ["wf_implicit_sign", "ait_implicit_variant"])
+    def test_removed_implicit_key_is_unknown(self, key):
+        # a scheme name alone selects its map, so a config that still sets
+        # one of these keys fails loudly instead of running another map
+        assert parse_config(MINIMAL_WF_SIMULATE).schemes[-1] == "implicit"
+        with pytest.raises(ConfigurationError,
+                           match=rf"line \d+: unknown key '{key}' in \[run\]"):
+            parse_config(MINIMAL_WF_SIMULATE + f"{key} = printed\n")
 
 
 class TestCli:

@@ -64,10 +64,11 @@ class TestSimulatePath:
 
     def test_error_keeps_its_type_and_bracket(self, wf_params):
         # from x0 = 0.999 the target lies above the printed map's maximum
-        with pytest.raises(InversionError,
-                           match=r"wf:implicit, dt=0\.01, at step 0: ") as excinfo:
-            simulate_path(SchemeId("wf", "implicit"), wf_params, 0.999, 0.01,
-                          1, np.array([5.0]))
+        with pytest.raises(
+                InversionError,
+                match=r"wf:implicit_printed, dt=0\.01, at step 0: ") as excinfo:
+            simulate_path(SchemeId("wf", "implicit_printed"), wf_params, 0.999,
+                          0.01, 1, np.array([5.0]))
         assert excinfo.value.bracket is not None
 
     @pytest.mark.parametrize("key", SINGLE_DRIVER_ROWS,
@@ -75,7 +76,7 @@ class TestSimulatePath:
     def test_batch_matches_single_path(self, key, request):
         # simulate_path runs its path as a batch of one, so every recorded x
         # equals, to the last bit, that path's column in a batch of eight.
-        # The printed wf:implicit map has no preimage for some targets; there
+        # The wf:implicit_printed map has no preimage for some targets; there
         # the batch must stop at the first step at which a lone path stops.
         model, variant = key
         scheme = SchemeId(model, variant)
@@ -98,11 +99,6 @@ class TestSimulatePath:
             stops.append(at)
         assert stop == min((s for s in stops if s is not None), default=None)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "once one path's radicand goes negative, sqrt_with_fallback makes the "
-        "whole batch complex, and numpy divides a complex array by a real "
-        "scalar through its reciprocal, so a path that stays real rounds "
-        "differently beside complex batch-mates than alone"))
     def test_complex_fallback_does_not_depend_on_batch_mates(self):
         alf = SchemeId("cir", "alf")
         inc = np.stack([generate_lattice(path_seed(6, i), 1.0, 100, 0).increments
@@ -208,12 +204,12 @@ class TestStrongError:
     def test_error_names_scheme_dt_step_and_paths(self, wf_params):
         # from x0 = 0.999 the first reference step's target lies above the
         # printed map's maximum
-        wf_implicit = SchemeId("wf", "implicit")
+        wf_printed = SchemeId("wf", "implicit_printed")
         with pytest.raises(
                 InversionError,
-                match=r"wf:implicit, dt=0\.125, at step 0, paths 0\.\.3: ",
+                match=r"wf:implicit_printed, dt=0\.125, at step 0, paths 0\.\.3: ",
         ) as excinfo:
-            strong_error(wf_implicit, wf_implicit, wf_params, 0.999, 1.0,
+            strong_error(wf_printed, wf_printed, wf_params, 0.999, 1.0,
                          [0.5, 0.25], 0.125, M=4, seed=3)
         assert excinfo.value.bracket is not None
 

@@ -156,17 +156,42 @@ class TestExactOu:
     def test_pure_noise_from_origin(self):
         p = CirParams(2.0, 2.0, 2.0)
         dt, dw1, dw2 = 0.01, 0.2, -0.1
-        gain = (p.k3 / p.k2) * (1.0 - math.exp(-0.5 * p.k2 * dt))
+        # from the origin, each OU component is N(0, v) with
+        # v = (k3^2/4)(1 - e^(-k2 dt))/k2, scaled here from dw ~ N(0, dt)
+        v = 0.25 * p.k3**2 * (1.0 - math.exp(-p.k2 * dt)) / p.k2
         _, _, x = _exact_ou(p, (0.0, 0.0), dw1, dw2, dt)
-        assert x == pytest.approx(gain**2 * (dw1**2 + dw2**2), rel=1e-13)
+        assert x == pytest.approx(v / dt * (dw1**2 + dw2**2), rel=1e-13)
 
     def test_direct_arithmetic_step(self):
         p = CirParams(2.0, 2.0, 2.0)
         s = math.sqrt(2.0)
+        # e^(-k2 dt/2) s +- sqrt((k3^2/4)(1 - e^(-k2 dt))/(k2 dt)) * 0.01,
+        # evaluated in 40-digit arithmetic
         x1, x2, x = _exact_ou(p, (s, s), 0.01, -0.01, 0.001)
-        assert x1 == pytest.approx(1.4128100506835260, rel=1e-14)
-        assert x2 == pytest.approx(1.4127900606801935, rel=1e-14)
-        assert x == pytest.approx(3.9920079948691324, rel=1e-14)
+        assert x1 == pytest.approx(1.4227950577645683, rel=1e-14)
+        assert x2 == pytest.approx(1.4028050535991513, rel=1e-14)
+        assert x == pytest.approx(3.992207794802599, rel=1e-14)
+
+    def test_terminal_law_matches_cir(self):
+        # X_T's sample mean and variance against the CIR law's, each to
+        # within 4 standard errors
+        p, x0, T, n, paths = CirParams(2.0, 2.0, 2.0), 4.0, 1.0, 256, 4000
+        decay = math.exp(-p.k2 * T)
+        mean = x0 * decay + p.k1 / p.k2 * (1.0 - decay)
+        var = (x0 * p.k3**2 / p.k2 * (decay - decay**2)
+               + p.k1 * p.k3**2 / (2.0 * p.k2**2) * (1.0 - decay) ** 2)
+        assert (round(mean, 4), round(var, 4)) == (1.4060, 1.6838)
+        stepper = make_stepper(SchemeId("cir", "exact_ou"), p)
+        state = stepper.init(x0, size=paths)
+        dws = np.random.default_rng(11).standard_normal((n, 2, paths))
+        for dw in dws * math.sqrt(T / n):
+            state, _ = stepper.step(state, tuple(dw), T / n)
+        x = stepper.x_of(state)
+        centred = x - x.mean()
+        sample_var = np.mean(centred**2) * paths / (paths - 1)
+        var_se = math.sqrt((np.mean(centred**4) - sample_var**2) / paths)
+        assert abs(x.mean() - mean) <= 4.0 * math.sqrt(sample_var / paths)
+        assert abs(sample_var - var) <= 4.0 * var_se
 
     def test_state_identity(self):
         p = CirParams(2.0, 2.0, 2.0)

@@ -134,8 +134,8 @@ class TestCompanions:
     def test_implicit_sign_modes_differ_by_order_dt(self, wf_params):
         gaps = []
         for dt in (1e-2, 1e-3, 1e-4):
-            a = _companion("implicit", wf_params, 0.31, 0.0, dt)
-            b = _companion("implicit_corrected", wf_params, 0.31, 0.0, dt)
+            a = _companion("implicit_printed", wf_params, 0.31, 0.0, dt)
+            b = _companion("implicit", wf_params, 0.31, 0.0, dt)
             gaps.append(abs(a - b) / dt)
         assert max(gaps) <= 3.0 * min(gaps)
 

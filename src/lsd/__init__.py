@@ -7,7 +7,7 @@ deterministic Monte-Carlo harness for strong-convergence-order and
 domain-preservation experiments.
 """
 
-from .closedform import BernoulliCoeffs, bernoulli_solution, wf_cosine_solution
+from .closedform import bernoulli_power, wf_cosine_solution
 from .config import ExperimentConfig, parse_config
 from .errors import (ConfigurationError, DataError, DegenerateStateError,
                      DomainError, InversionError, LsdError, NumericError,
@@ -22,7 +22,7 @@ from .models import (AitParams, CevParams, CirParams, DomainReport,
                      lamperti_inverse)
 from .rootfind import MonotoneSpec, invert_monotone
 from .schemes import SCHEMES, SchemeId, make_stepper
-from .wiener import (WienerLattice, cir_effective_increment, coarsen,
-                     generate_lattice, path_seed)
+from .wiener import (WienerLattice, cir_effective_increment, generate_lattice,
+                     halve_increments, path_seed)
 
 __version__ = "0.1.0"

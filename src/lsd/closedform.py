@@ -7,8 +7,6 @@ Both are exposed here so schemes can build on them and tests can check them
 against independent ODE integration.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
@@ -16,26 +14,6 @@ from .errors import DomainError
 # Below this magnitude of the exponent, the exponential branch and the linear
 # branch of the Bernoulli solution agree to roundoff; switch to linear.
 _LINEAR_BRANCH_CUTOFF = 1e-12
-
-
-@dataclass(frozen=True)
-class BernoulliCoeffs:
-    """Coefficients of y' = B y**(-l) + C y started from y(0) = A.
-
-    ``dt`` is the elapsed time from the start of the step.
-    """
-
-    A: float
-    B: float
-    C: float
-    l: float
-    dt: float
-
-    def __post_init__(self):
-        if not self.l > 0:
-            raise ValueError(f"power l must be positive, got {self.l}")
-        if self.dt < 0:
-            raise ValueError(f"elapsed time must be >= 0, got {self.dt}")
 
 
 def bernoulli_power(A, B, C, l, dt):
@@ -57,11 +35,6 @@ def bernoulli_power(A, B, C, l, dt):
     exact = (B / c_safe) * np.expm1(k) + A**power * growth
     approx = power * B * dt + A**power
     return np.where(linear, approx, exact)
-
-
-def bernoulli_solution(coeffs: BernoulliCoeffs) -> np.ndarray:
-    """Closed form of the Bernoulli step equation, as r = y**(1+l) (0-d)."""
-    return bernoulli_power(coeffs.A, coeffs.B, coeffs.C, coeffs.l, coeffs.dt)
 
 
 def wf_cosine_solution(A, rate, dt):

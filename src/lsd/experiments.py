@@ -7,6 +7,10 @@ paths run in fixed batches whose partial sums are added in path-index order.
 Simulations at several step sizes share one Brownian path per path index via
 dyadic coarsening of a finest-level increment lattice, which is what turns
 terminal differences into pathwise strong-error estimates.
+
+:func:`_terminal_batch` is the one loop that steps over time.  A single
+path runs through it as a batch of one, and the squared-OU comparison runs
+through it as one two-driver stepper that carries the schemes riding it.
 """
 
 import math
@@ -66,13 +70,17 @@ class ScanCounters:
 
 @dataclass
 class ExactCirPaths:
-    """The squared-OU reference path and scheme paths on a shared grid."""
+    """The squared-OU reference path and scheme paths on a shared grid.
+
+    ``x1`` and ``x2`` are the OU components and ``exact`` is x1^2 + x2^2;
+    ``schemes`` maps each riding scheme's variant to its path.  Every array
+    has one entry per grid time.
+    """
 
     times: np.ndarray
     x1: np.ndarray
     x2: np.ndarray
     exact: np.ndarray
-    effective_increments: np.ndarray
     schemes: Dict[str, np.ndarray] = field(default_factory=dict)
 
 
@@ -146,13 +154,14 @@ def _terminal_batch(stepper, x0, dt, increments,
                     counters: Optional[ScanCounters] = None,
                     values: Optional[np.ndarray] = None,
                     paths: Optional[range] = None):
-    """Advance a batch of paths to the horizon; returns x there, shape ``(B,)``.
+    """Advance a batch of paths to the horizon; returns x there.
 
     ``increments`` is ``(B, n)``, or ``(B, 2, n)`` for a two-driver stepper.
-    ``counters`` tallies events and negative x over every step;
-    ``values[j + 1]``, of shape ``(B,)``, gets x after step j.  An error is
-    re-raised as it is, its message prefixed with the scheme, dt, step index
-    and ``paths``.
+    x is what ``stepper.x_of`` returns: ``(B,)`` for a scheme, or one row of
+    B per path for the squared-OU construction with its riders.  ``counters`` tallies
+    events and negative x over every step; ``values[j + 1]`` gets x after
+    step j.  An error is re-raised as it is, its message prefixed with the
+    scheme, dt, step index and ``paths``.
     """
     state = stepper.init(x0, size=increments.shape[0])
     step, x_of = stepper.step, stepper.x_of
@@ -331,31 +340,45 @@ def difference_trajectories(scheme_a: SchemeId, scheme_b: SchemeId,
 # squared-OU reference experiment
 # ---------------------------------------------------------------------------
 
-def _exact_ou_paths(params, x0, m_split, dt, increments):
-    """Vectorised squared-OU recursion; increments is (..., 2, n).
+class _SquaredOuRide:
+    """The squared-OU construction with one-driver cir schemes riding it.
 
-    Returns (x1, x2, x, dw_eff) trajectories with the leading batch shape of
-    ``increments`` preserved; trajectory arrays have n+1 (n for dw_eff) along
-    the last axis.
+    A step takes the effective increment from the OU pair at the start of
+    the step, then advances the pair with the ``cir:exact_ou`` stepper and
+    every rider with that increment, so all paths share one realisation.
+    The state is ``((x1, x2), [rider states])``; ``x_of`` stacks x1, x2, the
+    squared-OU x and each rider's x along a new first axis.  A step reports
+    the OU pair's events (none); the riders' events are not counted.
     """
-    from .schemes import ExactOuStepper
 
-    stepper = ExactOuStepper(params, m_split=m_split)
-    n = increments.shape[-1]
-    batch = increments.shape[:-2]
-    x1 = np.empty(batch + (n + 1,))
-    x2 = np.empty(batch + (n + 1,))
-    dw_eff = np.empty(batch + (n,))
-    state = stepper.init(x0, size=batch)
-    x1[..., 0], x2[..., 0] = state
-    for j in range(n):
-        dw1 = increments[..., 0, j]
-        dw2 = increments[..., 1, j]
-        dw_eff[..., j] = cir_effective_increment(x1[..., j], x2[..., j], dw1, dw2)
-        state, _ = stepper.step(state, (dw1, dw2), dt)
-        x1[..., j + 1], x2[..., j + 1] = state
-    x = x1 * x1 + x2 * x2
-    return x1, x2, x, dw_eff
+    drivers = 2
+
+    def __init__(self, params, m_split, riders, theta):
+        for s in riders:
+            if s.model != "cir" or s.variant == "exact_ou":
+                raise ConfigurationError(
+                    f"only one-driver square-root-model schemes can ride the "
+                    f"reconstructed increments, got {s}")
+        exact = SchemeId("cir", "exact_ou")
+        self.ou = make_stepper(exact, params, m_split=m_split)
+        self.riders = [make_stepper(s, params, theta=theta) for s in riders]
+        self.scheme_id = " + ".join(str(s) for s in (exact, *riders))
+
+    def init(self, x0, size=None):
+        return (self.ou.init(x0, size=size),
+                [r.init(x0, size=size) for r in self.riders])
+
+    def step(self, state, dw, dt):
+        (x1, x2), ys = state
+        dw_eff = cir_effective_increment(x1, x2, dw[0], dw[1])
+        ou, events = self.ou.step((x1, x2), dw, dt)
+        return (ou, [r.step(y, dw_eff, dt)[0]
+                     for r, y in zip(self.riders, ys)]), events
+
+    def x_of(self, state):
+        ou, ys = state
+        return np.stack([*ou, self.ou.x_of(ou),
+                         *(r.x_of(y) for r, y in zip(self.riders, ys))])
 
 
 def exact_cir_experiment(params: ModelParams, x0: float, m_split: float,
@@ -364,25 +387,24 @@ def exact_cir_experiment(params: ModelParams, x0: float, m_split: float,
                          ) -> ExactCirPaths:
     """One coupled run of the squared-OU construction against listed schemes.
 
-    Every scheme is driven by the effective increments reconstructed from the
-    two OU components at the left endpoint of each step, so all paths live on
-    the same probability-space realisation.
+    Every scheme is driven by the effective increment reconstructed from the
+    two OU components at the left endpoint of each step, so all paths live
+    on the same probability-space realisation.  The run is a batch of one
+    through the experiments' stepping loop, which records every value; a
+    scheme path starts at ``x0``, the squared-OU path at x1^2 + x2^2.
     """
-    for s in schemes:
-        if s.model != "cir" or s.variant == "exact_ou":
-            raise ConfigurationError(
-                f"only one-driver square-root-model schemes can ride the "
-                f"reconstructed increments, got {s}")
     n = _steps_for(T, dt)
+    ride = _SquaredOuRide(params, m_split, schemes, theta)
     lattice = generate_lattice(path_seed(seed, 0), T, n, 0, drivers=2)
-    x1, x2, x, dw_eff = _exact_ou_paths(params, x0, m_split, dt,
-                                        lattice.increments[np.newaxis, ...])
-    result = ExactCirPaths(times=np.linspace(0.0, T, n + 1), x1=x1[0],
-                           x2=x2[0], exact=x[0], effective_increments=dw_eff[0])
-    for s in schemes:
-        path = simulate_path(s, params, x0, T, n, dw_eff[0], theta=theta)
-        result.schemes[s.variant] = path.values
-    return result
+    values = np.empty((n + 1, 3 + len(schemes), 1))
+    values[0] = ride.x_of(ride.init(x0, size=1))
+    values[0, 3:] = x0
+    _terminal_batch(ride, x0, dt, lattice.increments[np.newaxis],
+                    values=values)
+    x1, x2, exact, *paths = values[:, :, 0].T.copy()
+    return ExactCirPaths(times=np.linspace(0.0, T, n + 1), x1=x1, x2=x2,
+                         exact=exact,
+                         schemes={s.variant: x for s, x in zip(schemes, paths)})
 
 
 def exact_cir_error_decay(params: ModelParams, x0: float, m_split: float,
@@ -393,21 +415,22 @@ def exact_cir_error_decay(params: ModelParams, x0: float, m_split: float,
 
     Step sizes must form a dyadic family; each path's two-driver lattice is
     generated at the finest step and coarsened, so refinements stay coupled.
+    Per dt, each batch runs once through the stepping loop with the scheme
+    riding the squared-OU construction.
     """
+    if M < 1:
+        raise ConfigurationError(f"need at least 1 path, got M={M}")
     dts = sorted(set(float(d) for d in step_sizes), reverse=True)
     base, levels, level_of = _dyadic_plan(T, dts)
-    stepper = make_stepper(scheme, params, theta=theta)
-    if stepper.drivers != 1:
-        raise ConfigurationError("decay experiment needs a one-driver scheme")
+    ride = _SquaredOuRide(params, m_split, [scheme], theta)
 
     def task(indices):
         inc = _batch_increments(seed, indices, T, base, levels, drivers=2)
         out = {}
         for dt in dts:
             inc_dt = halve_increments(inc, levels - level_of[dt])
-            _, _, x, dw_eff = _exact_ou_paths(params, x0, m_split, dt, inc_dt)
-            x_scheme = _terminal_batch(stepper, x0, dt, dw_eff, paths=indices)
-            out[dt] = float(np.sum(np.abs(x_scheme - x[..., -1])))
+            x = _terminal_batch(ride, x0, dt, inc_dt, paths=indices)
+            out[dt] = float(np.sum(np.abs(x[3] - x[2])))
         return out
 
     partials = _map_batches(task, M)
@@ -427,6 +450,8 @@ def domain_violation_scan(schemes: Sequence[SchemeId], params: ModelParams,
     The same Brownian paths drive every scheme at a given step size, so the
     counters compare schemes like-for-like.
     """
+    if M < 1:
+        raise ConfigurationError(f"need at least 1 path, got M={M}")
     steppers = {str(s): make_stepper(s, params, theta=theta) for s in schemes}
     if any(st.drivers != 1 for st in steppers.values()):
         raise ConfigurationError("scan supports single-driver schemes only")

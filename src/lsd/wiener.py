@@ -45,21 +45,12 @@ class WienerLattice:
     def fine_dt(self) -> float:
         return self.horizon / self.fine_steps
 
-    def steps_at(self, level: int) -> int:
-        return self.base_steps << level
-
-    def dt_at(self, level: int) -> float:
-        return self.horizon / self.steps_at(level)
-
-    def coarsen(self, level: int) -> np.ndarray:
-        return coarsen(self, level)
-
 
 def generate_lattice(seed, horizon, base_steps, levels, drivers=1) -> WienerLattice:
     """Draw a fresh lattice; the same seed always yields identical increments.
 
     Increments are generated once at the finest level only; coarser levels are
-    derived by exact summation in :func:`coarsen`.
+    derived by exact summation in :func:`halve_increments`.
     """
     if horizon <= 0:
         raise ConfigurationError(f"horizon must be positive, got {horizon}")
@@ -80,22 +71,18 @@ def generate_lattice(seed, horizon, base_steps, levels, drivers=1) -> WienerLatt
                          increments=increments)
 
 
-def coarsen(lattice: WienerLattice, level: int) -> np.ndarray:
-    """Increments at a coarser dyadic level of the same Brownian path.
-
-    Entry k at level ``l`` is the sum of fine increments
-    ``2**(L-l)*k .. 2**(L-l)*(k+1)-1``, accumulated by pairwise halving so the
-    association tree is identical no matter which intermediate levels are
-    materialised.
-    """
-    if not 0 <= level <= lattice.finest_level:
-        raise ConfigurationError(
-            f"level must be in [0, {lattice.finest_level}], got {level}")
-    return halve_increments(lattice.increments, lattice.finest_level - level)
-
-
 def halve_increments(increments: np.ndarray, times: int) -> np.ndarray:
-    """Sum adjacent pairs along the last axis ``times`` times."""
+    """Sum adjacent pairs along the last axis ``times`` times.
+
+    Halving a lattice's increments ``L - l`` times gives them at level ``l``:
+    entry k is the sum of fine increments ``2**(L-l)*k .. 2**(L-l)*(k+1)-1``,
+    accumulated by pairwise halving so the association tree is identical no
+    matter which intermediate levels are materialised.  The last axis must
+    have a multiple of ``2**times`` entries.
+    """
+    n = increments.shape[-1]
+    if times < 0 or n % (1 << times):
+        raise ConfigurationError(f"cannot halve {n} increments {times} times")
     out = increments
     for _ in range(times):
         out = out[..., 0::2] + out[..., 1::2]

@@ -20,8 +20,7 @@ import numpy as np
 import pytest
 
 from lsd.cli import main
-from lsd.closedform import (BernoulliCoeffs, bernoulli_solution,
-                            wf_cosine_solution)
+from lsd.closedform import bernoulli_power, wf_cosine_solution
 from lsd.experiments import (domain_violation_scan, exact_cir_error_decay,
                              exact_cir_experiment, simulate_path, strong_error)
 from lsd.models import (AitParams, CevParams, CirParams, Heston32Params,
@@ -186,8 +185,7 @@ def test_c6_closed_forms_match_rk4():
     l = rng.uniform(0.3, 3.0, n)
     dt = rng.uniform(0.01, 0.5, n)
     y_end = rk4(lambda y: B * y**(-l) + C * y, A, dt, 10_000)
-    got = np.array([bernoulli_solution(BernoulliCoeffs(*args))
-                    for args in zip(A, B, C, l, dt)])
+    got = np.array([bernoulli_power(*args) for args in zip(A, B, C, l, dt)])
     bern_err = float(np.max(np.abs(got - y_end**(1 + l)) / y_end**(1 + l)))
 
     A2 = rng.uniform(0.3, math.pi - 0.3, n)
@@ -212,11 +210,11 @@ def test_c6_steps_agree_with_closed_forms():
         dw = rng.normal() * 0.3
         dt = 10 ** rng.uniform(-5, -2)
         got1 = cir_mod.lsd1_step(CIR, y, dw, dt)
-        want1 = math.sqrt(bernoulli_solution(BernoulliCoeffs(
-            A=dw + (1.0 - CIR.b * dt) * y, B=CIR.a, C=0.0, l=1.0, dt=dt)))
+        want1 = math.sqrt(bernoulli_power(
+            A=dw + (1.0 - CIR.b * dt) * y, B=CIR.a, C=0.0, l=1.0, dt=dt))
         got2 = cir_mod.lsd2_step(CIR, y, dw, dt)
-        want2 = math.sqrt(bernoulli_solution(BernoulliCoeffs(
-            A=dw + y, B=CIR.a, C=-CIR.b, l=1.0, dt=dt)))
+        want2 = math.sqrt(bernoulli_power(
+            A=dw + y, B=CIR.a, C=-CIR.b, l=1.0, dt=dt))
         worst = max(worst, ulps_apart(got1, want1), ulps_apart(got2, want2))
         yw = rng.uniform(0.1, math.pi - 0.1)
         got3 = wf_mod.lsd1_step(WF, yw, dw, dt)[0]

@@ -5,26 +5,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lsd.closedform import (BernoulliCoeffs, bernoulli_power,
-                            bernoulli_solution, wf_cosine_solution)
+from lsd.closedform import bernoulli_power, wf_cosine_solution
 from lsd.errors import DomainError
 from oracles import rk4
 
 
 class TestBernoulli:
     def test_linear_branch_example(self):
-        c = BernoulliCoeffs(A=0.0, B=1.0, C=0.0, l=1.0, dt=1.0)
-        assert bernoulli_solution(c) == 2.0
+        assert bernoulli_power(A=0.0, B=1.0, C=0.0, l=1.0, dt=1.0) == 2.0
 
     def test_zero_elapsed_is_identity(self):
-        c = BernoulliCoeffs(A=1.7, B=3.0, C=-2.0, l=2.5, dt=0.0)
-        assert bernoulli_solution(c) == pytest.approx(1.7**3.5, rel=1e-15)
+        r = bernoulli_power(A=1.7, B=3.0, C=-2.0, l=2.5, dt=0.0)
+        assert r == pytest.approx(1.7**3.5, rel=1e-15)
 
     def test_square_root_model_inner_value(self):
         # the inner value of the first square-root-model update at its
         # textbook parameter set
-        c = BernoulliCoeffs(A=4.005, B=4.0, C=0.0, l=1.0, dt=0.01)
-        assert bernoulli_solution(c) == pytest.approx(16.120025, abs=1e-12)
+        r = bernoulli_power(A=4.005, B=4.0, C=0.0, l=1.0, dt=0.01)
+        assert r == pytest.approx(16.120025, abs=1e-12)
 
     def test_negative_initial_fractional_power(self):
         with pytest.raises(DomainError):
@@ -32,12 +30,6 @@ class TestBernoulli:
 
     def test_negative_initial_integer_power_ok(self):
         assert bernoulli_power(-2.0, 1.0, 0.0, 1.0, 0.0) == 4.0
-
-    def test_invalid_coeffs(self):
-        with pytest.raises(ValueError):
-            BernoulliCoeffs(A=1.0, B=1.0, C=0.0, l=0.0, dt=0.1)
-        with pytest.raises(ValueError):
-            BernoulliCoeffs(A=1.0, B=1.0, C=0.0, l=1.0, dt=-0.1)
 
     def test_continuity_across_branch_switch(self):
         for eps in (1e-13, -1e-13):

@@ -4,15 +4,17 @@ import re
 import numpy as np
 import pytest
 
-from lsd.errors import (ConfigurationError, DataError, InversionError,
-                        NumericError)
+import lsd.experiments
+from lsd.errors import (ConfigurationError, DataError, DegenerateStateError,
+                        InversionError, NumericError)
 from lsd.experiments import (_terminal_batch, difference_trajectories,
                              domain_violation_scan, exact_cir_error_decay,
                              exact_cir_experiment, fit_order, simulate_path,
                              strong_error)
 from lsd.models import CirParams
 from lsd.schemes import SCHEMES, SchemeId, make_stepper
-from lsd.wiener import generate_lattice, halve_increments, path_seed
+from lsd.wiener import (cir_effective_increment, generate_lattice,
+                        halve_increments, path_seed)
 from test_scheme_table import FIXTURE, X0
 
 CIR_LSD1 = SchemeId("cir", "lsd1")
@@ -321,6 +323,43 @@ class TestExactCir:
             exact_cir_experiment(cir_params, 4.0, 0.5, 1e-2, 1.0, seed=4,
                                  schemes=[])
 
+    def test_schemes_ride_the_effective_increments(self, cir_ou_params):
+        # each scheme path is the single path driven by the increments
+        # rebuilt from the OU pair at the left end of every step
+        ids = [CIR_LSD1, SchemeId("cir", "alf")]
+        res = exact_cir_experiment(cir_ou_params, 4.0, 0.5, 1e-2, 1.0, seed=4,
+                                   schemes=ids)
+        inc = generate_lattice(path_seed(4, 0), 1.0, 100, 0,
+                               drivers=2).increments
+        dw = cir_effective_increment(res.x1[:-1], res.x2[:-1], *inc)
+        for s in ids:
+            path = simulate_path(s, cir_ou_params, 4.0, 1.0, 100, dw)
+            np.testing.assert_array_equal(res.schemes[s.variant], path.values)
+
+    def test_decay_error_names_scheme_dt_step_and_paths(self, cir_ou_params,
+                                                        monkeypatch):
+        real, calls = cir_effective_increment, [0]
+
+        def failing(*args):
+            calls[0] += 1
+            if calls[0] == 6:   # dt = 0.25 takes the first four calls
+                raise DegenerateStateError("forced")
+            return real(*args)
+
+        monkeypatch.setattr(lsd.experiments, "cir_effective_increment", failing)
+        with pytest.raises(
+                DegenerateStateError,
+                match=r"^cir:exact_ou \+ cir:lsd1, dt=0\.125, at step 1, "
+                      r"paths 0\.\.3: forced$"):
+            exact_cir_error_decay(cir_ou_params, 4.0, 0.5, [0.25, 0.125], 1.0,
+                                  M=4, seed=1, scheme=CIR_LSD1)
+
+    @pytest.mark.parametrize("M", [0, -3])
+    def test_decay_requires_a_path(self, cir_ou_params, M):
+        with pytest.raises(ConfigurationError, match=rf"M={M}\b"):
+            exact_cir_error_decay(cir_ou_params, 4.0, 0.5, [1e-2], 1.0, M=M,
+                                  seed=1, scheme=CIR_LSD1)
+
     def test_decay_is_deterministic(self):
         # M = 300 spans two batches of paths
         p = CirParams(2.0, 2.0, 2.0)
@@ -349,3 +388,9 @@ class TestScan:
         a = domain_violation_scan(ids, p, [1e-2], 1.0, 300, seed=6, x0=4.0)
         b = domain_violation_scan(ids, p, [1e-2], 1.0, 300, seed=6, x0=4.0)
         assert a[str(ids[0])][1e-2] == b[str(ids[0])][1e-2]
+
+    @pytest.mark.parametrize("M", [0, -3])
+    def test_requires_a_path(self, cir_params, M):
+        with pytest.raises(ConfigurationError, match=rf"M={M}\b"):
+            domain_violation_scan([CIR_LSD1], cir_params, [1e-2], 1.0, M,
+                                  seed=6)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsd.closedform import BernoulliCoeffs, bernoulli_solution
+from lsd.closedform import bernoulli_power
 from lsd.errors import ConfigurationError
 from lsd.models import CirParams
 from lsd.schemes import SchemeId, make_stepper
@@ -72,8 +72,8 @@ class TestClosedFormAgreement:
             dw, dt = rng.normal() * 0.3, 10 ** rng.uniform(-6, -1)
             got = cir_mod.lsd1_step(cir_params, y, dw, dt)
             A = dw + (1.0 - cir_params.b * dt) * y
-            want = math.sqrt(bernoulli_solution(
-                BernoulliCoeffs(A=A, B=cir_params.a, C=0.0, l=1.0, dt=dt)))
+            want = math.sqrt(bernoulli_power(A=A, B=cir_params.a, C=0.0,
+                                             l=1.0, dt=dt))
             assert ulps_apart(got, want) <= 2
 
     def test_lsd2_equals_bernoulli(self, cir_params, rng):
@@ -81,9 +81,8 @@ class TestClosedFormAgreement:
             y = math.exp(rng.uniform(math.log(1e-3), math.log(1e2)))
             dw, dt = rng.normal() * 0.3, 10 ** rng.uniform(-6, -1)
             got = cir_mod.lsd2_step(cir_params, y, dw, dt)
-            want = math.sqrt(bernoulli_solution(
-                BernoulliCoeffs(A=dw + y, B=cir_params.a, C=-cir_params.b,
-                                l=1.0, dt=dt)))
+            want = math.sqrt(bernoulli_power(A=dw + y, B=cir_params.a,
+                                             C=-cir_params.b, l=1.0, dt=dt))
             assert ulps_apart(got, want) <= 2
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lsd.closedform import BernoulliCoeffs, bernoulli_solution
+from lsd.closedform import bernoulli_power
 from lsd.schemes import SchemeId, make_stepper
 from lsd.schemes import heston as heston_mod
 from oracles import bisect, ulps_apart
@@ -57,8 +57,8 @@ class TestClosedFormAgreement:
             dw, dt = rng.normal() * 0.2, 10 ** rng.uniform(-6, -2)
             got = heston_mod.lsd1_step(p, y, dw, dt)
             A = dw + (1.0 - 0.5 * p.k1 * dt) * y
-            want = math.sqrt(bernoulli_solution(
-                BernoulliCoeffs(A=A, B=0.5 * p.c_star, C=0.0, l=1.0, dt=dt)))
+            want = math.sqrt(bernoulli_power(A=A, B=0.5 * p.c_star, C=0.0,
+                                             l=1.0, dt=dt))
             assert ulps_apart(got, want) <= 2
 
     def test_lsd2_equals_bernoulli(self, heston_params, rng):
@@ -67,9 +67,8 @@ class TestClosedFormAgreement:
             y = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
             dw, dt = rng.normal() * 0.2, 10 ** rng.uniform(-6, -2)
             got = heston_mod.lsd2_step(p, y, dw, dt)
-            want = math.sqrt(bernoulli_solution(
-                BernoulliCoeffs(A=dw + y, B=0.5 * p.c_star, C=-0.5 * p.k1,
-                                l=1.0, dt=dt)))
+            want = math.sqrt(bernoulli_power(A=dw + y, B=0.5 * p.c_star,
+                                             C=-0.5 * p.k1, l=1.0, dt=dt))
             assert ulps_apart(got, want) <= 2
 
 

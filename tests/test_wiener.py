@@ -6,8 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lsd.errors import ConfigurationError, DegenerateStateError
-from lsd.wiener import (cir_effective_increment, coarsen, generate_lattice,
+from lsd.wiener import (cir_effective_increment, generate_lattice,
                         halve_increments, path_seed)
+
+
+def _at_level(lat, level):
+    """The lattice's increments at a coarser dyadic level."""
+    return halve_increments(lat.increments, lat.finest_level - level)
 
 
 class TestGenerate:
@@ -48,17 +53,19 @@ class TestCoarsen:
     def test_pairwise_definition(self):
         lat = generate_lattice(3, 1.0, 2, 1)
         a, b, c, d = lat.increments
-        np.testing.assert_array_equal(coarsen(lat, 0), [a + b, c + d])
+        np.testing.assert_array_equal(_at_level(lat, 0), [a + b, c + d])
 
     def test_identity_at_finest(self):
         lat = generate_lattice(3, 1.0, 2, 2)
-        np.testing.assert_array_equal(coarsen(lat, lat.finest_level),
+        np.testing.assert_array_equal(_at_level(lat, lat.finest_level),
                                       lat.increments)
 
     def test_level_out_of_range(self):
         lat = generate_lattice(3, 1.0, 2, 1)
         with pytest.raises(ConfigurationError):
-            coarsen(lat, 2)
+            _at_level(lat, 2)
+        with pytest.raises(ConfigurationError):
+            halve_increments(lat.increments, 3)
 
     def test_total_sum_preserved(self):
         # telescoping: exact block sums reassemble to the same total; allow
@@ -66,7 +73,7 @@ class TestCoarsen:
         lat = generate_lattice(11, 1.0, 16, 6)
         total_fine = math.fsum(lat.increments)
         for level in range(lat.finest_level + 1):
-            total = math.fsum(coarsen(lat, level))
+            total = math.fsum(_at_level(lat, level))
             tol = 4 * np.spacing(np.abs(lat.increments).sum())
             assert abs(total - total_fine) <= tol
 
@@ -77,7 +84,7 @@ class TestCoarsen:
         lat = generate_lattice(5, 2.0, 8, 8)
         fine = lat.increments
         for level in (0, 3, 7):
-            coarse = coarsen(lat, level)
+            coarse = _at_level(lat, level)
             width = 2 ** (lat.finest_level - level)
             for k in range(coarse.size):
                 block = fine[k * width:(k + 1) * width]
@@ -87,7 +94,7 @@ class TestCoarsen:
 
     def test_two_driver_coarsening(self):
         lat = generate_lattice(9, 1.0, 4, 2, drivers=2)
-        coarse = coarsen(lat, 1)
+        coarse = _at_level(lat, 1)
         assert coarse.shape == (2, 8)
         np.testing.assert_array_equal(
             coarse, lat.increments[:, 0::2] + lat.increments[:, 1::2])
@@ -107,7 +114,7 @@ class TestCoarsen:
         for seed in (101, 102, 103):
             lat = generate_lattice(seed, T, base, levels)
             for lv in range(levels + 1):
-                pooled[lv].append(coarsen(lat, lv))
+                pooled[lv].append(_at_level(lat, lv))
         for lv, chunks in pooled.items():
             samples = np.concatenate(chunks)
             assert samples.size >= 10_000

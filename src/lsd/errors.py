@@ -2,7 +2,12 @@
 
 
 class LsdError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; ``index`` names the
+    failing element of a batch, where one is known."""
+
+    def __init__(self, message="", index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class ConfigurationError(LsdError):
@@ -22,10 +27,10 @@ class StepSizeError(LsdError):
 
 
 class InversionError(LsdError):
-    """Scalar inversion failed; carries the last bracket examined."""
+    """A root finder failed; carries the last bracket it examined."""
 
-    def __init__(self, message, bracket=None):
-        super().__init__(message)
+    def __init__(self, message, bracket=None, index=None):
+        super().__init__(message, index)
         self.bracket = bracket
 
 

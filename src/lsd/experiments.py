@@ -161,7 +161,8 @@ def _terminal_batch(stepper, x0, dt, increments,
     B per path for the squared-OU construction with its riders.  ``counters`` tallies
     events and negative x over every step; ``values[j + 1]`` gets x after
     step j.  An error is re-raised as it is, its message prefixed with the
-    scheme, dt, step index and ``paths``.
+    scheme, dt, step index and ``paths``, then the path that failed when the
+    error names one (a root finder's ``index`` in the batch).
     """
     state = stepper.init(x0, size=increments.shape[0])
     step, x_of = stepper.step, stepper.x_of
@@ -180,6 +181,8 @@ def _terminal_batch(stepper, x0, dt, increments,
                     counters.negative_states += _count(x < 0)
     except Exception as exc:
         where = f", paths {paths[0]}..{paths[-1]}" if paths else ""
+        if paths and getattr(exc, "index", None) is not None:
+            where += f": path {paths[exc.index]}"
         detail = exc.args[0] if exc.args else ""
         exc.args = (f"{stepper.scheme_id}, dt={dt!r}, at step {j}{where}: "
                     f"{detail}",) + exc.args[1:]

@@ -1,8 +1,14 @@
-"""Scalar inversion of monotone maps for the drift-implicit schemes."""
+"""Inversion of monotone maps for the drift-implicit schemes.
+
+:func:`solve_monotone` solves a whole batch at once, each element with its
+own bracket and state; :func:`invert_monotone` solves for one float.
+"""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
+
+import numpy as np
 
 from .errors import InversionError, NumericError
 
@@ -14,16 +20,15 @@ _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 class MonotoneSpec:
     """A function to invert on an open interval, monotone where it matters.
 
-    ``lo``/``hi`` may be infinite.  ``increasing`` gives the direction in
-    which the function crosses the target at the root that is wanted; it
-    decides which way to expand when hunting for a bracket.  The function
-    needs to be monotone only on the branch that holds the root: an interior
-    extremum between the hunt's probes (say on a map that runs to -inf at
-    both ends of a finite interval) is found and searched past.  Enable
-    ``check_monotone`` to sample-check global monotonicity.
+    ``fn`` maps an array of x to their values, element by element; ``lo``
+    and ``hi`` may be infinite.  ``increasing`` is the direction in which fn
+    crosses the target at the wanted root, and sets which way a bracket hunt
+    goes first.  fn need be monotone only on the root's branch: an interior
+    extremum between the hunt's probes is found and searched past.
+    ``check_monotone`` sample-checks global monotonicity.
     """
 
-    fn: Callable[[float], float]
+    fn: Callable
     lo: float = 0.0
     hi: float = math.inf
     increasing: bool = True
@@ -32,20 +37,16 @@ class MonotoneSpec:
     def sample_check(self, n: int = 64) -> bool:
         lo = self.lo if math.isfinite(self.lo) else 1e-8
         hi = self.hi if math.isfinite(self.hi) else 1e8
-        xs = [lo + (hi - lo) * (i + 0.5) / n for i in range(n)]
-        vals = [self.fn(x) for x in xs]
-        pairs = zip(vals, vals[1:])
-        if self.increasing:
-            return all(u < v for u, v in pairs)
-        return all(u > v for u, v in pairs)
+        xs = lo + (hi - lo) * (np.arange(n) + 0.5) / n
+        steps = np.diff(np.asarray(self.fn(xs), float))
+        return bool(np.all(steps > 0 if self.increasing else steps < 0))
 
 
-def _toward(endpoint: float, x: float) -> float:
-    """Next probe when expanding from x toward an interval endpoint."""
+def _toward(endpoint: float, x):
+    """Next probes when expanding from the array x toward an interval endpoint."""
     if math.isinf(endpoint):
-        if x == 0.0 or (x > 0) != (endpoint > 0):
-            return math.copysign(max(1.0, abs(x)), endpoint)
-        return x * 2.0
+        away = (x == 0.0) | ((x > 0) != (endpoint > 0))
+        return np.where(away, np.copysign(np.maximum(1.0, np.abs(x)), endpoint), x * 2.0)
     if endpoint == 0.0:
         return x / 2.0
     return endpoint + (x - endpoint) / 2.0
@@ -53,178 +54,226 @@ def _toward(endpoint: float, x: float) -> float:
 
 def invert_monotone(spec: MonotoneSpec, u: float, tol: float = 1e-12,
                     max_iter: int = 100, seed: Optional[float] = None) -> float:
-    """Solve fn(x) = u on (lo, hi) for an x that meets two criteria.
+    """:func:`solve_monotone` for one float u; ``fn`` maps floats to floats."""
+    scalar = replace(spec, fn=lambda xs: [spec.fn(float(x)) for x in xs])
+    return float(solve_monotone(scalar, u, tol, max_iter, seed))
 
-    - Residual: ``|fn(x) - u| <= tol * max(1, |u|)``.
-    - Error in x: ``|x - root| <= tol * max(1, |x|)``.  The error is
-      bounded by ``|fn(x) - u|`` over the smaller of two chord slopes from
-      x: to the bracket end that x replaced and to the far end.  The bound
-      holds wherever fn is convex or concave between those points.  A
-      bracket no wider than the tolerance also meets the criterion.
 
-    On a flat map a small residual allows a large error in x, so the solver
-    goes on until both criteria hold, the seed included.
+def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
+                   max_iter: int = 100, seed=None) -> np.ndarray:
+    """Solve fn(x) = u on (lo, hi) for each element of u; x is shaped like u.
 
-    A bracket is found by geometric expansion from an interior seed (the
-    previous state, when the caller has one): first toward the endpoint
-    where a map monotone in the declared direction has its root, then
-    toward the other.  A hunt stops only at a sign change in the declared
-    direction, so when u has two preimages on either side of an extremum
-    the one on the declared branch is returned.  If neither hunt finds one,
-    a sign change the other way between the probes is used.  If there is
-    none either, the probe with the smallest ``|fn(x) - u|`` and its two
-    neighbours straddle an interior extremum.  A golden-section search of
-    that span either reaches a point beyond u, and brackets the root on the
-    declared side of it, or converges on the extremum, which shows that u
-    lies outside the map's range.
+    x meets ``|fn(x) - u| <= tol * max(1, |u|)`` and ``|x - root| <= tol *
+    max(1, |x|)``, the latter bounded by the residual over the smaller chord
+    slope from x to the bracket end it replaced and to the far end (where fn
+    is convex or concave between them) or met by a bracket that narrow.  On
+    a flat map the residual alone allows a large error in x.
 
-    The bracket is tightened by regula falsi with the Illinois modification
-    (Dowell & Jarratt 1971): when the same end is kept twice in a row, its
-    function value is halved for the next secant step, so both ends move
-    and the bracket cannot stall at a fixed end.
+    From an interior seed (the previous state, when the caller has one) a
+    geometric hunt runs toward the endpoint where a map monotone in the
+    declared direction has its root, then toward the other, and stops only
+    at a crossing in the declared direction: of two preimages astride an
+    extremum, the declared branch's is returned.  Failing that, a crossing
+    the other way between the probes serves; failing that, the probe of
+    least ``|fn(x) - u|`` and its neighbours straddle an extremum, and a
+    golden-section search brackets the root beside it or shows u outside
+    the map's range.  Illinois regula falsi (Dowell & Jarratt 1971) then
+    tightens the bracket, halving the value of an end kept twice in a row.
 
-    Raises InversionError, carrying the last bracket examined, when no root
-    is found or the criteria are not met in ``max_iter`` iterations, and
-    NumericError if fn returns NaN.
+    ``fn`` is called once per iteration on the elements still at work, each
+    taking the steps it would alone, so no result depends on its batch.
+    InversionError (no root, or the criteria unmet in ``max_iter``
+    iterations; it carries the last bracket) and NumericError (fn gave NaN)
+    name as ``index`` the first failing element of the flattened batch.
     """
     if spec.check_monotone and not spec.sample_check():
         raise NumericError("function is not monotone on the given interval")
+    shape, u = np.shape(u), np.ravel(np.asarray(u, float))
+    target = tol * np.maximum(1.0, np.abs(u))
 
-    u = float(u)
-    target = tol * max(1.0, abs(u))
+    def xtol(x):
+        return tol * np.maximum(1.0, np.abs(x))
 
-    def xtol(x: float) -> float:
-        return tol * max(1.0, abs(x))
+    def h(idx, x):
+        """fn(x) - u on the elements ``idx``; fn never sees the others."""
+        if not idx.size:
+            return x
+        val = np.asarray(spec.fn(x), float)
+        nan = np.flatnonzero(np.isnan(val))
+        if nan.size:
+            raise NumericError(f"non-finite function value at x={float(x[nan[0]])!r}",
+                               index=int(idx[nan[0]]))
+        return val - u[idx]
 
-    def h(x: float) -> float:
-        val = spec.fn(x)
-        if math.isnan(val):
-            raise NumericError(f"non-finite function value at x={x!r}")
-        return val - u
-
-    if seed is None or not spec.lo < seed < spec.hi:
-        if math.isinf(spec.hi):
-            seed = max(1.0, 2.0 * spec.lo)
-        elif math.isinf(spec.lo):
-            seed = min(-1.0, 2.0 * spec.hi)
-        else:
-            seed = 0.5 * (spec.lo + spec.hi)
-
-    seed_h = h(seed)
+    start = (max(1.0, 2.0 * spec.lo) if math.isinf(spec.hi)
+             else min(-1.0, 2.0 * spec.hi) if math.isinf(spec.lo)
+             else 0.5 * (spec.lo + spec.hi))
+    seed = np.broadcast_to(start if seed is None else seed, shape).ravel()
+    seed = np.where((spec.lo < seed) & (seed < spec.hi), seed, start)
+    seed_h = h(np.arange(u.size), seed)
     # Root lies toward hi iff the function still needs to grow there.
-    go_up = (seed_h < 0) == spec.increasing
-    if abs(seed_h) <= target:
-        # The seed meets the x criterion if the root is within the bound of
-        # it, which one probe that far toward the root shows.
-        probe = seed + xtol(seed) if go_up else seed - xtol(seed)
-        if spec.lo < probe < spec.hi and (h(probe) < 0) != (seed_h < 0):
-            return seed
+    up = (seed_h < 0) == spec.increasing
+    root = np.full(u.size, np.nan)
+    # A seed within the residual meets the x criterion if the root is within
+    # the bound of it, which one probe that far toward the root shows.
+    i = np.flatnonzero(np.abs(seed_h) <= target)
+    probe = seed[i] + np.where(up[i], xtol(seed[i]), -xtol(seed[i]))
+    inside = (spec.lo < probe) & (probe < spec.hi)
+    i, probe = i[inside], probe[inside]
+    i = i[(h(i, probe) < 0) != (seed_h[i] < 0)]
+    root[i] = seed[i]
 
-    probes = [(seed, seed_h)]
-
-    def hunt(endpoint):
-        """Expand from the seed toward one endpoint until fn crosses u in
-        the declared direction."""
+    # Hunt from the seed toward one endpoint, then from it toward the other,
+    # until fn crosses u in the declared direction.  lo and hi hold each
+    # bracket's (x, h) ends; probes keeps every (elements, x, h) evaluated.
+    lo, hi = np.empty((2, u.size)), np.empty((2, u.size))
+    x0, h0, heading = seed.copy(), seed_h.copy(), up.copy()
+    expansions, second = np.zeros(u.size, int), np.zeros(u.size, bool)
+    hunting = np.isnan(root)
+    ai, probes, lost = np.flatnonzero(hunting), [], [np.empty(0, int)]
+    while ai.size:
+        xa = x0[ai]
+        x1 = np.where(heading[ai], _toward(spec.hi, xa), _toward(spec.lo, xa))
+        stop = (x1 == xa) | (expansions[ai] == _MAX_EXPANSIONS)
+        if stop.any():
+            s = ai[stop]
+            lost.append(s[second[s]])
+            hunting[lost[-1]] = False
+            s = s[~second[s]]    # back to the seed for the other hunt
+            x0[s], h0[s], expansions[s] = seed[s], seed_h[s], 0
+            heading[s], second[s] = ~heading[s], True
+            ai, x1 = ai[~stop], x1[~stop]
+        h1 = h(ai, x1)
+        probes.append((ai, x1, h1))
         # Moving this way, a crossing in the declared direction takes h from
         # negative to non-negative iff this is True, and back otherwise.
-        from_negative = spec.increasing == (endpoint > seed)
-        x0, h0 = seed, seed_h
-        for _ in range(_MAX_EXPANSIONS):
-            x1 = _toward(endpoint, x0)
-            if x1 == x0:
-                break
-            h1 = h(x1)
-            probes.append((x1, h1))
-            if (h0 < 0) == from_negative and (h1 < 0) != from_negative:
-                if x0 < x1:
-                    return (x0, h0), (x1, h1)
-                return (x1, h1), (x0, h0)
-            x0, h0 = x1, h1
-        return None
+        from_negative = heading[ai] == spec.increasing
+        cross = ((h0[ai] < 0) == from_negative) & ((h1 < 0) != from_negative)
+        c, fwd = ai[cross], heading[ai[cross]]
+        prev, new = np.stack([x0[c], h0[c]]), np.stack([x1[cross], h1[cross]])
+        lo[:, c], hi[:, c] = np.where(fwd, prev, new), np.where(fwd, new, prev)
+        hunting[c] = False
+        x0[ai], h0[ai] = x1, h1
+        expansions[ai] += 1
+        ai = np.flatnonzero(hunting)
+    lost = np.sort(np.concatenate(lost))
+    if lost.size:
+        probes.append((lost, seed[lost], seed_h[lost]))
+        lo[:, lost], hi[:, lost] = _bracket_lost(h, probes, lost, u,
+                                                 spec.increasing, tol, max_iter)
 
-    first, second = (spec.hi, spec.lo) if go_up else (spec.lo, spec.hi)
-    bracket = hunt(first) or hunt(second)
-    if bracket is None:
-        probes.sort()
-        # A crossing against the declared direction is still a root.
-        bracket = next(((a, b) for a, b in zip(probes, probes[1:])
-                        if (a[1] < 0) != (b[1] < 0)), None)
-    if bracket is None:
-        bracket = _past_extremum(h, probes, u, spec.increasing, tol, max_iter)
-    (lo_x, lo_h), (hi_x, hi_h) = bracket
-
-    # Secant weights: the true values, except that the Illinois step halves
-    # the weight of an end kept twice in a row.
-    lo_w, hi_w = lo_h, hi_h
-    replaced = 0    # +1 after the lo end was replaced, -1 after the hi end
+    # Illinois regula falsi, one compact array per quantity for the elements
+    # still at work.  lw/hw are the secant weights: the true values, except
+    # that an end kept twice in a row is halved.
+    i = np.flatnonzero(np.isnan(root))
+    lx, lh, hx, hh = lo[0, i], lo[1, i], hi[0, i], hi[1, i]
+    lw, hw, moved = lh, hh, np.zeros(i.size)   # moved: +1 lo end, -1 hi end
+    ended = []
     for _ in range(max_iter):
-        x = hi_x - hi_w * (hi_x - lo_x) / (hi_w - lo_w)
-        if not lo_x < x < hi_x:
-            x = 0.5 * (lo_x + hi_x)
-            if not lo_x < x < hi_x:
-                break    # the bracket is down to adjacent floats
-        hx = h(x)
-        on_lo = (hx < 0) == (lo_h < 0)
-        if abs(hx) <= target:
+        x = hx - hw * (hx - lx) / (hw - lw)
+        inside = (lx < x) & (x < hx)
+        if not inside.all():
+            x = np.where(inside, x, 0.5 * (lx + hx))
+            inside = (lx < x) & (x < hx)    # else down to adjacent floats
+            ended.append([v[~inside] for v in (i, lx, lh, hx, hh)])
+            i, x, lx, lh, hx, hh, lw, hw, moved = (
+                v[inside] for v in (i, x, lx, lh, hx, hh, lw, hw, moved))
+        if not i.size:
+            break
+        hv = h(i, x)
+        on_lo = (hv < 0) == (lh < 0)
+        ok = np.abs(hv) <= target[i]
+        if ok.any():
             # Both chord slopes from x, to the end it replaces and to the
-            # far end, must be at least |hx| / xtol(x).
-            (old_x, old_h), (far_x, far_h) = (
-                ((lo_x, lo_h), (hi_x, hi_h)) if on_lo
-                else ((hi_x, hi_h), (lo_x, lo_h)))
-            bound = abs(hx) / xtol(x)
-            if (bound * abs(x - old_x) <= abs(hx - old_h)
-                    and bound * abs(far_x - x) <= abs(far_h - hx)):
-                return x
-        if on_lo:
-            lo_x, lo_h, lo_w = x, hx, hx
-            if replaced > 0:
-                hi_w *= 0.5
-            replaced = 1
-        else:
-            hi_x, hi_h, hi_w = x, hx, hx
-            if replaced < 0:
-                lo_w *= 0.5
-            replaced = -1
+            # far end, must be at least |hv| / xtol(x).
+            bound = np.abs(hv) / xtol(x)
+            ok &= (bound * np.abs(x - np.where(on_lo, lx, hx))
+                   <= np.abs(hv - np.where(on_lo, lh, hh)))
+            ok &= (bound * np.abs(np.where(on_lo, hx, lx) - x)
+                   <= np.abs(np.where(on_lo, hh, lh) - hv))
+            root[i[ok]] = x[ok]
+            i, x, hv, on_lo, lx, lh, hx, hh, lw, hw, moved = (
+                v[~ok] for v in (i, x, hv, on_lo, lx, lh, hx, hh, lw, hw, moved))
+        lw, hw = (np.where(on_lo, hv, np.where(moved < 0, 0.5 * lw, lw)),
+                  np.where(on_lo, np.where(moved > 0, 0.5 * hw, hw), hv))
+        lx, lh = np.where(on_lo, x, lx), np.where(on_lo, hv, lh)
+        hx, hh = np.where(on_lo, hx, x), np.where(on_lo, hh, hv)
+        moved = np.where(on_lo, 1.0, -1.0)
 
-    best_x, best_h = (lo_x, lo_h) if abs(lo_h) < abs(hi_h) else (hi_x, hi_h)
-    if abs(best_h) <= target and hi_x - lo_x <= xtol(best_x):
-        return best_x
-    raise InversionError(
-        f"residual {float(best_h)!r} or x error above tolerance after "
-        f"{max_iter} iterations", bracket=(lo_x, hi_x))
+    # An unresolved bracket passes with its better end if both criteria hold.
+    i, lx, lh, hx, hh = (np.concatenate(v) for v in zip(*ended, (i, lx, lh, hx, hh)))
+    nearer = np.abs(lh) < np.abs(hh)
+    best_x, best_h = np.where(nearer, lx, hx), np.where(nearer, lh, hh)
+    ok = (np.abs(best_h) <= target[i]) & (hx - lx <= xtol(best_x))
+    root[i[ok]] = best_x[ok]
+    if not ok.all():
+        f = np.flatnonzero(~ok)[np.argmin(i[~ok])]
+        raise InversionError(
+            f"residual {float(best_h[f])!r} or x error above tolerance after "
+            f"{max_iter} iterations", bracket=(float(lx[f]), float(hx[f])),
+            index=int(i[f]))
+    return root.reshape(shape)
 
 
-def _past_extremum(h, probes, u, increasing, tol, max_iter):
-    """Bracket a root that the hunt stepped over, beside an interior extremum.
+def _bracket_lost(h, probes, lost, u, increasing, tol, max_iter):
+    """(x, h) bracket ends for the sorted elements ``lost``, whose hunts met
+    no crossing in the declared direction: the first sign change among their
+    ``probes`` sorted by x, else a golden-section search for a point of the
+    other sign around the probe of least |h|, an extremum of h."""
+    idx = np.concatenate([p[0] for p in probes])
+    keep = np.isin(idx, lost)
+    x, hx = (np.concatenate([p[k] for p in probes])[keep] for k in (1, 2))
+    idx = idx[keep]
+    order = np.lexsort((x, idx))
+    idx, pairs = idx[order], np.stack([x[order], hx[order]])
+    first = np.flatnonzero(np.r_[True, idx[1:] != idx[:-1]])
+    last = np.r_[first[1:], idx.size] - 1
+    # A crossing against the declared direction is still a root.
+    flip = np.flatnonzero((idx[1:] == idx[:-1])
+                          & ((pairs[1, 1:] < 0) != (pairs[1, :-1] < 0)))
+    j = np.append(flip, idx.size)[np.searchsorted(flip, first)]
+    crossed = j < last
+    lo, hi = np.empty((2, lost.size)), np.empty((2, lost.size))
+    lo[:, crossed], hi[:, crossed] = pairs[:, j[crossed]], pairs[:, j[crossed] + 1]
 
-    ``probes`` are the hunt's (x, h(x)) pairs sorted by x, all of one sign.
-    The one with the smallest |h| and its neighbours straddle an extremum of
-    h; a golden-section search of that span either finds a point of the
-    other sign or shrinks onto the extremum and raises InversionError.
-    """
-    best = min(range(len(probes)), key=lambda i: abs(probes[i][1]))
-    if not 0 < best < len(probes) - 1:
+    # Each element's probe of least |h|, the first of equals (lexsort is stable).
+    best = np.lexsort((np.abs(pairs[1]), idx))[first]
+    g = np.flatnonzero(~crossed & ((best == first) | (best == last)))
+    if g.size:
         raise InversionError(
             f"no sign change within {_MAX_EXPANSIONS} expansions each way "
             "from the seed, and no interior extremum between the probes",
-            bracket=(probes[0][0], probes[-1][0]))
-    a, b, c = probes[best - 1:best + 2]
-    below = b[1] < 0    # every probe lies below u: search for a maximum
+            bracket=(float(pairs[0, first[g[0]]]), float(pairs[0, last[g[0]]])),
+            index=int(lost[g[0]]))
+    g = np.flatnonzero(~crossed)
+    A, B, C = pairs[:, best[g] - 1], pairs[:, best[g]], pairs[:, best[g] + 1]
+    below = B[1] < 0    # every probe lies below u: search for a maximum
+    found, live = np.zeros(g.size, bool), np.arange(g.size)
     for _ in range(max_iter):
-        if c[0] - a[0] <= tol * max(1.0, abs(b[0])):
+        live = live[C[0, live] - A[0, live]
+                    > tol * np.maximum(1.0, np.abs(B[0, live]))]
+        if not live.size:
             break
-        if b[0] - a[0] > c[0] - b[0]:
-            x = b[0] - _GOLDEN * (b[0] - a[0])
-        else:
-            x = b[0] + _GOLDEN * (c[0] - b[0])
-        p = (x, h(x))
-        if (p[1] < 0) != below:
-            return (a, p) if below == increasing else (p, c)
-        if abs(p[1]) < abs(b[1]):
-            a, b, c = (a, p, b) if x < b[0] else (b, p, c)
-        else:
-            a, b, c = (p, b, c) if x < b[0] else (a, b, p)
-    kind = "maximum" if below else "minimum"
-    raise InversionError(
-        f"u={u!r} lies outside the map's range: its {kind} near x={b[0]!r} "
-        f"is {float(b[1] + u)!r}", bracket=(a[0], c[0]))
+        a, b, c = A[:, live], B[:, live], C[:, live]
+        x = np.where(b[0] - a[0] > c[0] - b[0], b[0] - _GOLDEN * (b[0] - a[0]),
+                     b[0] + _GOLDEN * (c[0] - b[0]))
+        p = np.stack([x, h(lost[g[live]], x)])
+        hit = (p[1] < 0) != below[live]
+        keep_a = below[live] == increasing
+        lo[:, g[live[hit]]] = np.where(keep_a, a, p)[:, hit]
+        hi[:, g[live[hit]]] = np.where(keep_a, p, c)[:, hit]
+        found[live[hit]] = True
+        better, left = np.abs(p[1]) < np.abs(b[1]), x < b[0]
+        A[:, live] = np.where(better, np.where(left, a, b), np.where(left, p, a))
+        B[:, live] = np.where(better, p, b)
+        C[:, live] = np.where(better, np.where(left, b, c), np.where(left, c, p))
+        live = live[~hit]
+    if not found.all():
+        f = np.argmin(found)
+        e = lost[g[f]]
+        raise InversionError(
+            f"u={float(u[e])!r} lies outside the map's range: its "
+            f"{'maximum' if below[f] else 'minimum'} near x={float(B[0, f])!r} "
+            f"is {float(B[1, f] + u[e])!r}", bracket=(float(A[0, f]), float(C[0, f])),
+            index=int(e))
+    return lo, hi

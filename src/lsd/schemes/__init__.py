@@ -30,16 +30,15 @@ class Scheme:
     x to it and back; they are unset where it is the Lamperti coordinate.
     ``mask``: the step returns ``(state, mask)`` with a ``"non_real"`` mask
     (the state is complex and may leave the real line; x is its real part)
-    or a ``"clamped"`` one, or, if unset, the state alone.  ``per_path`` rows
-    solve one path at a time on floats; ``check(p)`` is a precondition;
-    ``drivers = 2`` marks the squared-OU row, run by :class:`ExactOuStepper`.
+    or a ``"clamped"`` one, or, if unset, the state alone.  Steps map arrays
+    of paths.  ``check(p)`` is a precondition; ``drivers = 2`` marks the
+    squared-OU row, run by :class:`ExactOuStepper`.
     """
 
     step: Callable
     to_state: Optional[Callable] = None
     to_x: Optional[Callable] = None
     mask: Optional[str] = None
-    per_path: bool = False
     theta: bool = False
     check: Optional[Callable] = None
     drivers: int = 1
@@ -63,7 +62,7 @@ SCHEMES = {
     ("cev", "sd_theta"): Scheme(cev.sd_theta_step, **_IN_X, mask="non_real", theta=True),
     ("cev", "implicit"): Scheme(
         cev.implicit_step, to_state=lambda p, x: x ** (1.0 - p.q),
-        to_x=lambda p, u: u ** (1.0 / (1.0 - p.q)), per_path=True),
+        to_x=lambda p, u: u ** (1.0 / (1.0 - p.q))),
     ("wf", "lsd1"): Scheme(wf.lsd1_step, mask="clamped"),
     ("wf", "lsd2"): Scheme(wf.lsd2_step, mask="clamped"),
     ("wf", "lsd3"): Scheme(wf.lsd3_step, mask="clamped"),
@@ -72,10 +71,8 @@ SCHEMES = {
     ("wf", "sd_alt"): Scheme(wf.sd_alt_step, **_IN_X, mask="clamped"),
     ("wf", "biss"): Scheme(wf.biss_step, **_IN_X, mask="clamped"),
     ("wf", "hyb"): Scheme(wf.hyb_step, **_IN_X, check=wf.check_hyb_admissible),
-    ("wf", "implicit"): Scheme(
-        partial(wf.implicit_step, sign_mode="corrected"), per_path=True),
-    ("wf", "implicit_printed"): Scheme(
-        partial(wf.implicit_step, sign_mode="printed"), per_path=True),
+    ("wf", "implicit"): Scheme(partial(wf.implicit_step, sign_mode="corrected")),
+    ("wf", "implicit_printed"): Scheme(partial(wf.implicit_step, sign_mode="printed")),
     ("heston32", "lsd1"): Scheme(heston.lsd1_step),
     ("heston32", "lsd2"): Scheme(heston.lsd2_step),
     ("heston32", "sd_exp"): Scheme(heston.sd_exp_step, **_IN_X),
@@ -84,10 +81,8 @@ SCHEMES = {
         to_x=lambda p, v: v ** -2.0),
     ("ait", "lsd1"): Scheme(ait.lsd1_step),
     ("ait", "lsd2"): Scheme(ait.lsd2_step),
-    ("ait", "implicit"): Scheme(
-        partial(ait.implicit_step, variant="drift"), per_path=True),
-    ("ait", "implicit_printed"): Scheme(
-        partial(ait.implicit_step, variant="printed"), per_path=True),
+    ("ait", "implicit"): Scheme(partial(ait.implicit_step, variant="drift")),
+    ("ait", "implicit_printed"): Scheme(partial(ait.implicit_step, variant="printed")),
 }
 
 VARIANTS = {model: tuple(v for m, v in SCHEMES if m == model)
@@ -146,14 +141,8 @@ class Stepper:
         return _broadcast(state, size)
 
     def step(self, state, dw, dt):
-        s, p = self.scheme, self.params
-        if s.per_path:
-            shape = np.shape(state)
-            dws = np.broadcast_to(dw, shape).ravel()
-            out = [s.step(p, float(y), float(w), dt)
-                   for y, w in zip(np.ravel(state), dws)]
-            return np.reshape(out, shape), _NO_EVENTS
-        out = s.step(p, state, dw, dt, *self.extra)
+        s = self.scheme
+        out = s.step(self.params, state, dw, dt, *self.extra)
         if s.mask is None:
             return out, _NO_EVENTS
         value, mask = out
@@ -181,6 +170,7 @@ class ExactOuStepper:
         self.m_split = m_split
 
     def init(self, x0, size=None):
+        lamperti_forward(self.params, x0)   # checks the domain
         x1 = np.sqrt(self.m_split * x0)
         x2 = np.sqrt((1.0 - self.m_split) * x0)
         return _broadcast(x1, size), _broadcast(x2, size)

@@ -13,7 +13,7 @@ SDE.
 
 import numpy as np
 
-from ..rootfind import MonotoneSpec, invert_monotone
+from ..rootfind import MonotoneSpec, solve_monotone
 
 
 def lsd1_step(p, y, dw, dt):
@@ -50,8 +50,8 @@ def implicit_map(p, dt, variant):
 
 
 def implicit_step(p, y, dw, dt, variant, tol=1e-13):
-    """Solve g(y') = y - K3 dw for y' > 0, g the ``variant`` reading's map."""
+    """Solve g(y') = y - K3 dw, y' > 0, for all paths; g is per ``variant``."""
     target = y - p.K3 * dw
     spec = MonotoneSpec(implicit_map(p, dt, variant), lo=0.0, hi=np.inf,
                         increasing=True)
-    return invert_monotone(spec, target, tol=tol, seed=y)
+    return solve_monotone(spec, target, tol=tol, seed=y)

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..closedform import wf_cosine_solution
 from ..errors import ConfigurationError, StepSizeError
-from ..rootfind import MonotoneSpec, invert_monotone
+from ..rootfind import MonotoneSpec, solve_monotone
 
 _DENOMINATOR_TOL = 1e-12
 
@@ -142,13 +142,13 @@ def implicit_map(p, dt, sign_mode):
 def implicit_step(p, y, dw, dt, sign_mode, tol=1e-13):
     """Solve g(y') = y + k3 dw for y' in (0, pi), g the ``sign_mode`` map.
 
-    Where the printed map gives two preimages, the one on its increasing
-    branch, left of the maximum, is returned: it is the one that tends to
-    the target as dt -> 0.  The paper does not say which it means.  A
+    All paths are solved at once.  Of two preimages of the printed map, the
+    one on its increasing branch, left of the maximum, is returned: it tends
+    to the target as dt -> 0.  The paper does not say which it means.  A
     target above the maximum raises InversionError, whose bracket is the
-    span around the maximum that was searched.
+    span searched around the maximum and whose ``index`` is such a path.
     """
     target = y + p.k3 * dw
     spec = MonotoneSpec(implicit_map(p, dt, sign_mode), lo=0.0, hi=np.pi,
                         increasing=True)
-    return invert_monotone(spec, target, tol=tol, seed=y)
+    return solve_monotone(spec, target, tol=tol, seed=y)

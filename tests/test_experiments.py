@@ -6,7 +6,7 @@ import pytest
 
 import lsd.experiments
 from lsd.errors import (ConfigurationError, DataError, DegenerateStateError,
-                        InversionError, NumericError)
+                        DomainError, InversionError, NumericError)
 from lsd.experiments import (_terminal_batch, difference_trajectories,
                              domain_violation_scan, exact_cir_error_decay,
                              exact_cir_experiment, fit_order, simulate_path,
@@ -215,6 +215,19 @@ class TestStrongError:
                          [0.5, 0.25], 0.125, M=4, seed=3)
         assert excinfo.value.bracket is not None
 
+    def test_error_names_the_failing_path(self, wf_params):
+        # only the third path's first increment lifts its target above the
+        # printed map's maximum
+        inc = np.zeros((4, 2))
+        inc[2, 0] = 7.0
+        stepper = make_stepper(SchemeId("wf", "implicit_printed"), wf_params)
+        with pytest.raises(
+                InversionError,
+                match=r"^wf:implicit_printed, dt=0\.01, at step 0, "
+                      r"paths 8\.\.11: path 10: u=") as excinfo:
+            _terminal_batch(stepper, 0.5, 0.01, inc, paths=range(8, 12))
+        assert excinfo.value.index == 2
+
     def test_non_dyadic_ladder_rejected(self, cir_params):
         with pytest.raises(ConfigurationError):
             strong_error(CIR_LSD1, CIR_LSD1, cir_params, 4.0, 1.0, [0.3],
@@ -317,6 +330,10 @@ class TestExactCir:
         assert a.exact[0] == pytest.approx(4.0, rel=1e-15)
         assert b.exact[0] == pytest.approx(4.0, rel=1e-15)
         assert a.x1[0] != b.x1[0]
+
+    def test_negative_start_is_rejected(self, cir_ou_params):
+        with pytest.raises(DomainError):
+            exact_cir_experiment(cir_ou_params, -1.0, 0.5, 0.25, 1.0, 1, [])
 
     def test_dimension_guard(self, cir_params):
         with pytest.raises(ConfigurationError):

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsd.errors import InversionError, NumericError
-from lsd.rootfind import MonotoneSpec, invert_monotone
+from lsd.models import AitParams, CevParams, WfParams
+from lsd.rootfind import MonotoneSpec, invert_monotone, solve_monotone
+from lsd.schemes import ait as ait_mod
+from lsd.schemes import cev as cev_mod
+from lsd.schemes import wf as wf_mod
 from oracles import bisect
 
 
@@ -156,3 +160,81 @@ def test_default_seed_is_finite_below_a_finite_upper_endpoint():
     # on (-inf, 0) the midpoint seed would be -inf
     spec = MonotoneSpec(lambda x: x, lo=-math.inf, hi=0.0)
     assert invert_monotone(spec, -5.0) == pytest.approx(-5.0, rel=1e-12)
+
+
+def test_batch_of_mixed_cases_on_the_printed_wf_map():
+    # At dt = 1e-2 the printed map rises to about 2.8597 near y = 3.0011 and
+    # falls to -inf at pi.  Each element takes a different route: accepted
+    # at the seed, a hunt up, a target above the maximum, a hunt down, and
+    # a root on the far side of the peak that only the extremum search
+    # finds.
+    g = wf_mod.implicit_map(WfParams(1.0, 2.0, 0.20101), 1e-2, "printed")
+    count = [0]
+
+    def counted(x):
+        count[0] += 1
+        return g(x)
+
+    spec = MonotoneSpec(counted, lo=0.0, hi=math.pi)
+    seeds = np.array([1.0, 1.0, 2.86, 2.0, 3.1])
+    targets = np.array([g(1.0), g(2.0), 2.87, g(0.6), 2.8596])
+    with pytest.raises(InversionError, match="maximum") as excinfo:
+        solve_monotone(spec, targets, tol=1e-13, seed=seeds)
+    assert excinfo.value.index == 2
+    lo, hi = excinfo.value.bracket
+    assert 2.99 < lo < hi < 3.01
+
+    ok = [0, 1, 3, 4]
+    got = solve_monotone(spec, targets[ok], tol=1e-13, seed=seeds[ok])
+    alone = []
+    for i in ok:
+        count[0] = 0
+        alone.append(invert_monotone(spec, targets[i], tol=1e-13, seed=seeds[i]))
+        if i == 0:
+            assert count[0] == 2    # the seed and one probe past it
+    assert got.tolist() == alone
+    assert g(got[3] + 1e-6) > g(got[3] - 1e-6)    # left of the peak
+
+
+def test_nan_names_the_first_element_that_met_it():
+    spec = MonotoneSpec(lambda x: np.where(x > 2.0, np.nan, x))
+    with pytest.raises(NumericError) as excinfo:
+        solve_monotone(spec, [1.5, 3.0, 5.0])
+    assert excinfo.value.index == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from(["cev", "ait"]), dt=st.sampled_from([1e-2, 1e-3]),
+       draws=st.lists(st.tuples(st.floats(1e-2, 10.0), st.floats(-3.0, 3.0)),
+                      min_size=1, max_size=16))
+def test_batch_step_matches_lone_steps_on_the_implicit_maps(model, dt, draws):
+    # A batch step equals, bit for bit, the same step taken one path at a
+    # time, and meets the residual bound that the solver promises.
+    # invert_monotone hands fn Python floats, whose ** is libm's pow where
+    # numpy's array loop may differ in the last bit, so it agrees with the
+    # array solve to the stopping tolerance rather than bit for bit.
+    x, z = np.array(draws).T
+    dw = z * math.sqrt(dt)
+    if model == "cev":
+        p = CevParams(1.0 / 16.0, 1.0, 0.4, 0.75)
+        state = x ** (1.0 - p.q)
+        target = state + p.k3 * (1.0 - p.q) * dw
+        g = cev_mod.implicit_map(p, dt)
+
+        def step(s, w):
+            return cev_mod.implicit_step(p, s, w, dt)
+    else:
+        p = AitParams(km1=2.0, k0=3.0, k1=4.0, k2=6.0, k3=1.0, r=2.0, rho=1.5)
+        state = p.forward(x)
+        target = state - p.K3 * dw
+        g = ait_mod.implicit_map(p, dt, "drift")
+
+        def step(s, w):
+            return ait_mod.implicit_step(p, s, w, dt, variant="drift")
+    batch = step(state, dw)
+    np.testing.assert_array_equal(batch, [step(s, w) for s, w in zip(state, dw)])
+    assert np.all(np.abs(g(batch) - target) <= 1e-12 * np.maximum(1.0, np.abs(target)))
+    spec = MonotoneSpec(g, lo=0.0, hi=np.inf)
+    for got, u, s in zip(batch, target, state):
+        lone = invert_monotone(spec, u, tol=1e-13, seed=s)
+        assert abs(got - lone) <= 1e-12 * max(1.0, abs(lone))

@@ -105,3 +105,27 @@ class TestCompanions:
         got = cev_mod.implicit_step(cev_params, u0, 0.05, dt)
         ref = bisect(lambda t: g(t) - target, 1e-8, 1e3, tol=1e-14)
         assert got == pytest.approx(ref, rel=1e-9)
+
+    def test_implicit_step_solves_the_batch_at_once(self, cev_params,
+                                                    monkeypatch):
+        # one step of 256 paths evaluates the map once per solver iteration,
+        # not once per path and iteration (about 6 x 256 calls)
+        calls = [0]
+        real = cev_mod.implicit_map
+
+        def counting_map(p, dt):
+            g = real(p, dt)
+
+            def counted(u):
+                calls[0] += 1
+                return g(u)
+
+            return counted
+
+        monkeypatch.setattr(cev_mod, "implicit_map", counting_map)
+        stepper = make_stepper(SchemeId("cev", "implicit"), cev_params)
+        dt = 2.0**-4
+        dw = np.random.default_rng(5).standard_normal(256) * math.sqrt(dt)
+        state, _ = stepper.step(stepper.init(1.0 / 16.0, size=256), dw, dt)
+        assert state.shape == (256,)
+        assert 0 < calls[0] < 100

@@ -212,6 +212,9 @@ def parse_config(text: str) -> ExperimentConfig:
     dts = [_to_float(v, "dt", dt_line) for v in _split_list(dt_raw)]
     if not dts or any(d <= 0 for d in dts):
         raise ConfigurationError(f"line {dt_line}: dt values must be positive")
+    repeated = [d for i, d in enumerate(dts) if d in dts[:i]]
+    if repeated:
+        raise ConfigurationError(f"line {dt_line}: dt {repeated[0]} is listed twice")
 
     cfg = ExperimentConfig(
         kind=kind, model=model, params=params, x0=x0, T=T, schemes=schemes,

@@ -8,9 +8,10 @@ Simulations at several step sizes share one Brownian path per path index via
 dyadic coarsening of a finest-level increment lattice, which is what turns
 terminal differences into pathwise strong-error estimates.
 
-:func:`_terminal_batch` is the one loop that steps over time.  A single
-path runs through it as a batch of one, and the squared-OU comparison runs
-through it as one two-driver stepper that carries the schemes riding it.
+:func:`_batches` is the one loop over paths: it draws each batch's lattice
+once and coarsens its ladder finest-first.  :func:`_terminal_batch` is the
+one loop over time.  A single path runs through it as a batch of one, and
+the squared-OU comparison as one two-driver stepper carrying its riders.
 """
 
 import math
@@ -95,49 +96,49 @@ def _steps_for(T: float, dt: float) -> int:
     return n
 
 
-def _is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
 def _dyadic_plan(T: float, step_sizes: Sequence[float],
                  ref_step: Optional[float] = None):
-    """Base step count, finest level, and per-dt level for one shared lattice.
+    """Reference step count and, per dt, the halvings that reach it from there.
 
-    The reference step defaults to the finest step of the ladder.
+    The reference step defaults to the finest step of the ladder; every dt
+    must be a power-of-two multiple of it.  Returns ``(n_ref, {dt: halvings})``.
     """
     if not step_sizes:
         raise ConfigurationError("step ladder is empty")
     if ref_step is None:
         ref_step = min(step_sizes)
     n_ref = _steps_for(T, ref_step)
-    n_of = {}
+    halvings = {}
     for dt in step_sizes:
         n = _steps_for(T, dt)
-        if n_ref % n != 0 or not _is_pow2(n_ref // n):
+        ratio = n_ref // n
+        if n_ref % n or ratio & (ratio - 1):
             raise ConfigurationError(
                 f"step {dt} is not a dyadic multiple of the reference step {ref_step}")
-        n_of[dt] = n
-    # every n_ref // n is a power of two, so the coarsest n divides each n
-    base = min(n_of.values())
-    levels = (n_ref // base).bit_length() - 1
-    level_of = {dt: (n // base).bit_length() - 1 for dt, n in n_of.items()}
-    return base, levels, level_of
+        halvings[dt] = ratio.bit_length() - 1
+    return n_ref, halvings
 
 
-def _map_batches(task, n_items: int) -> list:
-    """Run ``task(range)`` on consecutive ranges of ``_BATCH`` paths, in order.
+def _batches(seed, M, T, n, halvings, drivers=1):
+    """Yield ``(paths, inc)`` for paths 0..M-1 in consecutive batches of ``_BATCH``.
 
-    A batch's arrays are ``task``'s locals, so only one lattice is alive.
+    ``inc[0]`` stacks the batch's n-step lattices, one row per path drawn
+    from ``path_seed(seed, i)``, and ``inc[h]`` is that halved h times for
+    each h in ``halvings``.  Levels are coarsened finest-first, each from the
+    previous one, which gives the same floats as halving ``inc[0]`` directly.
+    The dict is emptied before the next batch is drawn, so one batch's
+    arrays are alive at a time.
     """
-    return [task(range(s, min(s + _BATCH, n_items)))
-            for s in range(0, n_items, _BATCH)]
-
-
-def _batch_increments(master_seed, indices, T, base, levels, drivers=1):
-    rows = [generate_lattice(path_seed(master_seed, i), T, base, levels,
-                             drivers=drivers).increments
-            for i in indices]
-    return np.stack(rows)
+    levels = sorted(set(halvings) - {0})
+    for start in range(0, M, _BATCH):
+        paths = range(start, min(start + _BATCH, M))
+        inc = {0: np.stack([generate_lattice(path_seed(seed, i), T, n, 0,
+                                             drivers=drivers).increments
+                            for i in paths])}
+        for prev, h in zip([0, *levels], levels):
+            inc[h] = halve_increments(inc[prev], h - prev)
+        yield paths, inc
+        inc.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -263,31 +264,24 @@ def strong_error(scheme: SchemeId, reference: SchemeId, params: ModelParams,
         raise ConfigurationError(
             f"scheme {scheme} and reference {reference} use different models")
     dts = sorted(set(float(d) for d in step_sizes), reverse=True)
-    base, levels, level_of = _dyadic_plan(T, dts, ref_step)
+    n_ref, halvings = _dyadic_plan(T, dts, ref_step)
     run = make_stepper(scheme, params, theta=theta)
     ref = make_stepper(reference, params, theta=theta)
     if run.drivers != 1 or ref.drivers != 1:
         raise ConfigurationError("strong_error supports single-driver schemes")
-
-    def task(indices):
-        inc = _batch_increments(seed, indices, T, base, levels)
-        x_ref = _terminal_batch(ref, x0, ref_step, inc, paths=indices)
-        out = {}
+    sum2, sum4 = dict.fromkeys(dts, 0.0), dict.fromkeys(dts, 0.0)
+    for paths, inc in _batches(seed, M, T, n_ref, halvings.values()):
+        x_ref = _terminal_batch(ref, x0, ref_step, inc[0], paths=paths)
         for dt in dts:
-            inc_dt = halve_increments(inc, levels - level_of[dt])
-            x_dt = _terminal_batch(run, x0, dt, inc_dt, paths=indices)
+            x_dt = _terminal_batch(run, x0, dt, inc[halvings[dt]], paths=paths)
             diff_sq = (x_dt - x_ref) ** 2
-            out[dt] = (float(np.sum(diff_sq)), float(np.sum(diff_sq**2)))
-        return out
-
-    partials = _map_batches(task, M)
+            sum2[dt] += float(np.sum(diff_sq))
+            sum4[dt] += float(np.sum(diff_sq**2))
     rms, stderr = [], []
     for dt in dts:
-        sum2 = sum(p[dt][0] for p in partials)
-        sum4 = sum(p[dt][1] for p in partials)
-        mean_e = sum2 / M
+        mean_e = sum2[dt] / M
         r = math.sqrt(mean_e)
-        var_e = max(0.0, (sum4 - sum2 * sum2 / M) / (M - 1))
+        var_e = max(0.0, (sum4[dt] - sum2[dt] * sum2[dt] / M) / (M - 1))
         se = math.sqrt(var_e / M) / (2.0 * r) if r > 0 else 0.0
         rms.append(r)
         stderr.append(se)
@@ -424,20 +418,14 @@ def exact_cir_error_decay(params: ModelParams, x0: float, m_split: float,
     if M < 1:
         raise ConfigurationError(f"need at least 1 path, got M={M}")
     dts = sorted(set(float(d) for d in step_sizes), reverse=True)
-    base, levels, level_of = _dyadic_plan(T, dts)
+    n_ref, halvings = _dyadic_plan(T, dts)
     ride = _SquaredOuRide(params, m_split, [scheme], theta)
-
-    def task(indices):
-        inc = _batch_increments(seed, indices, T, base, levels, drivers=2)
-        out = {}
+    total = dict.fromkeys(dts, 0.0)
+    for paths, inc in _batches(seed, M, T, n_ref, halvings.values(), drivers=2):
         for dt in dts:
-            inc_dt = halve_increments(inc, levels - level_of[dt])
-            x = _terminal_batch(ride, x0, dt, inc_dt, paths=indices)
-            out[dt] = float(np.sum(np.abs(x[3] - x[2])))
-        return out
-
-    partials = _map_batches(task, M)
-    return {dt: sum(p[dt] for p in partials) / M for dt in dts}
+            x = _terminal_batch(ride, x0, dt, inc[halvings[dt]], paths=paths)
+            total[dt] += float(np.sum(np.abs(x[3] - x[2])))
+    return {dt: total[dt] / M for dt in dts}
 
 
 # ---------------------------------------------------------------------------
@@ -458,18 +446,13 @@ def domain_violation_scan(schemes: Sequence[SchemeId], params: ModelParams,
     steppers = {str(s): make_stepper(s, params, theta=theta) for s in schemes}
     if any(st.drivers != 1 for st in steppers.values()):
         raise ConfigurationError("scan supports single-driver schemes only")
-    results: Dict[str, Dict[float, ScanCounters]] = {name: {} for name in steppers}
+    if len(set(step_sizes)) < len(step_sizes):
+        raise ConfigurationError(f"step sizes {list(step_sizes)} repeat a value")
+    results = {name: {dt: ScanCounters() for dt in step_sizes} for name in steppers}
     for k, dt in enumerate(step_sizes):
         n = _steps_for(T, dt)
-        dt_seed = path_seed(seed, k)
-        for name in steppers:
-            results[name][dt] = ScanCounters()
-
-        def task(indices):
-            inc = _batch_increments(dt_seed, indices, T, n, 0)
+        for paths, inc in _batches(path_seed(seed, k), M, T, n, ()):
             for name, st in steppers.items():
-                _terminal_batch(st, x0, dt, inc, counters=results[name][dt],
-                                paths=indices)
-
-        _map_batches(task, M)
+                _terminal_batch(st, x0, dt, inc[0], counters=results[name][dt],
+                                paths=paths)
     return results

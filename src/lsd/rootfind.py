@@ -13,6 +13,8 @@ import numpy as np
 from .errors import InversionError, NumericError
 
 _MAX_EXPANSIONS = 60
+_MAX_ITER = 100
+STEP_TOL = 1e-13    # what each drift-implicit scheme step solves to
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
@@ -53,14 +55,14 @@ def _toward(endpoint: float, x):
 
 
 def invert_monotone(spec: MonotoneSpec, u: float, tol: float = 1e-12,
-                    max_iter: int = 100, seed: Optional[float] = None) -> float:
+                    seed: Optional[float] = None) -> float:
     """:func:`solve_monotone` for one float u; ``fn`` maps floats to floats."""
     scalar = replace(spec, fn=lambda xs: [spec.fn(float(x)) for x in xs])
-    return float(solve_monotone(scalar, u, tol, max_iter, seed))
+    return float(solve_monotone(scalar, u, tol, seed))
 
 
 def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
-                   max_iter: int = 100, seed=None) -> np.ndarray:
+                   seed=None) -> np.ndarray:
     """Solve fn(x) = u on (lo, hi) for each element of u; x is shaped like u.
 
     x meets ``|fn(x) - u| <= tol * max(1, |u|)`` and ``|x - root| <= tol *
@@ -82,7 +84,7 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
 
     ``fn`` is called once per iteration on the elements still at work, each
     taking the steps it would alone, so no result depends on its batch.
-    InversionError (no root, or the criteria unmet in ``max_iter``
+    InversionError (no root, or the criteria unmet in ``_MAX_ITER``
     iterations; it carries the last bracket) and NumericError (fn gave NaN)
     name as ``index`` the first failing element of the flattened batch.
     """
@@ -160,7 +162,7 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
     if lost.size:
         probes.append((lost, seed[lost], seed_h[lost]))
         lo[:, lost], hi[:, lost] = _bracket_lost(h, probes, lost, u,
-                                                 spec.increasing, tol, max_iter)
+                                                 spec.increasing, tol)
 
     # Illinois regula falsi, one compact array per quantity for the elements
     # still at work.  lw/hw are the secant weights: the true values, except
@@ -169,7 +171,7 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
     lx, lh, hx, hh = lo[0, i], lo[1, i], hi[0, i], hi[1, i]
     lw, hw, moved = lh, hh, np.zeros(i.size)   # moved: +1 lo end, -1 hi end
     ended = []
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         x = hx - hw * (hx - lx) / (hw - lw)
         inside = (lx < x) & (x < hx)
         if not inside.all():
@@ -210,12 +212,12 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
         f = np.flatnonzero(~ok)[np.argmin(i[~ok])]
         raise InversionError(
             f"residual {float(best_h[f])!r} or x error above tolerance after "
-            f"{max_iter} iterations", bracket=(float(lx[f]), float(hx[f])),
+            f"{_MAX_ITER} iterations", bracket=(float(lx[f]), float(hx[f])),
             index=int(i[f]))
     return root.reshape(shape)
 
 
-def _bracket_lost(h, probes, lost, u, increasing, tol, max_iter):
+def _bracket_lost(h, probes, lost, u, increasing, tol):
     """(x, h) bracket ends for the sorted elements ``lost``, whose hunts met
     no crossing in the declared direction: the first sign change among their
     ``probes`` sorted by x, else a golden-section search for a point of the
@@ -249,7 +251,7 @@ def _bracket_lost(h, probes, lost, u, increasing, tol, max_iter):
     A, B, C = pairs[:, best[g] - 1], pairs[:, best[g]], pairs[:, best[g] + 1]
     below = B[1] < 0    # every probe lies below u: search for a maximum
     found, live = np.zeros(g.size, bool), np.arange(g.size)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         live = live[C[0, live] - A[0, live]
                     > tol * np.maximum(1.0, np.abs(B[0, live]))]
         if not live.size:

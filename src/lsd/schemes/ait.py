@@ -13,7 +13,7 @@ SDE.
 
 import numpy as np
 
-from ..rootfind import MonotoneSpec, solve_monotone
+from ..rootfind import STEP_TOL, MonotoneSpec, solve_monotone
 
 
 def lsd1_step(p, y, dw, dt):
@@ -49,9 +49,9 @@ def implicit_map(p, dt, variant):
     return g
 
 
-def implicit_step(p, y, dw, dt, variant, tol=1e-13):
+def implicit_step(p, y, dw, dt, variant):
     """Solve g(y') = y - K3 dw, y' > 0, for all paths; g is per ``variant``."""
     target = y - p.K3 * dw
     spec = MonotoneSpec(implicit_map(p, dt, variant), lo=0.0, hi=np.inf,
                         increasing=True)
-    return solve_monotone(spec, target, tol=tol, seed=y)
+    return solve_monotone(spec, target, tol=STEP_TOL, seed=y)

@@ -8,7 +8,7 @@ unscaled power coordinate u = x**(1-q), matching the map it inverts.
 import numpy as np
 
 from ..closedform import bernoulli_power
-from ..rootfind import MonotoneSpec, solve_monotone
+from ..rootfind import STEP_TOL, MonotoneSpec, solve_monotone
 from ._complex import sqrt_with_fallback
 
 
@@ -62,9 +62,9 @@ def implicit_map(p, dt):
     return g
 
 
-def implicit_step(p, u, dw, dt, tol=1e-13):
+def implicit_step(p, u, dw, dt):
     """Advance each path's u = x**(1-q) by one batch inversion of the map."""
     q = p.q
     target = u + p.k3 * (1.0 - q) * dw
     spec = MonotoneSpec(implicit_map(p, dt), lo=0.0, hi=np.inf, increasing=True)
-    return solve_monotone(spec, target, tol=tol, seed=u)
+    return solve_monotone(spec, target, tol=STEP_TOL, seed=u)

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..closedform import wf_cosine_solution
 from ..errors import ConfigurationError, StepSizeError
-from ..rootfind import MonotoneSpec, solve_monotone
+from ..rootfind import STEP_TOL, MonotoneSpec, solve_monotone
 
 _DENOMINATOR_TOL = 1e-12
 
@@ -139,7 +139,7 @@ def implicit_map(p, dt, sign_mode):
     return g
 
 
-def implicit_step(p, y, dw, dt, sign_mode, tol=1e-13):
+def implicit_step(p, y, dw, dt, sign_mode):
     """Solve g(y') = y + k3 dw for y' in (0, pi), g the ``sign_mode`` map.
 
     All paths are solved at once.  Of two preimages of the printed map, the
@@ -151,4 +151,4 @@ def implicit_step(p, y, dw, dt, sign_mode, tol=1e-13):
     target = y + p.k3 * dw
     spec = MonotoneSpec(implicit_map(p, dt, sign_mode), lo=0.0, hi=np.pi,
                         increasing=True)
-    return solve_monotone(spec, target, tol=tol, seed=y)
+    return solve_monotone(spec, target, tol=STEP_TOL, seed=y)

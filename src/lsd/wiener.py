@@ -75,10 +75,10 @@ def halve_increments(increments: np.ndarray, times: int) -> np.ndarray:
     """Sum adjacent pairs along the last axis ``times`` times.
 
     Halving a lattice's increments ``L - l`` times gives them at level ``l``:
-    entry k is the sum of fine increments ``2**(L-l)*k .. 2**(L-l)*(k+1)-1``,
-    accumulated by pairwise halving so the association tree is identical no
-    matter which intermediate levels are materialised.  The last axis must
-    have a multiple of ``2**times`` entries.
+    entry k sums fine increments ``2**(L-l)*k .. 2**(L-l)*(k+1)-1`` pairwise.
+    Halvings compose bit for bit: halving a times and then b more gives the
+    floats of halving a + b times, so a ladder can be coarsened finest-first.
+    The last axis must have a multiple of ``2**times`` entries.
     """
     n = increments.shape[-1]
     if times < 0 or n % (1 << times):

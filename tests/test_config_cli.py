@@ -102,6 +102,14 @@ class TestParse:
         with pytest.raises(ConfigurationError, match=r"'k3' on lines 9 and 10"):
             parse_config(bad)
 
+    def test_repeated_dt_names_its_line(self):
+        # 0.125 and 0.1250 are one step size; a scan would draw the repeat
+        # from the next dt's seed and overwrite the first one's counters
+        bad = MINIMAL_CIR.replace("dt = 0.25, 0.125", "dt = 0.25, 0.125, 0.1250")
+        with pytest.raises(ConfigurationError,
+                           match=r"^line 15: dt 0\.125 is listed twice$"):
+            parse_config(bad)
+
     def test_unknown_key_has_line_number(self):
         bad = MINIMAL_CIR + "oops = 1\n"
         with pytest.raises(ConfigurationError, match=r"line \d+: unknown key 'oops'"):

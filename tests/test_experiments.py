@@ -7,7 +7,8 @@ import pytest
 import lsd.experiments
 from lsd.errors import (ConfigurationError, DataError, DegenerateStateError,
                         DomainError, InversionError, NumericError)
-from lsd.experiments import (_terminal_batch, difference_trajectories,
+from lsd.experiments import (_batches, _terminal_batch,
+                             difference_trajectories,
                              domain_violation_scan, exact_cir_error_decay,
                              exact_cir_experiment, fit_order, simulate_path,
                              strong_error)
@@ -411,3 +412,31 @@ class TestScan:
         with pytest.raises(ConfigurationError, match=rf"M={M}\b"):
             domain_violation_scan([CIR_LSD1], cir_params, [1e-2], 1.0, M,
                                   seed=6)
+
+    def test_repeated_dt_is_rejected(self):
+        # dt number k is drawn from path_seed(seed, k): a repeat would shift
+        # the later draws and overwrite the first one's counters
+        with pytest.raises(ConfigurationError, match="repeat"):
+            domain_violation_scan([SchemeId("cir", "alf")], STRESSED_CIR,
+                                  [0.01, 0.01, 0.001], 1.0, 20, seed=6)
+
+
+class TestBatches:
+    @pytest.mark.parametrize("drivers", [1, 2])
+    def test_path_order_levels_and_release(self, drivers):
+        T, n, seed = 1.0, 32, 4
+        yielded = []
+        for paths, inc in _batches(seed, 300, T, n, (3, 0, 1), drivers=drivers):
+            # the batch before was released when this one was drawn
+            assert all(not earlier for _, earlier in yielded)
+            lattice = np.stack([generate_lattice(path_seed(seed, i), T, n, 0,
+                                                 drivers=drivers).increments
+                                for i in paths])
+            assert sorted(inc) == [0, 1, 3]
+            for h, level in inc.items():
+                direct = halve_increments(lattice, h)
+                assert level.shape == direct.shape
+                assert level.tobytes() == direct.tobytes()
+            yielded.append((paths, inc))
+        assert [p for p, _ in yielded] == [range(0, 256), range(256, 300)]
+        assert yielded[-1][1] == {}

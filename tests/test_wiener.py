@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lsd.errors import ConfigurationError, DegenerateStateError
 from lsd.wiener import (cir_effective_increment, generate_lattice,
@@ -106,6 +107,20 @@ class TestCoarsen:
         out = halve_increments(arr, 1)
         for k in range(out.size):
             assert out[k] == arr[2 * k] + arr[2 * k + 1]
+
+    @given(st.data(), st.sampled_from([(), (2,)]), st.integers(0, 3),
+           st.integers(0, 3))
+    def test_halvings_compose(self, data, drivers, a, b):
+        # halving a times and then b more gives the floats of halving a + b
+        # times, for one driver and for two: the ladder is coarsened
+        # finest-first, each level from the one before it
+        n = data.draw(st.integers(1, 4)) << (a + b)
+        inc = data.draw(arrays(np.float64, drivers + (n,),
+                               elements=st.floats(-1e3, 1e3)))
+        twice = halve_increments(halve_increments(inc, a), b)
+        once = halve_increments(inc, a + b)
+        assert twice.shape == once.shape == drivers + (n >> (a + b),)
+        assert twice.tobytes() == once.tobytes()
 
     def test_variance_scaling(self):
         # pool several lattices so every level has >= 10^4 samples

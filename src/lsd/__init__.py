@@ -12,10 +12,10 @@ from .config import ExperimentConfig, parse_config
 from .errors import (ConfigurationError, DataError, DegenerateStateError,
                      DomainError, InversionError, LsdError, NumericError,
                      StepSizeError)
-from .experiments import (DifferenceSeries, ErrorReport, ExactCirPaths,
-                          PathResult, ScanCounters, difference_trajectories,
-                          domain_violation_scan, exact_cir_error_decay,
-                          exact_cir_experiment, fit_order, simulate_path,
+from .experiments import (ErrorReport, ExactCirPaths, PathResult,
+                          ScanCounters, domain_violation_scan,
+                          exact_cir_error_decay, exact_cir_experiment,
+                          fit_order, simulate_path, simulate_paths,
                           strong_error)
 from .models import (AitParams, CevParams, CirParams, DomainReport,
                      Heston32Params, WfParams, domain_report, lamperti_forward,

@@ -6,6 +6,10 @@ and wall time).  Outputs are byte-stable for a fixed (config, seed)
 combination.  Paths run serially in one process; a worker-count option is
 still accepted for old command lines and has no effect.  On any error the
 partially written files are removed and the exit status is nonzero.
+
+Each kind's runner only formats what :mod:`lsd.experiments` computes;
+``simulate`` and ``compare`` both report the paths of
+:func:`~lsd.experiments.simulate_paths`, one per dt.
 """
 
 import argparse
@@ -16,14 +20,14 @@ import time
 from pathlib import Path
 from typing import List, Tuple
 
+import numpy as np
+
 from .config import ExperimentConfig, parse_config
-from .errors import LsdError
-from .experiments import (_steps_for, difference_trajectories,
-                          domain_violation_scan, exact_cir_error_decay,
-                          exact_cir_experiment, simulate_path, strong_error)
+from .errors import ConfigurationError, LsdError
+from .experiments import (domain_violation_scan, exact_cir_error_decay,
+                          exact_cir_experiment, simulate_paths, strong_error)
 from .models import PARAMS_BY_MODEL, domain_report
-from .schemes import SchemeId, make_stepper
-from .wiener import generate_lattice, path_seed
+from .schemes import SchemeId
 
 
 def _fmt(x) -> str:
@@ -61,47 +65,39 @@ def _run_convergence(cfg, params):
                   "M": cfg.resolved_m_samples()}
 
 
+def _paths(cfg, params):
+    return simulate_paths(_scheme_ids(cfg), params, cfg.x0, cfg.T, cfg.dts,
+                          cfg.seed, theta=cfg.theta, m_split=cfg.m)
+
+
 def _run_simulate(cfg, params):
-    ids = _scheme_ids(cfg)
-    drivers = [make_stepper(s, params, m_split=cfg.m).drivers for s in ids]
-    rows = [("dt", "t") + tuple(s.variant for s in ids)]
-    for k, dt in enumerate(cfg.dts):
-        n = _steps_for(cfg.T, dt)
-        lattice = generate_lattice(path_seed(cfg.seed, k), cfg.T, n, 0,
-                                   drivers=max(drivers))
-        paths = []
-        for s, d in zip(ids, drivers):
-            driver = lattice.increments if d == max(drivers) \
-                else lattice.increments[0]
-            paths.append(simulate_path(s, params, cfg.x0, cfg.T, n, driver,
-                                       theta=cfg.theta, m_split=cfg.m))
-        times = paths[0].times
-        for j, t in enumerate(times):
+    rows = [("dt", "t") + tuple(cfg.schemes)]
+    for dt, paths in _paths(cfg, params).items():
+        for j, t in enumerate(paths[0].times):
             rows.append((_fmt(dt), _fmt(t)) + tuple(_fmt(p.values[j]) for p in paths))
-    counters = {s.variant: {"non_real": p.non_real_count, "clamped": p.clamp_count,
-                            "negative": p.negative_count}
-                for s, p in zip(ids, paths)}
+    counters = {s: {"non_real": p.non_real_count, "clamped": p.clamp_count,
+                    "negative": p.negative_count}
+                for s, p in zip(cfg.schemes, paths)}
     return rows, {"counters_last_dt": counters}
 
 
 def _run_compare(cfg, params):
-    ids = _scheme_ids(cfg)
-    if len(ids) < 2:
+    if len(cfg.schemes) < 2:
         raise LsdError("compare needs at least two schemes")
+    results = _paths(cfg, params)
+    base, *others = cfg.schemes
     rows = [("scheme_a", "scheme_b", "dt", "t", "diff")]
     max_abs = {}
-    for other in ids[1:]:
-        series = difference_trajectories(
-            ids[0], other, params, cfg.x0, cfg.T, cfg.dts, cfg.seed,
-            theta=cfg.theta)
-        peak = 0.0
-        for s in series:
-            for t, d in zip(s.times, s.diffs):
-                rows.append((ids[0].variant, other.variant, _fmt(s.dt),
-                             _fmt(t), _fmt(d)))
-            peak = max(peak, float(max(abs(s.diffs))))
-        max_abs[other.variant] = peak
-    return rows, {"baseline": ids[0].variant, "max_abs_diff": max_abs}
+    for b, other in enumerate(others, start=1):
+        diffs = []
+        for dt, paths in results.items():
+            diff = paths[0].values - paths[b].values
+            rows.extend((base, other, _fmt(dt), _fmt(t), _fmt(d))
+                        for t, d in zip(paths[0].times, diff))
+            diffs.append(diff)
+        # np.max, unlike the builtin max, keeps a NaN
+        max_abs[other] = float(np.max(np.abs(np.concatenate(diffs))))
+    return rows, {"baseline": base, "max_abs_diff": max_abs}
 
 
 def _run_exact_cir(cfg, params):
@@ -117,7 +113,7 @@ def _run_exact_cir(cfg, params):
             rows.append((scheme.variant, _fmt(dt), _fmt(decay[dt])))
     sample = exact_cir_experiment(params, cfg.x0, cfg.m, max(cfg.dts), cfg.T,
                                   cfg.seed, ids, theta=cfg.theta)
-    identity_gap = float(max(abs(sample.x1**2 + sample.x2**2 - sample.exact)))
+    identity_gap = float(np.max(np.abs(sample.x1**2 + sample.x2**2 - sample.exact)))
     return rows, {"mean_abs_terminal_diff": means,
                   "identity_max_abs_gap": identity_gap,
                   "M": cfg.resolved_m_samples(), "m": cfg.m}
@@ -209,6 +205,8 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(config_path.read_text(encoding="utf-8"))
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
             cfg.seed = args.seed
         name = cfg.name or config_path.stem
         csv_path, json_path = run(cfg, Path(args.out), name)

@@ -7,7 +7,8 @@ keys, and malformed lines are reported with their line numbers so a config
 never half-works.
 """
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ConfigurationError
@@ -29,7 +30,11 @@ _DEFAULT_M = {"convergence": 1000, "scan": 100, "exact-cir": 100,
 
 @dataclass
 class ExperimentConfig:
-    """Everything one run needs; parses losslessly from the config text."""
+    """Everything one run needs, as :func:`parse_config` reads it.
+
+    Every real is finite and ``seed`` is at least 0; ``M``, ``ref_step``,
+    ``name`` and ``reference`` are None where the config leaves them out.
+    """
 
     kind: str
     model: str
@@ -58,35 +63,6 @@ class ExperimentConfig:
         Kept only because ``perfbench/child.py`` calls it.
         """
         return name
-
-    def to_text(self) -> str:
-        """Canonical text form; reparsing it yields an equal config."""
-        lines = ["[experiment]", f"kind = {self.kind}", f"model = {self.model}"]
-        if self.name is not None:
-            lines.append(f"name = {self.name}")
-        lines.append("")
-        lines.append("[params]")
-        lines += [f"{k} = {_fmt(v)}" for k, v in self.params.items()]
-        lines.append("")
-        lines.append("[run]")
-        lines.append(f"x0 = {_fmt(self.x0)}")
-        lines.append(f"T = {_fmt(self.T)}")
-        lines.append(f"schemes = {', '.join(self.schemes)}")
-        lines.append(f"dt = {', '.join(_fmt(d) for d in self.dts)}")
-        if self.ref_step is not None:
-            lines.append(f"ref_step = {_fmt(self.ref_step)}")
-        if self.M is not None:
-            lines.append(f"M = {self.M}")
-        lines.append(f"seed = {self.seed}")
-        lines.append(f"theta = {_fmt(self.theta)}")
-        lines.append(f"m = {_fmt(self.m)}")
-        if self.reference is not None:
-            lines.append(f"reference = {self.reference}")
-        return "\n".join(lines) + "\n"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _scan_lines(text: str) -> List[Tuple[int, str, str, str]]:
@@ -117,10 +93,13 @@ def _scan_lines(text: str) -> List[Tuple[int, str, str, str]]:
 
 def _to_float(value: str, key: str, line_no: int) -> float:
     try:
-        return float(value)
+        x = float(value)
     except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
         raise ConfigurationError(
-            f"line {line_no}: key {key!r} needs a real number, got {value!r}") from None
+            f"line {line_no}: key {key!r} needs a finite real number, got {value!r}")
+    return x
 
 
 def _to_int(value: str, key: str, line_no: int) -> int:
@@ -239,6 +218,9 @@ def parse_config(text: str) -> ExperimentConfig:
             f"reference scheme {cfg.reference!r} is not valid for {model!r}")
     if not cfg.T > 0:
         raise ConfigurationError(f"T must be positive, got {cfg.T}")
+    if cfg.seed < 0:
+        raise ConfigurationError(
+            f"line {run['seed'][1]}: seed must be >= 0, got {cfg.seed}")
     if cfg.M is not None and cfg.M < 1:
         raise ConfigurationError(f"M must be >= 1, got {cfg.M}")
     if not 0.0 < cfg.m < 1.0:

@@ -12,6 +12,8 @@ terminal differences into pathwise strong-error estimates.
 once and coarsens its ladder finest-first.  :func:`_terminal_batch` is the
 one loop over time.  A single path runs through it as a batch of one, and
 the squared-OU comparison as one two-driver stepper carrying its riders.
+:func:`simulate_paths` draws one path per step size and runs every listed
+scheme on it once; the ``simulate`` and ``compare`` kinds report its paths.
 """
 
 import math
@@ -90,7 +92,11 @@ class ExactCirPaths:
 # ---------------------------------------------------------------------------
 
 def _steps_for(T: float, dt: float) -> int:
-    n = round(T / dt)
+    ratio = T / dt
+    if not math.isfinite(ratio):
+        raise ConfigurationError(
+            f"step {dt} over the horizon {T} gives no finite step count")
+    n = round(ratio)
     if n < 1 or abs(n * dt - T) > 1e-9 * T:
         raise ConfigurationError(f"step {dt} does not divide the horizon {T}")
     return n
@@ -122,19 +128,22 @@ def _dyadic_plan(T: float, step_sizes: Sequence[float],
 def _batches(seed, M, T, n, halvings, drivers=1):
     """Yield ``(paths, inc)`` for paths 0..M-1 in consecutive batches of ``_BATCH``.
 
-    ``inc[0]`` stacks the batch's n-step lattices, one row per path drawn
-    from ``path_seed(seed, i)``, and ``inc[h]`` is that halved h times for
-    each h in ``halvings``.  Levels are coarsened finest-first, each from the
-    previous one, which gives the same floats as halving ``inc[0]`` directly.
+    ``inc[0]`` holds the batch's n-step lattices, each path's draw from
+    ``path_seed(seed, i)`` written into its row, and ``inc[h]`` is that
+    halved h times for each h in ``halvings``.  Levels are coarsened
+    finest-first, each from the previous one, which gives the same floats
+    as halving ``inc[0]`` directly.
     The dict is emptied before the next batch is drawn, so one batch's
     arrays are alive at a time.
     """
     levels = sorted(set(halvings) - {0})
+    shape = (n,) if drivers == 1 else (drivers, n)
     for start in range(0, M, _BATCH):
         paths = range(start, min(start + _BATCH, M))
-        inc = {0: np.stack([generate_lattice(path_seed(seed, i), T, n, 0,
-                                             drivers=drivers).increments
-                            for i in paths])}
+        inc = {0: np.empty((len(paths), *shape))}
+        for row, i in zip(inc[0], paths):
+            row[...] = generate_lattice(path_seed(seed, i), T, n, 0,
+                                        drivers=drivers).increments
         for prev, h in zip([0, *levels], levels):
             inc[h] = halve_increments(inc[prev], h - prev)
         yield paths, inc
@@ -227,6 +236,35 @@ def simulate_path(scheme: SchemeId, params: ModelParams, x0: float, T: float,
                       negative_count=counters.negative_states)
 
 
+def simulate_paths(schemes: Sequence[SchemeId], params: ModelParams,
+                   x0: float, T: float, step_sizes: Sequence[float],
+                   seed: int, theta: float = 1.0,
+                   m_split: float = 0.5) -> Dict[float, List[PathResult]]:
+    """One path per step size, each listed scheme run on it once.
+
+    Step size number k draws its lattice from ``path_seed(seed, k)`` with as
+    many drivers as the schemes need.  A one-driver scheme takes the first
+    driver, which is the one-driver lattice bit for bit, so its path does
+    not depend on the schemes beside it.  Returns ``{dt: [one PathResult
+    per scheme]}`` in the order given.
+    """
+    if not schemes:
+        raise ConfigurationError("need at least one scheme")
+    if len(set(step_sizes)) < len(step_sizes):
+        raise ConfigurationError(f"step sizes {list(step_sizes)} repeat a value")
+    drivers = [make_stepper(s, params, m_split=m_split).drivers for s in schemes]
+    results = {}
+    for k, dt in enumerate(step_sizes):
+        n = _steps_for(T, dt)
+        inc = generate_lattice(path_seed(seed, k), T, n, 0,
+                               drivers=max(drivers)).increments
+        results[dt] = [simulate_path(s, params, x0, T, n,
+                                     inc if d == max(drivers) else inc[0],
+                                     theta=theta, m_split=m_split)
+                       for s, d in zip(schemes, drivers)]
+    return results
+
+
 # ---------------------------------------------------------------------------
 # strong error and order fitting
 # ---------------------------------------------------------------------------
@@ -299,38 +337,6 @@ def strong_error(scheme: SchemeId, reference: SchemeId, params: ModelParams,
                        stderrs=np.array(stderr), slope=slope,
                        intercept=intercept, sample_count=M,
                        reference=reference, ref_step=ref_step)
-
-
-# ---------------------------------------------------------------------------
-# difference trajectories
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DifferenceSeries:
-    dt: float
-    times: np.ndarray
-    diffs: np.ndarray
-
-
-def difference_trajectories(scheme_a: SchemeId, scheme_b: SchemeId,
-                            params: ModelParams, x0: float, T: float,
-                            step_sizes: Sequence[float], seed: int,
-                            theta: float = 1.0) -> List[DifferenceSeries]:
-    """Pointwise difference of two schemes driven by one path per step size."""
-    if scheme_a.model != scheme_b.model:
-        raise ConfigurationError(
-            f"schemes {scheme_a} and {scheme_b} use different models")
-    series = []
-    for k, dt in enumerate(step_sizes):
-        n = _steps_for(T, dt)
-        lattice = generate_lattice(path_seed(seed, k), T, n, 0)
-        pa = simulate_path(scheme_a, params, x0, T, n, lattice.increments,
-                           theta=theta)
-        pb = simulate_path(scheme_b, params, x0, T, n, lattice.increments,
-                           theta=theta)
-        series.append(DifferenceSeries(dt=dt, times=pa.times,
-                                       diffs=pa.values - pb.values))
-    return series
 
 
 # ---------------------------------------------------------------------------

@@ -27,21 +27,12 @@ class MonotoneSpec:
     crosses the target at the wanted root, and sets which way a bracket hunt
     goes first.  fn need be monotone only on the root's branch: an interior
     extremum between the hunt's probes is found and searched past.
-    ``check_monotone`` sample-checks global monotonicity.
     """
 
     fn: Callable
     lo: float = 0.0
     hi: float = math.inf
     increasing: bool = True
-    check_monotone: bool = False
-
-    def sample_check(self, n: int = 64) -> bool:
-        lo = self.lo if math.isfinite(self.lo) else 1e-8
-        hi = self.hi if math.isfinite(self.hi) else 1e8
-        xs = lo + (hi - lo) * (np.arange(n) + 0.5) / n
-        steps = np.diff(np.asarray(self.fn(xs), float))
-        return bool(np.all(steps > 0 if self.increasing else steps < 0))
 
 
 def _toward(endpoint: float, x):
@@ -88,8 +79,6 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
     iterations; it carries the last bracket) and NumericError (fn gave NaN)
     name as ``index`` the first failing element of the flattened batch.
     """
-    if spec.check_monotone and not spec.sample_check():
-        raise NumericError("function is not monotone on the given interval")
     shape, u = np.shape(u), np.ravel(np.asarray(u, float))
     target = tol * np.maximum(1.0, np.abs(u))
 

@@ -1,7 +1,11 @@
+import csv
 import json
+import math
 
+import numpy as np
 import pytest
 
+import lsd.experiments
 from lsd.cli import main
 from lsd.config import parse_config
 from lsd.errors import ConfigurationError
@@ -83,6 +87,26 @@ seed = 5
 """
 
 
+COMPARE_CIR = """
+[experiment]
+kind = compare
+model = cir
+name = diffs
+
+[params]
+k1 = 2
+k2 = 2
+k3 = 1
+
+[run]
+x0 = 4
+T = 1
+schemes = lsd1, lsd2, sd_theta
+dt = 0.01, 0.02
+seed = 3
+"""
+
+
 class TestParse:
     def test_minimal_with_defaults(self):
         cfg = parse_config(MINIMAL_CIR)
@@ -135,9 +159,18 @@ class TestParse:
         with pytest.raises(ConfigurationError, match=r"missing parameters \['k3'\]"):
             parse_config(bad)
 
-    def test_round_trip(self):
-        cfg = parse_config(TINY_CONVERGENCE)
-        assert parse_config(cfg.to_text()) == cfg
+    @pytest.mark.parametrize("line, bad", [
+        ("T = 1", "T = inf"), ("dt = 0.25, 0.125", "dt = 0.25, nan"),
+        ("x0 = 4", "x0 = inf"), ("k1 = 2", "k1 = inf"),
+        ("x0 = 4", "x0 = 4\ntheta = nan"), ("x0 = 4", "x0 = 4\nseed = -3"),
+    ])
+    def test_non_finite_real_or_negative_seed_names_key_and_line(self, line, bad):
+        text = MINIMAL_CIR.replace(line, bad)
+        key = bad.splitlines()[-1].split()[0]
+        line_no = text.splitlines().index(bad.splitlines()[-1]) + 1
+        with pytest.raises(ConfigurationError,
+                           match=rf"^line {line_no}: .*\b{key}\b"):
+            parse_config(text)
 
     @pytest.mark.parametrize("key", ["wf_implicit_sign", "ait_implicit_variant"])
     def test_removed_implicit_key_is_unknown(self, key):
@@ -270,30 +303,75 @@ seed = 6
         assert counters["lsd1"] == {"non_real": 0, "clamped": 0, "negative": 0}
 
     def test_compare_kind(self, tmp_path):
-        text = """
-[experiment]
-kind = compare
-model = cir
-name = diffs
-
-[params]
-k1 = 2
-k2 = 2
-k3 = 1
-
-[run]
-x0 = 4
-T = 1
-schemes = lsd1, lsd2, sd_theta
-dt = 0.01, 0.02
-seed = 3
-"""
-        cfg = self._write(tmp_path, text)
+        cfg = self._write(tmp_path, COMPARE_CIR)
         assert main([str(cfg), "--out", str(tmp_path / "o")]) == 0
         lines = (tmp_path / "o" / "diffs.csv").read_text().splitlines()
         assert lines[0] == "scheme_a,scheme_b,dt,t,diff"
         summary = json.loads((tmp_path / "o" / "diffs.json").read_text())
         assert set(summary["max_abs_diff"]) == {"lsd2", "sd_theta"}
+
+    def test_compare_runs_each_scheme_once_per_dt(self, tmp_path, monkeypatch):
+        calls = []
+        run_one = lsd.experiments.simulate_path
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return run_one(*args, **kwargs)
+
+        monkeypatch.setattr(lsd.experiments, "simulate_path", counted)
+        cfg = self._write(tmp_path, COMPARE_CIR)
+        assert main([str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 3 * 2
+
+    def test_compare_diffs_are_simulate_columns_subtracted(self, tmp_path):
+        cfg = self._write(tmp_path, COMPARE_CIR)
+        sim = self._write(tmp_path, COMPARE_CIR.replace(
+            "kind = compare", "kind = simulate").replace("diffs", "paths"),
+            "sim.cfg")
+        assert main([str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert main([str(sim), "--out", str(tmp_path / "o")]) == 0
+        with open(tmp_path / "o" / "paths.csv") as fh:
+            columns = {(r["dt"], r["t"]): r for r in csv.DictReader(fh)}
+        with open(tmp_path / "o" / "diffs.csv") as fh:
+            diffs = list(csv.DictReader(fh))
+        assert len(diffs) == 2 * len(columns)
+        for r in diffs:
+            path = columns[r["dt"], r["t"]]
+            expected = float(path[r["scheme_a"]]) - float(path[r["scheme_b"]])
+            assert float(r["diff"]) == expected
+
+    def test_compare_reports_a_nan_difference(self, tmp_path):
+        # the overflowed path's NaNs must reach max_abs_diff, not read as 0
+        text = COMPARE_CIR.replace("x0 = 4", "x0 = 1e308").replace(
+            "lsd1, lsd2, sd_theta", "lsd1, lsd2").replace(
+            "dt = 0.01, 0.02", "dt = 0.25")
+        cfg = self._write(tmp_path, text)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main([str(cfg), "--out", str(tmp_path / "o")]) == 0
+        summary = json.loads((tmp_path / "o" / "diffs.json").read_text())
+        assert math.isnan(summary["max_abs_diff"]["lsd2"])
+
+    def test_compare_accepts_exact_ou(self, tmp_path):
+        text = COMPARE_CIR.replace("k3 = 1", "k3 = 2").replace(
+            "lsd1, lsd2, sd_theta", "lsd1, exact_ou")
+        cfg = self._write(tmp_path, text)
+        assert main([str(cfg), "--out", str(tmp_path / "o")]) == 0
+        summary = json.loads((tmp_path / "o" / "diffs.json").read_text())
+        assert math.isfinite(summary["max_abs_diff"]["exact_ou"])
+
+    def test_step_too_small_for_a_step_count_fails_cleanly(self, tmp_path,
+                                                          capsys):
+        text = MINIMAL_WF_SIMULATE.replace("dt = 0.01", "dt = 1e-320")
+        cfg = self._write(tmp_path, text)
+        assert main([str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "no finite step count" in capsys.readouterr().err
+
+    def test_negative_seed_option_is_rejected(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, MINIMAL_WF_SIMULATE)
+        out = tmp_path / "o"
+        assert main([str(cfg), "--out", str(out), "--seed", "-3"]) == 1
+        assert "--seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_exact_cir_kind(self, tmp_path):
         text = """

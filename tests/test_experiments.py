@@ -7,11 +7,10 @@ import pytest
 import lsd.experiments
 from lsd.errors import (ConfigurationError, DataError, DegenerateStateError,
                         DomainError, InversionError, NumericError)
-from lsd.experiments import (_batches, _terminal_batch,
-                             difference_trajectories,
+from lsd.experiments import (_batches, _steps_for, _terminal_batch,
                              domain_violation_scan, exact_cir_error_decay,
                              exact_cir_experiment, fit_order, simulate_path,
-                             strong_error)
+                             simulate_paths, strong_error)
 from lsd.models import CirParams
 from lsd.schemes import SCHEMES, SchemeId, make_stepper
 from lsd.wiener import (cir_effective_increment, generate_lattice,
@@ -288,15 +287,17 @@ class TestStrongError:
 
 
 class TestDifferenceTrajectories:
+    """The differences ``compare`` writes: two schemes on one path per dt."""
+
     def test_identical_schemes_give_zero(self, cir_params):
-        series = difference_trajectories(CIR_LSD1, CIR_LSD1, cir_params, 4.0,
-                                         1.0, [1e-2], seed=2)
-        assert np.all(series[0].diffs == 0.0)
+        a, b = simulate_paths([CIR_LSD1, CIR_LSD1], cir_params, 4.0, 1.0,
+                              [1e-2], seed=2)[1e-2]
+        assert np.all(a.values - b.values == 0.0)
 
     def test_model_mismatch(self, cir_params):
         with pytest.raises(ConfigurationError):
-            difference_trajectories(CIR_LSD1, SchemeId("cev", "lsd1"),
-                                    cir_params, 4.0, 1.0, [1e-2], seed=2)
+            simulate_paths([CIR_LSD1, SchemeId("cev", "lsd1")], cir_params,
+                           4.0, 1.0, [1e-2], seed=2)
 
     def test_zero_noise_gap_scales_with_dt(self, cir_params):
         # both variants discretise the same transformed flow to first order
@@ -309,12 +310,45 @@ class TestDifferenceTrajectories:
         assert max(peaks.values()) <= 2.0 * min(peaks.values())
 
     def test_lsd_vs_companion_stays_sane(self, cir_params):
-        series = difference_trajectories(CIR_LSD1, SchemeId("cir", "sd_theta"),
-                                         cir_params, 4.0, 1.0, [1e-4], seed=2)
+        a, b = simulate_paths([CIR_LSD1, SchemeId("cir", "sd_theta")],
+                              cir_params, 4.0, 1.0, [1e-4], seed=2)[1e-4]
         pa = simulate_path(
             CIR_LSD1, cir_params, 4.0, 1.0, 10_000,
             generate_lattice(path_seed(2, 0), 1.0, 10_000, 0).increments)
-        assert np.max(np.abs(series[0].diffs)) < np.max(pa.values)
+        assert a.values.tobytes() == pa.values.tobytes()
+        assert np.max(np.abs(a.values - b.values)) < np.max(pa.values)
+
+
+class TestSimulatePaths:
+    def test_beside_exact_ou_a_scheme_keeps_its_path(self, cir_ou_params):
+        exact_ou = SchemeId("cir", "exact_ou")
+        dts = [0.01, 0.005]
+        alone = simulate_paths([CIR_LSD1], cir_ou_params, 4.0, 1.0, dts, seed=3)
+        beside = simulate_paths([exact_ou, CIR_LSD1], cir_ou_params, 4.0, 1.0,
+                                dts, seed=3)
+        for k, dt in enumerate(dts):
+            assert beside[dt][1].values.tobytes() == alone[dt][0].values.tobytes()
+            n = _steps_for(1.0, dt)
+            dw = generate_lattice(path_seed(3, k), 1.0, n, 0, drivers=2)
+            ou = simulate_path(exact_ou, cir_ou_params, 4.0, 1.0, n, dw.increments)
+            assert beside[dt][0].values.tobytes() == ou.values.tobytes()
+
+    def test_repeated_dt_is_rejected(self, cir_params):
+        # dt number k draws path k, and the results are keyed by dt
+        with pytest.raises(ConfigurationError, match="repeat"):
+            simulate_paths([CIR_LSD1], cir_params, 4.0, 1.0, [0.1, 0.05, 0.1],
+                           seed=1)
+
+    def test_empty_scheme_list_is_rejected(self, cir_params):
+        with pytest.raises(ConfigurationError, match="at least one scheme"):
+            simulate_paths([], cir_params, 4.0, 1.0, [0.1], seed=1)
+
+
+@pytest.mark.parametrize("T, dt", [(1.0, 1e-320), (1.0, math.nan),
+                                   (math.inf, 0.1)])
+def test_steps_for_rejects_a_non_finite_step_count(T, dt):
+    with pytest.raises(ConfigurationError, match="no finite step count"):
+        _steps_for(T, dt)
 
 
 class TestExactCir:

@@ -64,13 +64,6 @@ def test_nan_raises_numeric_error():
         invert_monotone(spec, 1.0)
 
 
-def test_monotone_sample_check():
-    spec = MonotoneSpec(lambda x: math.sin(x), lo=0.0, hi=6.0,
-                        check_monotone=True)
-    with pytest.raises(NumericError):
-        invert_monotone(spec, 0.5)
-
-
 def test_seed_near_root_converges_fast():
     spec = MonotoneSpec(lambda x: x + math.log1p(x))
     u = spec.fn(2.371)

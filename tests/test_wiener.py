@@ -31,6 +31,14 @@ class TestGenerate:
         np.testing.assert_array_equal(a.increments, b.increments)
         assert a.increments.shape == (2, 64)
 
+    @pytest.mark.parametrize("n", [1, 7, 100, 2**14])
+    def test_first_of_two_drivers_is_the_one_driver_lattice(self, n):
+        # simulate_paths hands a one-driver scheme the first driver
+        for seed in (0, 1, 7, path_seed(3, 2), 2**63):
+            one = generate_lattice(seed, 1.0, n, 0).increments
+            two = generate_lattice(seed, 1.0, n, 0, drivers=2).increments
+            assert two[0].tobytes() == one.tobytes()
+
     def test_distinct_seeds_decorrelated(self):
         n = 10_000
         a = generate_lattice(1, 1.0, n, 0).increments

@@ -2,8 +2,8 @@
 
 Each run writes ``<name>.csv`` (data, 17-significant-digit reals so every
 float round-trips) and ``<name>.json`` (summary with fitted slopes, counters,
-and wall time).  Outputs are byte-stable for a fixed (config, seed)
-combination.  Paths run serially in one process; a worker-count option is
+wall time; a non-finite real is null).  Outputs are byte-stable for a fixed
+(config, seed).  Paths run serially in one process; a worker-count option is
 still accepted for old command lines and has no effect.  On any error the
 partially written files are removed and the exit status is nonzero.
 
@@ -14,9 +14,11 @@ Each kind's runner only formats what :mod:`lsd.experiments` computes;
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import List, Tuple
 
@@ -34,6 +36,15 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _finite_or_null(value):
+    """``value`` with each non-finite float, at any depth, replaced by None."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _build_params(cfg: ExperimentConfig):
     try:
         return PARAMS_BY_MODEL[cfg.model](**cfg.params)
@@ -46,15 +57,15 @@ def _scheme_ids(cfg: ExperimentConfig) -> List[SchemeId]:
 
 
 def _run_convergence(cfg, params):
+    ids = _scheme_ids(cfg)
+    reference = SchemeId(cfg.model, cfg.reference) if cfg.reference else None
+    reports = strong_error(
+        ids, reference, params, cfg.x0, cfg.T, cfg.dts,
+        cfg.resolved_ref_step(), cfg.resolved_m_samples(), cfg.seed,
+        theta=cfg.theta)
     rows = [("scheme", "dt", "rms", "stderr")]
     slopes, intercepts = {}, {}
-    for scheme in _scheme_ids(cfg):
-        reference = (SchemeId(cfg.model, cfg.reference)
-                     if cfg.reference else scheme)
-        report = strong_error(
-            scheme, reference, params, cfg.x0, cfg.T, cfg.dts,
-            cfg.resolved_ref_step(), cfg.resolved_m_samples(), cfg.seed,
-            theta=cfg.theta)
+    for scheme, report in zip(ids, reports):
         for dt, rms, se in zip(report.step_sizes, report.rms_errors,
                                report.stderrs):
             rows.append((scheme.variant, _fmt(dt), _fmt(rms), _fmt(se)))
@@ -102,12 +113,12 @@ def _run_compare(cfg, params):
 
 def _run_exact_cir(cfg, params):
     ids = _scheme_ids(cfg)
+    decays = exact_cir_error_decay(
+        params, cfg.x0, cfg.m, cfg.dts, cfg.T, cfg.resolved_m_samples(),
+        cfg.seed, ids, theta=cfg.theta)
     rows = [("scheme", "dt", "mean_abs_terminal_diff")]
     means = {}
-    for scheme in ids:
-        decay = exact_cir_error_decay(
-            params, cfg.x0, cfg.m, cfg.dts, cfg.T, cfg.resolved_m_samples(),
-            cfg.seed, scheme, theta=cfg.theta)
+    for scheme, decay in zip(ids, decays):
         means[scheme.variant] = {str(dt): v for dt, v in decay.items()}
         for dt in sorted(decay, reverse=True):
             rows.append((scheme.variant, _fmt(dt), _fmt(decay[dt])))
@@ -134,7 +145,7 @@ def _run_scan(cfg, params):
             c = per_dt[dt]
             rows.append((scheme.variant, _fmt(dt), str(c.negative_states),
                          str(c.non_real_events), str(c.clamp_events)))
-            summary[scheme.variant][str(dt)] = c.as_dict()
+            summary[scheme.variant][str(dt)] = asdict(c)
     return rows, {"counters": summary, "M": cfg.resolved_m_samples()}
 
 
@@ -178,7 +189,8 @@ def run(cfg: ExperimentConfig, out_dir: Path, name: str) -> Tuple[Path, Path]:
             for row in rows:
                 fh.write(",".join(str(c) for c in row) + "\n")
         with open(tmp_json, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
+            json.dump(_finite_or_null(summary), fh, indent=2, sort_keys=True,
+                      allow_nan=False)
             fh.write("\n")
         os.replace(tmp_csv, csv_path)
         os.replace(tmp_json, json_path)

@@ -9,9 +9,10 @@ dyadic coarsening of a finest-level increment lattice, which is what turns
 terminal differences into pathwise strong-error estimates.
 
 :func:`_batches` is the one loop over paths: it draws each batch's lattice
-once and coarsens its ladder finest-first.  :func:`_terminal_batch` is the
-one loop over time.  A single path runs through it as a batch of one, and
-the squared-OU comparison as one two-driver stepper carrying its riders.
+once, time-major, for every scheme of a call and coarsens its ladder
+finest-first.  :func:`_terminal_batch` is the one loop over time.  A single
+path runs through it as a batch of one, and the squared-OU comparison as
+one two-driver stepper carrying its riders.
 :func:`simulate_paths` draws one path per step size and runs every listed
 scheme on it once; the ``simulate`` and ``compare`` kinds report its paths.
 """
@@ -28,9 +29,9 @@ from .schemes import SchemeId, make_stepper
 from .wiener import (cir_effective_increment, generate_lattice,
                      halve_increments, path_seed)
 
-# Paths per batch.  Each batch's partial sums, added in path order, set the
-# rounding of every reported number, so this is part of the output; one
-# batch's lattice at the reference step 2^-14 is 256 x 2^14 x 8 B = 32 MiB.
+# Paths per batch.  It sets only the rounding of the output, as each batch's
+# partial sums are added in path order.  One batch's lattice, time-major, at
+# the reference step 2^-14 is 256 x 2^14 x 8 B = 32 MiB.
 _BATCH = 256
 
 
@@ -64,11 +65,6 @@ class ScanCounters:
     negative_states: int = 0
     non_real_events: int = 0
     clamp_events: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {"negative_states": self.negative_states,
-                "non_real_events": self.non_real_events,
-                "clamp_events": self.clamp_events}
 
 
 @dataclass
@@ -130,7 +126,8 @@ def _batches(seed, M, T, n, halvings, drivers=1):
 
     ``inc[0]`` holds the batch's n-step lattices, each path's draw from
     ``path_seed(seed, i)`` written into its row, and ``inc[h]`` is that
-    halved h times for each h in ``halvings``.  Levels are coarsened
+    halved h times for each h in ``halvings``.  They are time-major: step
+    j's increments, ``inc[h].T[j]``, are contiguous.  Levels are coarsened
     finest-first, each from the previous one, which gives the same floats
     as halving ``inc[0]`` directly.
     The dict is emptied before the next batch is drawn, so one batch's
@@ -140,7 +137,7 @@ def _batches(seed, M, T, n, halvings, drivers=1):
     shape = (n,) if drivers == 1 else (drivers, n)
     for start in range(0, M, _BATCH):
         paths = range(start, min(start + _BATCH, M))
-        inc = {0: np.empty((len(paths), *shape))}
+        inc = {0: np.empty((*shape[::-1], len(paths))).T}
         for row, i in zip(inc[0], paths):
             row[...] = generate_lattice(path_seed(seed, i), T, n, 0,
                                         drivers=drivers).increments
@@ -285,36 +282,45 @@ def fit_order(step_sizes, errors):
     return slope, intercept
 
 
-def strong_error(scheme: SchemeId, reference: SchemeId, params: ModelParams,
-                 x0: float, T: float, step_sizes: Sequence[float],
-                 ref_step: float, M: int, seed: int,
-                 theta: float = 1.0) -> ErrorReport:
+def strong_error(schemes: Sequence[SchemeId], reference: Optional[SchemeId],
+                 params: ModelParams, x0: float, T: float,
+                 step_sizes: Sequence[float], ref_step: float, M: int,
+                 seed: int, theta: float = 1.0) -> List[ErrorReport]:
     """Root-mean-square terminal distance to a fine-step reference solution.
 
-    All runs for one path index are driven by coarsenings of that path's
-    lattice, so the difference at the horizon is a pathwise coupling error.
-    A level whose error is not finite raises NumericError; levels with zero
-    error are left out of the fit.
+    One report per scheme, in order, against ``reference`` or, if that is
+    None, against itself.  All runs for one path index are driven by
+    coarsenings of that path's lattice, drawn once for all schemes, so the
+    difference at the horizon is a pathwise coupling error.  A non-finite
+    level raises NumericError; levels with zero error are left out of the fit.
     """
     if M < 2:
         raise ConfigurationError(f"need at least 2 paths, got {M}")
-    if scheme.model != reference.model:
-        raise ConfigurationError(
-            f"scheme {scheme} and reference {reference} use different models")
+    refs = [s if reference is None else reference for s in schemes]
     dts = sorted(set(float(d) for d in step_sizes), reverse=True)
     n_ref, halvings = _dyadic_plan(T, dts, ref_step)
-    run = make_stepper(scheme, params, theta=theta)
-    ref = make_stepper(reference, params, theta=theta)
-    if run.drivers != 1 or ref.drivers != 1:
+    steppers = {s: make_stepper(s, params, theta=theta)
+                for s in dict.fromkeys([*refs, *schemes])}
+    if any(st.drivers != 1 for st in steppers.values()):
         raise ConfigurationError("strong_error supports single-driver schemes")
-    sum2, sum4 = dict.fromkeys(dts, 0.0), dict.fromkeys(dts, 0.0)
+    sums = [(dict.fromkeys(dts, 0.0), dict.fromkeys(dts, 0.0)) for _ in schemes]
     for paths, inc in _batches(seed, M, T, n_ref, halvings.values()):
-        x_ref = _terminal_batch(ref, x0, ref_step, inc[0], paths=paths)
-        for dt in dts:
-            x_dt = _terminal_batch(run, x0, dt, inc[halvings[dt]], paths=paths)
-            diff_sq = (x_dt - x_ref) ** 2
-            sum2[dt] += float(np.sum(diff_sq))
-            sum4[dt] += float(np.sum(diff_sq**2))
+        x_ref = {r: _terminal_batch(steppers[r], x0, ref_step, inc[0],
+                                    paths=paths)
+                 for r in dict.fromkeys(refs)}
+        for scheme, ref, (sum2, sum4) in zip(schemes, refs, sums):
+            for dt in dts:
+                x_dt = _terminal_batch(steppers[scheme], x0, dt,
+                                       inc[halvings[dt]], paths=paths)
+                diff_sq = (x_dt - x_ref[ref]) ** 2
+                sum2[dt] += float(np.sum(diff_sq))
+                sum4[dt] += float(np.sum(diff_sq**2))
+    return [_error_report(scheme, ref, dts, sum2, sum4, M, ref_step)
+            for scheme, ref, (sum2, sum4) in zip(schemes, refs, sums)]
+
+
+def _error_report(scheme, reference, dts, sum2, sum4, M, ref_step):
+    """A report from per-dt sums of squared errors and of their squares."""
     rms, stderr = [], []
     for dt in dts:
         mean_e = sum2[dt] / M
@@ -412,26 +418,27 @@ def exact_cir_experiment(params: ModelParams, x0: float, m_split: float,
 
 def exact_cir_error_decay(params: ModelParams, x0: float, m_split: float,
                           step_sizes: Sequence[float], T: float, M: int,
-                          seed: int, scheme: SchemeId,
-                          theta: float = 1.0) -> Dict[float, float]:
-    """Mean terminal distance between a scheme and the squared-OU path per dt.
+                          seed: int, schemes: Sequence[SchemeId],
+                          theta: float = 1.0) -> List[Dict[float, float]]:
+    """Mean terminal distance between each scheme and the squared-OU path per dt.
 
-    Step sizes must form a dyadic family; each path's two-driver lattice is
-    generated at the finest step and coarsened, so refinements stay coupled.
-    Per dt, each batch runs once through the stepping loop with the scheme
-    riding the squared-OU construction.
+    Returns one ``{dt: mean}`` per scheme, in order.  Step sizes must form a
+    dyadic family; each path's two-driver lattice is generated at the finest
+    step and coarsened, so refinements stay coupled.  Per dt, each batch
+    runs once through the stepping loop with every scheme riding it.
     """
     if M < 1:
         raise ConfigurationError(f"need at least 1 path, got M={M}")
     dts = sorted(set(float(d) for d in step_sizes), reverse=True)
     n_ref, halvings = _dyadic_plan(T, dts)
-    ride = _SquaredOuRide(params, m_split, [scheme], theta)
-    total = dict.fromkeys(dts, 0.0)
+    ride = _SquaredOuRide(params, m_split, schemes, theta)
+    totals = [dict.fromkeys(dts, 0.0) for _ in schemes]
     for paths, inc in _batches(seed, M, T, n_ref, halvings.values(), drivers=2):
         for dt in dts:
             x = _terminal_batch(ride, x0, dt, inc[halvings[dt]], paths=paths)
-            total[dt] += float(np.sum(np.abs(x[3] - x[2])))
-    return {dt: total[dt] / M for dt in dts}
+            for total, x_scheme in zip(totals, x[3:]):
+                total[dt] += float(np.sum(np.abs(x_scheme - x[2])))
+    return [{dt: total[dt] / M for dt in dts} for total in totals]
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,10 @@ class Scheme:
     """One row of :data:`SCHEMES`.
 
     ``step(p, state, dw, dt)`` advances the iterated coordinate (``theta``
-    rows take theta fifth).  ``to_state(p, x)`` and ``to_x(p, state)`` map
-    x to it and back; they are unset where it is the Lamperti coordinate.
+    rows take theta fifth); a row may set ``bind(p, dt)`` instead, which
+    folds the per-dt constants and returns ``map(state, dw)``.
+    ``to_state(p, x)`` and ``to_x(p, state)`` map x to it and back; they
+    are unset where it is the Lamperti coordinate.
     ``mask``: the step returns ``(state, mask)`` with a ``"non_real"`` mask
     (the state is complex and may leave the real line; x is its real part)
     or a ``"clamped"`` one, or, if unset, the state alone.  Steps map arrays
@@ -35,27 +37,28 @@ class Scheme:
     squared-OU row, run by :class:`ExactOuStepper`.
     """
 
-    step: Callable
+    step: Optional[Callable] = None
     to_state: Optional[Callable] = None
     to_x: Optional[Callable] = None
     mask: Optional[str] = None
     theta: bool = False
     check: Optional[Callable] = None
     drivers: int = 1
+    bind: Optional[Callable] = None
 
 
 # The maps of the rows that iterate x itself.
 _IN_X = dict(to_state=lambda p, x: x, to_x=lambda p, x: x)
 
 SCHEMES = {
-    ("cir", "lsd1"): Scheme(cir.lsd1_step),
-    ("cir", "lsd2"): Scheme(cir.lsd2_step),
-    ("cir", "lsd3"): Scheme(cir.lsd3_step),
+    ("cir", "lsd1"): Scheme(bind=cir.lsd1_bind),
+    ("cir", "lsd2"): Scheme(bind=cir.lsd2_bind),
+    ("cir", "lsd3"): Scheme(bind=cir.lsd3_bind),
     ("cir", "sd_theta"): Scheme(cir.sd_theta_step, **_IN_X, mask="non_real", theta=True),
     ("cir", "alf"): Scheme(cir.alf_step, **_IN_X, mask="non_real"),
     ("cir", "ns"): Scheme(cir.ns_step, to_state=lambda p, x: np.sqrt(x),
                           to_x=lambda p, v: v * v, mask="non_real"),
-    ("cir", "exact_ou"): Scheme(cir.exact_ou_step, drivers=2),
+    ("cir", "exact_ou"): Scheme(bind=cir.exact_ou_bind, drivers=2),
     ("cev", "lsd1"): Scheme(cev.lsd1_step),
     ("cev", "lsd2"): Scheme(cev.lsd2_step),
     ("cev", "lsd3"): Scheme(cev.lsd3_step),
@@ -124,9 +127,13 @@ def _broadcast(value, size):
 
 
 class Stepper:
-    """Advances one single-driver scheme; built by :func:`make_stepper`."""
+    """Advances one scheme; built by :func:`make_stepper`.
+
+    A row with ``bind`` is bound again only when a step's dt changes.
+    """
 
     drivers = 1
+    _dt = _map = None
 
     def __init__(self, scheme: Scheme, params: ModelParams, theta: float):
         self.scheme = scheme
@@ -142,7 +149,12 @@ class Stepper:
 
     def step(self, state, dw, dt):
         s = self.scheme
-        out = s.step(self.params, state, dw, dt, *self.extra)
+        if s.bind is None:
+            out = s.step(self.params, state, dw, dt, *self.extra)
+        else:
+            if dt != self._dt:
+                self._dt, self._map = dt, s.bind(self.params, dt)
+            out = self._map(state, dw)
         if s.mask is None:
             return out, _NO_EVENTS
         value, mask = out
@@ -157,16 +169,16 @@ class Stepper:
         return np.real(x) if self.scheme.mask == "non_real" else x
 
 
-class ExactOuStepper:
-    """Squared-OU reference construction; needs two drivers per step."""
+class ExactOuStepper(Stepper):
+    """Squared-OU reference construction: state (x1, x2), dw (dw1, dw2)."""
 
     drivers = 2
 
-    def __init__(self, params, m_split=0.5):
+    def __init__(self, scheme: Scheme, params, m_split=0.5):
         cir.check_exact_ou_dimension(params)
         if not 0.0 < m_split < 1.0:
             raise ConfigurationError(f"split weight must lie in (0,1), got {m_split}")
-        self.params = params
+        super().__init__(scheme, params, theta=1.0)
         self.m_split = m_split
 
     def init(self, x0, size=None):
@@ -174,11 +186,6 @@ class ExactOuStepper:
         x1 = np.sqrt(self.m_split * x0)
         x2 = np.sqrt((1.0 - self.m_split) * x0)
         return _broadcast(x1, size), _broadcast(x2, size)
-
-    def step(self, state, dw, dt):
-        dw1, dw2 = dw
-        x1, x2 = state
-        return cir.exact_ou_step(self.params, x1, x2, dw1, dw2, dt), _NO_EVENTS
 
     def x_of(self, state):
         x1, x2 = state
@@ -201,7 +208,7 @@ def make_stepper(scheme: SchemeId, params: ModelParams, theta: float = 1.0,
     row = SCHEMES[scheme.model, scheme.variant]
     if row.check is not None:
         row.check(params)
-    stepper = (ExactOuStepper(params, m_split=m_split) if row.drivers == 2
+    stepper = (ExactOuStepper(row, params, m_split=m_split) if row.drivers == 2
                else Stepper(row, params, theta))
     stepper.scheme_id = scheme
     return stepper

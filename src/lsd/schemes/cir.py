@@ -16,22 +16,43 @@ from ._complex import sqrt_with_fallback
 _EXACT_OU_DIMENSION_TOL = 1e-12
 
 
-def lsd1_step(p, y, dw, dt):
+def _bernoulli_affine(B, C, dt):
+    # bernoulli_power(A, B, C, 1, dt) = shift + growth A^2, bit for bit on
+    # both branches for 0-d B and C
+    return (bernoulli_power(0.0, B, C, 1.0, dt),
+            bernoulli_power(1.0, 0.0, C, 1.0, dt))
+
+
+def lsd1_bind(p, dt):
     """Linear drift part frozen: y' = sqrt((dw + (1 - b dt) y)^2 + 2 a dt)."""
-    A = dw + (1.0 - p.b * dt) * y
-    return np.sqrt(bernoulli_power(A, p.a, 0.0, 1.0, dt))
+    decay = 1.0 - p.b * dt
+    shift, growth = _bernoulli_affine(p.a, 0.0, dt)
+    return lambda y, dw: np.sqrt(shift + growth * np.square(dw + decay * y))
+
+
+def lsd2_bind(p, dt):
+    """Full drift kept: y' = sqrt((dw + y)^2 e^(-2b dt) + a(1 - e^(-2b dt))/b)."""
+    shift, growth = _bernoulli_affine(p.a, -p.b, dt)
+    return lambda y, dw: np.sqrt(shift + growth * np.square(dw + y))
+
+
+def lsd3_bind(p, dt):
+    """Algebraic variant: positive root of (1+b dt) v^2 - (dw+y) v - a dt = 0."""
+    c1 = 1.0 + p.b * dt
+    q, d = 4.0 * c1 * p.a * dt, 2.0 * c1
+    return lambda y, dw: ((s := dw + y) + np.sqrt(s * s + q)) / d
+
+
+def lsd1_step(p, y, dw, dt):
+    return lsd1_bind(p, dt)(y, dw)
 
 
 def lsd2_step(p, y, dw, dt):
-    """Full drift kept: y' = sqrt((dw + y)^2 e^(-2b dt) + a(1 - e^(-2b dt))/b)."""
-    return np.sqrt(bernoulli_power(dw + y, p.a, -p.b, 1.0, dt))
+    return lsd2_bind(p, dt)(y, dw)
 
 
 def lsd3_step(p, y, dw, dt):
-    """Algebraic variant: positive root of (1+b dt) v^2 - (dw+y) v - a dt = 0."""
-    s = dw + y
-    c1 = 1.0 + p.b * dt
-    return (s + np.sqrt(s * s + 4.0 * c1 * p.a * dt)) / (2.0 * c1)
+    return lsd3_bind(p, dt)(y, dw)
 
 
 def sd_theta_step(p, x, dw, dt, theta):
@@ -75,13 +96,14 @@ def check_exact_ou_dimension(p):
             f"squared-OU construction needs 4*k1/k3^2 = 2, got {d}")
 
 
-def exact_ou_step(p, x1, x2, dw1, dw2, dt):
+def exact_ou_bind(p, dt):
     """Advance the two independent OU components whose squares sum to x.
 
     Each component solves dX = -(k2/2) X dt + (k3/2) dW exactly over dt: it
     decays by e^(-k2 dt/2) and gains noise of variance
     (k3^2/4)(1 - e^(-k2 dt))/k2, carried here by the increment dw ~ N(0, dt).
+    The map takes the pair ``(x1, x2)`` and the increments ``(dw1, dw2)``.
     """
     decay = np.exp(-0.5 * p.k2 * dt)
     gain = 0.5 * p.k3 * np.sqrt(-np.expm1(-p.k2 * dt) / (p.k2 * dt))
-    return decay * x1 + gain * dw1, decay * x2 + gain * dw2
+    return lambda x, dw: (decay * x[0] + gain * dw[0], decay * x[1] + gain * dw[1])

@@ -19,13 +19,25 @@ _DENOMINATOR_TOL = 1e-12
 
 
 def _fold(y_raw):
-    """Map an arbitrary real angle to its representative in (0, pi)."""
+    """Map an arbitrary real angle to its representative in (0, pi).
+
+    An angle that lands on 0 or pi, where cot or tan is infinite, raises.
+    """
     raw = np.asarray(y_raw, float)
     inside = (raw > 0.0) & (raw < np.pi)
     if np.all(inside):
         return y_raw, np.zeros(raw.shape, dtype=bool)
     folded = 2.0 * np.arcsin(np.abs(np.sin(0.5 * raw)))
+    _require(inside | ((folded > 0.0) & (folded < np.pi)),
+             "fold reached the boundary of (0, pi)")
     return np.where(inside, raw, folded), ~inside
+
+
+def _require(ok, what):
+    """Raise StepSizeError naming the first path where ``ok`` is false."""
+    if not np.all(ok):
+        raise StepSizeError(f"{what}; decrease the step size",
+                            index=int(np.flatnonzero(np.logical_not(ok))[0]))
 
 
 def lsd1_step(p, y, dw, dt):
@@ -39,12 +51,10 @@ def lsd1_step(p, y, dw, dt):
 
 
 def lsd2_step(p, y, dw, dt):
-    """Fully frozen-ratio variant; denominator can vanish for large dt."""
+    """Fully frozen-ratio variant; raises where the denominator is not positive."""
     cot = 1.0 / np.tan(0.5 * y)
     denom = 1.0 - (p.a / y) * cot * dt + (p.b / y) * np.tan(0.5 * y) * dt
-    if np.any(np.abs(denom) < _DENOMINATOR_TOL):
-        raise StepSizeError(
-            "update denominator vanished; decrease the step size")
+    _require(denom >= _DENOMINATOR_TOL, "update denominator is not positive")
     return _fold((p.k3 * dw + y) / denom)
 
 

@@ -59,8 +59,8 @@ def _report(cid, ok, detail):
 def test_c1_cir_convergence_order(variant):
     scheme = SchemeId("cir", variant)
     started = time.perf_counter()
-    report = strong_error(scheme, scheme, CIR, 4.0, 1.0, LADDER, REF_STEP,
-                          M=1000, seed=SEED)
+    report = strong_error([scheme], scheme, CIR, 4.0, 1.0, LADDER, REF_STEP,
+                          M=1000, seed=SEED)[0]
     elapsed = time.perf_counter() - started
     ok = 0.8 <= report.slope <= 1.15 and elapsed <= 120.0
     _report(1, ok, f"cir {variant} slope={report.slope:.4f} "
@@ -83,8 +83,8 @@ _C2_CASES += [("ait", AIT, 4.0, v) for v in ("lsd1", "lsd2")]
                          ids=[f"{m}-{v}" for m, _, _, v in _C2_CASES])
 def test_c2_other_models_convergence_order(model, params, x0, variant):
     scheme = SchemeId(model, variant)
-    report = strong_error(scheme, scheme, params, x0, 1.0, LADDER, REF_STEP,
-                          M=1000, seed=SEED)
+    report = strong_error([scheme], scheme, params, x0, 1.0, LADDER, REF_STEP,
+                          M=1000, seed=SEED)[0]
     ok = 0.75 <= report.slope <= 1.2
     _report(2, ok, f"{model} {variant} slope={report.slope:.4f}")
     assert 0.75 <= report.slope <= 1.2
@@ -165,7 +165,7 @@ def test_c5_exact_construction_identity():
 def test_c5_exact_coupling_decay():
     params = CirParams(2.0, 2.0, 2.0)
     decay = exact_cir_error_decay(params, 4.0, 0.5, [1e-3, 5e-4], 1.0, M=100,
-                                  seed=SEED, scheme=SchemeId("cir", "lsd1"))
+                                  seed=SEED, schemes=[SchemeId("cir", "lsd1")])[0]
     ratio = decay[5e-4] / decay[1e-3]
     ok = ratio <= 0.75
     _report(5, ok, f"coupling decay ratio={ratio:.4f} (need <= 0.75)")

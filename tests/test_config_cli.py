@@ -341,7 +341,8 @@ seed = 6
             assert float(r["diff"]) == expected
 
     def test_compare_reports_a_nan_difference(self, tmp_path):
-        # the overflowed path's NaNs must reach max_abs_diff, not read as 0
+        # the overflowed path's NaNs must reach max_abs_diff, not read as 0;
+        # the summary writes a non-finite real as null
         text = COMPARE_CIR.replace("x0 = 4", "x0 = 1e308").replace(
             "lsd1, lsd2, sd_theta", "lsd1, lsd2").replace(
             "dt = 0.01, 0.02", "dt = 0.25")
@@ -349,7 +350,21 @@ seed = 6
         with np.errstate(over="ignore", invalid="ignore"):
             assert main([str(cfg), "--out", str(tmp_path / "o")]) == 0
         summary = json.loads((tmp_path / "o" / "diffs.json").read_text())
-        assert math.isnan(summary["max_abs_diff"]["lsd2"])
+        assert summary["max_abs_diff"]["lsd2"] is None
+
+    def test_summary_is_strict_json_with_a_nan_slope(self, tmp_path):
+        # one level leaves nothing to fit: the slope is NaN, written as null
+        text = TINY_CONVERGENCE.replace("dt = 0.125, 0.0625", "dt = 0.125")
+        cfg = self._write(tmp_path, text)
+        assert main([str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        raw = (tmp_path / "o" / "tiny.json").read_text()
+        summary = json.loads(raw, parse_constant=reject)
+        assert summary["slope"] == {"lsd1": None, "lsd2": None}
+        assert summary["intercept"] == {"lsd1": None, "lsd2": None}
 
     def test_compare_accepts_exact_ou(self, tmp_path):
         text = COMPARE_CIR.replace("k3 = 1", "k3 = 2").replace(

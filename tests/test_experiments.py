@@ -161,8 +161,8 @@ class TestFitOrder:
 
 class TestStrongError:
     def test_zero_error_against_self(self, cir_params):
-        rep = strong_error(CIR_LSD1, CIR_LSD1, cir_params, 4.0, 1.0, [0.25],
-                           0.25, M=4, seed=3)
+        rep = strong_error([CIR_LSD1], CIR_LSD1, cir_params, 4.0, 1.0, [0.25],
+                           0.25, M=4, seed=3)[0]
         assert rep.rms_errors[0] == 0.0
         assert math.isnan(rep.slope)
 
@@ -170,15 +170,15 @@ class TestStrongError:
         # from x0 near the largest float both terminal values overflow
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericError, match=r"cir:lsd1 .*dt=\[.*0\.25\]"):
-            strong_error(CIR_LSD1, CIR_LSD2, cir_params, 1.7e308, 1.0,
+            strong_error([CIR_LSD1], CIR_LSD2, cir_params, 1.7e308, 1.0,
                          [0.5, 0.25], 0.125, M=4, seed=3)
 
     def test_rerun_is_identical(self, cir_params):
         # M = 300 spans two batches of paths
         kwargs = dict(x0=4.0, T=1.0, step_sizes=[2.0**-4, 2.0**-5],
                       ref_step=2.0**-8, M=300, seed=12)
-        a = strong_error(CIR_LSD2, CIR_LSD1, cir_params, **kwargs)
-        b = strong_error(CIR_LSD2, CIR_LSD1, cir_params, **kwargs)
+        a = strong_error([CIR_LSD2], CIR_LSD1, cir_params, **kwargs)[0]
+        b = strong_error([CIR_LSD2], CIR_LSD1, cir_params, **kwargs)[0]
         np.testing.assert_array_equal(a.rms_errors, b.rms_errors)
         np.testing.assert_array_equal(a.stderrs, b.stderrs)
 
@@ -187,8 +187,8 @@ class TestStrongError:
         # 256..299, added in that order; at this seed one sum over all 300
         # paths differs in the last bits at both levels
         T, ref_step, M, seed = 1.0, 2.0**-8, 300, 2
-        rep = strong_error(CIR_LSD2, CIR_LSD1, cir_params, 4.0, T,
-                           [2.0**-4, 2.0**-5], ref_step, M=M, seed=seed)
+        rep = strong_error([CIR_LSD2], CIR_LSD1, cir_params, 4.0, T,
+                           [2.0**-4, 2.0**-5], ref_step, M=M, seed=seed)[0]
         run = make_stepper(CIR_LSD2, cir_params)
         ref = make_stepper(CIR_LSD1, cir_params)
         for dt, rms in zip(rep.step_sizes, rep.rms_errors):
@@ -203,6 +203,22 @@ class TestStrongError:
                 sum2 += float(np.sum((x_dt - x_ref) ** 2))
             assert rms == math.sqrt(sum2 / M)
 
+    @pytest.mark.parametrize("reference", [None, CIR_LSD1])
+    def test_schemes_of_one_call_match_single_calls(self, cir_params,
+                                                    reference):
+        # M = 300 spans two batches; each batch is drawn once for both
+        # schemes and, with a shared reference, runs that reference once
+        kwargs = dict(x0=4.0, T=1.0, step_sizes=[2.0**-4, 2.0**-5],
+                      ref_step=2.0**-7, M=300, seed=8)
+        schemes = [CIR_LSD2, SchemeId("cir", "lsd3")]
+        both = strong_error(schemes, reference, cir_params, **kwargs)
+        for scheme, rep in zip(schemes, both):
+            alone, = strong_error([scheme], reference, cir_params, **kwargs)
+            assert rep.reference == (reference or scheme) == alone.reference
+            assert rep.rms_errors.tobytes() == alone.rms_errors.tobytes()
+            assert rep.stderrs.tobytes() == alone.stderrs.tobytes()
+            assert (rep.slope, rep.intercept) == (alone.slope, alone.intercept)
+
     def test_error_names_scheme_dt_step_and_paths(self, wf_params):
         # from x0 = 0.999 the first reference step's target lies above the
         # printed map's maximum
@@ -211,7 +227,7 @@ class TestStrongError:
                 InversionError,
                 match=r"wf:implicit_printed, dt=0\.125, at step 0, paths 0\.\.3: ",
         ) as excinfo:
-            strong_error(wf_printed, wf_printed, wf_params, 0.999, 1.0,
+            strong_error([wf_printed], wf_printed, wf_params, 0.999, 1.0,
                          [0.5, 0.25], 0.125, M=4, seed=3)
         assert excinfo.value.bracket is not None
 
@@ -230,29 +246,29 @@ class TestStrongError:
 
     def test_non_dyadic_ladder_rejected(self, cir_params):
         with pytest.raises(ConfigurationError):
-            strong_error(CIR_LSD1, CIR_LSD1, cir_params, 4.0, 1.0, [0.3],
+            strong_error([CIR_LSD1], CIR_LSD1, cir_params, 4.0, 1.0, [0.3],
                          0.1, M=4, seed=1)
         with pytest.raises(ConfigurationError):
-            strong_error(CIR_LSD1, CIR_LSD1, cir_params, 4.0, 1.0, [0.25],
+            strong_error([CIR_LSD1], CIR_LSD1, cir_params, 4.0, 1.0, [0.25],
                          0.25 / 3.0, M=4, seed=1)
 
     def test_empty_ladder_rejected(self, cir_params, cir_ou_params):
         with pytest.raises(ConfigurationError, match="empty"):
-            strong_error(CIR_LSD1, CIR_LSD1, cir_params, 4.0, 1.0, [], 0.125,
+            strong_error([CIR_LSD1], CIR_LSD1, cir_params, 4.0, 1.0, [], 0.125,
                          M=4, seed=1)
         with pytest.raises(ConfigurationError, match="empty"):
             exact_cir_error_decay(cir_ou_params, 4.0, 0.5, [], 1.0, M=4,
-                                  seed=1, scheme=CIR_LSD1)
+                                  seed=1, schemes=[CIR_LSD1])
 
     def test_requires_two_paths(self, cir_params):
         with pytest.raises(ConfigurationError):
-            strong_error(CIR_LSD1, CIR_LSD1, cir_params, 4.0, 1.0, [0.25],
+            strong_error([CIR_LSD1], CIR_LSD1, cir_params, 4.0, 1.0, [0.25],
                          0.125, M=1, seed=1)
 
     def test_desk_scale_order_near_one(self, cir_params):
-        rep = strong_error(CIR_LSD2, CIR_LSD1, cir_params, 4.0, 1.0,
+        rep = strong_error([CIR_LSD2], CIR_LSD1, cir_params, 4.0, 1.0,
                            [2.0**-k for k in range(5, 9)], 2.0**-12, M=100,
-                           seed=5)
+                           seed=5)[0]
         assert 0.7 <= rep.slope <= 1.3
 
     @pytest.mark.parametrize("model_case", [
@@ -404,22 +420,33 @@ class TestExactCir:
                 match=r"^cir:exact_ou \+ cir:lsd1, dt=0\.125, at step 1, "
                       r"paths 0\.\.3: forced$"):
             exact_cir_error_decay(cir_ou_params, 4.0, 0.5, [0.25, 0.125], 1.0,
-                                  M=4, seed=1, scheme=CIR_LSD1)
+                                  M=4, seed=1, schemes=[CIR_LSD1])
 
     @pytest.mark.parametrize("M", [0, -3])
     def test_decay_requires_a_path(self, cir_ou_params, M):
         with pytest.raises(ConfigurationError, match=rf"M={M}\b"):
             exact_cir_error_decay(cir_ou_params, 4.0, 0.5, [1e-2], 1.0, M=M,
-                                  seed=1, scheme=CIR_LSD1)
+                                  seed=1, schemes=[CIR_LSD1])
 
     def test_decay_is_deterministic(self):
         # M = 300 spans two batches of paths
         p = CirParams(2.0, 2.0, 2.0)
         kwargs = dict(x0=4.0, m_split=0.5, step_sizes=[1e-2, 5e-3], T=1.0,
-                      M=300, seed=9, scheme=CIR_LSD1)
+                      M=300, seed=9, schemes=[CIR_LSD1])
         a = exact_cir_error_decay(p, **kwargs)
         b = exact_cir_error_decay(p, **kwargs)
         assert a == b
+
+
+    def test_riders_of_one_call_match_single_calls(self, cir_ou_params):
+        kwargs = dict(x0=4.0, m_split=0.5, step_sizes=[1e-2, 5e-3], T=1.0,
+                      M=300, seed=9)
+        lsd3 = SchemeId("cir", "lsd3")
+        both = exact_cir_error_decay(cir_ou_params, schemes=[CIR_LSD1, lsd3],
+                                     **kwargs)
+        assert both == [
+            exact_cir_error_decay(cir_ou_params, schemes=[s], **kwargs)[0]
+            for s in (CIR_LSD1, lsd3)]
 
 
 class TestScan:
@@ -474,3 +501,11 @@ class TestBatches:
             yielded.append((paths, inc))
         assert [p for p, _ in yielded] == [range(0, 256), range(256, 300)]
         assert yielded[-1][1] == {}
+
+    @pytest.mark.parametrize("drivers", [1, 2])
+    def test_levels_are_time_major(self, drivers):
+        # each step's increments for the batch are one contiguous block
+        for paths, inc in _batches(4, 40, 1.0, 32, (0, 2), drivers=drivers):
+            for level in inc.values():
+                assert level.shape[0] == len(paths)
+                assert all(step.flags.c_contiguous for step in level.T)

@@ -86,6 +86,35 @@ class TestClosedFormAgreement:
             assert ulps_apart(got, want) <= 2
 
 
+class TestPerDtBinding:
+    # dt = 1e-13 puts lsd2 on the linear branch of the Bernoulli solution
+    @pytest.mark.parametrize("dts", [(0.01, 2.0**-6), (1e-13, 0.01)])
+    @pytest.mark.parametrize("variant", ["lsd1", "lsd2", "lsd3"])
+    def test_alternating_dts_match_the_pure_map(self, cir_params, rng,
+                                                variant, dts):
+        stepper = make_stepper(SchemeId("cir", variant), cir_params)
+        y = stepper.init(4.0, size=64)
+        for j in range(6):
+            dt = dts[j % 2]
+            dw = rng.standard_normal(64) * math.sqrt(dt)
+            want = _lsd(variant)(cir_params, y, dw, dt)
+            y, _ = stepper.step(y, dw, dt)
+            assert y.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dt", [1e-13, 1e-3, 0.5])
+    def test_bound_maps_are_the_bernoulli_solution_bit_for_bit(
+            self, cir_params, rng, dt):
+        p = cir_params
+        assert (abs(2.0 * p.b * dt) < 1e-12) == (dt == 1e-13)
+        y = np.exp(rng.uniform(-5.0, 3.0, 256))
+        dw = rng.standard_normal(256) * math.sqrt(dt)
+        lsd1 = np.sqrt(bernoulli_power(dw + (1.0 - p.b * dt) * y, p.a, 0.0,
+                                       1.0, dt))
+        lsd2 = np.sqrt(bernoulli_power(dw + y, p.a, -p.b, 1.0, dt))
+        assert cir_mod.lsd1_step(p, y, dw, dt).tobytes() == lsd1.tobytes()
+        assert cir_mod.lsd2_step(p, y, dw, dt).tobytes() == lsd2.tobytes()
+
+
 class TestQuadraticResidual:
     def test_lsd3_root_satisfies_quadratic(self, cir_params, rng):
         p = cir_params

@@ -5,6 +5,7 @@ import pytest
 
 from lsd.closedform import wf_cosine_solution
 from lsd.errors import InversionError, StepSizeError
+from lsd.experiments import domain_violation_scan
 from lsd.models import WfParams
 from lsd.schemes import SchemeId, make_stepper
 from lsd.schemes import wf as wf_mod
@@ -53,6 +54,25 @@ class TestLsdValues:
         dt_critical = 1.0 / c
         with pytest.raises(StepSizeError):
             wf_mod.lsd2_step(wf_params, y, 0.0, dt_critical)
+
+    def test_lsd2_negative_denominator_raises_in_a_scan(self):
+        # a negative denominator used to flip a path to a state near 0,
+        # whose fold later gave 0 and then NaN, with no error and no count
+        with pytest.raises(
+                StepSizeError,
+                match=r"^wf:lsd2, dt=0\.03125, at step \d+, paths \d+\.\.\d+: "
+                      r"path \d+: update denominator is not positive"):
+            domain_violation_scan([SchemeId("wf", "lsd2")],
+                                  WfParams(1.0, 2.0, 1.0), [2.0**-5], 8.0,
+                                  2048, seed=1, x0=0.5)
+
+    @pytest.mark.parametrize("raw, index", [([1.0, -0.0], 1),
+                                            ([math.pi + 1e-9], 0)])
+    def test_fold_never_returns_the_boundary(self, raw, index):
+        # -0.0 folds onto 0 and pi + 1e-9 onto pi in floating point
+        with pytest.raises(StepSizeError, match="boundary") as excinfo:
+            wf_mod._fold(np.array(raw))
+        assert excinfo.value.index == index
 
     def test_lsd1_matches_cosine_solution(self, wf_params, rng):
         p = wf_params

@@ -17,8 +17,8 @@ from .experiments import (ErrorReport, ExactCirPaths, PathResult,
                           exact_cir_error_decay, exact_cir_experiment,
                           fit_order, simulate_path, simulate_paths,
                           strong_error)
-from .models import (AitParams, CevParams, CirParams, DomainReport,
-                     Heston32Params, WfParams, domain_report, lamperti_forward,
+from .models import (AitParams, CevParams, CirParams, Heston32Params,
+                     WfParams, domain_report, lamperti_forward,
                      lamperti_inverse)
 from .rootfind import MonotoneSpec, invert_monotone
 from .schemes import SCHEMES, SchemeId, make_stepper

@@ -60,9 +60,8 @@ def _run_convergence(cfg, params):
     ids = _scheme_ids(cfg)
     reference = SchemeId(cfg.model, cfg.reference) if cfg.reference else None
     reports = strong_error(
-        ids, reference, params, cfg.x0, cfg.T, cfg.dts,
-        cfg.resolved_ref_step(), cfg.resolved_m_samples(), cfg.seed,
-        theta=cfg.theta)
+        ids, reference, params, cfg.x0, cfg.T, cfg.dts, cfg.ref_step, cfg.M,
+        cfg.seed, theta=cfg.theta)
     rows = [("scheme", "dt", "rms", "stderr")]
     slopes, intercepts = {}, {}
     for scheme, report in zip(ids, reports):
@@ -72,8 +71,7 @@ def _run_convergence(cfg, params):
         slopes[scheme.variant] = report.slope
         intercepts[scheme.variant] = report.intercept
     return rows, {"slope": slopes, "intercept": intercepts,
-                  "ref_step": cfg.resolved_ref_step(),
-                  "M": cfg.resolved_m_samples()}
+                  "ref_step": cfg.ref_step, "M": cfg.M}
 
 
 def _paths(cfg, params):
@@ -114,8 +112,8 @@ def _run_compare(cfg, params):
 def _run_exact_cir(cfg, params):
     ids = _scheme_ids(cfg)
     decays = exact_cir_error_decay(
-        params, cfg.x0, cfg.m, cfg.dts, cfg.T, cfg.resolved_m_samples(),
-        cfg.seed, ids, theta=cfg.theta)
+        params, cfg.x0, cfg.m, cfg.dts, cfg.T, cfg.M, cfg.seed, ids,
+        theta=cfg.theta)
     rows = [("scheme", "dt", "mean_abs_terminal_diff")]
     means = {}
     for scheme, decay in zip(ids, decays):
@@ -127,14 +125,13 @@ def _run_exact_cir(cfg, params):
     identity_gap = float(np.max(np.abs(sample.x1**2 + sample.x2**2 - sample.exact)))
     return rows, {"mean_abs_terminal_diff": means,
                   "identity_max_abs_gap": identity_gap,
-                  "M": cfg.resolved_m_samples(), "m": cfg.m}
+                  "M": cfg.M, "m": cfg.m}
 
 
 def _run_scan(cfg, params):
     ids = _scheme_ids(cfg)
-    scan = domain_violation_scan(ids, params, cfg.dts, cfg.T,
-                                 cfg.resolved_m_samples(), cfg.seed, x0=cfg.x0,
-                                 theta=cfg.theta)
+    scan = domain_violation_scan(ids, params, cfg.dts, cfg.T, cfg.M, cfg.seed,
+                                 x0=cfg.x0, theta=cfg.theta)
     rows = [("scheme", "dt", "negative_states", "non_real_events",
              "clamp_events")]
     summary = {}
@@ -146,7 +143,7 @@ def _run_scan(cfg, params):
             rows.append((scheme.variant, _fmt(dt), str(c.negative_states),
                          str(c.non_real_events), str(c.clamp_events)))
             summary[scheme.variant][str(dt)] = asdict(c)
-    return rows, {"counters": summary, "M": cfg.resolved_m_samples()}
+    return rows, {"counters": summary, "M": cfg.M}
 
 
 _RUNNERS = {
@@ -174,7 +171,7 @@ def run(cfg: ExperimentConfig, out_dir: Path, name: str) -> Tuple[Path, Path]:
         "dt": cfg.dts,
         "seed": cfg.seed,
         "theta": cfg.theta,
-        "domain_report": dict(domain_report(params).checks),
+        "domain_report": domain_report(params),
         "wall_time_s": elapsed,
     }
     summary.update(extra)

@@ -29,9 +29,6 @@ def bernoulli_power(A, B, C, l, dt):
     if not (np.ndim(power) == 0 and float(power).is_integer()) and np.any(A < 0):
         raise DomainError("negative initial value with fractional power 1+l")
     k = power * C * dt
-    if np.ndim(k) == 0:    # one branch for every element: compute only it
-        return np.asarray(power * B * dt + A**power if abs(k) < _LINEAR_BRANCH_CUTOFF
-                          else (B / C) * np.expm1(k) + A**power * np.exp(k))
     linear = np.abs(k) < _LINEAR_BRANCH_CUTOFF
     c_safe = np.where(linear, 1.0, C)
     growth = np.exp(k)

@@ -32,8 +32,9 @@ _DEFAULT_M = {"convergence": 1000, "scan": 100, "exact-cir": 100,
 class ExperimentConfig:
     """Everything one run needs, as :func:`parse_config` reads it.
 
-    Every real is finite and ``seed`` is at least 0; ``M``, ``ref_step``,
-    ``name`` and ``reference`` are None where the config leaves them out.
+    Every real is finite and ``seed`` is at least 0.  Where the config
+    leaves them out, ``M`` is the kind's default, ``ref_step`` the finest dt
+    over 8, and ``name`` and ``reference`` are None.
     """
 
     kind: str
@@ -43,19 +44,13 @@ class ExperimentConfig:
     T: float
     schemes: List[str]
     dts: List[float]
+    ref_step: float
+    M: int
     name: Optional[str] = None
-    ref_step: Optional[float] = None
-    M: Optional[int] = None
     seed: int = 0
     theta: float = 1.0
     m: float = 0.5
     reference: Optional[str] = None
-
-    def resolved_m_samples(self) -> int:
-        return self.M if self.M is not None else _DEFAULT_M[self.kind]
-
-    def resolved_ref_step(self) -> float:
-        return self.ref_step if self.ref_step is not None else min(self.dts) / 8.0
 
     def scheme_variant(self, name: str) -> str:
         """The scheme-table variant a configured name selects: the name itself.
@@ -199,8 +194,9 @@ def parse_config(text: str) -> ExperimentConfig:
         kind=kind, model=model, params=params, x0=x0, T=T, schemes=schemes,
         dts=dts, name=name,
         ref_step=(_to_float(run["ref_step"][0], "ref_step", run["ref_step"][1])
-                  if "ref_step" in run else None),
-        M=(_to_int(run["M"][0], "M", run["M"][1]) if "M" in run else None),
+                  if "ref_step" in run else min(dts) / 8.0),
+        M=(_to_int(run["M"][0], "M", run["M"][1]) if "M" in run
+           else _DEFAULT_M[kind]),
         seed=(_to_int(run["seed"][0], "seed", run["seed"][1])
               if "seed" in run else 0),
         theta=(_to_float(run["theta"][0], "theta", run["theta"][1])
@@ -221,7 +217,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if cfg.seed < 0:
         raise ConfigurationError(
             f"line {run['seed'][1]}: seed must be >= 0, got {cfg.seed}")
-    if cfg.M is not None and cfg.M < 1:
+    if cfg.M < 1:
         raise ConfigurationError(f"M must be >= 1, got {cfg.M}")
     if not 0.0 < cfg.m < 1.0:
         raise ConfigurationError(f"m must lie in (0, 1), got {cfg.m}")

@@ -18,6 +18,7 @@ scheme on it once; the ``simulate`` and ``compare`` kinds report its paths.
 """
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -55,9 +56,7 @@ class ErrorReport:
     stderrs: np.ndarray
     slope: float
     intercept: float
-    sample_count: int
     reference: SchemeId
-    ref_step: float
 
 
 @dataclass
@@ -88,6 +87,8 @@ class ExactCirPaths:
 # ---------------------------------------------------------------------------
 
 def _steps_for(T: float, dt: float) -> int:
+    """The whole number of steps dt makes over T, if one path's lattice of
+    that many 8-byte increments fits in physical memory."""
     ratio = T / dt
     if not math.isfinite(ratio):
         raise ConfigurationError(
@@ -95,6 +96,12 @@ def _steps_for(T: float, dt: float) -> int:
     n = round(ratio)
     if n < 1 or abs(n * dt - T) > 1e-9 * T:
         raise ConfigurationError(f"step {dt} does not divide the horizon {T}")
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * n > memory:
+        raise ConfigurationError(
+            f"step {dt} over the horizon {T} gives {n:.3g} steps, whose "
+            f"lattice of {8 * n:.3g} bytes exceeds physical memory "
+            f"({memory:.3g} bytes)")
     return n
 
 
@@ -167,13 +174,16 @@ def _terminal_batch(stepper, x0, dt, increments,
     x is what ``stepper.x_of`` returns: ``(B,)`` for a scheme, or one row of
     B per path for the squared-OU construction with its riders.  ``counters`` tallies
     events and negative x over every step; ``values[j + 1]`` gets x after
-    step j.  An error is re-raised as it is, its message prefixed with the
-    scheme, dt, step index and ``paths``, then the path that failed when the
-    error names one (a root finder's ``index`` in the batch).
+    step j.  A non-finite x raises NumericError: the first one in
+    ``values`` once the loop is done, else one at the horizon.  An error is
+    re-raised as it is, its message prefixed with the scheme, dt, step index
+    and ``paths``, then the path that failed when the error names one (a
+    root finder's ``index`` in the batch).
     """
     state = stepper.init(x0, size=increments.shape[0])
     step, x_of = stepper.step, stepper.x_of
     record = counters is not None or values is not None
+    j = 0
     try:
         # the transpose puts the step axis first; dw is (B,) or (2, B)
         for j, dw in enumerate(increments.T):
@@ -186,6 +196,18 @@ def _terminal_batch(stepper, x0, dt, increments,
                     counters.non_real_events += _count(events.non_real)
                     counters.clamp_events += _count(events.clamped)
                     counters.negative_states += _count(x < 0)
+        x = x_of(state)
+        # NaN survives every row's map or makes it raise, so checking once
+        # at the horizon sees it
+        if values is None:
+            bad, what = ~np.isfinite(x), "x is not finite at the horizon"
+        else:
+            bad, what = ~np.isfinite(values[1:]), "x is not finite"
+        if bad.any():
+            first = np.argwhere(bad)[0]   # [step, ..., path] in values[1:]
+            if values is not None:
+                j = int(first[0])
+            raise NumericError(what, index=int(first[-1]))
     except Exception as exc:
         where = f", paths {paths[0]}..{paths[-1]}" if paths else ""
         if paths and getattr(exc, "index", None) is not None:
@@ -194,7 +216,7 @@ def _terminal_batch(stepper, x0, dt, increments,
         exc.args = (f"{stepper.scheme_id}, dt={dt!r}, at step {j}{where}: "
                     f"{detail}",) + exc.args[1:]
         raise
-    return x_of(state)
+    return x
 
 
 def simulate_path(scheme: SchemeId, params: ModelParams, x0: float, T: float,
@@ -315,11 +337,11 @@ def strong_error(schemes: Sequence[SchemeId], reference: Optional[SchemeId],
                 diff_sq = (x_dt - x_ref[ref]) ** 2
                 sum2[dt] += float(np.sum(diff_sq))
                 sum4[dt] += float(np.sum(diff_sq**2))
-    return [_error_report(scheme, ref, dts, sum2, sum4, M, ref_step)
+    return [_error_report(scheme, ref, dts, sum2, sum4, M)
             for scheme, ref, (sum2, sum4) in zip(schemes, refs, sums)]
 
 
-def _error_report(scheme, reference, dts, sum2, sum4, M, ref_step):
+def _error_report(scheme, reference, dts, sum2, sum4, M):
     """A report from per-dt sums of squared errors and of their squares."""
     rms, stderr = [], []
     for dt in dts:
@@ -341,8 +363,7 @@ def _error_report(scheme, reference, dts, sum2, sum4, M, ref_step):
         slope = intercept = float("nan")
     return ErrorReport(step_sizes=np.array(dts), rms_errors=rms_arr,
                        stderrs=np.array(stderr), slope=slope,
-                       intercept=intercept, sample_count=M,
-                       reference=reference, ref_step=ref_step)
+                       intercept=intercept, reference=reference)
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +376,11 @@ class _SquaredOuRide:
     A step takes the effective increment from the OU pair at the start of
     the step, then advances the pair with the ``cir:exact_ou`` stepper and
     every rider with that increment, so all paths share one realisation.
-    The state is ``((x1, x2), [rider states])``; ``x_of`` stacks x1, x2, the
-    squared-OU x and each rider's x along a new first axis.  A step reports
-    the OU pair's events (none); the riders' events are not counted.
+    The state is ``(pair, [rider states])``, the pair being the
+    ``cir:exact_ou`` state (x1, x2) stacked along a first axis; ``x_of``
+    stacks x1, x2, the squared-OU x and each rider's x along a new first
+    axis.  A step reports the OU pair's events (none); the riders' events
+    are not counted.
     """
 
     drivers = 2
@@ -378,9 +401,9 @@ class _SquaredOuRide:
                 [r.init(x0, size=size) for r in self.riders])
 
     def step(self, state, dw, dt):
-        (x1, x2), ys = state
-        dw_eff = cir_effective_increment(x1, x2, dw[0], dw[1])
-        ou, events = self.ou.step((x1, x2), dw, dt)
+        ou, ys = state
+        dw_eff = cir_effective_increment(ou[0], ou[1], dw[0], dw[1])
+        ou, events = self.ou.step(ou, dw, dt)
         return (ou, [r.step(y, dw_eff, dt)[0]
                      for r, y in zip(self.riders, ys)]), events
 

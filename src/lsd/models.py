@@ -7,7 +7,7 @@ state to the constant-diffusion coordinate; the inverse maps back.
 """
 
 from dataclasses import dataclass
-from typing import ClassVar, Mapping, Union
+from typing import ClassVar, Dict, Union
 
 import numpy as np
 
@@ -133,6 +133,16 @@ class Heston32Params:
         return 4.0 * self.k2 / self.k3**2 + 6.0
 
     @property
+    def a(self) -> float:
+        """CIR's ``a`` for the LSD rows, which run CIR's maps: c_star / 2."""
+        return 0.5 * self.c_star
+
+    @property
+    def b(self) -> float:
+        """CIR's ``b`` for the LSD rows: k1 / 2."""
+        return 0.5 * self.k1
+
+    @property
     def c_impl(self) -> float:
         """Coefficient of the inverse term in the drift-implicit map."""
         return self.k2 / 2.0 + 3.0 * self.k3**2 / 8.0
@@ -256,23 +266,13 @@ def lamperti_inverse(params: ModelParams, z):
     return params.inverse(z)
 
 
-@dataclass(frozen=True)
-class DomainReport:
-    """Truth values of the model's positivity/boundedness conditions.
+def domain_report(params: ModelParams) -> Dict[str, bool]:
+    """Truth values of the model's positivity/boundedness conditions by name.
 
     Purely informational: schemes still run when a condition fails, which is
     exactly what the stress experiments rely on.
     """
-
-    model: str
-    checks: Mapping[str, bool]
-
-    def all_ok(self) -> bool:
-        return all(self.checks.values())
-
-
-def domain_report(params: ModelParams) -> DomainReport:
-    checks: dict = {}
+    checks = {}
     if params.model == "cir":
         checks["feller"] = params.k3**2 <= 2.0 * params.k1
     elif params.model == "wf":
@@ -281,4 +281,4 @@ def domain_report(params: ModelParams) -> DomainReport:
         checks["upper_boundary"] = 2.0 * (k2 - k1) >= k3**2
         lo = k3**2 / (4.0 * k2)
         checks["hyb_admissible"] = lo < k1 / k2 < 1.0 - lo
-    return DomainReport(model=params.model, checks=checks)
+    return checks

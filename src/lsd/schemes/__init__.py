@@ -1,10 +1,12 @@
-"""The scheme table and the steppers the path engine iterates.
+"""The scheme table and the stepper the path engine iterates.
 
 The one-step maps live in the per-model modules (:mod:`cir`, :mod:`cev`,
 :mod:`wf`, :mod:`heston`, :mod:`ait`) and are pure functions of per-path
 arrays (a lone state is a 0-d array).  :data:`SCHEMES` holds one row per
-(model, variant) with what the engine needs to run it; :func:`make_stepper`
-builds its stepper.  A name selects exactly one computation.  The rows named
+(model, variant) with what the engine needs to run it, and is the only
+description of a row: :func:`make_stepper` builds one :class:`Stepper` for
+every row, the squared-OU pair included, which binds the row's map once per
+dt.  A name selects exactly one computation.  The rows named
 ``implicit_printed`` run a drift-implicit map as printed in its source, whose
 drift does not match the SDE; the plain ``implicit`` rows run the consistent
 form.
@@ -26,7 +28,7 @@ class Scheme:
     """One row of :data:`SCHEMES`.
 
     ``step(p, state, dw, dt)`` advances the iterated coordinate (``theta``
-    rows take theta fifth); a row may set ``bind(p, dt)`` instead, which
+    rows also take ``theta``); a row may set ``bind(p, dt)`` instead, which
     folds the per-dt constants and returns ``map(state, dw)``.
     ``to_state(p, x)`` and ``to_x(p, state)`` map x to it and back; they
     are unset where it is the Lamperti coordinate.
@@ -34,7 +36,8 @@ class Scheme:
     (the state is complex and may leave the real line; x is its real part)
     or a ``"clamped"`` one, or, if unset, the state alone.  Steps map arrays
     of paths.  ``check(p)`` is a precondition; ``drivers = 2`` marks the
-    squared-OU row, run by :class:`ExactOuStepper`.
+    squared-OU row, whose state and dw stack a pair along a first axis and
+    whose ``to_state`` also takes the split weight ``m_split``.
     """
 
     step: Optional[Callable] = None
@@ -58,7 +61,10 @@ SCHEMES = {
     ("cir", "alf"): Scheme(cir.alf_step, **_IN_X, mask="non_real"),
     ("cir", "ns"): Scheme(cir.ns_step, to_state=lambda p, x: np.sqrt(x),
                           to_x=lambda p, v: v * v, mask="non_real"),
-    ("cir", "exact_ou"): Scheme(bind=cir.exact_ou_bind, drivers=2),
+    ("cir", "exact_ou"): Scheme(
+        bind=cir.exact_ou_bind, drivers=2, check=cir.check_exact_ou_dimension,
+        to_state=lambda p, x, m_split: np.sqrt([m_split * x, (1.0 - m_split) * x]),
+        to_x=lambda p, x: x[0] * x[0] + x[1] * x[1]),
     ("cev", "lsd1"): Scheme(cev.lsd1_step),
     ("cev", "lsd2"): Scheme(cev.lsd2_step),
     ("cev", "lsd3"): Scheme(cev.lsd3_step),
@@ -76,8 +82,8 @@ SCHEMES = {
     ("wf", "hyb"): Scheme(wf.hyb_step, **_IN_X, check=wf.check_hyb_admissible),
     ("wf", "implicit"): Scheme(partial(wf.implicit_step, sign_mode="corrected")),
     ("wf", "implicit_printed"): Scheme(partial(wf.implicit_step, sign_mode="printed")),
-    ("heston32", "lsd1"): Scheme(heston.lsd1_step),
-    ("heston32", "lsd2"): Scheme(heston.lsd2_step),
+    ("heston32", "lsd1"): Scheme(bind=cir.lsd1_bind),
+    ("heston32", "lsd2"): Scheme(bind=cir.lsd2_bind),
     ("heston32", "sd_exp"): Scheme(heston.sd_exp_step, **_IN_X),
     ("heston32", "implicit"): Scheme(
         heston.implicit_step, to_state=lambda p, x: x ** -0.5,
@@ -121,40 +127,43 @@ _NO_EVENTS = StepEvents()
 
 
 def _broadcast(value, size):
-    if size is None:
-        return np.asarray(value, float)
-    return np.full(size, value, dtype=float)
+    """``value`` as a float array, or ``size`` copies of it along a new last axis."""
+    value = np.asarray(value, float)
+    return value if size is None else np.repeat(value[..., np.newaxis], size, -1)
 
 
 class Stepper:
     """Advances one scheme; built by :func:`make_stepper`.
 
-    A row with ``bind`` is bound again only when a step's dt changes.
+    Its row's map is bound again only when a step's dt changes.
     """
 
-    drivers = 1
     _dt = _map = None
 
-    def __init__(self, scheme: Scheme, params: ModelParams, theta: float):
-        self.scheme = scheme
-        self.params = params
-        self.extra = (theta,) if scheme.theta else ()
+    def __init__(self, scheme_id: SchemeId, row: Scheme, params: ModelParams,
+                 theta: float, m_split: float):
+        self.scheme_id, self.scheme, self.params = scheme_id, row, params
+        self.drivers = row.drivers
+        self._to_state = (partial(row.to_state, m_split=m_split)
+                          if row.drivers == 2 else row.to_state)
+        if row.bind is not None:
+            self._bind = row.bind
+        else:
+            extra = {"theta": theta} if row.theta else {}
+            self._bind = lambda p, dt: partial(row.step, p, dt=dt, **extra)
 
     def init(self, x0, size=None):
         """The state at x0 as an array shaped like x0, or ``size`` copies."""
         state = lamperti_forward(self.params, x0)   # checks the domain too
-        if self.scheme.to_state is not None:
-            state = self.scheme.to_state(self.params, x0)
+        if self._to_state is not None:
+            state = self._to_state(self.params, x0)
         return _broadcast(state, size)
 
     def step(self, state, dw, dt):
+        if dt != self._dt:
+            self._dt, self._map = dt, self._bind(self.params, dt)
+        out = self._map(state, dw)
         s = self.scheme
-        if s.bind is None:
-            out = s.step(self.params, state, dw, dt, *self.extra)
-        else:
-            if dt != self._dt:
-                self._dt, self._map = dt, s.bind(self.params, dt)
-            out = self._map(state, dw)
         if s.mask is None:
             return out, _NO_EVENTS
         value, mask = out
@@ -169,36 +178,13 @@ class Stepper:
         return np.real(x) if self.scheme.mask == "non_real" else x
 
 
-class ExactOuStepper(Stepper):
-    """Squared-OU reference construction: state (x1, x2), dw (dw1, dw2)."""
-
-    drivers = 2
-
-    def __init__(self, scheme: Scheme, params, m_split=0.5):
-        cir.check_exact_ou_dimension(params)
-        if not 0.0 < m_split < 1.0:
-            raise ConfigurationError(f"split weight must lie in (0,1), got {m_split}")
-        super().__init__(scheme, params, theta=1.0)
-        self.m_split = m_split
-
-    def init(self, x0, size=None):
-        lamperti_forward(self.params, x0)   # checks the domain
-        x1 = np.sqrt(self.m_split * x0)
-        x2 = np.sqrt((1.0 - self.m_split) * x0)
-        return _broadcast(x1, size), _broadcast(x2, size)
-
-    def x_of(self, state):
-        x1, x2 = state
-        return x1 * x1 + x2 * x2
-
-
 def make_stepper(scheme: SchemeId, params: ModelParams, theta: float = 1.0,
                  m_split: float = 0.5):
     """Build the stepper for one scheme from its row in :data:`SCHEMES`.
 
     Checks the row's precondition (the splitting scheme's admissibility,
     the squared-OU dimension).  ``theta`` reaches only the rows that take
-    it; ``m_split`` sets the initial split of the squared-OU construction.
+    it; ``m_split`` only the squared-OU row, whose initial split it sets.
     A stepper has ``scheme_id``, ``drivers``, ``init(x0, size=None)``,
     ``step(state, dw, dt) -> (state, events)`` and ``x_of(state)``.
     """
@@ -208,7 +194,6 @@ def make_stepper(scheme: SchemeId, params: ModelParams, theta: float = 1.0,
     row = SCHEMES[scheme.model, scheme.variant]
     if row.check is not None:
         row.check(params)
-    stepper = (ExactOuStepper(row, params, m_split=m_split) if row.drivers == 2
-               else Stepper(row, params, theta))
-    stepper.scheme_id = scheme
-    return stepper
+    if row.drivers == 2 and not 0.0 < m_split < 1.0:
+        raise ConfigurationError(f"split weight must lie in (0,1), got {m_split}")
+    return Stepper(scheme, row, params, theta, m_split)

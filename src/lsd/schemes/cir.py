@@ -102,8 +102,10 @@ def exact_ou_bind(p, dt):
     Each component solves dX = -(k2/2) X dt + (k3/2) dW exactly over dt: it
     decays by e^(-k2 dt/2) and gains noise of variance
     (k3^2/4)(1 - e^(-k2 dt))/k2, carried here by the increment dw ~ N(0, dt).
-    The map takes the pair ``(x1, x2)`` and the increments ``(dw1, dw2)``.
+    The map takes the pair ``(x1, x2)`` and the increments ``(dw1, dw2)``,
+    stacked along a first axis of two; ``decay`` and ``gain`` are 0-d arrays,
+    so a pair passed as a tuple is converted inside the multiplication.
     """
-    decay = np.exp(-0.5 * p.k2 * dt)
-    gain = 0.5 * p.k3 * np.sqrt(-np.expm1(-p.k2 * dt) / (p.k2 * dt))
-    return lambda x, dw: (decay * x[0] + gain * dw[0], decay * x[1] + gain * dw[1])
+    decay = np.array(np.exp(-0.5 * p.k2 * dt))
+    gain = np.array(0.5 * p.k3 * np.sqrt(-np.expm1(-p.k2 * dt) / (p.k2 * dt)))
+    return lambda x, dw: decay * x + gain * dw

@@ -2,23 +2,16 @@
 
 The transformed state y = (2/k3) x**(-1/2) has drift (2 k2/k3^2 + 3)/y
 - (k1/2) y and unit diffusion; the dt coefficient inside the squared updates
-is c_star = 4 k2/k3^2 + 6.  The drift-implicit competitor runs in the unscaled
-inverse-root coordinate v = x**(-1/2), for which its map has a closed-form
-positive root, and reports x = v**(-2).
+is c_star = 4 k2/k3^2 + 6.  The LSD updates are CIR's Bernoulli steps with
+(a, b) = (c_star/2, k1/2), so their rows run :func:`cir.lsd1_bind` and
+:func:`cir.lsd2_bind`; :class:`~lsd.models.Heston32Params` exposes a and b
+under CIR's names.  The
+drift-implicit competitor runs in the unscaled inverse-root coordinate
+v = x**(-1/2), for which its map has a closed-form positive root, and reports
+x = v**(-2).
 """
 
 import numpy as np
-
-from ..closedform import bernoulli_power
-
-
-def lsd1_step(p, y, dw, dt):
-    A = dw + (1.0 - 0.5 * p.k1 * dt) * y
-    return np.sqrt(bernoulli_power(A, 0.5 * p.c_star, 0.0, 1.0, dt))
-
-
-def lsd2_step(p, y, dw, dt):
-    return np.sqrt(bernoulli_power(dw + y, 0.5 * p.c_star, -0.5 * p.k1, 1.0, dt))
 
 
 def sd_exp_step(p, x, dw, dt):

@@ -1,10 +1,12 @@
 """Seeded Brownian increments on a dyadic multi-resolution lattice.
 
 A lattice holds the increments of one or two independent Wiener processes at
-the finest resolution ``base_steps * 2**levels``.  Coarser resolutions are
-obtained by summing adjacent fine increments, so simulations run at different
-step sizes all see the same underlying Brownian path.  That coupling is what
-makes pathwise strong-error estimates possible.
+the finest resolution ``base_steps * 2**levels``; the caller that drew it
+knows its seed, horizon and step count, so the lattice stores only the
+increments.  Coarser resolutions are obtained by summing adjacent fine
+increments, so simulations run at different step sizes all see the same
+underlying Brownian path.  That coupling is what makes pathwise strong-error
+estimates possible.
 
 Gaussian draws come from numpy's PCG64 generator (ziggurat normal sampling),
 which is fixed for this build; all statistical acceptance checks are tolerant
@@ -23,27 +25,11 @@ class WienerLattice:
     """Increments of one or two Wiener processes over [0, horizon].
 
     ``increments`` has shape ``(n,)`` for one driver and ``(2, n)`` for two,
-    where ``n = base_steps * 2**finest_level``.  Each entry is N(0, fine_dt).
+    where ``n = base_steps * 2**levels``.  Each entry is N(0, horizon / n).
     Instances are immutable.
     """
 
-    seed: int
-    horizon: float
-    base_steps: int
-    finest_level: int
     increments: np.ndarray
-
-    @property
-    def drivers(self) -> int:
-        return 1 if self.increments.ndim == 1 else self.increments.shape[0]
-
-    @property
-    def fine_steps(self) -> int:
-        return self.base_steps << self.finest_level
-
-    @property
-    def fine_dt(self) -> float:
-        return self.horizon / self.fine_steps
 
 
 def generate_lattice(seed, horizon, base_steps, levels, drivers=1) -> WienerLattice:
@@ -65,10 +51,7 @@ def generate_lattice(seed, horizon, base_steps, levels, drivers=1) -> WienerLatt
     n = base_steps << levels
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     shape = (n,) if drivers == 1 else (2, n)
-    increments = rng.standard_normal(shape) * np.sqrt(horizon / n)
-    return WienerLattice(seed=int(seed), horizon=float(horizon),
-                         base_steps=int(base_steps), finest_level=int(levels),
-                         increments=increments)
+    return WienerLattice(rng.standard_normal(shape) * np.sqrt(horizon / n))
 
 
 def halve_increments(increments: np.ndarray, times: int) -> np.ndarray:

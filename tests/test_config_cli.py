@@ -112,9 +112,9 @@ class TestParse:
         cfg = parse_config(MINIMAL_CIR)
         assert cfg.kind == "convergence" and cfg.model == "cir"
         assert cfg.params == {"k1": 2.0, "k2": 2.0, "k3": 1.0}
-        assert cfg.resolved_m_samples() == 1000
+        assert cfg.M == 1000
         assert cfg.theta == 1.0
-        assert cfg.resolved_ref_step() == 0.125 / 8.0
+        assert cfg.ref_step == 0.125 / 8.0
         assert cfg.seed == 0
 
     def test_empty_text(self):
@@ -171,6 +171,37 @@ class TestParse:
         with pytest.raises(ConfigurationError,
                            match=rf"^line {line_no}: .*\b{key}\b"):
             parse_config(text)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("[params]", "[params", r"^line 6, col 8: unterminated section header$"),
+        ("\n[experiment]", "x = 1\n[experiment]",
+         r"^line 1: key 'x' appears before any \[section\] header$"),
+        ("[run]", "[runs]", r"^line 11: unknown section \[runs\]$"),
+        ("x0 = 4", "x0 = abc",
+         r"^line 12: key 'x0' needs a finite real number, got 'abc'$"),
+        ("dt = 0.25, 0.125", "dt = 0.25, 0.125\nM = 2.5",
+         r"^line 16: key 'M' needs an integer, got '2\.5'$"),
+        ("kind = convergence", "kind = converge",
+         r"^line 3: unknown experiment kind 'converge'; expected one of "),
+        ("model = cir\n", "", r"^missing model under \[experiment\]$"),
+        ("model = cir", "model = gbm", r"^line 4: unknown model 'gbm'; expected one of "),
+        ("model = cir", "model = cir\ncolour = red",
+         r"^line 5: unknown key 'colour' in \[experiment\]$"),
+        ("T = 1\n", "", r"^missing key 'T' under \[run\]$"),
+        ("schemes = lsd1", "schemes = ,", r"^line 14: empty scheme list$"),
+        ("dt = 0.25, 0.125", "dt = 0.25, -0.125",
+         r"^line 15: dt values must be positive$"),
+        ("dt = 0.25, 0.125", "dt = 0.25, 0.125\nreference = lsd9",
+         r"^reference scheme 'lsd9' is not valid for 'cir'$"),
+        ("T = 1", "T = 0", r"^T must be positive, got 0\.0$"),
+        ("dt = 0.25, 0.125", "dt = 0.25, 0.125\nM = 0", r"^M must be >= 1, got 0$"),
+        ("dt = 0.25, 0.125", "dt = 0.25, 0.125\nm = 1",
+         r"^m must lie in \(0, 1\), got 1\.0$"),
+    ])
+    def test_rejects_with_its_message(self, old, new, message):
+        assert old in MINIMAL_CIR
+        with pytest.raises(ConfigurationError, match=message):
+            parse_config(MINIMAL_CIR.replace(old, new, 1))
 
     @pytest.mark.parametrize("key", ["wf_implicit_sign", "ait_implicit_variant"])
     def test_removed_implicit_key_is_unknown(self, key):
@@ -243,6 +274,21 @@ class TestCli:
     def test_parse_error_exit_code(self, tmp_path):
         cfg = self._write(tmp_path, "nonsense")
         assert main([str(cfg), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("text, old, new, message", [
+        (MINIMAL_WF_SIMULATE, "k1 = 1", "k1 = -1",
+         "error: invalid parameters for 'wf': k1 must be positive, got -1.0\n"),
+        (COMPARE_CIR, "lsd1, lsd2, sd_theta", "lsd1",
+         "error: compare needs at least two schemes\n"),
+    ])
+    def test_rejects_with_its_message(self, tmp_path, capsys, text, old, new,
+                                      message):
+        assert old in text
+        cfg = self._write(tmp_path, text.replace(old, new))
+        out = tmp_path / "o"
+        assert main([str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
     def test_simulate_rejects_step_not_dividing_horizon(self, tmp_path):
         text = MINIMAL_WF_SIMULATE.replace("dt = 0.01", "dt = 0.3")
@@ -340,17 +386,19 @@ seed = 6
             expected = float(path[r["scheme_a"]]) - float(path[r["scheme_b"]])
             assert float(r["diff"]) == expected
 
-    def test_compare_reports_a_nan_difference(self, tmp_path):
-        # the overflowed path's NaNs must reach max_abs_diff, not read as 0;
-        # the summary writes a non-finite real as null
+    def test_compare_reports_a_nan_difference(self, tmp_path, capsys):
+        # the overflowed path is not written: the run fails, naming the
+        # scheme, dt and the first step whose x is not finite
         text = COMPARE_CIR.replace("x0 = 4", "x0 = 1e308").replace(
             "lsd1, lsd2, sd_theta", "lsd1, lsd2").replace(
             "dt = 0.01, 0.02", "dt = 0.25")
         cfg = self._write(tmp_path, text)
+        out = tmp_path / "o"
         with np.errstate(over="ignore", invalid="ignore"):
-            assert main([str(cfg), "--out", str(tmp_path / "o")]) == 0
-        summary = json.loads((tmp_path / "o" / "diffs.json").read_text())
-        assert summary["max_abs_diff"]["lsd2"] is None
+            assert main([str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: cir:lsd1, dt=0.25, at step 0: x is not finite\n")
+        assert not out.exists()
 
     def test_summary_is_strict_json_with_a_nan_slope(self, tmp_path):
         # one level leaves nothing to fit: the slope is NaN, written as null
@@ -373,6 +421,17 @@ seed = 6
         assert main([str(cfg), "--out", str(tmp_path / "o")]) == 0
         summary = json.loads((tmp_path / "o" / "diffs.json").read_text())
         assert math.isfinite(summary["max_abs_diff"]["exact_ou"])
+
+    @pytest.mark.parametrize("dt", ["1e-12", "1e-300"])
+    def test_unrunnable_step_count_fails_cleanly(self, tmp_path, capsys, dt):
+        text = MINIMAL_WF_SIMULATE.replace("dt = 0.01", f"dt = {dt}")
+        cfg = self._write(tmp_path, text)
+        out = tmp_path / "o"
+        assert main([str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: step {float(dt)} over the horizon 1.0 gives ")
+        assert "exceeds physical memory" in err
+        assert not out.exists()
 
     def test_step_too_small_for_a_step_count_fails_cleanly(self, tmp_path,
                                                           capsys):

@@ -19,6 +19,7 @@ from test_scheme_table import FIXTURE, X0
 
 CIR_LSD1 = SchemeId("cir", "lsd1")
 CIR_LSD2 = SchemeId("cir", "lsd2")
+CIR_EXACT_OU = SchemeId("cir", "exact_ou")
 SINGLE_DRIVER_ROWS = [k for k, row in SCHEMES.items() if row.drivers == 1]
 # Feller badly violated: alf's radicand goes negative and x with it.
 STRESSED_CIR = CirParams(1.0, 2.0, 20.0)
@@ -167,11 +168,26 @@ class TestStrongError:
         assert math.isnan(rep.slope)
 
     def test_non_finite_level_raises(self, cir_params):
-        # from x0 near the largest float both terminal values overflow
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NumericError, match=r"cir:lsd1 .*dt=\[.*0\.25\]"):
+        # from x0 near the largest float every terminal value overflows; the
+        # reference, run first, is checked at the horizon
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericError,
+                match=r"^cir:lsd2, dt=0\.125, at step 7, paths 0\.\.3: path 0: "
+                      r"x is not finite at the horizon$"):
             strong_error([CIR_LSD1], CIR_LSD2, cir_params, 1.7e308, 1.0,
                          [0.5, 0.25], 0.125, M=4, seed=3)
+
+    @pytest.mark.parametrize("dt, steps", [(1e-12, "1e\\+12"),
+                                           (1e-300, "1e\\+300")])
+    def test_unrunnable_step_count_is_rejected(self, cir_params, dt, steps):
+        # one path's lattice would not fit in memory: rejected by name
+        # before anything is allocated
+        with pytest.raises(ConfigurationError,
+                           match=rf"^step {dt} over the horizon 1\.0 gives "
+                                 rf"{steps} steps, whose lattice of .* bytes "
+                                 rf"exceeds physical memory"):
+            strong_error([CIR_LSD1], None, cir_params, 4.0, 1.0, [dt], dt,
+                         M=2, seed=0)
 
     def test_rerun_is_identical(self, cir_params):
         # M = 300 spans two batches of paths
@@ -509,3 +525,28 @@ class TestBatches:
             for level in inc.values():
                 assert level.shape[0] == len(paths)
                 assert all(step.flags.c_contiguous for step in level.T)
+
+
+@pytest.mark.parametrize("run, message", [
+    pytest.param(
+        lambda p: strong_error([CIR_EXACT_OU], None, p, 4.0, 1.0, [0.25],
+                               0.125, M=2, seed=0),
+        r"^strong_error supports single-driver schemes$", id="strong_error"),
+    pytest.param(
+        lambda p: domain_violation_scan([CIR_LSD1, CIR_EXACT_OU], p, [0.25],
+                                        1.0, M=1, seed=0),
+        r"^scan supports single-driver schemes only$", id="scan"),
+    pytest.param(
+        lambda p: exact_cir_experiment(p, 4.0, 0.5, 0.25, 1.0, 0,
+                                       [CIR_EXACT_OU]),
+        r"^only one-driver square-root-model schemes can ride the "
+        r"reconstructed increments, got cir:exact_ou$", id="ride-exact_ou"),
+    pytest.param(
+        lambda p: exact_cir_error_decay(p, 4.0, 0.5, [0.25], 1.0, 1, 0,
+                                        [CIR_LSD1, SchemeId("cev", "lsd1")]),
+        r"^only one-driver square-root-model schemes can ride the "
+        r"reconstructed increments, got cev:lsd1$", id="ride-cev"),
+])
+def test_rejects_with_its_message(cir_ou_params, run, message):
+    with pytest.raises(ConfigurationError, match=message):
+        run(cir_ou_params)

@@ -1,4 +1,4 @@
-"""Golden outputs: the SHA-256 of the CSV of five small runs, one per kind.
+"""Golden outputs: the SHA-256 of the CSV of small runs, every kind and model.
 
 A change that keeps every number must keep these hashes.  A change that
 moves numbers on purpose updates the hash it moves and says why.
@@ -13,35 +13,49 @@ from lsd.cli import main
 _HEAD = """
 [experiment]
 kind = {kind}
-model = cir
+model = {model}
 name = golden
 
 [params]
-k1 = {k1}
-k2 = 2
-k3 = {k3}
+{params}
 
 [run]
-x0 = 4
+x0 = {x0}
 T = 1
 seed = 5
 """
 
-# name: (kind, k1, k3, run lines)
+_CIR = "k1 = 2\nk2 = 2\nk3 = {k3}"
+_CEV = "k1 = 0.0625\nk2 = 1\nk3 = 0.4\nq = 0.75"
+_WF = "k1 = 1\nk2 = 2\nk3 = 0.20101"
+_HESTON = "k1 = 0.1\nk2 = 70\nk3 = 0.4472135954999579"
+_AIT = "km1 = 2\nk0 = 3\nk1 = 4\nk2 = 6\nk3 = 1\nr = 2\nrho = 1.5"
+_LADDER = "dt = 0.125, 0.0625, 0.03125\nref_step = 0.015625\nM = 32\n"
+
+# name: (kind, model, params, x0, run lines)
 CONFIGS = {
-    "convergence": ("convergence", 2, 1,
+    "convergence": ("convergence", "cir", _CIR.format(k3=1), 4,
                     "schemes = lsd1, lsd3\nreference = lsd2\n"
                     "dt = 0.125, 0.0625, 0.03125\nref_step = 0.00390625\nM = 64\n"),
-    "exact-cir": ("exact-cir", 2, 2,
+    "exact-cir": ("exact-cir", "cir", _CIR.format(k3=2), 4,
                   "schemes = lsd1, lsd3\ndt = 0.03125, 0.015625, 0.0078125\n"
                   "M = 64\nm = 0.25\n"),
-    "scan": ("scan", 1, 20,
+    "scan": ("scan", "cir", "k1 = 1\nk2 = 2\nk3 = 20", 4,
              "schemes = lsd1, lsd2, lsd3, sd_theta, alf, ns\n"
              "dt = 0.01, 0.001\nM = 32\n"),
-    "simulate": ("simulate", 2, 2,
+    "simulate": ("simulate", "cir", _CIR.format(k3=2), 4,
                  "schemes = lsd1, alf, exact_ou, ns\ndt = 0.02, 0.01\n"),
-    "compare": ("compare", 2, 1,
+    "compare": ("compare", "cir", _CIR.format(k3=1), 4,
                 "schemes = lsd1, lsd2, sd_theta\ndt = 0.02, 0.01\n"),
+    "compare-exact-ou": ("compare", "cir", _CIR.format(k3=2), 4,
+                         "schemes = exact_ou, lsd1, lsd2\ndt = 0.02, 0.01\n"
+                         "m = 0.3\n"),
+    "heston32": ("convergence", "heston32", _HESTON, 1,
+                 "schemes = lsd1, lsd2, sd_exp, implicit\n" + _LADDER),
+    "cev": ("convergence", "cev", _CEV, 0.0625,
+            "schemes = lsd1, implicit\n" + _LADDER),
+    "wf": ("convergence", "wf", _WF, 0.5, "schemes = lsd1, implicit\n" + _LADDER),
+    "ait": ("convergence", "ait", _AIT, 4, "schemes = lsd1, implicit\n" + _LADDER),
 }
 
 SHA256 = {
@@ -54,12 +68,22 @@ SHA256 = {
         "9633f9f1fb3678b38ce4ef9c17b83b89f3a40bd2269de21ad68a99f5aa83e037",
     "compare":
         "b2114fe3eacc73315396a440ef1d915c57b30fe64092853b90450b0228975c82",
+    "compare-exact-ou":
+        "29a58f69220fb6391215dafab3925ae1472bec6d1553fafdd669e4fdd81850dd",
+    "heston32":
+        "19bc615cb22ccbb1255cce4f83c0da79916b4798d135eb8f7c8f906e8c5fcc07",
+    "cev":
+        "d701197529c547cd862bb40a1d9e262a8b3eba039b2459c28051158d68569a38",
+    "wf":
+        "9b029c1b6da510425a82b1e0212457eb57f933364b7923c6bf4a80f129073f77",
+    "ait":
+        "3f59d48ee0d98986486ba5d3dd7353e1742bd932341b487b025671e7b4fd92ee",
 }
 
 
 def config_text(name):
-    kind, k1, k3, run = CONFIGS[name]
-    return _HEAD.format(kind=kind, k1=k1, k3=k3) + run
+    kind, model, params, x0, run = CONFIGS[name]
+    return _HEAD.format(kind=kind, model=model, params=params, x0=x0) + run
 
 
 def csv_sha256(name, tmp_path):

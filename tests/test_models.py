@@ -134,19 +134,19 @@ class TestTransforms:
 class TestDomainReport:
     def test_cir_feller_holds(self):
         report = domain_report(CirParams(2.0, 2.0, 1.0))
-        assert report.checks["feller"] is True
+        assert report["feller"] is True
 
     def test_cir_feller_fails(self):
         report = domain_report(CirParams(1.0, 2.0, 4.0))
-        assert report.checks["feller"] is False
-        assert not report.all_ok()
+        assert report["feller"] is False
+        assert not all(report.values())
 
     def test_wf_paper_params(self):
         report = domain_report(WfParams(1.0, 2.0, 0.20101))
-        assert report.checks == {"lower_boundary": True, "upper_boundary": True,
-                                 "hyb_admissible": True}
+        assert report == {"lower_boundary": True, "upper_boundary": True,
+                          "hyb_admissible": True}
 
     def test_wf_boundary_condition_can_fail(self):
         # constructible (a, b > 0) yet outside the almost-sure (0,1) regime
         report = domain_report(WfParams(1.0, 2.5, 1.9))
-        assert report.checks["lower_boundary"] is False
+        assert report["lower_boundary"] is False

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lsd.errors import ConfigurationError
 from lsd.schemes import SCHEMES, SchemeId, make_stepper
 
 FIXTURE = {"cir": "cir_params", "cev": "cev_params", "wf": "wf_params",
@@ -39,3 +40,19 @@ def test_row_runs_through_its_stepper(key, request):
         x = stepper.x_of(state)
         assert np.shape(x) == shape
         assert np.all(np.isfinite(x))
+
+
+@pytest.mark.parametrize("key, params, kwargs, message", [
+    (("cir", "exact_ou"), "cir_ou_params", dict(m_split=0.0),
+     r"^split weight must lie in \(0,1\), got 0\.0$"),
+    (("cir", "exact_ou"), "cir_ou_params", dict(m_split=1.0),
+     r"^split weight must lie in \(0,1\), got 1\.0$"),
+    (("cir", "exact_ou"), "cir_params", {},
+     r"^squared-OU construction needs 4\*k1/k3\^2 = 2, got 8\.0$"),
+    (("cir", "lsd1"), "cev_params", {},
+     r"^params are for 'cev' but scheme is cir:lsd1$"),
+], ids=["split-0", "split-1", "dimension", "model"])
+def test_make_stepper_rejects_with_its_message(key, params, kwargs, message,
+                                               request):
+    with pytest.raises(ConfigurationError, match=message):
+        make_stepper(SchemeId(*key), request.getfixturevalue(params), **kwargs)

@@ -11,16 +11,16 @@ from lsd.wiener import (cir_effective_increment, generate_lattice,
                         halve_increments, path_seed)
 
 
-def _at_level(lat, level):
-    """The lattice's increments at a coarser dyadic level."""
-    return halve_increments(lat.increments, lat.finest_level - level)
+def _at_level(lat, finest, level):
+    """The increments of a lattice drawn ``finest`` levels deep at a coarser level."""
+    return halve_increments(lat.increments, finest - level)
 
 
 class TestGenerate:
     def test_shape_and_variance_scale(self):
         lat = generate_lattice(1, 1.0, 4, 0)
         assert lat.increments.shape == (4,)
-        assert lat.fine_dt == 0.25
+        assert 1.0 / lat.increments.size == 0.25
         # increments are standard normals scaled by sqrt(dt), nothing else
         ref = np.random.default_rng(np.random.SeedSequence(1)).standard_normal(4) * 0.5
         np.testing.assert_array_equal(lat.increments, ref)
@@ -62,17 +62,16 @@ class TestCoarsen:
     def test_pairwise_definition(self):
         lat = generate_lattice(3, 1.0, 2, 1)
         a, b, c, d = lat.increments
-        np.testing.assert_array_equal(_at_level(lat, 0), [a + b, c + d])
+        np.testing.assert_array_equal(_at_level(lat, 1, 0), [a + b, c + d])
 
     def test_identity_at_finest(self):
         lat = generate_lattice(3, 1.0, 2, 2)
-        np.testing.assert_array_equal(_at_level(lat, lat.finest_level),
-                                      lat.increments)
+        np.testing.assert_array_equal(_at_level(lat, 2, 2), lat.increments)
 
     def test_level_out_of_range(self):
         lat = generate_lattice(3, 1.0, 2, 1)
         with pytest.raises(ConfigurationError):
-            _at_level(lat, 2)
+            _at_level(lat, 1, 2)
         with pytest.raises(ConfigurationError):
             halve_increments(lat.increments, 3)
 
@@ -81,8 +80,8 @@ class TestCoarsen:
         # only representation error of the coarse entries
         lat = generate_lattice(11, 1.0, 16, 6)
         total_fine = math.fsum(lat.increments)
-        for level in range(lat.finest_level + 1):
-            total = math.fsum(_at_level(lat, level))
+        for level in range(6 + 1):
+            total = math.fsum(_at_level(lat, 6, level))
             tol = 4 * np.spacing(np.abs(lat.increments).sum())
             assert abs(total - total_fine) <= tol
 
@@ -93,8 +92,8 @@ class TestCoarsen:
         lat = generate_lattice(5, 2.0, 8, 8)
         fine = lat.increments
         for level in (0, 3, 7):
-            coarse = _at_level(lat, level)
-            width = 2 ** (lat.finest_level - level)
+            coarse = _at_level(lat, 8, level)
+            width = 2 ** (8 - level)
             for k in range(coarse.size):
                 block = fine[k * width:(k + 1) * width]
                 exact = math.fsum(block)
@@ -103,7 +102,7 @@ class TestCoarsen:
 
     def test_two_driver_coarsening(self):
         lat = generate_lattice(9, 1.0, 4, 2, drivers=2)
-        coarse = _at_level(lat, 1)
+        coarse = _at_level(lat, 2, 1)
         assert coarse.shape == (2, 8)
         np.testing.assert_array_equal(
             coarse, lat.increments[:, 0::2] + lat.increments[:, 1::2])
@@ -137,7 +136,7 @@ class TestCoarsen:
         for seed in (101, 102, 103):
             lat = generate_lattice(seed, T, base, levels)
             for lv in range(levels + 1):
-                pooled[lv].append(_at_level(lat, lv))
+                pooled[lv].append(_at_level(lat, levels, lv))
         for lv, chunks in pooled.items():
             samples = np.concatenate(chunks)
             assert samples.size >= 10_000

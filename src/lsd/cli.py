@@ -84,9 +84,9 @@ def _run_simulate(cfg, params):
     for dt, paths in _paths(cfg, params).items():
         for j, t in enumerate(paths[0].times):
             rows.append((_fmt(dt), _fmt(t)) + tuple(_fmt(p.values[j]) for p in paths))
-    counters = {s: {"non_real": p.non_real_count, "clamped": p.clamp_count,
-                    "negative": p.negative_count}
-                for s, p in zip(cfg.schemes, paths)}
+    counters = {s: {"non_real": c.non_real_events, "clamped": c.clamp_events,
+                    "negative": c.negative_states}
+                for s, c in zip(cfg.schemes, (p.counters for p in paths))}
     return rows, {"counters_last_dt": counters}
 
 

@@ -105,6 +105,12 @@ def _to_int(value: str, key: str, line_no: int) -> int:
             f"line {line_no}: key {key!r} needs an integer, got {value!r}") from None
 
 
+def _reject_repeats(values: list, what: str, line_no: int) -> None:
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigurationError(f"line {line_no}: {what} {v!r} is listed twice")
+
+
 def _split_list(value: str) -> List[str]:
     parts = [p for chunk in value.split(",") for p in chunk.split()]
     return [p for p in parts if p]
@@ -182,13 +188,12 @@ def parse_config(text: str) -> ExperimentConfig:
     schemes = _split_list(schemes_raw)
     if not schemes:
         raise ConfigurationError(f"line {schemes_line}: empty scheme list")
+    _reject_repeats(schemes, "scheme", schemes_line)
     dt_raw, dt_line = need("dt")
     dts = [_to_float(v, "dt", dt_line) for v in _split_list(dt_raw)]
     if not dts or any(d <= 0 for d in dts):
         raise ConfigurationError(f"line {dt_line}: dt values must be positive")
-    repeated = [d for i, d in enumerate(dts) if d in dts[:i]]
-    if repeated:
-        raise ConfigurationError(f"line {dt_line}: dt {repeated[0]} is listed twice")
+    _reject_repeats(dts, "dt", dt_line)
 
     cfg = ExperimentConfig(
         kind=kind, model=model, params=params, x0=x0, T=T, schemes=schemes,

@@ -37,14 +37,19 @@ _BATCH = 256
 
 
 @dataclass
+class ScanCounters:
+    negative_states: int = 0
+    non_real_events: int = 0
+    clamp_events: int = 0
+
+
+@dataclass
 class PathResult:
     """One trajectory in the original coordinate plus event counters."""
 
     times: np.ndarray
     values: np.ndarray
-    non_real_count: int = 0
-    clamp_count: int = 0
-    negative_count: int = 0
+    counters: ScanCounters
 
 
 @dataclass
@@ -57,13 +62,6 @@ class ErrorReport:
     slope: float
     intercept: float
     reference: SchemeId
-
-
-@dataclass
-class ScanCounters:
-    negative_states: int = 0
-    non_real_events: int = 0
-    clamp_events: int = 0
 
 
 @dataclass
@@ -103,6 +101,14 @@ def _steps_for(T: float, dt: float) -> int:
             f"lattice of {8 * n:.3g} bytes exceeds physical memory "
             f"({memory:.3g} bytes)")
     return n
+
+
+def _distinct(step_sizes: Sequence[float]) -> List[float]:
+    """The step sizes as floats, none of them listed twice."""
+    dts = [float(d) for d in step_sizes]
+    if len(set(dts)) < len(dts):
+        raise ConfigurationError(f"step sizes {list(step_sizes)} repeat a value")
+    return dts
 
 
 def _dyadic_plan(T: float, step_sizes: Sequence[float],
@@ -158,12 +164,6 @@ def _batches(seed, M, T, n, halvings, drivers=1):
 # core iteration
 # ---------------------------------------------------------------------------
 
-def _count(mask) -> int:
-    if mask is None:
-        return 0
-    return int(np.count_nonzero(mask))
-
-
 def _terminal_batch(stepper, x0, dt, increments,
                     counters: Optional[ScanCounters] = None,
                     values: Optional[np.ndarray] = None,
@@ -172,30 +172,34 @@ def _terminal_batch(stepper, x0, dt, increments,
 
     ``increments`` is ``(B, n)``, or ``(B, 2, n)`` for a two-driver stepper.
     x is what ``stepper.x_of`` returns: ``(B,)`` for a scheme, or one row of
-    B per path for the squared-OU construction with its riders.  ``counters`` tallies
-    events and negative x over every step; ``values[j + 1]`` gets x after
-    step j.  A non-finite x raises NumericError: the first one in
-    ``values`` once the loop is done, else one at the horizon.  An error is
-    re-raised as it is, its message prefixed with the scheme, dt, step index
-    and ``paths``, then the path that failed when the error names one (a
-    root finder's ``index`` in the batch).
+    B per path for the squared-OU construction with its riders.  A step
+    returns ``(state, mask)``; ``counters`` adds the paths each mask marks to
+    the field ``stepper.event`` names, and negative x to ``negative_states``,
+    over every step; ``values[j + 1]`` gets x after step j.  A non-finite x
+    raises NumericError: the first one in ``values`` once the loop is done,
+    else one at the horizon.  An error is re-raised as it is, its message
+    prefixed with the scheme, dt, step index and ``paths``, then the path
+    that failed when the error names one (a root finder's ``index`` in the
+    batch).
     """
     state = stepper.init(x0, size=increments.shape[0])
     step, x_of = stepper.step, stepper.x_of
     record = counters is not None or values is not None
+    event = {"non_real": "non_real_events",   # the field the masks add to
+             "clamped": "clamp_events"}.get(stepper.event)
     j = 0
     try:
         # the transpose puts the step axis first; dw is (B,) or (2, B)
         for j, dw in enumerate(increments.T):
-            state, events = step(state, dw, dt)
+            state, mask = step(state, dw, dt)
             if record:
                 x = x_of(state)
                 if values is not None:
                     values[j + 1] = x
                 if counters is not None:
-                    counters.non_real_events += _count(events.non_real)
-                    counters.clamp_events += _count(events.clamped)
-                    counters.negative_states += _count(x < 0)
+                    if event is not None:
+                        counters.__dict__[event] += int(np.count_nonzero(mask))
+                    counters.negative_states += int(np.count_nonzero(x < 0))
         x = x_of(state)
         # NaN survives every row's map or makes it raise, so checking once
         # at the horizon sees it
@@ -249,10 +253,7 @@ def simulate_path(scheme: SchemeId, params: ModelParams, x0: float, T: float,
     counters = ScanCounters()
     _terminal_batch(stepper, x0, dt, driver[np.newaxis, ..., :n],
                     counters=counters, values=values[:, np.newaxis])
-    return PathResult(times=times, values=values,
-                      non_real_count=counters.non_real_events,
-                      clamp_count=counters.clamp_events,
-                      negative_count=counters.negative_states)
+    return PathResult(times=times, values=values, counters=counters)
 
 
 def simulate_paths(schemes: Sequence[SchemeId], params: ModelParams,
@@ -269,8 +270,7 @@ def simulate_paths(schemes: Sequence[SchemeId], params: ModelParams,
     """
     if not schemes:
         raise ConfigurationError("need at least one scheme")
-    if len(set(step_sizes)) < len(step_sizes):
-        raise ConfigurationError(f"step sizes {list(step_sizes)} repeat a value")
+    _distinct(step_sizes)
     drivers = [make_stepper(s, params, m_split=m_split).drivers for s in schemes]
     results = {}
     for k, dt in enumerate(step_sizes):
@@ -319,7 +319,7 @@ def strong_error(schemes: Sequence[SchemeId], reference: Optional[SchemeId],
     if M < 2:
         raise ConfigurationError(f"need at least 2 paths, got {M}")
     refs = [s if reference is None else reference for s in schemes]
-    dts = sorted(set(float(d) for d in step_sizes), reverse=True)
+    dts = sorted(_distinct(step_sizes), reverse=True)
     n_ref, halvings = _dyadic_plan(T, dts, ref_step)
     steppers = {s: make_stepper(s, params, theta=theta)
                 for s in dict.fromkeys([*refs, *schemes])}
@@ -379,11 +379,11 @@ class _SquaredOuRide:
     The state is ``(pair, [rider states])``, the pair being the
     ``cir:exact_ou`` state (x1, x2) stacked along a first axis; ``x_of``
     stacks x1, x2, the squared-OU x and each rider's x along a new first
-    axis.  A step reports the OU pair's events (none); the riders' events
-    are not counted.
+    axis.  A step returns no mask, as the OU pair has none; the riders'
+    masks are not counted.
     """
 
-    drivers = 2
+    drivers, event = 2, None
 
     def __init__(self, params, m_split, riders, theta):
         for s in riders:
@@ -403,9 +403,8 @@ class _SquaredOuRide:
     def step(self, state, dw, dt):
         ou, ys = state
         dw_eff = cir_effective_increment(ou[0], ou[1], dw[0], dw[1])
-        ou, events = self.ou.step(ou, dw, dt)
-        return (ou, [r.step(y, dw_eff, dt)[0]
-                     for r, y in zip(self.riders, ys)]), events
+        return (self.ou.step(ou, dw, dt)[0],
+                [r.step(y, dw_eff, dt)[0] for r, y in zip(self.riders, ys)]), None
 
     def x_of(self, state):
         ou, ys = state
@@ -452,7 +451,7 @@ def exact_cir_error_decay(params: ModelParams, x0: float, m_split: float,
     """
     if M < 1:
         raise ConfigurationError(f"need at least 1 path, got M={M}")
-    dts = sorted(set(float(d) for d in step_sizes), reverse=True)
+    dts = sorted(_distinct(step_sizes), reverse=True)
     n_ref, halvings = _dyadic_plan(T, dts)
     ride = _SquaredOuRide(params, m_split, schemes, theta)
     totals = [dict.fromkeys(dts, 0.0) for _ in schemes]
@@ -482,8 +481,7 @@ def domain_violation_scan(schemes: Sequence[SchemeId], params: ModelParams,
     steppers = {str(s): make_stepper(s, params, theta=theta) for s in schemes}
     if any(st.drivers != 1 for st in steppers.values()):
         raise ConfigurationError("scan supports single-driver schemes only")
-    if len(set(step_sizes)) < len(step_sizes):
-        raise ConfigurationError(f"step sizes {list(step_sizes)} repeat a value")
+    _distinct(step_sizes)
     results = {name: {dt: ScanCounters() for dt in step_sizes} for name in steppers}
     for k, dt in enumerate(step_sizes):
         n = _steps_for(T, dt)

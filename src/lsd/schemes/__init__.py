@@ -6,15 +6,17 @@ arrays (a lone state is a 0-d array).  :data:`SCHEMES` holds one row per
 (model, variant) with what the engine needs to run it, and is the only
 description of a row: :func:`make_stepper` builds one :class:`Stepper` for
 every row, the squared-OU pair included, which binds the row's map once per
-dt.  A name selects exactly one computation.  The rows named
-``implicit_printed`` run a drift-implicit map as printed in its source, whose
-drift does not match the SDE; the plain ``implicit`` rows run the consistent
-form.
+dt.  A step returns ``(state, mask)``: the map's own pair for a row that
+declares a ``mask`` kind, which the stepper's ``event`` names, and
+``(state, None)`` for the others.  A name selects exactly one computation.
+The rows named ``implicit_printed`` run a drift-implicit map as printed in
+its source, whose drift does not match the SDE; the plain ``implicit`` rows
+run the consistent form.
 """
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -50,8 +52,12 @@ class Scheme:
     bind: Optional[Callable] = None
 
 
+def _identity(p, x):
+    return x
+
+
 # The maps of the rows that iterate x itself.
-_IN_X = dict(to_state=lambda p, x: x, to_x=lambda p, x: x)
+_IN_X = dict(to_state=_identity, to_x=_identity)
 
 SCHEMES = {
     ("cir", "lsd1"): Scheme(bind=cir.lsd1_bind),
@@ -117,15 +123,6 @@ class SchemeId:
         return f"{self.model}:{self.variant}"
 
 
-@dataclass
-class StepEvents:
-    non_real: Any = None   # bool or boolean mask, None when impossible
-    clamped: Any = None
-
-
-_NO_EVENTS = StepEvents()
-
-
 def _broadcast(value, size):
     """``value`` as a float array, or ``size`` copies of it along a new last axis."""
     value = np.asarray(value, float)
@@ -143,7 +140,7 @@ class Stepper:
     def __init__(self, scheme_id: SchemeId, row: Scheme, params: ModelParams,
                  theta: float, m_split: float):
         self.scheme_id, self.scheme, self.params = scheme_id, row, params
-        self.drivers = row.drivers
+        self.drivers, self.event = row.drivers, row.mask
         self._to_state = (partial(row.to_state, m_split=m_split)
                           if row.drivers == 2 else row.to_state)
         if row.bind is not None:
@@ -163,19 +160,13 @@ class Stepper:
         if dt != self._dt:
             self._dt, self._map = dt, self._bind(self.params, dt)
         out = self._map(state, dw)
-        s = self.scheme
-        if s.mask is None:
-            return out, _NO_EVENTS
-        value, mask = out
-        if s.mask == "non_real":
-            return value, StepEvents(non_real=mask)
-        return value, StepEvents(clamped=mask)
+        return out if self.event else (out, None)
 
     def x_of(self, state):
         if self.scheme.to_x is None:
             return self.params.inverse(state)
         x = self.scheme.to_x(self.params, state)
-        return np.real(x) if self.scheme.mask == "non_real" else x
+        return np.real(x) if self.event == "non_real" else x
 
 
 def make_stepper(scheme: SchemeId, params: ModelParams, theta: float = 1.0,
@@ -185,8 +176,9 @@ def make_stepper(scheme: SchemeId, params: ModelParams, theta: float = 1.0,
     Checks the row's precondition (the splitting scheme's admissibility,
     the squared-OU dimension).  ``theta`` reaches only the rows that take
     it; ``m_split`` only the squared-OU row, whose initial split it sets.
-    A stepper has ``scheme_id``, ``drivers``, ``init(x0, size=None)``,
-    ``step(state, dw, dt) -> (state, events)`` and ``x_of(state)``.
+    A stepper has ``scheme_id``, ``drivers``, ``event`` (the row's ``mask``
+    kind, or None), ``init(x0, size=None)``, ``step(state, dw, dt) ->
+    (state, mask)`` and ``x_of(state)``.
     """
     if params.model != scheme.model:
         raise ConfigurationError(

@@ -32,19 +32,12 @@ def lsd2_step(p, y, dw, dt):
 
 def implicit_map(p, dt, variant):
     """Drift-implicit map on (0, inf): ``drift`` or ``printed`` reading."""
-    if variant == "printed":
+    one, k4 = (1.0, p.K4) if variant == "printed" else (0.0, -p.K4)
 
-        def g(y):
-            bracket = (1.0 + p.Km1 * y**p.e1 - p.K0 * y**p.e2 + p.K1 * y
-                       - p.K2 * y**p.e5 + p.K4 / y)
-            return y + bracket * dt
-
-    else:
-
-        def g(y):
-            bracket = (p.Km1 * y**p.e1 - p.K0 * y**p.e2 + p.K1 * y
-                       - p.K2 * y**p.e5 - p.K4 / y)
-            return y + bracket * dt
+    def g(y):
+        bracket = (one + p.Km1 * y**p.e1 - p.K0 * y**p.e2 + p.K1 * y
+                   - p.K2 * y**p.e5 + k4 / y)
+        return y + bracket * dt
 
     return g
 

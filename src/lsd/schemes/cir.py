@@ -43,18 +43,6 @@ def lsd3_bind(p, dt):
     return lambda y, dw: ((s := dw + y) + np.sqrt(s * s + q)) / d
 
 
-def lsd1_step(p, y, dw, dt):
-    return lsd1_bind(p, dt)(y, dw)
-
-
-def lsd2_step(p, y, dw, dt):
-    return lsd2_bind(p, dt)(y, dw)
-
-
-def lsd3_step(p, y, dw, dt):
-    return lsd3_bind(p, dt)(y, dw)
-
-
 def sd_theta_step(p, x, dw, dt, theta):
     """Theta-semi-discrete step in the original coordinate.
 

@@ -130,8 +130,8 @@ def test_c4_wf_boundedness():
         state = stepper.init(0.5, size=M)
         lo, hi = np.inf, -np.inf
         for j in range(n):
-            state, events = stepper.step(state, inc[:, j], dt)
-            clamp_total += int(np.count_nonzero(events.clamped))
+            state, clamped = stepper.step(state, inc[:, j], dt)
+            clamp_total += int(np.count_nonzero(clamped))
             x = stepper.x_of(state)
             lo, hi = min(lo, x.min()), max(hi, x.max())
         all_ok &= (lo > 0.0) and (hi < 1.0)
@@ -209,10 +209,10 @@ def test_c6_steps_agree_with_closed_forms():
         y = math.exp(rng.uniform(math.log(1e-2), math.log(50.0)))
         dw = rng.normal() * 0.3
         dt = 10 ** rng.uniform(-5, -2)
-        got1 = cir_mod.lsd1_step(CIR, y, dw, dt)
+        got1 = cir_mod.lsd1_bind(CIR, dt)(y, dw)
         want1 = math.sqrt(bernoulli_power(
             A=dw + (1.0 - CIR.b * dt) * y, B=CIR.a, C=0.0, l=1.0, dt=dt))
-        got2 = cir_mod.lsd2_step(CIR, y, dw, dt)
+        got2 = cir_mod.lsd2_bind(CIR, dt)(y, dw)
         want2 = math.sqrt(bernoulli_power(
             A=dw + y, B=CIR.a, C=-CIR.b, l=1.0, dt=dt))
         worst = max(worst, ulps_apart(got1, want1), ulps_apart(got2, want2))

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import lsd.cli
 import lsd.experiments
 from lsd.cli import main
-from lsd.config import parse_config
+from lsd.config import _DEFAULT_M, KINDS, parse_config
 from lsd.errors import ConfigurationError
 
 MINIMAL_CIR = """
@@ -189,6 +190,9 @@ class TestParse:
          r"^line 5: unknown key 'colour' in \[experiment\]$"),
         ("T = 1\n", "", r"^missing key 'T' under \[run\]$"),
         ("schemes = lsd1", "schemes = ,", r"^line 14: empty scheme list$"),
+        ("schemes = lsd1", "schemes = lsd1, lsd2, lsd1",
+         r"^line 14: scheme 'lsd1' is listed twice$"),
+        ("x0 = 4", "= 4", r"^line 12, col 1: missing key$"),
         ("dt = 0.25, 0.125", "dt = 0.25, -0.125",
          r"^line 15: dt values must be positive$"),
         ("dt = 0.25, 0.125", "dt = 0.25, 0.125\nreference = lsd9",
@@ -289,6 +293,18 @@ class TestCli:
         assert main([str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == message
         assert not out.exists()
+
+    def test_failed_write_leaves_an_empty_directory(self, tmp_path,
+                                                    monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(lsd.cli.json, "dump", refuse)
+        cfg = self._write(tmp_path, TINY_CONVERGENCE)
+        out = tmp_path / "o"
+        assert main([str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert list(out.iterdir()) == []
 
     def test_simulate_rejects_step_not_dividing_horizon(self, tmp_path):
         text = MINIMAL_WF_SIMULATE.replace("dt = 0.01", "dt = 0.3")
@@ -473,3 +489,9 @@ seed = 3
         assert summary["identity_max_abs_gap"] == 0.0
         lines = (tmp_path / "o" / "coupled.csv").read_text().splitlines()
         assert lines[0] == "scheme,dt,mean_abs_terminal_diff"
+
+
+def test_kind_tables_name_the_same_kinds():
+    # a kind added to one table and not the others would fail at run time
+    assert len(set(KINDS)) == len(KINDS)
+    assert set(lsd.cli._RUNNERS) == set(KINDS) == set(_DEFAULT_M)

@@ -115,7 +115,7 @@ class TestSimulatePath:
         lat = generate_lattice(path_seed(6, 0), 1.0, 100, 0)
         res = simulate_path(SchemeId("cir", "alf"), STRESSED_CIR, 4.0, 1.0,
                             100, lat.increments)
-        assert res.negative_count == np.count_nonzero(res.values < 0) == 85
+        assert res.counters.negative_states == np.count_nonzero(res.values < 0) == 85
 
     def test_two_driver_batch_matches_single_paths(self, cir_ou_params):
         exact_ou = SchemeId("cir", "exact_ou")
@@ -176,6 +176,15 @@ class TestStrongError:
                       r"x is not finite at the horizon$"):
             strong_error([CIR_LSD1], CIR_LSD2, cir_params, 1.7e308, 1.0,
                          [0.5, 0.25], 0.125, M=4, seed=3)
+
+    def test_non_finite_error_raises(self, cir_params):
+        # from x0 = 1e200 every x is finite but the squared differences
+        # overflow, so the error of every level is infinite
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericError, match=r"^cir:lsd1 against cir:lsd1: non-finite "
+                                    r"error at dt=\[0\.5, 0\.25\]$"):
+            strong_error([CIR_LSD1], None, cir_params, 1e200, 1.0,
+                         [0.5, 0.25], 0.125, M=2, seed=3)
 
     @pytest.mark.parametrize("dt, steps", [(1e-12, "1e\\+12"),
                                            (1e-300, "1e\\+300")])
@@ -546,6 +555,21 @@ class TestBatches:
                                         [CIR_LSD1, SchemeId("cev", "lsd1")]),
         r"^only one-driver square-root-model schemes can ride the "
         r"reconstructed increments, got cev:lsd1$", id="ride-cev"),
+    pytest.param(
+        lambda p: strong_error([CIR_LSD1], None, p, 4.0, 1.0, [0.25, 0.25],
+                               0.125, M=2, seed=0),
+        r"^step sizes \[0\.25, 0\.25\] repeat a value$", id="strong_error-repeat"),
+    pytest.param(
+        lambda p: exact_cir_error_decay(p, 4.0, 0.5, [0.25, 0.5, 0.25], 1.0, 1,
+                                        0, [CIR_LSD1]),
+        r"^step sizes \[0\.25, 0\.5, 0\.25\] repeat a value$", id="decay-repeat"),
+    pytest.param(
+        lambda p: simulate_path(CIR_LSD1, p, 4.0, 1.0, -1, np.empty(0)),
+        r"^step count must be >= 0, got -1$", id="negative-steps"),
+    pytest.param(
+        lambda p: simulate_path(CIR_EXACT_OU, p, 4.0, 1.0, 4, np.zeros(4)),
+        r"^scheme cir:exact_ou needs a \(2, >= 4\) driver, got \(4,\)$",
+        id="two-driver-shape"),
 ])
 def test_rejects_with_its_message(cir_ou_params, run, message):
     with pytest.raises(ConfigurationError, match=message):

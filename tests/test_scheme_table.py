@@ -19,6 +19,7 @@ def test_row_runs_through_its_stepper(key, request):
     params = request.getfixturevalue(
         "cir_ou_params" if variant == "exact_ou" else FIXTURE[model])
     stepper = make_stepper(SchemeId(model, variant), params)
+    assert stepper.event == row.mask
     x0 = X0[model]
     assert stepper.x_of(stepper.init(x0)) == pytest.approx(x0, rel=1e-12)
 
@@ -28,15 +29,13 @@ def test_row_runs_through_its_stepper(key, request):
         state = stepper.init(x0, size=size)
         for _ in range(10):
             dw = rng.standard_normal((stepper.drivers,) + shape) * np.sqrt(DT)
-            state, events = stepper.step(
+            state, mask = stepper.step(
                 state, tuple(dw) if stepper.drivers == 2 else dw[0], DT)
-            for kind in ("non_real", "clamped"):
-                mask = getattr(events, kind)
-                if kind == row.mask:
-                    assert np.asarray(mask).dtype == bool
-                    assert np.shape(mask) == shape
-                else:
-                    assert mask is None
+            if row.mask is not None:
+                assert np.asarray(mask).dtype == bool
+                assert np.shape(mask) == shape
+            else:
+                assert mask is None
         x = stepper.x_of(state)
         assert np.shape(x) == shape
         assert np.all(np.isfinite(x))
@@ -51,7 +50,12 @@ def test_row_runs_through_its_stepper(key, request):
      r"^squared-OU construction needs 4\*k1/k3\^2 = 2, got 8\.0$"),
     (("cir", "lsd1"), "cev_params", {},
      r"^params are for 'cev' but scheme is cir:lsd1$"),
-], ids=["split-0", "split-1", "dimension", "model"])
+    (("gbm", "lsd1"), "cir_params", {}, r"^unknown model 'gbm'$"),
+    (("cir", "lsd9"), "cir_params", {},
+     r"^unknown variant 'lsd9' for model 'cir'; expected one of \('lsd1', "
+     r"'lsd2', 'lsd3', 'sd_theta', 'alf', 'ns', 'exact_ou'\)$"),
+], ids=["split-0", "split-1", "dimension", "model", "unknown-model",
+        "unknown-variant"])
 def test_make_stepper_rejects_with_its_message(key, params, kwargs, message,
                                                request):
     with pytest.raises(ConfigurationError, match=message):

@@ -14,10 +14,10 @@ def _lsd(variant):
 
 
 def _companion(variant, p, x, dw, dt, theta=1.0):
-    """One companion step from x; returns (x', events)."""
+    """One companion step from x; returns (x', the step's mask)."""
     stepper = make_stepper(SchemeId("cev", variant), p, theta=theta)
-    state, events = stepper.step(stepper.init(x), dw, dt)
-    return stepper.x_of(state), events
+    state, mask = stepper.step(stepper.init(x), dw, dt)
+    return stepper.x_of(state), mask
 
 
 class TestLsdValues:
@@ -75,16 +75,16 @@ class TestQuadraticResidual:
 
 class TestCompanions:
     def test_sd_theta_drift_only(self, cev_params):
-        x, events = _companion("sd_theta", cev_params, 1.0 / 16.0, 0.0, 0.01,
-                               theta=1.0)
+        x, non_real = _companion("sd_theta", cev_params, 1.0 / 16.0, 0.0, 0.01,
+                                 theta=1.0)
         assert x == pytest.approx(0.0624019703950593, rel=1e-13)
-        assert not events.non_real
+        assert not non_real
 
     def test_sd_theta_can_go_nonreal(self):
         # tiny state and large diffusion make the inner value negative
         p = CevParams(k1=1e-4, k2=1.0, k3=2.0, q=0.75)
-        _, events = _companion("sd_theta", p, 1e-6, 0.0, 0.01, theta=0.0)
-        assert events.non_real
+        _, non_real = _companion("sd_theta", p, 1e-6, 0.0, 0.01, theta=0.0)
+        assert non_real
 
     def test_implicit_identity_limit(self, cev_params):
         x, _ = _companion("implicit", cev_params, 1.0 / 16.0, 0.0, 1e-12)

@@ -18,7 +18,8 @@ STRESS_PARAMS = [CirParams(1.0, 2.0, k3) for k3 in (4.0, 10.0, 20.0)]
 
 
 def _lsd(variant):
-    return getattr(cir_mod, f"{variant}_step")
+    bind = getattr(cir_mod, f"{variant}_bind")
+    return lambda p, y, dw, dt: bind(p, dt)(y, dw)
 
 
 def _exact_ou(p, state, dw1, dw2, dt):
@@ -30,13 +31,13 @@ def _exact_ou(p, state, dw1, dw2, dt):
 
 class TestLsdValues:
     def test_lsd1_worked_example(self, cir_params):
-        y = cir_mod.lsd1_step(cir_params, 4.0, 0.05, 0.01)
+        y = cir_mod.lsd1_bind(cir_params, 0.01)(4.0, 0.05)
         assert y == pytest.approx(4.0149750933224978, rel=1e-14)
         x = cir_params.inverse(y)
         assert x == pytest.approx(4.03000625, rel=1e-14)
 
     def test_lsd3_degenerates_to_shifted_state(self, cir_params):
-        y = cir_mod.lsd3_step(cir_params, 4.0, 0.05, 1e-12)
+        y = cir_mod.lsd3_bind(cir_params, 1e-12)(4.0, 0.05)
         assert abs(y - 4.05) <= 1e-6
 
     @pytest.mark.parametrize("variant", ["lsd1", "lsd2", "lsd3"])
@@ -70,7 +71,7 @@ class TestClosedFormAgreement:
         for _ in range(200):
             y = math.exp(rng.uniform(math.log(1e-3), math.log(1e2)))
             dw, dt = rng.normal() * 0.3, 10 ** rng.uniform(-6, -1)
-            got = cir_mod.lsd1_step(cir_params, y, dw, dt)
+            got = cir_mod.lsd1_bind(cir_params, dt)(y, dw)
             A = dw + (1.0 - cir_params.b * dt) * y
             want = math.sqrt(bernoulli_power(A=A, B=cir_params.a, C=0.0,
                                              l=1.0, dt=dt))
@@ -80,7 +81,7 @@ class TestClosedFormAgreement:
         for _ in range(200):
             y = math.exp(rng.uniform(math.log(1e-3), math.log(1e2)))
             dw, dt = rng.normal() * 0.3, 10 ** rng.uniform(-6, -1)
-            got = cir_mod.lsd2_step(cir_params, y, dw, dt)
+            got = cir_mod.lsd2_bind(cir_params, dt)(y, dw)
             want = math.sqrt(bernoulli_power(A=dw + y, B=cir_params.a,
                                              C=-cir_params.b, l=1.0, dt=dt))
             assert ulps_apart(got, want) <= 2
@@ -111,8 +112,8 @@ class TestPerDtBinding:
         lsd1 = np.sqrt(bernoulli_power(dw + (1.0 - p.b * dt) * y, p.a, 0.0,
                                        1.0, dt))
         lsd2 = np.sqrt(bernoulli_power(dw + y, p.a, -p.b, 1.0, dt))
-        assert cir_mod.lsd1_step(p, y, dw, dt).tobytes() == lsd1.tobytes()
-        assert cir_mod.lsd2_step(p, y, dw, dt).tobytes() == lsd2.tobytes()
+        assert cir_mod.lsd1_bind(p, dt)(y, dw).tobytes() == lsd1.tobytes()
+        assert cir_mod.lsd2_bind(p, dt)(y, dw).tobytes() == lsd2.tobytes()
 
 
 class TestQuadraticResidual:
@@ -121,7 +122,7 @@ class TestQuadraticResidual:
         for _ in range(500):
             y = math.exp(rng.uniform(math.log(1e-3), math.log(1e2)))
             dw, dt = rng.normal(), 10 ** rng.uniform(-5, -1)
-            v = cir_mod.lsd3_step(p, y, dw, dt)
+            v = cir_mod.lsd3_bind(p, dt)(y, dw)
             c2, c1, c0 = 1.0 + p.b * dt, -(dw + y), -p.a * dt
             residual = c2 * v * v + c1 * v + c0
             scale = 1.0 + abs(c2) + abs(c1) + abs(c0)
@@ -131,9 +132,9 @@ class TestQuadraticResidual:
 class TestCompanions:
     def test_alf_drift_only(self, cir_params):
         stepper = make_stepper(SchemeId("cir", "alf"), cir_params)
-        state, events = stepper.step(stepper.init(4.0), 0.0, 0.01)
+        state, non_real = stepper.step(stepper.init(4.0), 0.0, 0.01)
         assert stepper.x_of(state) == pytest.approx(3.9362745098039216, rel=1e-14)
-        assert not events.non_real
+        assert not non_real
 
     def test_sd_theta_drift_only(self, cir_params):
         stepper = make_stepper(SchemeId("cir", "sd_theta"), cir_params, theta=1.0)
@@ -143,8 +144,8 @@ class TestCompanions:
     def test_ns_goes_nonreal_near_zero(self):
         p = CirParams(1.0, 2.0, 4.0)  # k1 - k3^2/4 = -3
         stepper = make_stepper(SchemeId("cir", "ns"), p)
-        state, events = stepper.step(0.1, 0.0, 0.01)  # the state is v = sqrt(x)
-        assert events.non_real
+        state, non_real = stepper.step(0.1, 0.0, 0.01)  # the state is v = sqrt(x)
+        assert non_real
         assert isinstance(state, complex)
 
     def test_nonreal_is_sticky(self):
@@ -152,8 +153,8 @@ class TestCompanions:
         p = CirParams(1.0, 2.0, 4.0)
         stepper = make_stepper(SchemeId("cir", "ns"), p)
         state, _ = stepper.step(0.1, 0.0, 0.01)
-        state, events = stepper.step(state, 0.3, 0.01)
-        assert events.non_real
+        state, non_real = stepper.step(state, 0.3, 0.01)
+        assert non_real
 
     def test_complex_fallback_frequency(self):
         # stressed parameters: both implicit competitors leave the real line
@@ -164,7 +165,7 @@ class TestCompanions:
                 lat = generate_lattice(path_seed(3, i), 1.0, 100, 0)
                 res = simulate_path(SchemeId("cir", variant), p, 4.0, 1.0, 100,
                                     lat.increments)
-                hits[variant] += res.non_real_count
+                hits[variant] += res.counters.non_real_events
         assert hits["alf"] >= 1
         assert hits["ns"] >= 1
 

@@ -63,15 +63,20 @@ def _run_convergence(cfg, params):
         ids, reference, params, cfg.x0, cfg.T, cfg.dts, cfg.ref_step, cfg.M,
         cfg.seed, theta=cfg.theta)
     rows = [("scheme", "dt", "rms", "stderr")]
-    slopes, intercepts = {}, {}
+    slopes, intercepts, dropped = {}, {}, {}
     for scheme, report in zip(ids, reports):
         for dt, rms, se in zip(report.step_sizes, report.rms_errors,
                                report.stderrs):
             rows.append((scheme.variant, _fmt(dt), _fmt(rms), _fmt(se)))
         slopes[scheme.variant] = report.slope
         intercepts[scheme.variant] = report.intercept
-    return rows, {"slope": slopes, "intercept": intercepts,
-                  "ref_step": cfg.ref_step, "M": cfg.M}
+        if report.dropped_from_fit:
+            dropped[scheme.variant] = report.dropped_from_fit
+    summary = {"slope": slopes, "intercept": intercepts,
+               "ref_step": cfg.ref_step, "M": cfg.M}
+    if dropped:
+        summary["dropped_from_fit"] = dropped
+    return rows, summary
 
 
 def _paths(cfg, params):

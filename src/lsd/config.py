@@ -2,9 +2,9 @@
 
 The format is deliberately tiny: blank lines and '#' comments are ignored,
 sections are ``[experiment]``, ``[params]``, and ``[run]``, and every other
-line must read ``key = value``.  Parsing is strict: unknown keys, duplicate
-keys, and malformed lines are reported with their line numbers so a config
-never half-works.
+line must read ``key = value``.  Parsing is strict: one pass reports the
+first malformed line, unknown key or duplicate key with its line number, so
+a config never half-works.
 """
 
 import math
@@ -17,9 +17,12 @@ from .schemes import VARIANTS
 
 KINDS = ("simulate", "convergence", "compare", "exact-cir", "scan")
 
-_EXPERIMENT_KEYS = ("kind", "model", "name")
-_RUN_KEYS = ("x0", "T", "schemes", "dt", "ref_step", "M", "seed", "theta",
-             "m", "reference")
+# The keys [experiment] and [run] take; [params] takes its model's, which
+# are checked once the model is known.
+_SECTION_KEYS = {"experiment": ("kind", "model", "name"),
+                 "params": None,
+                 "run": ("x0", "T", "schemes", "dt", "ref_step", "M", "seed",
+                         "theta", "m", "reference")}
 
 _PARAM_KEYS = {model: tuple(f.name for f in fields(cls))
                for model, cls in PARAMS_BY_MODEL.items()}
@@ -32,9 +35,9 @@ _DEFAULT_M = {"convergence": 1000, "scan": 100, "exact-cir": 100,
 class ExperimentConfig:
     """Everything one run needs, as :func:`parse_config` reads it.
 
-    Every real is finite and ``seed`` is at least 0.  Where the config
-    leaves them out, ``M`` is the kind's default, ``ref_step`` the finest dt
-    over 8, and ``name`` and ``reference`` are None.
+    Every real is finite, ``seed`` is at least 0 and ``theta`` lies in
+    [0, 1].  Where the config leaves them out, ``M`` is the kind's default,
+    ``ref_step`` the finest dt over 8, and ``name`` and ``reference`` are None.
     """
 
     kind: str
@@ -58,32 +61,6 @@ class ExperimentConfig:
         Kept only because ``perfbench/child.py`` calls it.
         """
         return name
-
-
-def _scan_lines(text: str) -> List[Tuple[int, str, str, str]]:
-    """Yield (line_no, kind, a, b) where kind is 'section' or 'pair'."""
-    out = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if stripped.startswith("["):
-            if not stripped.endswith("]"):
-                col = len(raw.rstrip()) + 1
-                raise ConfigurationError(
-                    f"line {line_no}, col {col}: unterminated section header")
-            out.append((line_no, "section", stripped[1:-1].strip(), ""))
-            continue
-        if "=" not in stripped:
-            col = raw.index(stripped[0]) + 1
-            raise ConfigurationError(
-                f"line {line_no}, col {col}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        if not key:
-            raise ConfigurationError(f"line {line_no}, col 1: missing key")
-        out.append((line_no, "pair", key, value.strip()))
-    return out
 
 
 def _to_float(value: str, key: str, line_no: int) -> float:
@@ -112,29 +89,42 @@ def _reject_repeats(values: list, what: str, line_no: int) -> None:
 
 
 def _split_list(value: str) -> List[str]:
-    parts = [p for chunk in value.split(",") for p in chunk.split()]
-    return [p for p in parts if p]
+    return [p for chunk in value.split(",") for p in chunk.split()]
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config; any problem names its key and line."""
-    entries = _scan_lines(text)
     sections: Dict[str, Dict[str, Tuple[str, int]]] = {}
     current = None
-    for line_no, kind, a, b in entries:
-        if kind == "section":
-            if a not in ("experiment", "params", "run"):
-                raise ConfigurationError(f"line {line_no}: unknown section [{a}]")
-            current = sections.setdefault(a, {})
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
             continue
+        if stripped.startswith("["):
+            if not stripped.endswith("]"):
+                raise ConfigurationError(f"line {line_no}, col {len(raw.rstrip()) + 1}: "
+                                         "unterminated section header")
+            section = stripped[1:-1].strip()
+            if section not in _SECTION_KEYS:
+                raise ConfigurationError(f"line {line_no}: unknown section [{section}]")
+            current, allowed = sections.setdefault(section, {}), _SECTION_KEYS[section]
+            continue
+        if "=" not in stripped:
+            raise ConfigurationError(f"line {line_no}, col {raw.index(stripped[0]) + 1}: "
+                                     "expected 'key = value'")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if not key:
+            raise ConfigurationError(f"line {line_no}, col 1: missing key")
         if current is None:
             raise ConfigurationError(
-                f"line {line_no}: key {a!r} appears before any [section] header")
-        if a in current:
-            first = current[a][1]
+                f"line {line_no}: key {key!r} appears before any [section] header")
+        if allowed is not None and key not in allowed:
+            raise ConfigurationError(f"line {line_no}: unknown key {key!r} in [{section}]")
+        if key in current:
             raise ConfigurationError(
-                f"duplicate key {a!r} on lines {first} and {line_no}")
-        current[a] = (b, line_no)
+                f"duplicate key {key!r} on lines {current[key][1]} and {line_no}")
+        current[key] = (value.strip(), line_no)
 
     exp = sections.get("experiment", {})
     if "kind" not in exp:
@@ -151,10 +141,6 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigurationError(
             f"line {model_line}: unknown model {model!r}; "
             f"expected one of {tuple(PARAMS_BY_MODEL)}")
-    for key, (_, line_no) in exp.items():
-        if key not in _EXPERIMENT_KEYS:
-            raise ConfigurationError(
-                f"line {line_no}: unknown key {key!r} in [experiment]")
     name = exp.get("name", (None, 0))[0]
 
     allowed_params = _PARAM_KEYS[model]
@@ -171,9 +157,6 @@ def parse_config(text: str) -> ExperimentConfig:
             f"model {model!r} is missing parameters {missing} under [params]")
 
     run = sections.get("run", {})
-    for key, (_, line_no) in run.items():
-        if key not in _RUN_KEYS:
-            raise ConfigurationError(f"line {line_no}: unknown key {key!r} in [run]")
 
     def need(key: str) -> Tuple[str, int]:
         if key not in run:
@@ -222,6 +205,9 @@ def parse_config(text: str) -> ExperimentConfig:
     if cfg.seed < 0:
         raise ConfigurationError(
             f"line {run['seed'][1]}: seed must be >= 0, got {cfg.seed}")
+    if not 0.0 <= cfg.theta <= 1.0:
+        raise ConfigurationError(
+            f"line {run['theta'][1]}: theta must lie in [0, 1], got {cfg.theta}")
     if cfg.M < 1:
         raise ConfigurationError(f"M must be >= 1, got {cfg.M}")
     if not 0.0 < cfg.m < 1.0:

@@ -54,7 +54,10 @@ class PathResult:
 
 @dataclass
 class ErrorReport:
-    """Strong errors on a step-size ladder with the fitted log-log line."""
+    """Strong errors on a step-size ladder with the fitted log-log line.
+
+    ``dropped_from_fit`` lists the step sizes whose zero error the fit left out.
+    """
 
     step_sizes: np.ndarray
     rms_errors: np.ndarray
@@ -62,6 +65,7 @@ class ErrorReport:
     slope: float
     intercept: float
     reference: SchemeId
+    dropped_from_fit: List[float]
 
 
 @dataclass
@@ -84,9 +88,9 @@ class ExactCirPaths:
 # grid / ladder helpers
 # ---------------------------------------------------------------------------
 
-def _steps_for(T: float, dt: float) -> int:
-    """The whole number of steps dt makes over T, if one path's lattice of
-    that many 8-byte increments fits in physical memory."""
+def _steps_for(T: float, dt: float, rows: float = 1) -> int:
+    """The whole number of steps dt makes over T, if ``rows`` lattices of
+    that many 8-byte increments fit in physical memory together."""
     ratio = T / dt
     if not math.isfinite(ratio):
         raise ConfigurationError(
@@ -95,10 +99,10 @@ def _steps_for(T: float, dt: float) -> int:
     if n < 1 or abs(n * dt - T) > 1e-9 * T:
         raise ConfigurationError(f"step {dt} does not divide the horizon {T}")
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if 8 * n > memory:
+    if 8 * rows * n > memory:
         raise ConfigurationError(
             f"step {dt} over the horizon {T} gives {n:.3g} steps, whose "
-            f"lattice of {8 * n:.3g} bytes exceeds physical memory "
+            f"lattice of {8 * rows * n:.3g} bytes exceeds physical memory "
             f"({memory:.3g} bytes)")
     return n
 
@@ -111,12 +115,14 @@ def _distinct(step_sizes: Sequence[float]) -> List[float]:
     return dts
 
 
-def _dyadic_plan(T: float, step_sizes: Sequence[float],
+def _dyadic_plan(T: float, step_sizes: Sequence[float], rows: int,
                  ref_step: Optional[float] = None):
     """Reference step count and, per dt, the halvings that reach it from there.
 
     The reference step defaults to the finest step of the ladder; every dt
-    must be a power-of-two multiple of it.  Returns ``(n_ref, {dt: halvings})``.
+    must be a power-of-two multiple of it.  A batch of :func:`_batches`,
+    ``rows`` lattices at each level, must fit in memory.  Returns
+    ``(n_ref, {dt: halvings})``.
     """
     if not step_sizes:
         raise ConfigurationError("step ladder is empty")
@@ -131,6 +137,7 @@ def _dyadic_plan(T: float, step_sizes: Sequence[float],
             raise ConfigurationError(
                 f"step {dt} is not a dyadic multiple of the reference step {ref_step}")
         halvings[dt] = ratio.bit_length() - 1
+    _steps_for(T, ref_step, rows * sum(0.5**h for h in {0, *halvings.values()}))
     return n_ref, halvings
 
 
@@ -274,7 +281,7 @@ def simulate_paths(schemes: Sequence[SchemeId], params: ModelParams,
     drivers = [make_stepper(s, params, m_split=m_split).drivers for s in schemes]
     results = {}
     for k, dt in enumerate(step_sizes):
-        n = _steps_for(T, dt)
+        n = _steps_for(T, dt, max(drivers))
         inc = generate_lattice(path_seed(seed, k), T, n, 0,
                                drivers=max(drivers)).increments
         results[dt] = [simulate_path(s, params, x0, T, n,
@@ -314,13 +321,14 @@ def strong_error(schemes: Sequence[SchemeId], reference: Optional[SchemeId],
     None, against itself.  All runs for one path index are driven by
     coarsenings of that path's lattice, drawn once for all schemes, so the
     difference at the horizon is a pathwise coupling error.  A non-finite
-    level raises NumericError; levels with zero error are left out of the fit.
+    level raises NumericError; levels with zero error are left out of the fit
+    and listed in the report's ``dropped_from_fit``.
     """
     if M < 2:
         raise ConfigurationError(f"need at least 2 paths, got {M}")
     refs = [s if reference is None else reference for s in schemes]
     dts = sorted(_distinct(step_sizes), reverse=True)
-    n_ref, halvings = _dyadic_plan(T, dts, ref_step)
+    n_ref, halvings = _dyadic_plan(T, dts, min(M, _BATCH), ref_step)
     steppers = {s: make_stepper(s, params, theta=theta)
                 for s in dict.fromkeys([*refs, *schemes])}
     if any(st.drivers != 1 for st in steppers.values()):
@@ -363,7 +371,8 @@ def _error_report(scheme, reference, dts, sum2, sum4, M):
         slope = intercept = float("nan")
     return ErrorReport(step_sizes=np.array(dts), rms_errors=rms_arr,
                        stderrs=np.array(stderr), slope=slope,
-                       intercept=intercept, reference=reference)
+                       intercept=intercept, reference=reference,
+                       dropped_from_fit=[dt for dt, p in zip(dts, positive) if not p])
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +433,7 @@ def exact_cir_experiment(params: ModelParams, x0: float, m_split: float,
     through the experiments' stepping loop, which records every value; a
     scheme path starts at ``x0``, the squared-OU path at x1^2 + x2^2.
     """
-    n = _steps_for(T, dt)
+    n = _steps_for(T, dt, 2)
     ride = _SquaredOuRide(params, m_split, schemes, theta)
     lattice = generate_lattice(path_seed(seed, 0), T, n, 0, drivers=2)
     values = np.empty((n + 1, 3 + len(schemes), 1))
@@ -452,7 +461,7 @@ def exact_cir_error_decay(params: ModelParams, x0: float, m_split: float,
     if M < 1:
         raise ConfigurationError(f"need at least 1 path, got M={M}")
     dts = sorted(_distinct(step_sizes), reverse=True)
-    n_ref, halvings = _dyadic_plan(T, dts)
+    n_ref, halvings = _dyadic_plan(T, dts, 2 * min(M, _BATCH))
     ride = _SquaredOuRide(params, m_split, schemes, theta)
     totals = [dict.fromkeys(dts, 0.0) for _ in schemes]
     for paths, inc in _batches(seed, M, T, n_ref, halvings.values(), drivers=2):
@@ -484,7 +493,7 @@ def domain_violation_scan(schemes: Sequence[SchemeId], params: ModelParams,
     _distinct(step_sizes)
     results = {name: {dt: ScanCounters() for dt in step_sizes} for name in steppers}
     for k, dt in enumerate(step_sizes):
-        n = _steps_for(T, dt)
+        n = _steps_for(T, dt, min(M, _BATCH))
         for paths, inc in _batches(path_seed(seed, k), M, T, n, ()):
             for name, st in steppers.items():
                 _terminal_batch(st, x0, dt, inc[0], counters=results[name][dt],

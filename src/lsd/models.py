@@ -276,9 +276,6 @@ def domain_report(params: ModelParams) -> Dict[str, bool]:
     if params.model == "cir":
         checks["feller"] = params.k3**2 <= 2.0 * params.k1
     elif params.model == "wf":
-        k1, k2, k3 = params.k1, params.k2, params.k3
-        checks["lower_boundary"] = 2.0 * k1 >= k3**2
-        checks["upper_boundary"] = 2.0 * (k2 - k1) >= k3**2
-        lo = k3**2 / (4.0 * k2)
-        checks["hyb_admissible"] = lo < k1 / k2 < 1.0 - lo
+        checks["lower_boundary"] = 2.0 * params.k1 >= params.k3**2
+        checks["upper_boundary"] = 2.0 * (params.k2 - params.k1) >= params.k3**2
     return checks

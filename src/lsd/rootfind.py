@@ -23,16 +23,15 @@ class MonotoneSpec:
     """A function to invert on an open interval, monotone where it matters.
 
     ``fn`` maps an array of x to their values, element by element; ``lo``
-    and ``hi`` may be infinite.  ``increasing`` is the direction in which fn
-    crosses the target at the wanted root, and sets which way a bracket hunt
-    goes first.  fn need be monotone only on the root's branch: an interior
-    extremum between the hunt's probes is found and searched past.
+    and ``hi`` may be infinite.  fn rises through the target at the wanted
+    root (invert a falling map as its negative), which sets which way a
+    bracket hunt goes first.  fn need be monotone only on the root's branch:
+    an interior extremum between the hunt's probes is found and searched past.
     """
 
     fn: Callable
     lo: float = 0.0
     hi: float = math.inf
-    increasing: bool = True
 
 
 def _toward(endpoint: float, x):
@@ -63,15 +62,15 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
     a flat map the residual alone allows a large error in x.
 
     From an interior seed (the previous state, when the caller has one) a
-    geometric hunt runs toward the endpoint where a map monotone in the
-    declared direction has its root, then toward the other, and stops only
-    at a crossing in the declared direction: of two preimages astride an
-    extremum, the declared branch's is returned.  Failing that, a crossing
-    the other way between the probes serves; failing that, the probe of
-    least ``|fn(x) - u|`` and its neighbours straddle an extremum, and a
-    golden-section search brackets the root beside it or shows u outside
-    the map's range.  Illinois regula falsi (Dowell & Jarratt 1971) then
-    tightens the bracket, halving the value of an end kept twice in a row.
+    geometric hunt runs toward the endpoint where a rising map has its root,
+    then toward the other, and stops only at a crossing where fn rises: of
+    two preimages astride an extremum, the rising branch's is returned.
+    Failing that, a falling crossing between the probes serves; failing
+    that, the probe of least ``|fn(x) - u|`` and its neighbours straddle an
+    extremum, and a golden-section search brackets the root beside it or
+    shows u outside the map's range.  Illinois regula falsi (Dowell &
+    Jarratt 1971) then tightens the bracket, halving the value of an end
+    kept twice in a row.
 
     ``fn`` is called once per iteration on the elements still at work, each
     taking the steps it would alone, so no result depends on its batch.
@@ -103,7 +102,7 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
     seed = np.where((spec.lo < seed) & (seed < spec.hi), seed, start)
     seed_h = h(np.arange(u.size), seed)
     # Root lies toward hi iff the function still needs to grow there.
-    up = (seed_h < 0) == spec.increasing
+    up = seed_h < 0
     root = np.full(u.size, np.nan)
     # A seed within the residual meets the x criterion if the root is within
     # the bound of it, which one probe that far toward the root shows.
@@ -115,8 +114,8 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
     root[i] = seed[i]
 
     # Hunt from the seed toward one endpoint, then from it toward the other,
-    # until fn crosses u in the declared direction.  lo and hi hold each
-    # bracket's (x, h) ends; probes keeps every (elements, x, h) evaluated.
+    # until fn rises through u.  lo and hi hold each bracket's (x, h) ends;
+    # probes keeps every (elements, x, h) evaluated.
     lo, hi = np.empty((2, u.size)), np.empty((2, u.size))
     x0, h0, heading = seed.copy(), seed_h.copy(), up.copy()
     expansions, second = np.zeros(u.size, int), np.zeros(u.size, bool)
@@ -136,9 +135,9 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
             ai, x1 = ai[~stop], x1[~stop]
         h1 = h(ai, x1)
         probes.append((ai, x1, h1))
-        # Moving this way, a crossing in the declared direction takes h from
-        # negative to non-negative iff this is True, and back otherwise.
-        from_negative = heading[ai] == spec.increasing
+        # Moving up, a rising crossing takes h from negative to non-negative;
+        # moving down, back.
+        from_negative = heading[ai]
         cross = ((h0[ai] < 0) == from_negative) & ((h1 < 0) != from_negative)
         c, fwd = ai[cross], heading[ai[cross]]
         prev, new = np.stack([x0[c], h0[c]]), np.stack([x1[cross], h1[cross]])
@@ -150,8 +149,7 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
     lost = np.sort(np.concatenate(lost))
     if lost.size:
         probes.append((lost, seed[lost], seed_h[lost]))
-        lo[:, lost], hi[:, lost] = _bracket_lost(h, probes, lost, u,
-                                                 spec.increasing, tol)
+        lo[:, lost], hi[:, lost] = _bracket_lost(h, probes, lost, u, tol)
 
     # Illinois regula falsi, one compact array per quantity for the elements
     # still at work.  lw/hw are the secant weights: the true values, except
@@ -206,11 +204,11 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
     return root.reshape(shape)
 
 
-def _bracket_lost(h, probes, lost, u, increasing, tol):
+def _bracket_lost(h, probes, lost, u, tol):
     """(x, h) bracket ends for the sorted elements ``lost``, whose hunts met
-    no crossing in the declared direction: the first sign change among their
-    ``probes`` sorted by x, else a golden-section search for a point of the
-    other sign around the probe of least |h|, an extremum of h."""
+    no rising crossing: the first sign change among their ``probes`` sorted
+    by x, else a golden-section search for a point of the other sign around
+    the probe of least |h|, an extremum of h."""
     idx = np.concatenate([p[0] for p in probes])
     keep = np.isin(idx, lost)
     x, hx = (np.concatenate([p[k] for p in probes])[keep] for k in (1, 2))
@@ -219,7 +217,7 @@ def _bracket_lost(h, probes, lost, u, increasing, tol):
     idx, pairs = idx[order], np.stack([x[order], hx[order]])
     first = np.flatnonzero(np.r_[True, idx[1:] != idx[:-1]])
     last = np.r_[first[1:], idx.size] - 1
-    # A crossing against the declared direction is still a root.
+    # A falling crossing is still a root.
     flip = np.flatnonzero((idx[1:] == idx[:-1])
                           & ((pairs[1, 1:] < 0) != (pairs[1, :-1] < 0)))
     j = np.append(flip, idx.size)[np.searchsorted(flip, first)]
@@ -250,9 +248,9 @@ def _bracket_lost(h, probes, lost, u, increasing, tol):
                      b[0] + _GOLDEN * (c[0] - b[0]))
         p = np.stack([x, h(lost[g[live]], x)])
         hit = (p[1] < 0) != below[live]
-        keep_a = below[live] == increasing
-        lo[:, g[live[hit]]] = np.where(keep_a, a, p)[:, hit]
-        hi[:, g[live[hit]]] = np.where(keep_a, p, c)[:, hit]
+        # fn rises through u left of a maximum and right of a minimum
+        lo[:, g[live[hit]]] = np.where(below[live], a, p)[:, hit]
+        hi[:, g[live[hit]]] = np.where(below[live], p, c)[:, hit]
         found[live[hit]] = True
         better, left = np.abs(p[1]) < np.abs(b[1]), x < b[0]
         A[:, live] = np.where(better, np.where(left, a, b), np.where(left, p, a))

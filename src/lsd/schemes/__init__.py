@@ -85,7 +85,7 @@ SCHEMES = {
     ("wf", "sd"): Scheme(wf.sd_step, **_IN_X, mask="clamped"),
     ("wf", "sd_alt"): Scheme(wf.sd_alt_step, **_IN_X, mask="clamped"),
     ("wf", "biss"): Scheme(wf.biss_step, **_IN_X, mask="clamped"),
-    ("wf", "hyb"): Scheme(wf.hyb_step, **_IN_X, check=wf.check_hyb_admissible),
+    ("wf", "hyb"): Scheme(wf.hyb_step, **_IN_X),
     ("wf", "implicit"): Scheme(partial(wf.implicit_step, sign_mode="corrected")),
     ("wf", "implicit_printed"): Scheme(partial(wf.implicit_step, sign_mode="printed")),
     ("heston32", "lsd1"): Scheme(bind=cir.lsd1_bind),
@@ -173,9 +173,9 @@ def make_stepper(scheme: SchemeId, params: ModelParams, theta: float = 1.0,
                  m_split: float = 0.5):
     """Build the stepper for one scheme from its row in :data:`SCHEMES`.
 
-    Checks the row's precondition (the splitting scheme's admissibility,
-    the squared-OU dimension).  ``theta`` reaches only the rows that take
-    it; ``m_split`` only the squared-OU row, whose initial split it sets.
+    Checks the row's precondition (the squared-OU dimension).  ``theta``,
+    which must lie in [0, 1], reaches only the rows that take it;
+    ``m_split`` only the squared-OU row, whose initial split it sets.
     A stepper has ``scheme_id``, ``drivers``, ``event`` (the row's ``mask``
     kind, or None), ``init(x0, size=None)``, ``step(state, dw, dt) ->
     (state, mask)`` and ``x_of(state)``.
@@ -186,6 +186,8 @@ def make_stepper(scheme: SchemeId, params: ModelParams, theta: float = 1.0,
     row = SCHEMES[scheme.model, scheme.variant]
     if row.check is not None:
         row.check(params)
+    if row.theta and not 0.0 <= theta <= 1.0:
+        raise ConfigurationError(f"theta must lie in [0, 1], got {theta}")
     if row.drivers == 2 and not 0.0 < m_split < 1.0:
         raise ConfigurationError(f"split weight must lie in (0,1), got {m_split}")
     return Stepper(scheme, row, params, theta, m_split)

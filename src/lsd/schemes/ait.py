@@ -45,6 +45,5 @@ def implicit_map(p, dt, variant):
 def implicit_step(p, y, dw, dt, variant):
     """Solve g(y') = y - K3 dw, y' > 0, for all paths; g is per ``variant``."""
     target = y - p.K3 * dw
-    spec = MonotoneSpec(implicit_map(p, dt, variant), lo=0.0, hi=np.inf,
-                        increasing=True)
+    spec = MonotoneSpec(implicit_map(p, dt, variant), lo=0.0, hi=np.inf)
     return solve_monotone(spec, target, tol=STEP_TOL, seed=y)

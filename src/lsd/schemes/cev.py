@@ -66,5 +66,5 @@ def implicit_step(p, u, dw, dt):
     """Advance each path's u = x**(1-q) by one batch inversion of the map."""
     q = p.q
     target = u + p.k3 * (1.0 - q) * dw
-    spec = MonotoneSpec(implicit_map(p, dt), lo=0.0, hi=np.inf, increasing=True)
+    spec = MonotoneSpec(implicit_map(p, dt), lo=0.0, hi=np.inf)
     return solve_monotone(spec, target, tol=STEP_TOL, seed=u)

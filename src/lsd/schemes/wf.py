@@ -12,7 +12,7 @@ is kept as the separate ``implicit_printed`` row.
 import numpy as np
 
 from ..closedform import wf_cosine_solution
-from ..errors import ConfigurationError, StepSizeError
+from ..errors import StepSizeError
 from ..rootfind import STEP_TOL, MonotoneSpec, solve_monotone
 
 _DENOMINATOR_TOL = 1e-12
@@ -111,14 +111,6 @@ def biss_step(p, x, dw, dt):
     return _clip_unit(out)
 
 
-def check_hyb_admissible(p):
-    ratio = p.k1 / p.k2
-    lo = p.k3**2 / (4.0 * p.k2)
-    if not lo < ratio < 1.0 - lo:
-        raise ConfigurationError(
-            f"splitting scheme needs k1/k2 in ({lo}, {1.0 - lo}), got {ratio}")
-
-
 def hyb_step(p, x, dw, dt):
     """Splitting scheme: exact linear flow composed with the rotated noise."""
     growth = np.exp(p.beta * dt)
@@ -159,6 +151,5 @@ def implicit_step(p, y, dw, dt, sign_mode):
     span searched around the maximum and whose ``index`` is such a path.
     """
     target = y + p.k3 * dw
-    spec = MonotoneSpec(implicit_map(p, dt, sign_mode), lo=0.0, hi=np.pi,
-                        increasing=True)
+    spec = MonotoneSpec(implicit_map(p, dt, sign_mode), lo=0.0, hi=np.pi)
     return solve_monotone(spec, target, tol=STEP_TOL, seed=y)

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 import lsd.cli
 import lsd.experiments
 from lsd.cli import main
-from lsd.config import _DEFAULT_M, KINDS, parse_config
+from lsd.config import _DEFAULT_M, _SECTION_KEYS, KINDS, parse_config
 from lsd.errors import ConfigurationError
 
 MINIMAL_CIR = """
@@ -201,6 +203,8 @@ class TestParse:
         ("dt = 0.25, 0.125", "dt = 0.25, 0.125\nM = 0", r"^M must be >= 1, got 0$"),
         ("dt = 0.25, 0.125", "dt = 0.25, 0.125\nm = 1",
          r"^m must lie in \(0, 1\), got 1\.0$"),
+        ("dt = 0.25, 0.125", "dt = 0.25, 0.125\ntheta = -50",
+         r"^line 16: theta must lie in \[0, 1\], got -50\.0$"),
     ])
     def test_rejects_with_its_message(self, old, new, message):
         assert old in MINIMAL_CIR
@@ -256,6 +260,22 @@ class TestCli:
         summary = json.loads((tmp_path / "o" / "tiny.json").read_text())
         assert set(summary["slope"]) == {"lsd1", "lsd2"}
         assert summary["seed"] == 77
+
+    def test_convergence_names_levels_dropped_from_fit(self, tmp_path):
+        # the finest dt is the reference step, so its error is 0 and the
+        # slope comes from the two coarser levels
+        cfg = self._write(tmp_path, TINY_CONVERGENCE.replace(
+            "dt = 0.125, 0.0625\nref_step = 0.0078125",
+            "dt = 0.125, 0.0625, 0.03125\nref_step = 0.03125"))
+        assert main([str(cfg), "--out", str(tmp_path / "o")]) == 0
+        summary = json.loads((tmp_path / "o" / "tiny.json").read_text())
+        assert summary["dropped_from_fit"] == {"lsd1": [0.03125],
+                                               "lsd2": [0.03125]}
+        assert math.isfinite(summary["slope"]["lsd1"])
+        cfg = self._write(tmp_path, TINY_CONVERGENCE)
+        assert main([str(cfg), "--out", str(tmp_path / "o")]) == 0
+        summary = json.loads((tmp_path / "o" / "tiny.json").read_text())
+        assert "dropped_from_fit" not in summary
 
     def test_scan_reports_nonreal_for_implicit_competitors(self, tmp_path):
         cfg = self._write(tmp_path, SCAN_STRESSED)
@@ -495,3 +515,12 @@ def test_kind_tables_name_the_same_kinds():
     # a kind added to one table and not the others would fail at run time
     assert len(set(KINDS)) == len(KINDS)
     assert set(lsd.cli._RUNNERS) == set(KINDS) == set(_DEFAULT_M)
+
+
+def test_readme_config_example_and_run_keys():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    assert parse_config(example).schemes == ["lsd1", "lsd2", "lsd3"]
+    run_sentence = re.search(r"`\[run\]` takes (.*?)\n\n", readme, re.S).group(1)
+    named = set(re.findall(r"`([^`]+)`", run_sentence))
+    assert set(_SECTION_KEYS["run"]) <= named

@@ -167,6 +167,13 @@ class TestStrongError:
         assert rep.rms_errors[0] == 0.0
         assert math.isnan(rep.slope)
 
+    def test_zero_error_level_is_named_as_dropped(self, cir_params):
+        rep = strong_error([CIR_LSD1], None, cir_params, 4.0, 1.0,
+                           [0.5, 0.25, 0.125], 0.125, M=4, seed=3)[0]
+        assert rep.rms_errors[-1] == 0.0 and np.all(rep.rms_errors[:-1] > 0)
+        assert rep.dropped_from_fit == [0.125]
+        assert rep.slope == fit_order([0.5, 0.25], rep.rms_errors[:-1])[0]
+
     def test_non_finite_level_raises(self, cir_params):
         # from x0 near the largest float every terminal value overflows; the
         # reference, run first, is checked at the horizon
@@ -390,6 +397,28 @@ class TestSimulatePaths:
 def test_steps_for_rejects_a_non_finite_step_count(T, dt):
     with pytest.raises(ConfigurationError, match="no finite step count"):
         _steps_for(T, dt)
+
+
+@pytest.mark.parametrize("run, lattice_bytes", [
+    (lambda M, p: strong_error([CIR_LSD1], None, p, 4.0, 1.0, [2.0**-13, 2.0**-14],
+                               2.0**-14, M=M, seed=0), "1.97e+07"),
+    (lambda M, p: domain_violation_scan([CIR_LSD1], p, [2.0**-14], 1.0, M,
+                                        seed=0), "1.31e+07"),
+    (lambda M, p: exact_cir_error_decay(p, 4.0, 0.5, [2.0**-13, 2.0**-14], 1.0,
+                                        M, 0, [CIR_LSD1]), "3.93e+07"),
+], ids=["strong_error", "scan", "exact_cir_error_decay"])
+def test_memory_guard_counts_the_batch(monkeypatch, cir_ou_params, run,
+                                       lattice_bytes):
+    # with 1 MiB of memory, two paths' 2^14-step lattices (128 KiB per path
+    # and driver) fit with their coarsened level; a batch of 100 does not
+    monkeypatch.setattr(lsd.experiments.os, "sysconf",
+                        {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.get)
+    run(2, cir_ou_params)
+    with pytest.raises(ConfigurationError, match=(
+            rf"^step {re.escape(str(2.0**-14))} over the horizon 1\.0 gives "
+            rf"1\.64e\+04 steps, whose lattice of {re.escape(lattice_bytes)} "
+            rf"bytes exceeds physical memory \(1\.05e\+06 bytes\)$")):
+        run(100, cir_ou_params)
 
 
 class TestExactCir:

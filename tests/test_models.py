@@ -143,8 +143,7 @@ class TestDomainReport:
 
     def test_wf_paper_params(self):
         report = domain_report(WfParams(1.0, 2.0, 0.20101))
-        assert report == {"lower_boundary": True, "upper_boundary": True,
-                          "hyb_admissible": True}
+        assert report == {"lower_boundary": True, "upper_boundary": True}
 
     def test_wf_boundary_condition_can_fail(self):
         # constructible (a, b > 0) yet outside the almost-sure (0,1) regime

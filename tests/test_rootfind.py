@@ -25,8 +25,8 @@ def test_cube_root():
 
 
 def test_decreasing_direction():
-    spec = MonotoneSpec(lambda x: 1.0 / x, increasing=False)
-    assert invert_monotone(spec, 0.25) == pytest.approx(4.0, rel=1e-12)
+    spec = MonotoneSpec(lambda x: -1.0 / x)
+    assert invert_monotone(spec, -0.25) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_finite_interval():
@@ -89,10 +89,10 @@ def test_vectorizable_target_scale():
 
 
 def test_seed_meeting_residual_only_is_not_returned():
-    # 1/x is flat at 4: the seed's residual is within tolerance while its
+    # -1/x is flat at 4: the seed's residual is within tolerance while its
     # x error is 3.7e-12 relative
-    spec = MonotoneSpec(lambda x: 1.0 / x, increasing=False)
-    x = invert_monotone(spec, 0.25, seed=4.0 + 1.5e-11)
+    spec = MonotoneSpec(lambda x: -1.0 / x)
+    x = invert_monotone(spec, -0.25, seed=4.0 + 1.5e-11)
     assert x == pytest.approx(4.0, rel=1e-12)
 
 
@@ -110,16 +110,16 @@ def test_bracket_tightening_does_not_stall():
     assert count[0] <= 40
 
 
-@pytest.mark.parametrize("increasing", [True, False])
-def test_root_beyond_interior_extremum(increasing):
-    # sin on (0, pi) peaks at pi/2; from a seed on the far side of the peak
-    # the hunt steps over the narrow window where sin > u.  The root on the
-    # declared branch is returned.
-    spec = MonotoneSpec(math.sin, lo=0.0, hi=math.pi, increasing=increasing)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_root_beyond_interior_extremum(sign):
+    # sign * sin on (0, pi) has its extremum at pi/2; from a seed on the far
+    # side of it the hunt steps over the narrow window beyond sign * u.  The
+    # root on the rising branch is returned.
+    spec = MonotoneSpec(lambda x: sign * math.sin(x), lo=0.0, hi=math.pi)
     u = 0.999
-    seed = 3.0 if increasing else 0.1
-    root = math.asin(u) if increasing else math.pi - math.asin(u)
-    x = invert_monotone(spec, u, seed=seed)
+    seed = 3.0 if sign > 0 else 0.1
+    root = math.asin(u) if sign > 0 else math.pi - math.asin(u)
+    x = invert_monotone(spec, sign * u, seed=seed)
     assert x == pytest.approx(root, rel=1e-12)
 
 

@@ -46,6 +46,8 @@ def test_row_runs_through_its_stepper(key, request):
      r"^split weight must lie in \(0,1\), got 0\.0$"),
     (("cir", "exact_ou"), "cir_ou_params", dict(m_split=1.0),
      r"^split weight must lie in \(0,1\), got 1\.0$"),
+    (("cir", "sd_theta"), "cir_params", dict(theta=-50.0),
+     r"^theta must lie in \[0, 1\], got -50\.0$"),
     (("cir", "exact_ou"), "cir_params", {},
      r"^squared-OU construction needs 4\*k1/k3\^2 = 2, got 8\.0$"),
     (("cir", "lsd1"), "cev_params", {},
@@ -54,7 +56,7 @@ def test_row_runs_through_its_stepper(key, request):
     (("cir", "lsd9"), "cir_params", {},
      r"^unknown variant 'lsd9' for model 'cir'; expected one of \('lsd1', "
      r"'lsd2', 'lsd3', 'sd_theta', 'alf', 'ns', 'exact_ou'\)$"),
-], ids=["split-0", "split-1", "dimension", "model", "unknown-model",
+], ids=["split-0", "split-1", "theta", "dimension", "model", "unknown-model",
         "unknown-variant"])
 def test_make_stepper_rejects_with_its_message(key, params, kwargs, message,
                                                request):

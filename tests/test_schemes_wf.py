@@ -1,11 +1,10 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from lsd.closedform import wf_cosine_solution
-from lsd.errors import ConfigurationError, InversionError, StepSizeError
+from lsd.errors import InversionError, StepSizeError
 from lsd.experiments import domain_violation_scan
 from lsd.models import WfParams
 from lsd.schemes import SchemeId, make_stepper
@@ -124,15 +123,6 @@ class TestCompanions:
         with pytest.raises(StepSizeError, match=r"^balance control width "
                                                 r"collapsed; decrease the step size$"):
             _companion("biss", wf_params, 0.5, 0.0, 1.0 / wf_params.k1)
-
-    def test_hyb_admissibility_message(self):
-        # WfParams rejects every such k1, k2, k3 itself (a <= 0 here), so the
-        # row's own check is reached only by a params object that skips it
-        p = SimpleNamespace(k1=0.1, k2=1.0, k3=1.0)
-        with pytest.raises(ConfigurationError,
-                           match=r"^splitting scheme needs k1/k2 in "
-                                 r"\(0\.25, 0\.75\), got 0\.1$"):
-            wf_mod.check_hyb_admissible(p)
 
     def test_sd_clamps_and_flags(self, wf_params):
         # a huge step drives the inner value below 0, forcing the clip

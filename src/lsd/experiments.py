@@ -2,17 +2,20 @@
 
 All Monte-Carlo machinery here is deterministic given (seed, configuration):
 each path owns a seed stream derived from the master seed and its index, and
-paths run in fixed batches whose partial sums are added in path-index order.
+every sum over paths is taken in fixed slices of ``_BATCH`` paths whose
+partial sums are added in path-index order.
 
 Simulations at several step sizes share one Brownian path per path index via
 dyadic coarsening of a finest-level increment lattice, which is what turns
 terminal differences into pathwise strong-error estimates.
 
-:func:`_batches` is the one loop over paths: it draws each batch's lattice
-once, time-major, for every scheme of a call and coarsens its ladder
-finest-first.  :func:`_terminal_batch` is the one loop over time.  A single
-path runs through it as a batch of one, and the squared-OU comparison as
-one two-driver stepper carrying its riders.
+:func:`_blocks` is the one loop over paths: it draws a block's lattice once,
+time-major, for every scheme of a call, in time chunks when the lattice is
+long, and coarsens each chunk's ladder finest-first.  :func:`_terminal_blocks`
+advances every run of a call over each chunk in turn and returns x at the
+horizon.  :func:`_terminal_batch` is the one loop over time.  A single path
+runs through it as a batch of one, and the squared-OU comparison as one
+two-driver stepper carrying its riders.
 :func:`simulate_paths` draws one path per step size and runs every listed
 scheme on it once; the ``simulate`` and ``compare`` kinds report its paths.
 """
@@ -30,10 +33,15 @@ from .schemes import SchemeId, make_stepper
 from .wiener import (cir_effective_increment, generate_lattice,
                      halve_increments, path_seed)
 
-# Paths per batch.  It sets only the rounding of the output, as each batch's
-# partial sums are added in path order.  One batch's lattice, time-major, at
-# the reference step 2^-14 is 256 x 2^14 x 8 B = 32 MiB.
+# Paths per slice of a sum over paths.  It sets only the rounding of the
+# output, as each slice's partial sums are added in path order.  A block of
+# paths is _BATCH wide unless its lattice is drawn in time chunks.
 _BATCH = 256
+# Least steps in a time chunk of a long one-driver lattice (see _blocks).
+_CHUNK = 1024
+# Paths drawn row-major before they are copied into a block's time-major
+# chunk: a narrow tile keeps the transposing copy in cache.
+_STAGE = 16
 
 
 @dataclass
@@ -120,8 +128,10 @@ def _dyadic_plan(T: float, step_sizes: Sequence[float], rows: int,
     """Reference step count and, per dt, the halvings that reach it from there.
 
     The reference step defaults to the finest step of the ladder; every dt
-    must be a power-of-two multiple of it.  A batch of :func:`_batches`,
-    ``rows`` lattices at each level, must fit in memory.  Returns
+    must be a power-of-two multiple of it.  ``rows`` whole lattices at each
+    level of the ladder must fit in memory; with ``rows`` = min(M,
+    ``_BATCH``) per driver, that bounds every block of :func:`_blocks`,
+    whose paths times chunk steps never exceed ``rows`` times n.  Returns
     ``(n_ref, {dt: halvings})``.
     """
     if not step_sizes:
@@ -141,29 +151,56 @@ def _dyadic_plan(T: float, step_sizes: Sequence[float], rows: int,
     return n_ref, halvings
 
 
-def _batches(seed, M, T, n, halvings, drivers=1):
-    """Yield ``(paths, inc)`` for paths 0..M-1 in consecutive batches of ``_BATCH``.
+def _blocks(seed, M, T, n, halvings, drivers=1):
+    """Yield ``(paths, chunks)`` for paths 0..M-1 in consecutive blocks.
 
-    ``inc[0]`` holds the batch's n-step lattices, each path's draw from
-    ``path_seed(seed, i)`` written into its row, and ``inc[h]`` is that
-    halved h times for each h in ``halvings``.  They are time-major: step
-    j's increments, ``inc[h].T[j]``, are contiguous.  Levels are coarsened
-    finest-first, each from the previous one, which gives the same floats
-    as halving ``inc[0]`` directly.
-    The dict is emptied before the next batch is drawn, so one batch's
-    arrays are alive at a time.
+    A block is ``_BATCH << j`` paths wide and its lattice is drawn in 2^j
+    time chunks of C = n >> j steps, so it never holds more than ``_BATCH``
+    whole lattices.  For one driver, j is the largest that leaves C at least
+    ``_CHUNK`` steps and every level of ``halvings`` a whole number of steps
+    per chunk; two drivers take j = 0, as the second driver's draws follow
+    all of the first's.
+    ``chunks`` yields ``(offset, inc)`` per chunk in time order, ``offset``
+    being its first step.  ``inc[0]`` holds the block's C-step increments,
+    path i's drawn by its own generator ``default_rng(path_seed(seed, i))``,
+    which runs on from chunk to chunk, so the chunks of a path join into
+    ``generate_lattice(path_seed(seed, i), T, n, 0)`` bit for bit.
+    ``inc[h]`` is that halved h times for each h in ``halvings``.  They are
+    time-major: step t's increments, ``inc[h].T[t]``, are contiguous.
+    Levels are coarsened finest-first, each from the previous one, which
+    gives the same floats as halving ``inc[0]`` directly.  The dict is
+    emptied before the next chunk is drawn, so one chunk's arrays are alive
+    at a time.
     """
     levels = sorted(set(halvings) - {0})
-    shape = (n,) if drivers == 1 else (drivers, n)
-    for start in range(0, M, _BATCH):
-        paths = range(start, min(start + _BATCH, M))
+    j = 0
+    if drivers == 1:
+        top = max(levels, default=0)
+        while n % (2 << (j + top)) == 0 and n >> (j + 1) >= _CHUNK:
+            j += 1
+    width = min(M, _BATCH << j)
+    for start in range(0, M, width):
+        paths = range(start, min(start + width, M))
+        yield paths, _chunks(seed, paths, T, n, j, levels, drivers)
+
+
+def _chunks(seed, paths, T, n, j, levels, drivers):
+    """The 2^j time chunks of one block of :func:`_blocks`."""
+    c, horizon = n >> j, T / (1 << j)
+    shape = (c,) if drivers == 1 else (drivers, c)
+    rngs = [np.random.default_rng(path_seed(seed, i)) for i in paths]
+    stage = np.empty((min(_STAGE, len(paths)), *shape))
+    for k in range(1 << j):
         inc = {0: np.empty((*shape[::-1], len(paths))).T}
-        for row, i in zip(inc[0], paths):
-            row[...] = generate_lattice(path_seed(seed, i), T, n, 0,
-                                        drivers=drivers).increments
+        for g in range(0, len(paths), len(stage)):
+            group = rngs[g:g + len(stage)]
+            for row, rng in zip(stage, group):
+                row[...] = generate_lattice(rng, horizon, c, 0,
+                                            drivers=drivers).increments
+            inc[0][g:g + len(group)] = stage[:len(group)]
         for prev, h in zip([0, *levels], levels):
             inc[h] = halve_increments(inc[prev], h - prev)
-        yield paths, inc
+        yield k * c, inc
         inc.clear()
 
 
@@ -171,25 +208,35 @@ def _batches(seed, M, T, n, halvings, drivers=1):
 # core iteration
 # ---------------------------------------------------------------------------
 
-def _terminal_batch(stepper, x0, dt, increments,
+def _locate(exc, stepper, dt, j, paths):
+    """Prefix ``exc``'s message with the scheme, dt, step index j and
+    ``paths``, then the path that failed when the error names one (its
+    ``index`` in the batch)."""
+    where = f", paths {paths[0]}..{paths[-1]}" if paths else ""
+    if paths and getattr(exc, "index", None) is not None:
+        where += f": path {paths[exc.index]}"
+    detail = exc.args[0] if exc.args else ""
+    exc.args = (f"{stepper.scheme_id}, dt={dt!r}, at step {j}{where}: "
+                f"{detail}",) + exc.args[1:]
+
+
+def _terminal_batch(stepper, state, dt, increments, offset=0,
                     counters: Optional[ScanCounters] = None,
                     values: Optional[np.ndarray] = None,
                     paths: Optional[range] = None):
-    """Advance a batch of paths to the horizon; returns x there.
+    """Advance a batch of paths from ``state`` over ``increments``; returns
+    the state after the last step.
 
-    ``increments`` is ``(B, n)``, or ``(B, 2, n)`` for a two-driver stepper.
-    x is what ``stepper.x_of`` returns: ``(B,)`` for a scheme, or one row of
-    B per path for the squared-OU construction with its riders.  A step
-    returns ``(state, mask)``; ``counters`` adds the paths each mask marks to
-    the field ``stepper.event`` names, and negative x to ``negative_states``,
-    over every step; ``values[j + 1]`` gets x after step j.  A non-finite x
-    raises NumericError: the first one in ``values`` once the loop is done,
-    else one at the horizon.  An error is re-raised as it is, its message
-    prefixed with the scheme, dt, step index and ``paths``, then the path
-    that failed when the error names one (a root finder's ``index`` in the
-    batch).
+    ``increments`` is ``(B, n)``, or ``(B, 2, n)`` for a two-driver stepper,
+    and its first step is step ``offset`` of the path.  x is what
+    ``stepper.x_of`` returns: ``(B,)`` for a scheme, or one row of B per
+    path for the squared-OU construction with its riders.  A step returns
+    ``(state, mask)``; ``counters`` adds the paths each mask marks to the
+    field ``stepper.event`` names, and negative x to ``negative_states``,
+    over every step; ``values[j + 1]`` gets x after step j, and a non-finite
+    one raises NumericError once the loop is done.  An error is re-raised
+    as it is, named by :func:`_locate` with the path's step index.
     """
-    state = stepper.init(x0, size=increments.shape[0])
     step, x_of = stepper.step, stepper.x_of
     record = counters is not None or values is not None
     event = {"non_real": "non_real_events",   # the field the masks add to
@@ -207,27 +254,64 @@ def _terminal_batch(stepper, x0, dt, increments,
                     if event is not None:
                         counters.__dict__[event] += int(np.count_nonzero(mask))
                     counters.negative_states += int(np.count_nonzero(x < 0))
-        x = x_of(state)
-        # NaN survives every row's map or makes it raise, so checking once
-        # at the horizon sees it
-        if values is None:
-            bad, what = ~np.isfinite(x), "x is not finite at the horizon"
-        else:
-            bad, what = ~np.isfinite(values[1:]), "x is not finite"
-        if bad.any():
-            first = np.argwhere(bad)[0]   # [step, ..., path] in values[1:]
-            if values is not None:
+        if values is not None:
+            bad = ~np.isfinite(values[1:])
+            if bad.any():
+                first = np.argwhere(bad)[0]   # [step, ..., path]
                 j = int(first[0])
-            raise NumericError(what, index=int(first[-1]))
+                raise NumericError("x is not finite", index=int(first[-1]))
     except Exception as exc:
-        where = f", paths {paths[0]}..{paths[-1]}" if paths else ""
-        if paths and getattr(exc, "index", None) is not None:
-            where += f": path {paths[exc.index]}"
-        detail = exc.args[0] if exc.args else ""
-        exc.args = (f"{stepper.scheme_id}, dt={dt!r}, at step {j}{where}: "
-                    f"{detail}",) + exc.args[1:]
+        _locate(exc, stepper, dt, offset + j, paths)
         raise
+    return state
+
+
+def _terminal_x(stepper, state, dt, n, paths):
+    """x of ``state`` at the horizon, after n steps; a non-finite x there
+    raises NumericError named by :func:`_locate`.
+
+    NaN survives every row's map or makes it raise, so checking once at the
+    horizon sees it.
+    """
+    x = stepper.x_of(state)
+    bad = ~np.isfinite(x)
+    if bad.any():
+        exc = NumericError("x is not finite at the horizon",
+                           index=int(np.argwhere(bad)[0][-1]))
+        _locate(exc, stepper, dt, n - 1, paths)
+        raise exc
     return x
+
+
+def _terminal_blocks(seed, M, T, n, x0, runs, drivers=1):
+    """Yield, per block of :func:`_blocks`, the list of every run's x at the
+    horizon, in order.
+
+    ``runs`` lists ``(stepper, dt, h, counters)``: each run starts from x0
+    and steps at dt over the lattice halved h times, adding to ``counters``
+    if it is not None.  The runs advance over each chunk in the order given,
+    and each is checked at the horizon as soon as it gets there.
+    """
+    halvings = {h for _, _, h, _ in runs}
+    for paths, chunks in _blocks(seed, M, T, n, halvings, drivers):
+        states = [st.init(x0, size=len(paths)) for st, *_ in runs]
+        xs = []
+        for offset, inc in chunks:
+            last = offset + inc[0].shape[-1] == n
+            for r, (st, dt, h, counters) in enumerate(runs):
+                states[r] = _terminal_batch(st, states[r], dt, inc[h],
+                                            offset >> h, counters, paths=paths)
+                if last:
+                    xs.append(_terminal_x(st, states[r], dt, n >> h, paths))
+        yield xs
+
+
+def _slice_sums(total, values):
+    """``total`` plus the sum of ``values`` over paths, added one ``_BATCH``
+    slice at a time in path order."""
+    for start in range(0, len(values), _BATCH):
+        total += float(np.sum(values[start:start + _BATCH]))
+    return total
 
 
 def simulate_path(scheme: SchemeId, params: ModelParams, x0: float, T: float,
@@ -258,8 +342,9 @@ def simulate_path(scheme: SchemeId, params: ModelParams, x0: float, T: float,
     values = np.empty(n + 1)
     values[0] = x0
     counters = ScanCounters()
-    _terminal_batch(stepper, x0, dt, driver[np.newaxis, ..., :n],
-                    counters=counters, values=values[:, np.newaxis])
+    _terminal_batch(stepper, stepper.init(x0, size=1), dt,
+                    driver[np.newaxis, ..., :n], counters=counters,
+                    values=values[:, np.newaxis])
     return PathResult(times=times, values=values, counters=counters)
 
 
@@ -273,15 +358,19 @@ def simulate_paths(schemes: Sequence[SchemeId], params: ModelParams,
     many drivers as the schemes need.  A one-driver scheme takes the first
     driver, which is the one-driver lattice bit for bit, so its path does
     not depend on the schemes beside it.  Returns ``{dt: [one PathResult
-    per scheme]}`` in the order given.
+    per scheme]}`` in the order given.  Every path is kept until the run
+    returns, so the times and values of all of them, beside the finest
+    lattice, must fit in memory.
     """
     if not schemes:
         raise ConfigurationError("need at least one scheme")
     _distinct(step_sizes)
     drivers = [make_stepper(s, params, m_split=m_split).drivers for s in schemes]
+    ns = [_steps_for(T, dt) for dt in step_sizes]
+    kept = 2 * len(schemes) * sum(n + 1 for n in ns)
+    _steps_for(T, min(step_sizes), max(drivers) + kept / max(ns))
     results = {}
-    for k, dt in enumerate(step_sizes):
-        n = _steps_for(T, dt, max(drivers))
+    for k, (dt, n) in enumerate(zip(step_sizes, ns)):
         inc = generate_lattice(path_seed(seed, k), T, n, 0,
                                drivers=max(drivers)).increments
         results[dt] = [simulate_path(s, params, x0, T, n,
@@ -334,17 +423,17 @@ def strong_error(schemes: Sequence[SchemeId], reference: Optional[SchemeId],
     if any(st.drivers != 1 for st in steppers.values()):
         raise ConfigurationError("strong_error supports single-driver schemes")
     sums = [(dict.fromkeys(dts, 0.0), dict.fromkeys(dts, 0.0)) for _ in schemes]
-    for paths, inc in _batches(seed, M, T, n_ref, halvings.values()):
-        x_ref = {r: _terminal_batch(steppers[r], x0, ref_step, inc[0],
-                                    paths=paths)
-                 for r in dict.fromkeys(refs)}
-        for scheme, ref, (sum2, sum4) in zip(schemes, refs, sums):
+    ref_ids = list(dict.fromkeys(refs))
+    runs = [(steppers[r], ref_step, 0, None) for r in ref_ids]
+    runs += [(steppers[s], dt, halvings[dt], None) for s in schemes for dt in dts]
+    for xs in _terminal_blocks(seed, M, T, n_ref, x0, runs):
+        x_ref = dict(zip(ref_ids, xs))
+        x_dt = iter(xs[len(ref_ids):])
+        for ref, (sum2, sum4) in zip(refs, sums):
             for dt in dts:
-                x_dt = _terminal_batch(steppers[scheme], x0, dt,
-                                       inc[halvings[dt]], paths=paths)
-                diff_sq = (x_dt - x_ref[ref]) ** 2
-                sum2[dt] += float(np.sum(diff_sq))
-                sum4[dt] += float(np.sum(diff_sq**2))
+                diff_sq = (next(x_dt) - x_ref[ref]) ** 2
+                sum2[dt] = _slice_sums(sum2[dt], diff_sq)
+                sum4[dt] = _slice_sums(sum4[dt], diff_sq**2)
     return [_error_report(scheme, ref, dts, sum2, sum4, M)
             for scheme, ref, (sum2, sum4) in zip(schemes, refs, sums)]
 
@@ -433,13 +522,15 @@ def exact_cir_experiment(params: ModelParams, x0: float, m_split: float,
     through the experiments' stepping loop, which records every value; a
     scheme path starts at ``x0``, the squared-OU path at x1^2 + x2^2.
     """
-    n = _steps_for(T, dt, 2)
+    # the lattice, the recorded values and the path arrays copied from them
+    n = _steps_for(T, dt, 2 + 2 * (3 + len(schemes)) + 1)
     ride = _SquaredOuRide(params, m_split, schemes, theta)
     lattice = generate_lattice(path_seed(seed, 0), T, n, 0, drivers=2)
     values = np.empty((n + 1, 3 + len(schemes), 1))
-    values[0] = ride.x_of(ride.init(x0, size=1))
+    state = ride.init(x0, size=1)
+    values[0] = ride.x_of(state)
     values[0, 3:] = x0
-    _terminal_batch(ride, x0, dt, lattice.increments[np.newaxis],
+    _terminal_batch(ride, state, dt, lattice.increments[np.newaxis],
                     values=values)
     x1, x2, exact, *paths = values[:, :, 0].T.copy()
     return ExactCirPaths(times=np.linspace(0.0, T, n + 1), x1=x1, x2=x2,
@@ -455,7 +546,7 @@ def exact_cir_error_decay(params: ModelParams, x0: float, m_split: float,
 
     Returns one ``{dt: mean}`` per scheme, in order.  Step sizes must form a
     dyadic family; each path's two-driver lattice is generated at the finest
-    step and coarsened, so refinements stay coupled.  Per dt, each batch
+    step and coarsened, so refinements stay coupled.  Per dt, each block
     runs once through the stepping loop with every scheme riding it.
     """
     if M < 1:
@@ -464,11 +555,11 @@ def exact_cir_error_decay(params: ModelParams, x0: float, m_split: float,
     n_ref, halvings = _dyadic_plan(T, dts, 2 * min(M, _BATCH))
     ride = _SquaredOuRide(params, m_split, schemes, theta)
     totals = [dict.fromkeys(dts, 0.0) for _ in schemes]
-    for paths, inc in _batches(seed, M, T, n_ref, halvings.values(), drivers=2):
-        for dt in dts:
-            x = _terminal_batch(ride, x0, dt, inc[halvings[dt]], paths=paths)
+    runs = [(ride, dt, halvings[dt], None) for dt in dts]
+    for xs in _terminal_blocks(seed, M, T, n_ref, x0, runs, drivers=2):
+        for dt, x in zip(dts, xs):
             for total, x_scheme in zip(totals, x[3:]):
-                total[dt] += float(np.sum(np.abs(x_scheme - x[2])))
+                total[dt] = _slice_sums(total[dt], np.abs(x_scheme - x[2]))
     return [{dt: total[dt] / M for dt in dts} for total in totals]
 
 
@@ -494,8 +585,7 @@ def domain_violation_scan(schemes: Sequence[SchemeId], params: ModelParams,
     results = {name: {dt: ScanCounters() for dt in step_sizes} for name in steppers}
     for k, dt in enumerate(step_sizes):
         n = _steps_for(T, dt, min(M, _BATCH))
-        for paths, inc in _batches(path_seed(seed, k), M, T, n, ()):
-            for name, st in steppers.items():
-                _terminal_batch(st, x0, dt, inc[0], counters=results[name][dt],
-                                paths=paths)
+        runs = [(st, dt, 0, results[name][dt]) for name, st in steppers.items()]
+        for _ in _terminal_blocks(path_seed(seed, k), M, T, n, x0, runs):
+            pass
     return results

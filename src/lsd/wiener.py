@@ -36,7 +36,11 @@ def generate_lattice(seed, horizon, base_steps, levels, drivers=1) -> WienerLatt
     """Draw a fresh lattice; the same seed always yields identical increments.
 
     Increments are generated once at the finest level only; coarser levels are
-    derived by exact summation in :func:`halve_increments`.
+    derived by exact summation in :func:`halve_increments`.  ``seed`` is a
+    non-negative integer or a ``numpy.random.Generator``, which the draw
+    advances: consecutive draws from one generator continue one stream, so
+    2^j draws of ``(horizon / 2**j, n >> j)`` join into the lattice
+    ``(horizon, n)`` that its integer seed gives, bit for bit.
     """
     if horizon <= 0:
         raise ConfigurationError(f"horizon must be positive, got {horizon}")
@@ -46,10 +50,10 @@ def generate_lattice(seed, horizon, base_steps, levels, drivers=1) -> WienerLatt
         raise ConfigurationError(f"levels must be >= 0, got {levels}")
     if drivers not in (1, 2):
         raise ConfigurationError(f"drivers must be 1 or 2, got {drivers}")
-    if seed < 0:
+    if not isinstance(seed, np.random.Generator) and seed < 0:
         raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
     n = base_steps << levels
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     shape = (n,) if drivers == 1 else (2, n)
     return WienerLattice(rng.standard_normal(shape) * np.sqrt(horizon / n))
 

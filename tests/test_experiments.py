@@ -7,7 +7,7 @@ import pytest
 import lsd.experiments
 from lsd.errors import (ConfigurationError, DataError, DegenerateStateError,
                         DomainError, InversionError, NumericError)
-from lsd.experiments import (_batches, _steps_for, _terminal_batch,
+from lsd.experiments import (_BATCH, _blocks, _steps_for, _terminal_batch,
                              domain_violation_scan, exact_cir_error_decay,
                              exact_cir_experiment, fit_order, simulate_path,
                              simulate_paths, strong_error)
@@ -23,6 +23,12 @@ CIR_EXACT_OU = SchemeId("cir", "exact_ou")
 SINGLE_DRIVER_ROWS = [k for k, row in SCHEMES.items() if row.drivers == 1]
 # Feller badly violated: alf's radicand goes negative and x with it.
 STRESSED_CIR = CirParams(1.0, 2.0, 20.0)
+
+
+def _to_horizon(stepper, x0, dt, inc, **kwargs):
+    """x after a batch run from x0 over the whole lattice ``inc``."""
+    state = stepper.init(x0, size=len(inc))
+    return stepper.x_of(_terminal_batch(stepper, state, dt, inc, **kwargs))
 
 
 def _outcome(run):
@@ -89,7 +95,7 @@ class TestSimulatePath:
                         for i in range(8)])
         batch = np.empty((n + 1, 8))
         batch[0] = x0
-        _, stop = _outcome(lambda: _terminal_batch(
+        _, stop = _outcome(lambda: _to_horizon(
             make_stepper(scheme, params), x0, 1.0 / n, inc, values=batch))
         recorded = n + 1 if stop is None else stop + 1
         stops = []
@@ -106,7 +112,7 @@ class TestSimulatePath:
         alf = SchemeId("cir", "alf")
         inc = np.stack([generate_lattice(path_seed(6, i), 1.0, 100, 0).increments
                         for i in range(64)])
-        batch = _terminal_batch(make_stepper(alf, STRESSED_CIR), 4.0, 0.01, inc)
+        batch = _to_horizon(make_stepper(alf, STRESSED_CIR), 4.0, 0.01, inc)
         alone = [simulate_path(alf, STRESSED_CIR, 4.0, 1.0, 100, row).values[-1]
                  for row in inc]
         np.testing.assert_array_equal(batch, alone)
@@ -122,8 +128,8 @@ class TestSimulatePath:
         inc = np.stack([generate_lattice(path_seed(9, i), 1.0, 64, 0,
                                          drivers=2).increments
                         for i in range(3)])
-        batch = _terminal_batch(make_stepper(exact_ou, cir_ou_params), 4.0,
-                                1.0 / 64, inc)
+        batch = _to_horizon(make_stepper(exact_ou, cir_ou_params), 4.0,
+                            1.0 / 64, inc)
         for i in range(3):
             single = simulate_path(exact_ou, cir_ou_params, 4.0, 1.0, 64, inc[i])
             assert batch[i] == single.values[-1]
@@ -229,9 +235,9 @@ class TestStrongError:
                 inc = np.stack([generate_lattice(path_seed(seed, i), T, 16,
                                                  4).increments
                                 for i in range(lo, hi)])
-                x_ref = _terminal_batch(ref, 4.0, ref_step, inc)
+                x_ref = _to_horizon(ref, 4.0, ref_step, inc)
                 inc_dt = halve_increments(inc, round(math.log2(dt / ref_step)))
-                x_dt = _terminal_batch(run, 4.0, dt, inc_dt)
+                x_dt = _to_horizon(run, 4.0, dt, inc_dt)
                 sum2 += float(np.sum((x_dt - x_ref) ** 2))
             assert rms == math.sqrt(sum2 / M)
 
@@ -273,7 +279,7 @@ class TestStrongError:
                 InversionError,
                 match=r"^wf:implicit_printed, dt=0\.01, at step 0, "
                       r"paths 8\.\.11: path 10: u=") as excinfo:
-            _terminal_batch(stepper, 0.5, 0.01, inc, paths=range(8, 12))
+            _to_horizon(stepper, 0.5, 0.01, inc, paths=range(8, 12))
         assert excinfo.value.index == 2
 
     def test_non_dyadic_ladder_rejected(self, cir_params):
@@ -327,8 +333,8 @@ class TestStrongError:
         for level, halvings in ((1, 0), (0, 1)):
             inc_l = halve_increments(inc, halvings)
             dt = T / (64 << level)
-            xa = _terminal_batch(sa, x0, dt, inc_l)
-            xb = _terminal_batch(sb, x0, dt, inc_l)
+            xa = _to_horizon(sa, x0, dt, inc_l)
+            xb = _to_horizon(sb, x0, dt, inc_l)
             rms[level] = math.sqrt(float(np.mean((xa - xb) ** 2)))
         ratio = rms[0] / rms[1]
         assert 1.5 <= ratio <= 3.0
@@ -419,6 +425,30 @@ def test_memory_guard_counts_the_batch(monkeypatch, cir_ou_params, run,
             rf"1\.64e\+04 steps, whose lattice of {re.escape(lattice_bytes)} "
             rf"bytes exceeds physical memory \(1\.05e\+06 bytes\)$")):
         run(100, cir_ou_params)
+
+
+@pytest.mark.parametrize("run, few, many", [
+    (lambda schemes, p: simulate_paths(schemes, p, 4.0, 1.0,
+                                       [2.0**-13, 2.0**-14], seed=0),
+     [CIR_LSD1], "2.49e+06"),
+    (lambda schemes, p: exact_cir_experiment(p, 4.0, 0.5, 2.0**-14, 1.0, 0,
+                                             schemes),
+     [], "2.75e+06"),
+], ids=["simulate_paths", "exact_cir_experiment"])
+def test_memory_guard_counts_the_kept_paths(monkeypatch, cir_ou_params, run,
+                                            few, many):
+    # with 2 MiB of memory, few paths of 2^14 steps fit beside their lattice;
+    # the recorded paths of six cir schemes do not
+    monkeypatch.setattr(lsd.experiments.os, "sysconf",
+                        {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 512}.get)
+    run(few, cir_ou_params)
+    six = [SchemeId("cir", v) for v in ("lsd1", "lsd2", "lsd3", "sd_theta",
+                                        "alf", "ns")]
+    with pytest.raises(ConfigurationError, match=(
+            rf"^step {re.escape(str(2.0**-14))} over the horizon 1\.0 gives "
+            rf"1\.64e\+04 steps, whose lattice of {re.escape(many)} "
+            rf"bytes exceeds physical memory \(2\.1e\+06 bytes\)$")):
+        run(six, cir_ou_params)
 
 
 class TestExactCir:
@@ -537,32 +567,103 @@ class TestScan:
 
 
 class TestBatches:
+    """The block iterator: paths in blocks, each block drawn in time chunks."""
+
     @pytest.mark.parametrize("drivers", [1, 2])
     def test_path_order_levels_and_release(self, drivers):
         T, n, seed = 1.0, 32, 4
         yielded = []
-        for paths, inc in _batches(seed, 300, T, n, (3, 0, 1), drivers=drivers):
-            # the batch before was released when this one was drawn
-            assert all(not earlier for _, earlier in yielded)
+        for paths, chunks in _blocks(seed, 300, T, n, (3, 0, 1), drivers=drivers):
             lattice = np.stack([generate_lattice(path_seed(seed, i), T, n, 0,
                                                  drivers=drivers).increments
                                 for i in paths])
-            assert sorted(inc) == [0, 1, 3]
-            for h, level in inc.items():
-                direct = halve_increments(lattice, h)
-                assert level.shape == direct.shape
-                assert level.tobytes() == direct.tobytes()
-            yielded.append((paths, inc))
+            for offset, inc in chunks:
+                # the chunk before was released when this one was drawn
+                assert all(not earlier for _, earlier in yielded)
+                assert offset == 0
+                assert sorted(inc) == [0, 1, 3]
+                for h, level in inc.items():
+                    direct = halve_increments(lattice, h)
+                    assert level.shape == direct.shape
+                    assert level.tobytes() == direct.tobytes()
+                yielded.append((paths, inc))
         assert [p for p, _ in yielded] == [range(0, 256), range(256, 300)]
         assert yielded[-1][1] == {}
 
     @pytest.mark.parametrize("drivers", [1, 2])
     def test_levels_are_time_major(self, drivers):
-        # each step's increments for the batch are one contiguous block
-        for paths, inc in _batches(4, 40, 1.0, 32, (0, 2), drivers=drivers):
-            for level in inc.values():
-                assert level.shape[0] == len(paths)
-                assert all(step.flags.c_contiguous for step in level.T)
+        # each step's increments for the block are one contiguous block
+        for paths, chunks in _blocks(4, 40, 1.0, 32, (0, 2), drivers=drivers):
+            for _, inc in chunks:
+                for level in inc.values():
+                    assert level.shape[0] == len(paths)
+                    assert all(step.flags.c_contiguous for step in level.T)
+
+    @pytest.mark.parametrize("M, n, halvings, drivers, steps, width", [
+        (300, 4096, (0, 2, 5), 1, 1024, 300),      # one block of two slices
+        (600, 2048, (0, 1, 4), 1, 1024, 512),      # two blocks
+        (300, 3 << 10, (0, 1), 1, 1536, 300),      # no power of two
+        (300, 4096, (0, 11), 1, 2048, 300),        # the deepest halving binds
+        (300, 3 << 10, (0, 10), 1, 3 << 10, 256),  # its 3 steps stay whole
+        (300, 4096, (0, 2), 2, 4096, 256),         # two drivers: no chunks
+        (200, 4096, (0, 2), 1, 1024, 200),         # fewer paths than a slice
+        (300, 1024, (0, 2), 1, 1024, 256),         # too short to chunk
+    ])
+    def test_chunks_are_slices_of_the_halved_lattice(self, M, n, halvings,
+                                                     drivers, steps, width):
+        T, seed = 0.7, 11
+        # the bytes _dyadic_plan checks: rows = min(M, _BATCH) lattices per
+        # driver at each level
+        guarded = 8 * drivers * min(M, _BATCH) * n * sum(
+            0.5**h for h in {0, *halvings})
+        blocks, drawn = [], []
+        for paths, chunks in _blocks(seed, M, T, n, halvings, drivers=drivers):
+            lattice = np.stack([generate_lattice(path_seed(seed, i), T, n, 0,
+                                                 drivers=drivers).increments
+                                for i in paths])
+            offsets = []
+            for offset, inc in chunks:
+                # the chunk before was released when this one was drawn
+                assert all(not earlier for earlier in drawn)
+                drawn.append(inc)
+                assert sum(level.nbytes for level in inc.values()) <= guarded
+                for h, level in inc.items():
+                    whole = halve_increments(lattice, h)
+                    part = whole[..., offset >> h:(offset + steps) >> h]
+                    assert level.shape == part.shape
+                    assert level.tobytes() == part.tobytes()
+                    assert all(step.flags.c_contiguous for step in level.T)
+                offsets.append(offset)
+            assert offsets == list(range(0, n, steps))
+            blocks.append(paths)
+        assert blocks == [range(s, min(s + width, M)) for s in range(0, M, width)]
+
+    def test_error_in_a_later_chunk_names_the_global_step(self, cir_params,
+                                                          monkeypatch):
+        # 2^12 reference steps for 300 paths run in four chunks of 1024; the
+        # reference fails in the second chunk, at its step 5, on path 3
+        real = lsd.experiments.make_stepper
+
+        def failing(scheme, *args, **kwargs):
+            stepper = real(scheme, *args, **kwargs)
+            if scheme == CIR_LSD2:
+                step, calls = stepper.step, [0]
+
+                def step_or_fail(state, dw, dt):
+                    calls[0] += 1
+                    if calls[0] == 1024 + 6:
+                        raise DomainError("forced", index=3)
+                    return step(state, dw, dt)
+
+                stepper.step = step_or_fail
+            return stepper
+
+        monkeypatch.setattr(lsd.experiments, "make_stepper", failing)
+        with pytest.raises(DomainError, match=(
+                r"^cir:lsd2, dt=0\.000244140625, at step 1029, paths 0\.\.299: "
+                r"path 3: forced$")):
+            strong_error([CIR_LSD1], CIR_LSD2, cir_params, 4.0, 1.0, [2.0**-4],
+                         2.0**-12, M=300, seed=1)
 
 
 @pytest.mark.parametrize("run, message", [

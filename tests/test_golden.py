@@ -37,6 +37,11 @@ CONFIGS = {
     "convergence": ("convergence", "cir", _CIR.format(k3=1), 4,
                     "schemes = lsd1, lsd3\nreference = lsd2\n"
                     "dt = 0.125, 0.0625, 0.03125\nref_step = 0.00390625\nM = 64\n"),
+    # 2^12 reference steps for 300 paths: four time chunks of one block,
+    # which spans two slices of the sums over paths
+    "chunked": ("convergence", "cir", _CIR.format(k3=1), 4,
+                "schemes = lsd1, lsd3\ndt = 0.0625, 0.03125, 0.015625\n"
+                "ref_step = 0.000244140625\nM = 300\n"),
     "exact-cir": ("exact-cir", "cir", _CIR.format(k3=2), 4,
                   "schemes = lsd1, lsd3\ndt = 0.03125, 0.015625, 0.0078125\n"
                   "M = 64\nm = 0.25\n"),
@@ -61,6 +66,8 @@ CONFIGS = {
 SHA256 = {
     "convergence":
         "a77aabdeb092074c50ac6cd1810035a7f12977a08a5cdeeb7542ec2b8b0487f6",
+    "chunked":
+        "b3a70733885a5afbdb13169c87bb3b89799e2001c11356def39b151ae52c6c3e",
     "exact-cir":
         "e3b5c571ed82fe61f3c8f03debda55467c4c8eddb195c3ea29cfac4edbf1a28b",
     "scan": "2e5e0c1619afff859d9749a7e80a53e03717a8117853b975e45daf12abbdf35b",

@@ -39,6 +39,21 @@ class TestGenerate:
             two = generate_lattice(seed, 1.0, n, 0, drivers=2).increments
             assert two[0].tobytes() == one.tobytes()
 
+    @pytest.mark.parametrize("j", range(11))
+    def test_chunks_from_one_generator_join_into_the_lattice(self, j):
+        # T = 0.7 is not dyadic; dividing T and n by 2^j keeps sqrt(T / n)
+        T, n, seed = 0.7, 3 << 10, path_seed(5, 1)
+        rng = np.random.default_rng(seed)
+        chunks = [generate_lattice(rng, T / 2**j, n >> j, 0).increments
+                  for _ in range(2**j)]
+        whole = generate_lattice(seed, T, n, 0).increments
+        assert np.concatenate(chunks).tobytes() == whole.tobytes()
+
+    def test_negative_seed_is_rejected_by_name(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^seed must be a non-negative integer, got -3$"):
+            generate_lattice(-3, 1.0, 4, 0)
+
     def test_distinct_seeds_decorrelated(self):
         n = 10_000
         a = generate_lattice(1, 1.0, n, 0).increments

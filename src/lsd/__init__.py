@@ -18,8 +18,7 @@ from .experiments import (ErrorReport, ExactCirPaths, PathResult,
                           fit_order, simulate_path, simulate_paths,
                           strong_error)
 from .models import (AitParams, CevParams, CirParams, Heston32Params,
-                     WfParams, domain_report, lamperti_forward,
-                     lamperti_inverse)
+                     WfParams, domain_report, lamperti_forward)
 from .rootfind import MonotoneSpec, invert_monotone
 from .schemes import SCHEMES, SchemeId, make_stepper
 from .wiener import (WienerLattice, cir_effective_increment, generate_lattice,

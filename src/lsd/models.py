@@ -255,17 +255,6 @@ def lamperti_forward(params: ModelParams, x):
     return params.forward(x)
 
 
-def lamperti_inverse(params: ModelParams, z):
-    """Map a constant-diffusion-space state back to the original coordinate."""
-    if params.model == "wf":
-        ok = np.all((np.asarray(z) > 0) & (np.asarray(z) < np.pi))
-    else:
-        ok = np.all(np.asarray(z) > 0)
-    if not ok:
-        raise DomainError(f"transformed state {z!r} outside the {params.model} range")
-    return params.inverse(z)
-
-
 def domain_report(params: ModelParams) -> Dict[str, bool]:
     """Truth values of the model's positivity/boundedness conditions by name.
 

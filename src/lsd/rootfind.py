@@ -1,7 +1,10 @@
 """Inversion of monotone maps for the drift-implicit schemes.
 
 :func:`solve_monotone` solves a whole batch at once, each element with its
-own bracket and state; :func:`invert_monotone` solves for one float.
+own bracket and state; :func:`invert_monotone` solves for one float.  A map
+given with its closed-form slope is solved by safeguarded Newton first; a
+map without one, or an element Newton leaves unsettled, by a bracket hunt
+and regula falsi.
 """
 
 import math
@@ -14,6 +17,7 @@ from .errors import InversionError, NumericError
 
 _MAX_EXPANSIONS = 60
 _MAX_ITER = 100
+_NEWTON_ITER = 20   # safeguarded Newton steps before the hunt takes over
 STEP_TOL = 1e-13    # what each drift-implicit scheme step solves to
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
@@ -27,11 +31,15 @@ class MonotoneSpec:
     root (invert a falling map as its negative), which sets which way a
     bracket hunt goes first.  fn need be monotone only on the root's branch:
     an interior extremum between the hunt's probes is found and searched past.
+    ``slope``, if set, maps x to fn'(x) the same way; it only guides the
+    search, so it may fall to 0 or below (a step there bisects instead), and
+    the acceptance criteria stay those of fn alone.
     """
 
     fn: Callable
     lo: float = 0.0
     hi: float = math.inf
+    slope: Optional[Callable] = None
 
 
 def _toward(endpoint: float, x):
@@ -72,8 +80,20 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
     Jarratt 1971) then tightens the bracket, halving the value of an end
     kept twice in a row.
 
-    ``fn`` is called once per iteration on the elements still at work, each
-    taking the steps it would alone, so no result depends on its batch.
+    With a ``slope``, Newton's method runs first from the seed (Press et al.,
+    *Numerical Recipes* §9.4, ``rtsafe``), keeping each element's bracket
+    from the sign of every residual: a step where fn' <= 0 or outside the
+    bracket bisects it, or doubles toward an infinite end.  A Newton step
+    shorter than the x bound is stretched to it, a probe; x is accepted once
+    such a probe changes sign and x or the probe, whichever has the smaller
+    residual, meets the residual bound.  An element unsettled after
+    ``_NEWTON_ITER`` steps goes through the hunt above from its seed.  Where
+    fn has several rising preimages of u the two routes may return different
+    ones.
+
+    ``fn`` (and ``slope``) is called once per iteration on the elements still
+    at work, each taking the steps it would alone, so no result depends on
+    its batch.
     InversionError (no root, or the criteria unmet in ``_MAX_ITER``
     iterations; it carries the last bracket) and NumericError (fn gave NaN)
     name as ``index`` the first failing element of the flattened batch.
@@ -89,10 +109,11 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
         if not idx.size:
             return x
         val = np.asarray(spec.fn(x), float)
-        nan = np.flatnonzero(np.isnan(val))
-        if nan.size:
-            raise NumericError(f"non-finite function value at x={float(x[nan[0]])!r}",
-                               index=int(idx[nan[0]]))
+        nan = np.isnan(val)
+        if nan.any():
+            k = int(np.argmax(nan))
+            raise NumericError(f"non-finite function value at x={float(x[k])!r}",
+                               index=int(idx[k]))
         return val - u[idx]
 
     start = (max(1.0, 2.0 * spec.lo) if math.isinf(spec.hi)
@@ -104,14 +125,20 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
     # Root lies toward hi iff the function still needs to grow there.
     up = seed_h < 0
     root = np.full(u.size, np.nan)
-    # A seed within the residual meets the x criterion if the root is within
-    # the bound of it, which one probe that far toward the root shows.
-    i = np.flatnonzero(np.abs(seed_h) <= target)
-    probe = seed[i] + np.where(up[i], xtol(seed[i]), -xtol(seed[i]))
-    inside = (spec.lo < probe) & (probe < spec.hi)
-    i, probe = i[inside], probe[inside]
-    i = i[(h(i, probe) < 0) != (seed_h[i] < 0)]
-    root[i] = seed[i]
+    if spec.slope is not None:
+        _newton(spec, h, target, tol, seed, seed_h, root)
+        if not np.isnan(root).any():
+            return root.reshape(shape)
+    else:
+        # A seed within the residual meets the x criterion if the root is
+        # within the bound of it, which one probe that far toward the root
+        # shows.
+        i = np.flatnonzero(np.abs(seed_h) <= target)
+        probe = seed[i] + np.where(up[i], xtol(seed[i]), -xtol(seed[i]))
+        inside = (spec.lo < probe) & (probe < spec.hi)
+        i, probe = i[inside], probe[inside]
+        i = i[(h(i, probe) < 0) != (seed_h[i] < 0)]
+        root[i] = seed[i]
 
     # Hunt from the seed toward one endpoint, then from it toward the other,
     # until fn rises through u.  lo and hi hold each bracket's (x, h) ends;
@@ -202,6 +229,46 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
             f"{_MAX_ITER} iterations", bracket=(float(lx[f]), float(hx[f])),
             index=int(i[f]))
     return root.reshape(shape)
+
+
+def _newton(spec, h, target, tol, x, hx, root):
+    """Safeguarded Newton from each seed x, whose residual is hx, as
+    :func:`solve_monotone` describes; writes the roots it settles into
+    ``root`` and leaves the others NaN.  The bracket (a, b) starts as
+    (lo, hi), and each residual's sign moves one end of it to its x."""
+    i = np.arange(x.size)
+    a, b = np.full(x.size, float(spec.lo)), np.full(x.size, float(spec.hi))
+    for _ in range(_NEWTON_ITER):
+        neg = hx < 0    # the root lies above x
+        a, b = np.where(neg, x, a), np.where(neg, b, x)
+        d = spec.slope(x)
+        tx = tol * np.maximum(1.0, np.abs(x))
+        xn = x - hx / np.where(d > 0, d, np.nan)
+        probe = np.abs(xn - x) < tx
+        xn = np.where(probe, x - np.copysign(tx, hx), xn)
+        inside = (a < xn) & (xn < b)
+        if not inside.all():
+            # A probe past an evaluated bracket end probes that end instead;
+            # any other step out of the bracket bisects it.
+            end = np.where(neg, b, a)
+            probe &= inside | np.where(neg, b < spec.hi, a > spec.lo)
+            mid = 0.5 * (a + b)
+            for edge in (spec.lo, spec.hi):
+                if math.isinf(edge):
+                    mid = np.where(mid == edge, _toward(edge, x), mid)
+            xn = np.where(inside, xn, np.where(probe, end, mid))
+        hn = h(i, xn)
+        ok = probe & ((hn < 0) != neg)
+        if ok.any():
+            # x and its probe straddle the root: take the end of least
+            # residual if that is within the target.
+            nearer = np.abs(hn) < np.abs(hx)
+            ok &= np.abs(np.where(nearer, hn, hx)) <= target[i]
+            root[i[ok]] = np.where(nearer, xn, x)[ok]
+            i, xn, hn, a, b = (v[~ok] for v in (i, xn, hn, a, b))
+            if not i.size:
+                return
+        x, hx = xn, hn
 
 
 def _bracket_lost(h, probes, lost, u, tol):

@@ -76,7 +76,7 @@ SCHEMES = {
     ("cev", "lsd3"): Scheme(cev.lsd3_step),
     ("cev", "sd_theta"): Scheme(cev.sd_theta_step, **_IN_X, mask="non_real", theta=True),
     ("cev", "implicit"): Scheme(
-        cev.implicit_step, to_state=lambda p, x: x ** (1.0 - p.q),
+        bind=cev.implicit_bind, to_state=lambda p, x: x ** (1.0 - p.q),
         to_x=lambda p, u: u ** (1.0 / (1.0 - p.q))),
     ("wf", "lsd1"): Scheme(wf.lsd1_step, mask="clamped"),
     ("wf", "lsd2"): Scheme(wf.lsd2_step, mask="clamped"),
@@ -86,8 +86,8 @@ SCHEMES = {
     ("wf", "sd_alt"): Scheme(wf.sd_alt_step, **_IN_X, mask="clamped"),
     ("wf", "biss"): Scheme(wf.biss_step, **_IN_X, mask="clamped"),
     ("wf", "hyb"): Scheme(wf.hyb_step, **_IN_X),
-    ("wf", "implicit"): Scheme(partial(wf.implicit_step, sign_mode="corrected")),
-    ("wf", "implicit_printed"): Scheme(partial(wf.implicit_step, sign_mode="printed")),
+    ("wf", "implicit"): Scheme(bind=partial(wf.implicit_bind, sign_mode="corrected")),
+    ("wf", "implicit_printed"): Scheme(bind=partial(wf.implicit_bind, sign_mode="printed")),
     ("heston32", "lsd1"): Scheme(bind=cir.lsd1_bind),
     ("heston32", "lsd2"): Scheme(bind=cir.lsd2_bind),
     ("heston32", "sd_exp"): Scheme(heston.sd_exp_step, **_IN_X),
@@ -96,8 +96,8 @@ SCHEMES = {
         to_x=lambda p, v: v ** -2.0),
     ("ait", "lsd1"): Scheme(ait.lsd1_step),
     ("ait", "lsd2"): Scheme(ait.lsd2_step),
-    ("ait", "implicit"): Scheme(partial(ait.implicit_step, variant="drift")),
-    ("ait", "implicit_printed"): Scheme(partial(ait.implicit_step, variant="printed")),
+    ("ait", "implicit"): Scheme(bind=partial(ait.implicit_bind, variant="drift")),
+    ("ait", "implicit_printed"): Scheme(bind=partial(ait.implicit_bind, variant="printed")),
 }
 
 VARIANTS = {model: tuple(v for m, v in SCHEMES if m == model)

@@ -42,8 +42,28 @@ def implicit_map(p, dt, variant):
     return g
 
 
-def implicit_step(p, y, dw, dt, variant):
-    """Solve g(y') = y - K3 dw, y' > 0, for all paths; g is per ``variant``."""
-    target = y - p.K3 * dw
-    spec = MonotoneSpec(implicit_map(p, dt, variant), lo=0.0, hi=np.inf)
-    return solve_monotone(spec, target, tol=STEP_TOL, seed=y)
+def implicit_slope(p, dt):
+    """g' of the ``drift`` map; it can fall below 0 where K0 y^e2 grows
+    faster than the rest, at a large dt."""
+    c1, c2, c5 = p.Km1 * p.e1 * dt, p.K0 * p.e2 * dt, p.K2 * p.e5 * dt
+    c0, c4 = 1.0 + p.K1 * dt, p.K4 * dt
+    e1, e2, e5 = p.e1 - 1.0, p.e2 - 1.0, p.e5 - 1.0
+
+    def dg(y):
+        return c0 + c1 * y**e1 - c2 * y**e2 - c5 * y**e5 + c4 / (y * y)
+
+    return dg
+
+
+def implicit_bind(p, dt, variant):
+    """The step map(y, dw) at dt: solve g(y') = y - K3 dw, y' > 0, for all
+    paths; g is per ``variant``, and the ``drift`` map is solved with its
+    slope."""
+    slope = implicit_slope(p, dt) if variant == "drift" else None
+    spec = MonotoneSpec(implicit_map(p, dt, variant), lo=0.0, hi=np.inf,
+                        slope=slope)
+
+    def step(y, dw):
+        return solve_monotone(spec, y - p.K3 * dw, tol=STEP_TOL, seed=y)
+
+    return step

@@ -62,9 +62,26 @@ def implicit_map(p, dt):
     return g
 
 
-def implicit_step(p, u, dw, dt):
-    """Advance each path's u = x**(1-q) by one batch inversion of the map."""
+def implicit_slope(p, dt):
+    """G' in closed form; it falls below 0 only where 0.5 q (1-q) k3^2 / u^2
+    outweighs the rest, which needs a large dt."""
     q = p.q
-    target = u + p.k3 * (1.0 - q) * dw
-    spec = MonotoneSpec(implicit_map(p, dt), lo=0.0, hi=np.inf)
-    return solve_monotone(spec, target, tol=STEP_TOL, seed=u)
+    c1, c2 = q * p.k1 * dt, 1.0 + (1.0 - q) * p.k2 * dt
+    c3 = 0.5 * q * (1.0 - q) * p.k3**2 * dt
+
+    def dg(u):
+        return c1 * u ** (-1.0 / (1.0 - q)) + c2 - c3 / (u * u)
+
+    return dg
+
+
+def implicit_bind(p, dt):
+    """The step map(u, dw) at dt: one batch inversion of G, guided by G'."""
+    spec = MonotoneSpec(implicit_map(p, dt), lo=0.0, hi=np.inf,
+                        slope=implicit_slope(p, dt))
+    scale = p.k3 * (1.0 - p.q)
+
+    def step(u, dw):
+        return solve_monotone(spec, u + scale * dw, tol=STEP_TOL, seed=u)
+
+    return step

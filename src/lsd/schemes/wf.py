@@ -135,21 +135,40 @@ def implicit_map(p, dt, sign_mode):
     tan_sign = -1.0 if sign_mode == "printed" else 1.0
 
     def g(y):
-        return (y - p.a / np.tan(0.5 * y) * dt
-                + tan_sign * p.b * np.tan(0.5 * y) * dt)
+        t = np.tan(0.5 * y)
+        return y - p.a / t * dt + tan_sign * p.b * t * dt
 
     return g
 
 
-def implicit_step(p, y, dw, dt, sign_mode):
-    """Solve g(y') = y + k3 dw for y' in (0, pi), g the ``sign_mode`` map.
+def implicit_slope(p, dt):
+    """g' of the corrected map, 1 + (dt/2) (a (1 + cot^2(y/2)) + b (1 +
+    tan^2(y/2))): above 1 everywhere on (0, pi)."""
+    ha, hb = 0.5 * p.a * dt, 0.5 * p.b * dt
 
-    All paths are solved at once.  Of two preimages of the printed map, the
-    one on its increasing branch, left of the maximum, is returned: it tends
-    to the target as dt -> 0.  The paper does not say which it means.  A
-    target above the maximum raises InversionError, whose bracket is the
-    span searched around the maximum and whose ``index`` is such a path.
+    def dg(y):
+        t2 = np.tan(0.5 * y) ** 2
+        return (1.0 + ha + hb) + ha / t2 + hb * t2
+
+    return dg
+
+
+def implicit_bind(p, dt, sign_mode):
+    """The step map(y, dw) at dt: solve g(y') = y + k3 dw for y' in (0, pi),
+    g the ``sign_mode`` map, for all paths at once.
+
+    The corrected map is solved with its slope.  Of two preimages of the
+    printed map, the one on its increasing branch, left of the maximum, is
+    returned: it tends to the target as dt -> 0.  The paper does not say
+    which it means.  A target above the maximum raises InversionError, whose
+    bracket is the span searched around the maximum and whose ``index`` is
+    such a path.
     """
-    target = y + p.k3 * dw
-    spec = MonotoneSpec(implicit_map(p, dt, sign_mode), lo=0.0, hi=np.pi)
-    return solve_monotone(spec, target, tol=STEP_TOL, seed=y)
+    slope = implicit_slope(p, dt) if sign_mode == "corrected" else None
+    spec = MonotoneSpec(implicit_map(p, dt, sign_mode), lo=0.0, hi=np.pi,
+                        slope=slope)
+
+    def step(y, dw):
+        return solve_monotone(spec, y + p.k3 * dw, tol=STEP_TOL, seed=y)
+
+    return step

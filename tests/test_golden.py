@@ -80,11 +80,11 @@ SHA256 = {
     "heston32":
         "19bc615cb22ccbb1255cce4f83c0da79916b4798d135eb8f7c8f906e8c5fcc07",
     "cev":
-        "d701197529c547cd862bb40a1d9e262a8b3eba039b2459c28051158d68569a38",
+        "1a47febb8660d230c6c16a64756bc8fab18351e683b70b69e825d6843083da15",
     "wf":
-        "9b029c1b6da510425a82b1e0212457eb57f933364b7923c6bf4a80f129073f77",
+        "a774b7bcad1eaf49f3fef1900c890bee7b7e01a60488b982e8a8a75bff3d8096",
     "ait":
-        "3f59d48ee0d98986486ba5d3dd7353e1742bd932341b487b025671e7b4fd92ee",
+        "8457c8e9ff267e0aa0223c8264299d215bfcd6419a4f9e36e103c22081991fe1",
 }
 
 

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from lsd.errors import InversionError, NumericError
 from lsd.models import AitParams, CevParams, WfParams
-from lsd.rootfind import MonotoneSpec, invert_monotone, solve_monotone
+from lsd.rootfind import STEP_TOL, MonotoneSpec, invert_monotone, solve_monotone
+from lsd.schemes import SchemeId, make_stepper
 from lsd.schemes import ait as ait_mod
 from lsd.schemes import cev as cev_mod
 from lsd.schemes import wf as wf_mod
@@ -93,6 +94,13 @@ def test_seed_meeting_residual_only_is_not_returned():
     # x error is 3.7e-12 relative
     spec = MonotoneSpec(lambda x: -1.0 / x)
     x = invert_monotone(spec, -0.25, seed=4.0 + 1.5e-11)
+    assert x == pytest.approx(4.0, rel=1e-12)
+
+
+def test_newton_does_not_return_a_point_meeting_residual_only():
+    # the same seed with the slope given: a small residual is no proof
+    spec = MonotoneSpec(lambda x: -1.0 / x, slope=lambda x: 1.0 / (x * x))
+    x = solve_monotone(spec, -0.25, seed=4.0 + 1.5e-11)
     assert x == pytest.approx(4.0, rel=1e-12)
 
 
@@ -196,8 +204,42 @@ def test_nan_names_the_first_element_that_met_it():
     assert excinfo.value.index == 1
 
 
+CEV = CevParams(1.0 / 16.0, 1.0, 0.4, 0.75)
+AIT = AitParams(km1=2.0, k0=3.0, k1=4.0, k2=6.0, k3=1.0, r=2.0, rho=1.5)
+WF = WfParams(1.0, 2.0, 0.20101)
+
+# The consistent implicit rows: (g, g', hi) at dt.
+CONSISTENT = {
+    "cev": lambda dt: (cev_mod.implicit_map(CEV, dt), cev_mod.implicit_slope(CEV, dt),
+                       math.inf),
+    "wf": lambda dt: (wf_mod.implicit_map(WF, dt, "corrected"),
+                      wf_mod.implicit_slope(WF, dt), math.pi),
+    "ait": lambda dt: (ait_mod.implicit_map(AIT, dt, "drift"),
+                       ait_mod.implicit_slope(AIT, dt), math.inf),
+}
+STATES = {"cev": [0.05, 0.3, 1.0, 2.5], "wf": [0.05, 1.0, 2.0, 3.1],
+          "ait": [0.2, 0.6, 1.0, 1.8]}
+
+
+@pytest.mark.parametrize("dt", [1e-2, 1e-3])
+@pytest.mark.parametrize("model", list(CONSISTENT))
+def test_closed_form_slope_matches_central_difference(model, dt):
+    g, dg, _ = CONSISTENT[model](dt)
+    x = np.array(STATES[model])
+    e = 1e-6 * x
+    diff = (g(x + e) - g(x - e)) / (2.0 * e)
+    np.testing.assert_allclose(dg(x), diff, rtol=1e-6)
+
+
+def _meets_both_criteria(g, x, u, tol):
+    # the residual bound, and a sign change within the x bound either side
+    xt = tol * np.maximum(1.0, np.abs(x))
+    return (np.all(np.abs(g(x) - u) <= tol * np.maximum(1.0, np.abs(u)))
+            and np.all((g(x - xt) - u <= 0) & (g(x + xt) - u >= 0)))
+
+
 @settings(max_examples=40, deadline=None)
-@given(model=st.sampled_from(["cev", "ait"]), dt=st.sampled_from([1e-2, 1e-3]),
+@given(model=st.sampled_from(["cev", "ait", "wf"]), dt=st.sampled_from([1e-2, 1e-3]),
        draws=st.lists(st.tuples(st.floats(1e-2, 10.0), st.floats(-3.0, 3.0)),
                       min_size=1, max_size=16))
 def test_batch_step_matches_lone_steps_on_the_implicit_maps(model, dt, draws):
@@ -205,29 +247,107 @@ def test_batch_step_matches_lone_steps_on_the_implicit_maps(model, dt, draws):
     # time, and meets the residual bound that the solver promises.
     # invert_monotone hands fn Python floats, whose ** is libm's pow where
     # numpy's array loop may differ in the last bit, so it agrees with the
-    # array solve to the stopping tolerance rather than bit for bit.
+    # array solve to the stopping tolerance rather than bit for bit.  The
+    # slope only guides the solve: without it the roots agree to twice the
+    # tolerance.
     x, z = np.array(draws).T
     dw = z * math.sqrt(dt)
+    g, dg, hi = CONSISTENT[model](dt)
     if model == "cev":
-        p = CevParams(1.0 / 16.0, 1.0, 0.4, 0.75)
-        state = x ** (1.0 - p.q)
-        target = state + p.k3 * (1.0 - p.q) * dw
-        g = cev_mod.implicit_map(p, dt)
+        state = x ** (1.0 - CEV.q)
+        target = state + CEV.k3 * (1.0 - CEV.q) * dw
 
         def step(s, w):
-            return cev_mod.implicit_step(p, s, w, dt)
+            return cev_mod.implicit_bind(CEV, dt)(s, w)
+    elif model == "ait":
+        state = AIT.forward(x)
+        target = state - AIT.K3 * dw
+
+        def step(s, w):
+            return ait_mod.implicit_bind(AIT, dt, variant="drift")(s, w)
     else:
-        p = AitParams(km1=2.0, k0=3.0, k1=4.0, k2=6.0, k3=1.0, r=2.0, rho=1.5)
-        state = p.forward(x)
-        target = state - p.K3 * dw
-        g = ait_mod.implicit_map(p, dt, "drift")
+        state = WF.forward(x / 11.0)
+        target = state + WF.k3 * dw
 
         def step(s, w):
-            return ait_mod.implicit_step(p, s, w, dt, variant="drift")
+            return wf_mod.implicit_bind(WF, dt, sign_mode="corrected")(s, w)
     batch = step(state, dw)
     np.testing.assert_array_equal(batch, [step(s, w) for s, w in zip(state, dw)])
     assert np.all(np.abs(g(batch) - target) <= 1e-12 * np.maximum(1.0, np.abs(target)))
-    spec = MonotoneSpec(g, lo=0.0, hi=np.inf)
+    spec = MonotoneSpec(g, lo=0.0, hi=hi)
     for got, u, s in zip(batch, target, state):
         lone = invert_monotone(spec, u, tol=1e-13, seed=s)
         assert abs(got - lone) <= 1e-12 * max(1.0, abs(lone))
+    generic = solve_monotone(spec, target, tol=STEP_TOL, seed=state)
+    assert np.all(np.abs(batch - generic) <= 2.0 * STEP_TOL * np.maximum(1.0, np.abs(generic)))
+
+
+def test_safeguard_acts_where_newton_fails_on_the_cev_map():
+    # At dt = 1 and k3 = 2, G' < 0 on about (0.147, 0.527), where G falls
+    # from a local maximum to a local minimum.  The targets lie below that
+    # minimum, so each has one root, near u = 0.  From the first two seeds
+    # G' < 0; from the other two a Newton step leaves the bracket (0, seed).
+    p = CevParams(0.01, 1.0, 2.0, 0.75)
+    g, dg = cev_mod.implicit_map(p, 1.0), cev_mod.implicit_slope(p, 1.0)
+    seeds = np.array([0.3, 0.45, 1.0, 2.0])
+    targets = g(np.array([0.03, 0.06, 0.04, 0.08]))
+    assert np.all(dg(seeds[:2]) < 0)
+    assert np.all(seeds[2:] - (g(seeds[2:]) - targets[2:]) / dg(seeds[2:]) < 0)
+    spec = MonotoneSpec(g, lo=0.0, hi=math.inf, slope=dg)
+    got = solve_monotone(spec, targets, tol=STEP_TOL, seed=seeds)
+    assert _meets_both_criteria(g, got, targets, STEP_TOL)
+    generic = solve_monotone(MonotoneSpec(g), targets, tol=STEP_TOL, seed=seeds)
+    np.testing.assert_allclose(got, generic, rtol=2.0 * STEP_TOL, atol=0.0)
+
+
+def test_safeguard_expands_toward_an_infinite_end():
+    # x^3 - 3x falls on (-1, 1), where the seeds lie; each target has one
+    # root, beyond the seed toward +inf or -inf, which the bracket must
+    # grow to reach.
+    def g(x):
+        return x**3 - 3.0 * x
+
+    spec = MonotoneSpec(g, lo=-math.inf, slope=lambda x: 3.0 * x * x - 3.0)
+    u, seeds = np.array([10.0, -10.0, 30.0]), np.array([0.0, 0.5, -0.9])
+    got = solve_monotone(spec, u, tol=STEP_TOL, seed=seeds)
+    assert _meets_both_criteria(g, got, u, STEP_TOL)
+    generic = solve_monotone(MonotoneSpec(g, lo=-math.inf), u, tol=STEP_TOL, seed=seeds)
+    np.testing.assert_allclose(got, generic, rtol=2.0 * STEP_TOL, atol=0.0)
+
+
+def test_errors_name_their_element_with_a_slope():
+    spec = MonotoneSpec(lambda x: np.where(x > 2.0, np.nan, x),
+                        slope=np.ones_like)
+    with pytest.raises(NumericError) as excinfo:
+        solve_monotone(spec, [1.5, 3.0, 5.0])
+    assert excinfo.value.index == 1
+    spec = MonotoneSpec(np.tanh, lo=0.0, hi=math.inf,
+                        slope=lambda x: 1.0 - np.tanh(x) ** 2)
+    with pytest.raises(InversionError) as excinfo:
+        solve_monotone(spec, [0.5, 0.3, 5.0, 0.9])
+    assert excinfo.value.index == 2
+    assert excinfo.value.bracket is not None
+
+
+@pytest.mark.parametrize("dt", [2.0**-4, 2.0**-9])
+def test_slope_needs_fewer_map_evaluations(dt, monkeypatch):
+    # One step of the cev implicit row on 256 paths: the map's calls, and
+    # the elements it evaluates, against the same batch solved without the
+    # slope (6.8 calls a solve on average over the implicit convergence run).
+    g = cev_mod.implicit_map(CEV, dt)
+    calls = np.zeros(2, int)
+
+    def counted(u):
+        calls[:] += 1, np.size(u)
+        return g(u)
+
+    monkeypatch.setattr(cev_mod, "implicit_map", lambda p, dt: counted)
+    rng = np.random.default_rng(11)
+    state = np.exp(rng.uniform(np.log(1e-2), np.log(2.0), 256)) ** (1.0 - CEV.q)
+    dw = rng.standard_normal(256) * math.sqrt(dt)
+    make_stepper(SchemeId("cev", "implicit"), CEV).step(state, dw, dt)
+    newton = calls.copy()
+    calls[:] = 0
+    solve_monotone(MonotoneSpec(counted), state + CEV.k3 * (1.0 - CEV.q) * dw,
+                   tol=STEP_TOL, seed=state)
+    assert np.all(newton < calls)

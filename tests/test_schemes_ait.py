@@ -75,14 +75,14 @@ class TestImplicit:
     def test_round_trip_printed(self, ait_params):
         g = ait_mod.implicit_map(ait_params, 0.01, "printed")
         u = 0.5
-        y = ait_mod.implicit_step(ait_params, 0.5, 0.0, 0.01, variant="printed")
+        y = ait_mod.implicit_bind(ait_params, 0.01, variant="printed")(0.5, 0.0)
         # the step solved g(y) = 0.5 - K3*0 = 0.5
         assert abs(g(y) - u) <= 1e-12 * max(1.0, abs(u))
 
     def test_matches_bisection(self, ait_params):
         g = ait_mod.implicit_map(ait_params, 0.01, "printed")
         target = 0.6
-        got = ait_mod.implicit_step(ait_params, 0.6, 0.0, 0.01, variant="printed")
+        got = ait_mod.implicit_bind(ait_params, 0.01, variant="printed")(0.6, 0.0)
         ref = bisect(lambda t: g(t) - target, 1e-6, 10.0, tol=1e-14)
         assert got == pytest.approx(ref, rel=1e-9)
 

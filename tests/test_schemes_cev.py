@@ -94,7 +94,7 @@ class TestCompanions:
         # with no noise the step solves g(y) = u_prev exactly
         g = cev_mod.implicit_map(cev_params, 0.01)
         u_prev = (1.0 / 16.0) ** 0.25
-        y = cev_mod.implicit_step(cev_params, u_prev, 0.0, 0.01)
+        y = cev_mod.implicit_bind(cev_params, 0.01)(u_prev, 0.0)
         assert abs(g(y) - u_prev) <= 1e-12 * max(1.0, abs(u_prev))
 
     def test_implicit_matches_bisection(self, cev_params):
@@ -102,7 +102,7 @@ class TestCompanions:
         g = cev_mod.implicit_map(cev_params, dt)
         u0 = (1.0 / 16.0) ** 0.25
         target = u0 + cev_params.k3 * 0.25 * 0.05
-        got = cev_mod.implicit_step(cev_params, u0, 0.05, dt)
+        got = cev_mod.implicit_bind(cev_params, dt)(u0, 0.05)
         ref = bisect(lambda t: g(t) - target, 1e-8, 1e3, tol=1e-14)
         assert got == pytest.approx(ref, rel=1e-9)
 

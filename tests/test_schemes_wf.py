@@ -141,8 +141,8 @@ class TestCompanions:
         g = wf_mod.implicit_map(wf_params, 1e-2, "printed")
         y0 = 2.0 * math.asin(math.sqrt(0.5))
         u = g(1.3)
-        y = wf_mod.implicit_step(wf_params, y0, (u - y0) / wf_params.k3, 1e-2,
-                                 sign_mode="printed")
+        y = wf_mod.implicit_bind(wf_params, 1e-2, sign_mode="printed")(
+            y0, (u - y0) / wf_params.k3)
         assert abs(g(y) - u) <= 1e-12 * max(1.0, abs(u))
 
     def test_implicit_corrected_is_globally_monotone(self, wf_params):
@@ -176,15 +176,14 @@ class TestPrintedImplicitInversion:
         g = wf_mod.implicit_map(self.P, self.DT, "printed")
         y0, dw = 2.795, 0.3
         u = y0 + self.P.k3 * dw
-        y = wf_mod.implicit_step(self.P, y0, dw, self.DT, sign_mode="printed")
+        y = wf_mod.implicit_bind(self.P, self.DT, sign_mode="printed")(y0, dw)
         assert abs(g(y) - u) <= 1e-12 * max(1.0, abs(u))
         # the preimage on the increasing branch, left of the maximum
         assert g(y + 1e-6) > g(y - 1e-6)
 
     def test_target_above_maximum_raises_with_bracket(self):
         with pytest.raises(InversionError) as excinfo:
-            wf_mod.implicit_step(self.P, 2.86, 0.0, self.DT,
-                                 sign_mode="printed")
+            wf_mod.implicit_bind(self.P, self.DT, sign_mode="printed")(2.86, 0.0)
         lo, hi = excinfo.value.bracket
         assert 2.99 < lo < hi < 3.01
         assert hi - lo <= 1e-6

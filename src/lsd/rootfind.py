@@ -1,10 +1,11 @@
-"""Inversion of monotone maps for the drift-implicit schemes.
+"""Inversion of rising maps for the drift-implicit schemes.
 
 :func:`solve_monotone` solves a whole batch at once, each element with its
 own bracket and state; :func:`invert_monotone` solves for one float.  A map
 given with its closed-form slope is solved by safeguarded Newton first; a
 map without one, or an element Newton leaves unsettled, by a bracket hunt
-and regula falsi.
+and regula falsi.  A map that is not monotone is the caller's to restrict
+to one rising branch.
 """
 
 import math
@@ -19,18 +20,16 @@ _MAX_EXPANSIONS = 60
 _MAX_ITER = 100
 _NEWTON_ITER = 20   # safeguarded Newton steps before the hunt takes over
 STEP_TOL = 1e-13    # what each drift-implicit scheme step solves to
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 @dataclass
 class MonotoneSpec:
-    """A function to invert on an open interval, monotone where it matters.
+    """A function to invert on an open interval, rising through the target.
 
     ``fn`` maps an array of x to their values, element by element; ``lo``
     and ``hi`` may be infinite.  fn rises through the target at the wanted
     root (invert a falling map as its negative), which sets which way a
-    bracket hunt goes first.  fn need be monotone only on the root's branch:
-    an interior extremum between the hunt's probes is found and searched past.
+    bracket hunt goes first; a crossing where fn falls is never a root.
     ``slope``, if set, maps x to fn'(x) the same way; it only guides the
     search, so it may fall to 0 or below (a step there bisects instead), and
     the acceptance criteria stay those of fn alone.
@@ -71,14 +70,10 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
 
     From an interior seed (the previous state, when the caller has one) a
     geometric hunt runs toward the endpoint where a rising map has its root,
-    then toward the other, and stops only at a crossing where fn rises: of
-    two preimages astride an extremum, the rising branch's is returned.
-    Failing that, a falling crossing between the probes serves; failing
-    that, the probe of least ``|fn(x) - u|`` and its neighbours straddle an
-    extremum, and a golden-section search brackets the root beside it or
-    shows u outside the map's range.  Illinois regula falsi (Dowell &
-    Jarratt 1971) then tightens the bracket, halving the value of an end
-    kept twice in a row.
+    then toward the other, and stops only at a crossing where fn rises.  An
+    element with no such crossing within ``_MAX_EXPANSIONS`` probes each way
+    fails.  Illinois regula falsi (Dowell & Jarratt 1971) then tightens the
+    bracket, halving the value of an end kept twice in a row.
 
     With a ``slope``, Newton's method runs first from the seed (Press et al.,
     *Numerical Recipes* §9.4, ``rtsafe``), keeping each element's bracket
@@ -94,11 +89,17 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
     ``fn`` (and ``slope``) is called once per iteration on the elements still
     at work, each taking the steps it would alone, so no result depends on
     its batch.
-    InversionError (no root, or the criteria unmet in ``_MAX_ITER``
-    iterations; it carries the last bracket) and NumericError (fn gave NaN)
-    name as ``index`` the first failing element of the flattened batch.
+    InversionError (no rising crossing, its bracket the span searched; or
+    the criteria unmet in ``_MAX_ITER`` iterations, its bracket the last
+    one) and NumericError (a non-finite u, found before fn is called, or fn
+    gave NaN) name as ``index`` the first failing element of the flattened
+    batch.
     """
     shape, u = np.shape(u), np.ravel(np.asarray(u, float))
+    bad = ~np.isfinite(u)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NumericError(f"non-finite target u={float(u[k])!r}", index=k)
     target = tol * np.maximum(1.0, np.abs(u))
 
     def xtol(x):
@@ -142,26 +143,25 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
 
     # Hunt from the seed toward one endpoint, then from it toward the other,
     # until fn rises through u.  lo and hi hold each bracket's (x, h) ends;
-    # probes keeps every (elements, x, h) evaluated.
+    # far holds the first hunt's last probe.
     lo, hi = np.empty((2, u.size)), np.empty((2, u.size))
-    x0, h0, heading = seed.copy(), seed_h.copy(), up.copy()
+    x0, h0, heading, far = seed.copy(), seed_h.copy(), up.copy(), seed.copy()
     expansions, second = np.zeros(u.size, int), np.zeros(u.size, bool)
-    hunting = np.isnan(root)
-    ai, probes, lost = np.flatnonzero(hunting), [], [np.empty(0, int)]
+    hunting, lost = np.isnan(root), np.zeros(u.size, bool)
+    ai = np.flatnonzero(hunting)
     while ai.size:
         xa = x0[ai]
         x1 = np.where(heading[ai], _toward(spec.hi, xa), _toward(spec.lo, xa))
         stop = (x1 == xa) | (expansions[ai] == _MAX_EXPANSIONS)
         if stop.any():
             s = ai[stop]
-            lost.append(s[second[s]])
-            hunting[lost[-1]] = False
+            spent = s[second[s]]    # both hunts over: no rising crossing
+            lost[spent], hunting[spent] = True, False
             s = s[~second[s]]    # back to the seed for the other hunt
-            x0[s], h0[s], expansions[s] = seed[s], seed_h[s], 0
+            far[s], x0[s], h0[s], expansions[s] = x0[s], seed[s], seed_h[s], 0
             heading[s], second[s] = ~heading[s], True
             ai, x1 = ai[~stop], x1[~stop]
         h1 = h(ai, x1)
-        probes.append((ai, x1, h1))
         # Moving up, a rising crossing takes h from negative to non-negative;
         # moving down, back.
         from_negative = heading[ai]
@@ -173,10 +173,12 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
         x0[ai], h0[ai] = x1, h1
         expansions[ai] += 1
         ai = np.flatnonzero(hunting)
-    lost = np.sort(np.concatenate(lost))
-    if lost.size:
-        probes.append((lost, seed[lost], seed_h[lost]))
-        lo[:, lost], hi[:, lost] = _bracket_lost(h, probes, lost, u, tol)
+    if lost.any():
+        e = int(np.argmax(lost))
+        raise InversionError(
+            f"no rising crossing of u={float(u[e])!r} within {_MAX_EXPANSIONS} "
+            "expansions each way from the seed",
+            bracket=(float(min(far[e], x0[e])), float(max(far[e], x0[e]))), index=e)
 
     # Illinois regula falsi, one compact array per quantity for the elements
     # still at work.  lw/hw are the secant weights: the true values, except
@@ -269,67 +271,3 @@ def _newton(spec, h, target, tol, x, hx, root):
             if not i.size:
                 return
         x, hx = xn, hn
-
-
-def _bracket_lost(h, probes, lost, u, tol):
-    """(x, h) bracket ends for the sorted elements ``lost``, whose hunts met
-    no rising crossing: the first sign change among their ``probes`` sorted
-    by x, else a golden-section search for a point of the other sign around
-    the probe of least |h|, an extremum of h."""
-    idx = np.concatenate([p[0] for p in probes])
-    keep = np.isin(idx, lost)
-    x, hx = (np.concatenate([p[k] for p in probes])[keep] for k in (1, 2))
-    idx = idx[keep]
-    order = np.lexsort((x, idx))
-    idx, pairs = idx[order], np.stack([x[order], hx[order]])
-    first = np.flatnonzero(np.r_[True, idx[1:] != idx[:-1]])
-    last = np.r_[first[1:], idx.size] - 1
-    # A falling crossing is still a root.
-    flip = np.flatnonzero((idx[1:] == idx[:-1])
-                          & ((pairs[1, 1:] < 0) != (pairs[1, :-1] < 0)))
-    j = np.append(flip, idx.size)[np.searchsorted(flip, first)]
-    crossed = j < last
-    lo, hi = np.empty((2, lost.size)), np.empty((2, lost.size))
-    lo[:, crossed], hi[:, crossed] = pairs[:, j[crossed]], pairs[:, j[crossed] + 1]
-
-    # Each element's probe of least |h|, the first of equals (lexsort is stable).
-    best = np.lexsort((np.abs(pairs[1]), idx))[first]
-    g = np.flatnonzero(~crossed & ((best == first) | (best == last)))
-    if g.size:
-        raise InversionError(
-            f"no sign change within {_MAX_EXPANSIONS} expansions each way "
-            "from the seed, and no interior extremum between the probes",
-            bracket=(float(pairs[0, first[g[0]]]), float(pairs[0, last[g[0]]])),
-            index=int(lost[g[0]]))
-    g = np.flatnonzero(~crossed)
-    A, B, C = pairs[:, best[g] - 1], pairs[:, best[g]], pairs[:, best[g] + 1]
-    below = B[1] < 0    # every probe lies below u: search for a maximum
-    found, live = np.zeros(g.size, bool), np.arange(g.size)
-    for _ in range(_MAX_ITER):
-        live = live[C[0, live] - A[0, live]
-                    > tol * np.maximum(1.0, np.abs(B[0, live]))]
-        if not live.size:
-            break
-        a, b, c = A[:, live], B[:, live], C[:, live]
-        x = np.where(b[0] - a[0] > c[0] - b[0], b[0] - _GOLDEN * (b[0] - a[0]),
-                     b[0] + _GOLDEN * (c[0] - b[0]))
-        p = np.stack([x, h(lost[g[live]], x)])
-        hit = (p[1] < 0) != below[live]
-        # fn rises through u left of a maximum and right of a minimum
-        lo[:, g[live[hit]]] = np.where(below[live], a, p)[:, hit]
-        hi[:, g[live[hit]]] = np.where(below[live], p, c)[:, hit]
-        found[live[hit]] = True
-        better, left = np.abs(p[1]) < np.abs(b[1]), x < b[0]
-        A[:, live] = np.where(better, np.where(left, a, b), np.where(left, p, a))
-        B[:, live] = np.where(better, p, b)
-        C[:, live] = np.where(better, np.where(left, b, c), np.where(left, c, p))
-        live = live[~hit]
-    if not found.all():
-        f = np.argmin(found)
-        e = lost[g[f]]
-        raise InversionError(
-            f"u={float(u[e])!r} lies outside the map's range: its "
-            f"{'maximum' if below[f] else 'minimum'} near x={float(B[0, f])!r} "
-            f"is {float(B[1, f] + u[e])!r}", bracket=(float(A[0, f]), float(C[0, f])),
-            index=int(e))
-    return lo, hi

@@ -9,10 +9,12 @@ map as printed in its source, which has the wrong sign on the tangent term,
 is kept as the separate ``implicit_printed`` row.
 """
 
+import math
+
 import numpy as np
 
 from ..closedform import wf_cosine_solution
-from ..errors import StepSizeError
+from ..errors import InversionError, StepSizeError
 from ..rootfind import STEP_TOL, MonotoneSpec, solve_monotone
 
 _DENOMINATOR_TOL = 1e-12
@@ -128,9 +130,10 @@ def implicit_map(p, dt, sign_mode):
     it, and its drift does not match the SDE.
 
     The printed map is concave: it rises from -inf at 0 to a single maximum
-    and falls to -inf at pi (for k1, k2, k3 = 1, 2, 0.20101 at dt = 1e-2 the
-    maximum is about 2.8597, near y = 3.0011).  A target below the maximum
-    has two preimages, one on each side of it; a target above has none.
+    at :func:`printed_peak` and falls to -inf at pi (for k1, k2, k3 = 1, 2,
+    0.20101 at dt = 1e-2 the maximum is about 2.8597, near y = 3.0011).  A
+    target below the maximum has two preimages, one on each side of it; a
+    target above has none.
     """
     tan_sign = -1.0 if sign_mode == "printed" else 1.0
 
@@ -153,22 +156,44 @@ def implicit_slope(p, dt):
     return dg
 
 
+def printed_peak(p, dt):
+    """Where the printed map peaks in (0, pi).  With t = tan^2(y/2), g' = 0
+    is (b dt/2) t^2 - (1 + (a - b) dt/2) t - a dt/2 = 0, whose roots
+    multiply to -a/b < 0; the positive one is taken in the form free of
+    cancellation."""
+    c = 1.0 + 0.5 * (p.a - p.b) * dt
+    s = math.sqrt(c * c + p.a * p.b * dt * dt)
+    t = (c + s) / (p.b * dt) if c >= 0.0 else p.a * dt / (s - c)
+    return 2.0 * math.atan(math.sqrt(t))
+
+
 def implicit_bind(p, dt, sign_mode):
     """The step map(y, dw) at dt: solve g(y') = y + k3 dw for y' in (0, pi),
     g the ``sign_mode`` map, for all paths at once.
 
-    The corrected map is solved with its slope.  Of two preimages of the
-    printed map, the one on its increasing branch, left of the maximum, is
-    returned: it tends to the target as dt -> 0.  The paper does not say
-    which it means.  A target above the maximum raises InversionError, whose
-    bracket is the span searched around the maximum and whose ``index`` is
-    such a path.
+    The corrected map is solved with its slope.  The printed map is solved
+    on its rising branch, (0, :func:`printed_peak`): of two preimages, the
+    one left of the maximum tends to the target as dt -> 0.  The paper does
+    not say which it means.  A target at or above the maximum raises
+    InversionError, whose bracket holds the peak and whose ``index`` is the
+    first such path.
     """
-    slope = implicit_slope(p, dt) if sign_mode == "corrected" else None
-    spec = MonotoneSpec(implicit_map(p, dt, sign_mode), lo=0.0, hi=np.pi,
-                        slope=slope)
+    g = implicit_map(p, dt, sign_mode)
+    if sign_mode == "corrected":
+        spec = MonotoneSpec(g, lo=0.0, hi=np.pi, slope=implicit_slope(p, dt))
+        return lambda y, dw: solve_monotone(spec, y + p.k3 * dw, tol=STEP_TOL, seed=y)
+    peak = printed_peak(p, dt)
+    spec, top = MonotoneSpec(g, lo=0.0, hi=peak), float(g(peak))
 
     def step(y, dw):
-        return solve_monotone(spec, y + p.k3 * dw, tol=STEP_TOL, seed=y)
+        u = y + p.k3 * dw
+        above = np.ravel(u >= top)
+        if above.any():
+            k = int(np.argmax(above))
+            raise InversionError(
+                f"u={float(np.ravel(u)[k])!r} lies outside the map's range: its "
+                f"maximum near x={peak!r} is {top!r}", index=k,
+                bracket=(math.nextafter(peak, 0.0), math.nextafter(peak, math.pi)))
+        return solve_monotone(spec, u, tol=STEP_TOL, seed=y)
 
     return step

@@ -244,7 +244,7 @@ def test_c7_implicit_inversions():
         z_ait = np.exp(rng.uniform(np.log(0.05), np.log(5.0), n))
         for g, states, lo, hi, key in (
                 (g_cev, x_cev, 0.0, np.inf, "cev"),
-                (g_wf, y_wf, 0.0, math.pi, "wf"),
+                (g_wf, y_wf, 0.0, wf_mod.printed_peak(WF, dt), "wf"),
                 (g_ait, z_ait, 0.0, np.inf, "ait")):
             spec = MonotoneSpec(g, lo=lo, hi=hi)
             for s in states:

@@ -1,7 +1,8 @@
 """Golden outputs: the SHA-256 of the CSV of small runs, every kind and model.
 
 A change that keeps every number must keep these hashes.  A change that
-moves numbers on purpose updates the hash it moves and says why.
+moves numbers on purpose updates the hash it moves and says why.  Every row
+of the scheme table runs in some config.
 """
 
 import hashlib
@@ -9,6 +10,7 @@ import hashlib
 import pytest
 
 from lsd.cli import main
+from lsd.schemes import SCHEMES
 
 _HEAD = """
 [experiment]
@@ -61,6 +63,16 @@ CONFIGS = {
             "schemes = lsd1, implicit\n" + _LADDER),
     "wf": ("convergence", "wf", _WF, 0.5, "schemes = lsd1, implicit\n" + _LADDER),
     "ait": ("convergence", "ait", _AIT, 4, "schemes = lsd1, implicit\n" + _LADDER),
+    "cev-others": ("convergence", "cev", _CEV, 0.0625,
+                   "schemes = lsd2, lsd3, sd_theta\n" + _LADDER),
+    "wf-others": ("convergence", "wf", _WF, 0.5,
+                  "schemes = lsd2, lsd3, lsd4, sd, sd_alt, biss, hyb\n" + _LADDER),
+    "ait-others": ("convergence", "ait", _AIT, 4,
+                   "schemes = lsd2, implicit_printed\n" + _LADDER),
+    # the printed map has no preimage above its maximum, which paths from
+    # x0 near 1 soon ask for; from 0.02 both step sizes complete
+    "wf-printed": ("simulate", "wf", _WF, 0.02,
+                   "schemes = implicit_printed\ndt = 0.01, 0.001\n"),
 }
 
 SHA256 = {
@@ -85,6 +97,14 @@ SHA256 = {
         "a774b7bcad1eaf49f3fef1900c890bee7b7e01a60488b982e8a8a75bff3d8096",
     "ait":
         "8457c8e9ff267e0aa0223c8264299d215bfcd6419a4f9e36e103c22081991fe1",
+    "cev-others":
+        "60dbdc6da39f3de36d148c0a2b78928f8780d6bf3178ea60fd6201a25d9c45b0",
+    "wf-others":
+        "60b83b4c8a38812579a4258e8738acf059d2569de4def447b049cddb2330ff34",
+    "ait-others":
+        "07fb07dc6dadc76b7c317eb1a99d77f18348cb6cc3c66e6535368d96e175a7e7",
+    "wf-printed":
+        "910702ee3a944e222a458e2408eac28f55e1bbf8ea3d14f4078caacc7f826835",
 }
 
 
@@ -102,4 +122,15 @@ def csv_sha256(name, tmp_path):
 
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_csv_is_byte_identical(name, tmp_path):
-    assert csv_sha256(name, tmp_path) == SHA256[name]
+    got = csv_sha256(name, tmp_path)
+    assert got == SHA256[name], f"{name}: CSV sha256 is {got}"
+
+
+def test_every_scheme_row_is_pinned():
+    pinned = set()
+    for _, model, _, _, run in CONFIGS.values():
+        for line in run.splitlines():
+            key, _, value = line.partition(" = ")
+            if key in ("schemes", "reference"):
+                pinned.update((model, v.strip()) for v in value.split(","))
+    assert sorted(set(SCHEMES) - pinned) == []

@@ -118,35 +118,16 @@ def test_bracket_tightening_does_not_stall():
     assert count[0] <= 40
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_root_beyond_interior_extremum(sign):
-    # sign * sin on (0, pi) has its extremum at pi/2; from a seed on the far
-    # side of it the hunt steps over the narrow window beyond sign * u.  The
-    # root on the rising branch is returned.
-    spec = MonotoneSpec(lambda x: sign * math.sin(x), lo=0.0, hi=math.pi)
-    u = 0.999
-    seed = 3.0 if sign > 0 else 0.1
-    root = math.asin(u) if sign > 0 else math.pi - math.asin(u)
-    x = invert_monotone(spec, sign * u, seed=seed)
-    assert x == pytest.approx(root, rel=1e-12)
-
-
-def test_target_beyond_interior_extremum_raises_with_searched_span():
-    spec = MonotoneSpec(math.sin, lo=0.0, hi=math.pi)
-    with pytest.raises(InversionError, match="maximum") as excinfo:
-        invert_monotone(spec, 1.001, seed=3.0)
-    # the span searched shrinks onto the peak, as far as rounding lets the
-    # comparisons see it (about sqrt(eps))
-    lo, hi = excinfo.value.bracket
-    assert abs(lo - math.pi / 2.0) <= 1e-7 and abs(hi - math.pi / 2.0) <= 1e-7
-
-
-def test_crossing_against_declared_direction_is_still_a_root():
-    # the map falls although the spec says it rises: no crossing runs the
-    # declared way, so the one that exists is used
-    spec = MonotoneSpec(lambda x: -x)
-    x = invert_monotone(spec, -3.0, seed=1.0)
-    assert x == pytest.approx(3.0, rel=1e-12)
+def test_no_rising_crossing_either_way_raises_with_the_span_searched():
+    # The tent min(x, 2 - x) rises to 1 at x = 1 and then falls.  From seed
+    # 1, -3 is met only where the tent falls (x = 5) and 1.5 nowhere; the
+    # hunts probe 60 halvings down and 60 doublings up, from 2^-60 to 2^60
+    # (from 3, 1.5 up to 3 * 2^60).  The error names the lowest such element.
+    spec = MonotoneSpec(lambda x: np.minimum(x, 2.0 - x))
+    with pytest.raises(InversionError, match="no rising crossing") as excinfo:
+        solve_monotone(spec, [0.5, -3.0, 1.5, 0.25], seed=[0.8, 1.0, 3.0, 0.8])
+    assert excinfo.value.index == 1
+    assert excinfo.value.bracket == (2.0**-60, 2.0**60)
 
 
 @pytest.mark.parametrize("u, seed", [(-5.0, None), (10.0, -3.0)])
@@ -164,26 +145,28 @@ def test_default_seed_is_finite_below_a_finite_upper_endpoint():
 
 
 def test_batch_of_mixed_cases_on_the_printed_wf_map():
-    # At dt = 1e-2 the printed map rises to about 2.8597 near y = 3.0011 and
-    # falls to -inf at pi.  Each element takes a different route: accepted
-    # at the seed, a hunt up, a target above the maximum, a hunt down, and
-    # a root on the far side of the peak that only the extremum search
-    # finds.
-    g = wf_mod.implicit_map(WfParams(1.0, 2.0, 0.20101), 1e-2, "printed")
+    # At dt = 1e-2 the printed map rises to about 2.8597 at its peak near
+    # y = 3.0011, and on (0, peak) it is monotone.  Each element takes a
+    # different route: accepted at the seed, a hunt up, a target above the
+    # maximum, a hunt down, and a seed right of the peak, which starts from
+    # the middle of the branch instead.
+    p, dt = WfParams(1.0, 2.0, 0.20101), 1e-2
+    g = wf_mod.implicit_map(p, dt, "printed")
+    peak = wf_mod.printed_peak(p, dt)
     count = [0]
 
     def counted(x):
         count[0] += 1
         return g(x)
 
-    spec = MonotoneSpec(counted, lo=0.0, hi=math.pi)
+    spec = MonotoneSpec(counted, lo=0.0, hi=peak)
     seeds = np.array([1.0, 1.0, 2.86, 2.0, 3.1])
     targets = np.array([g(1.0), g(2.0), 2.87, g(0.6), 2.8596])
-    with pytest.raises(InversionError, match="maximum") as excinfo:
+    with pytest.raises(InversionError, match="no rising crossing") as excinfo:
         solve_monotone(spec, targets, tol=1e-13, seed=seeds)
     assert excinfo.value.index == 2
     lo, hi = excinfo.value.bracket
-    assert 2.99 < lo < hi < 3.01
+    assert lo < 2.86 < hi <= peak
 
     ok = [0, 1, 3, 4]
     got = solve_monotone(spec, targets[ok], tol=1e-13, seed=seeds[ok])
@@ -203,6 +186,28 @@ def test_nan_names_the_first_element_that_met_it():
         solve_monotone(spec, [1.5, 3.0, 5.0])
     assert excinfo.value.index == 1
 
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("route", ["slope", "no slope", "invert_monotone"])
+def test_non_finite_target_is_named_before_fn_is_called(route, bad):
+    # no bracket can hold such a target, so fn is never called
+    g = cev_mod.implicit_map(CEV, 1e-2)
+    count = [0]
+
+    def counted(x):
+        count[0] += 1
+        return g(x)
+
+    slope = cev_mod.implicit_slope(CEV, 1e-2) if route == "slope" else None
+    spec = MonotoneSpec(counted, slope=slope)
+    with pytest.raises(NumericError, match="non-finite target") as excinfo:
+        if route == "invert_monotone":
+            invert_monotone(spec, bad)
+        else:
+            solve_monotone(spec, [1.0, bad, 2.0])
+    assert excinfo.value.index == (0 if route == "invert_monotone" else 1)
+    assert count[0] == 0
 
 CEV = CevParams(1.0 / 16.0, 1.0, 0.4, 0.75)
 AIT = AitParams(km1=2.0, k0=3.0, k1=4.0, k2=6.0, k3=1.0, r=2.0, rho=1.5)

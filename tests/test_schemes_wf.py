@@ -168,9 +168,48 @@ class TestCompanions:
 class TestPrintedImplicitInversion:
     # At dt = 1e-2 the printed map rises to a maximum of about 2.8597 near
     # y = 3.0011 and falls to -inf at pi, so the window where it exceeds a
-    # target just below the maximum is narrow.
+    # target just below the maximum is narrow.  The row solves on the rising
+    # branch, left of the peak.
     P = WfParams(1.0, 2.0, 0.20101)
     DT = 1e-2
+
+    def step(self, y, dw):
+        bound = wf_mod.implicit_bind(self.P, self.DT, sign_mode="printed")
+        return bound(np.asarray(y, float), np.asarray(dw, float))
+
+    def test_peak_is_where_the_map_turns(self):
+        g = wf_mod.implicit_map(self.P, self.DT, "printed")
+        peak = wf_mod.printed_peak(self.P, self.DT)
+        assert abs(peak - 3.0011) < 1e-4
+        e = 1e-6
+        assert g(peak - e) < g(peak) > g(peak + e)
+        grid = np.linspace(peak - 1e-3, peak + 1e-3, 20001)
+        assert g(peak) >= g(grid).max()
+
+    def test_seed_right_of_the_peak_returns_the_root_left_of_it(self):
+        # the far-side preimage of 2.8596 lies near 3.005; the seed 3.1 is
+        # past both it and the peak
+        g = wf_mod.implicit_map(self.P, self.DT, "printed")
+        dw = (2.8596 - 3.1) / self.P.k3
+        y, u = self.step([3.1], [dw]), 3.1 + self.P.k3 * dw
+        assert abs(g(y[0]) - u) <= 1e-12 * max(1.0, abs(u))
+        assert y[0] < wf_mod.printed_peak(self.P, self.DT)
+        assert g(y[0] + 1e-6) > g(y[0] - 1e-6)
+
+    def test_batch_names_the_path_above_the_peak(self):
+        dw = np.zeros(4)
+        dw[2] = (2.87 - 2.0) / self.P.k3
+        with pytest.raises(InversionError, match="maximum") as excinfo:
+            self.step([1.0, 1.5, 2.0, 2.5], dw)
+        assert excinfo.value.index == 2
+        lo, hi = excinfo.value.bracket
+        assert lo < wf_mod.printed_peak(self.P, self.DT) < hi
+
+    def test_target_equal_to_the_peak_value_raises(self):
+        g = wf_mod.implicit_map(self.P, self.DT, "printed")
+        top = float(g(wf_mod.printed_peak(self.P, self.DT)))
+        with pytest.raises(InversionError, match="maximum"):
+            self.step([top], [0.0])
 
     def test_root_in_narrow_window(self):
         g = wf_mod.implicit_map(self.P, self.DT, "printed")

@@ -118,6 +118,36 @@ def test_bracket_tightening_does_not_stall():
     assert count[0] <= 40
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_root_beyond_interior_extremum(sign):
+    # sign * sin on (0, pi) has its extremum at pi/2; from a seed on the far
+    # side of it the hunt steps over the narrow window beyond sign * u and
+    # finds no rising crossing.  Bounded at the extremum, as the printed WF
+    # row bounds its map at its peak, the same seed (outside the bounds, so
+    # replaced by the midpoint) gives the root on the rising branch.
+    u = 0.999
+    seed = 3.0 if sign > 0 else 0.1
+    root = math.asin(u) if sign > 0 else math.pi - math.asin(u)
+    whole = MonotoneSpec(lambda x: sign * math.sin(x), lo=0.0, hi=math.pi)
+    with pytest.raises(InversionError, match="no rising crossing"):
+        invert_monotone(whole, sign * u, seed=seed)
+    lo, hi = (0.0, math.pi / 2.0) if sign > 0 else (math.pi / 2.0, math.pi)
+    rising = MonotoneSpec(lambda x: sign * math.sin(x), lo=lo, hi=hi)
+    x = invert_monotone(rising, sign * u, seed=seed)
+    assert x == pytest.approx(root, rel=1e-12)
+
+
+def test_target_beyond_interior_extremum_raises_with_searched_span():
+    # sin tops out at 1 < 1.001.  From seed 3 the hunt halves 60 times
+    # toward pi (the last probes round to pi) and 60 times toward 0, down
+    # to 3 * 2^-60; the error's bracket is that span, which holds the peak.
+    spec = MonotoneSpec(math.sin, lo=0.0, hi=math.pi)
+    with pytest.raises(InversionError, match="no rising crossing") as excinfo:
+        invert_monotone(spec, 1.001, seed=3.0)
+    assert excinfo.value.index == 0
+    assert excinfo.value.bracket == (3.0 * 2.0**-60, math.pi)
+
+
 def test_no_rising_crossing_either_way_raises_with_the_span_searched():
     # The tent min(x, 2 - x) rises to 1 at x = 1 and then falls.  From seed
     # 1, -3 is met only where the tent falls (x = 5) and 1.5 nowhere; the

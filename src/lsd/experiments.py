@@ -13,8 +13,12 @@ terminal differences into pathwise strong-error estimates.
 time-major, for every scheme of a call, in time chunks when the lattice is
 long, and coarsens each chunk's ladder finest-first.  :func:`_terminal_blocks`
 advances every run of a call over each chunk in turn and returns x at the
-horizon.  :func:`_terminal_batch` is the one loop over time.  A single path
-runs through it as a batch of one, and the squared-OU comparison as one
+horizon.  :func:`_terminal_batch` is the one loop over time.  A run that
+records x or counts events (``simulate``, ``compare``, ``exact-cir``'s path
+and ``scan``) takes x and tallies the counts once per block of at most
+``_TALLY`` = 128 steps, so per buffer it holds at most 128 x B states or
+masks for B paths; the other runs do nothing but step.  A single path runs
+through it as a batch of one, and the squared-OU comparison as one
 two-driver stepper carrying its riders.
 :func:`simulate_paths` draws one path per step size and runs every listed
 scheme on it once; the ``simulate`` and ``compare`` kinds report its paths.
@@ -39,6 +43,9 @@ from .wiener import (cir_effective_increment, generate_lattice,
 _BATCH = 256
 # Least steps in a time chunk of a long one-driver lattice (see _blocks).
 _CHUNK = 1024
+# Most steps whose states a recorded run holds before it takes their x and
+# counts their events (see _terminal_batch).
+_TALLY = 128
 # Paths drawn row-major before they are copied into a block's time-major
 # chunk: a narrow tile keeps the transposing copy in cache.
 _STAGE = 16
@@ -220,6 +227,15 @@ def _locate(exc, stepper, dt, j, paths):
                 f"{detail}",) + exc.args[1:]
 
 
+def _stack(states):
+    """The states of consecutive steps stacked along a step axis just before
+    the path axis, so that a pair keeps its first axis; a nested state (the
+    squared-OU construction's) is stacked part by part."""
+    if isinstance(states[0], (tuple, list)):
+        return [_stack(part) for part in zip(*states)]
+    return np.stack(states, axis=-2)
+
+
 def _terminal_batch(stepper, state, dt, increments, offset=0,
                     counters: Optional[ScanCounters] = None,
                     values: Optional[np.ndarray] = None,
@@ -231,29 +247,51 @@ def _terminal_batch(stepper, state, dt, increments, offset=0,
     and its first step is step ``offset`` of the path.  x is what
     ``stepper.x_of`` returns: ``(B,)`` for a scheme, or one row of B per
     path for the squared-OU construction with its riders.  A step returns
-    ``(state, mask)``; ``counters`` adds the paths each mask marks to the
-    field ``stepper.event`` names, and negative x to ``negative_states``,
-    over every step; ``values[j + 1]`` gets x after step j, and a non-finite
-    one raises NumericError once the loop is done.  An error is re-raised
-    as it is, named by :func:`_locate` with the path's step index.
+    ``(state, mask)``.  Without ``counters`` and ``values`` a step does
+    nothing else.  With either, the run keeps the states and masks of a
+    block of at most ``_TALLY`` steps, at most ``_TALLY`` x B of each, and
+    once per block takes x of them all, stacked along a step axis next to
+    the path axis: ``counters`` adds the paths each mask marks to the field
+    ``stepper.event`` names, and negative x to ``negative_states``;
+    ``values[j + 1]`` gets x after step j, and a non-finite one raises
+    NumericError once the loop is done.  An error is re-raised as it is,
+    named by :func:`_locate` with the path's step index, once the steps
+    before it are tallied.
     """
-    step, x_of = stepper.step, stepper.x_of
-    record = counters is not None or values is not None
-    event = {"non_real": "non_real_events",   # the field the masks add to
-             "clamped": "clamp_events"}.get(stepper.event)
+    step = stepper.step
+    steps = increments.T   # the step axis first; dw is (B,) or (2, B)
     j = 0
     try:
-        # the transpose puts the step axis first; dw is (B,) or (2, B)
-        for j, dw in enumerate(increments.T):
-            state, mask = step(state, dw, dt)
-            if record:
-                x = x_of(state)
-                if values is not None:
-                    values[j + 1] = x
-                if counters is not None:
-                    if event is not None:
-                        counters.__dict__[event] += int(np.count_nonzero(mask))
-                    counters.negative_states += int(np.count_nonzero(x < 0))
+        if counters is None and values is None:
+            for j, dw in enumerate(steps):
+                state, _ = step(state, dw, dt)
+            return state
+        event = {"non_real": "non_real_events",   # the field the masks add to
+                 "clamped": "clamp_events"}.get(stepper.event)
+        held, masks = [], []
+
+        def tally(start):
+            """x of the held states, those of steps start.., counted and kept."""
+            if not held:
+                return
+            x = stepper.x_of(_stack(held))
+            if values is not None:
+                values[start + 1:start + 1 + len(held)] = np.moveaxis(x, -2, 0)
+            if counters is not None:
+                if event is not None:
+                    counters.__dict__[event] += int(np.count_nonzero(masks))
+                counters.negative_states += int(np.count_nonzero(x < 0))
+            held.clear()
+            masks.clear()
+
+        for start in range(0, len(steps), _TALLY):
+            try:
+                for j, dw in enumerate(steps[start:start + _TALLY], start):
+                    state, mask = step(state, dw, dt)
+                    held.append(state)
+                    masks.append(mask)
+            finally:
+                tally(start)
         if values is not None:
             bad = ~np.isfinite(values[1:])
             if bad.any():

@@ -29,9 +29,10 @@ from . import ait, cev, cir, heston, wf
 class Scheme:
     """One row of :data:`SCHEMES`.
 
-    ``step(p, state, dw, dt)`` advances the iterated coordinate (``theta``
-    rows also take ``theta``); a row may set ``bind(p, dt)`` instead, which
-    folds the per-dt constants and returns ``map(state, dw)``.
+    ``step(p, state, dw, dt)`` advances the iterated coordinate; a row may
+    set ``bind(p, dt)`` instead, which folds the per-dt constants and
+    returns ``map(state, dw)``.  ``theta`` rows' ``step`` and ``bind`` also
+    take ``theta``.
     ``to_state(p, x)`` and ``to_x(p, state)`` map x to it and back; they
     are unset where it is the Lamperti coordinate.
     ``mask``: the step returns ``(state, mask)`` with a ``"non_real"`` mask
@@ -63,9 +64,10 @@ SCHEMES = {
     ("cir", "lsd1"): Scheme(bind=cir.lsd1_bind),
     ("cir", "lsd2"): Scheme(bind=cir.lsd2_bind),
     ("cir", "lsd3"): Scheme(bind=cir.lsd3_bind),
-    ("cir", "sd_theta"): Scheme(cir.sd_theta_step, **_IN_X, mask="non_real", theta=True),
-    ("cir", "alf"): Scheme(cir.alf_step, **_IN_X, mask="non_real"),
-    ("cir", "ns"): Scheme(cir.ns_step, to_state=lambda p, x: np.sqrt(x),
+    ("cir", "sd_theta"): Scheme(bind=cir.sd_theta_bind, **_IN_X, mask="non_real",
+                                theta=True),
+    ("cir", "alf"): Scheme(bind=cir.alf_bind, **_IN_X, mask="non_real"),
+    ("cir", "ns"): Scheme(bind=cir.ns_bind, to_state=lambda p, x: np.sqrt(x),
                           to_x=lambda p, v: v * v, mask="non_real"),
     ("cir", "exact_ou"): Scheme(
         bind=cir.exact_ou_bind, drivers=2, check=cir.check_exact_ou_dimension,
@@ -143,10 +145,10 @@ class Stepper:
         self.drivers, self.event = row.drivers, row.mask
         self._to_state = (partial(row.to_state, m_split=m_split)
                           if row.drivers == 2 else row.to_state)
+        extra = {"theta": theta} if row.theta else {}
         if row.bind is not None:
-            self._bind = row.bind
+            self._bind = partial(row.bind, **extra)
         else:
-            extra = {"theta": theta} if row.theta else {}
             self._bind = lambda p, dt: partial(row.step, p, dt=dt, **extra)
 
     def init(self, x0, size=None):

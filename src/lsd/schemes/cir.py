@@ -43,37 +43,49 @@ def lsd3_bind(p, dt):
     return lambda y, dw: ((s := dw + y) + np.sqrt(s * s + q)) / d
 
 
-def sd_theta_step(p, x, dw, dt, theta):
+def sd_theta_bind(p, dt, theta):
     """Theta-semi-discrete step in the original coordinate.
 
     Negative values under the square root continue in the complex plane; the
     returned mask marks where that happened this step.
     """
     d = 1.0 + p.k2 * theta * dt
-    inner = x * (1.0 - p.k2 * dt / d) + (dt / d) * (p.k1 - p.k3**2 / (4.0 * d))
-    root, nonreal = sqrt_with_fallback(inner)
-    out = (root + (p.k3 / (2.0 * d)) * dw) ** 2
-    return out, nonreal
+    decay = 1.0 - p.k2 * dt / d
+    shift = (dt / d) * (p.k1 - p.k3**2 / (4.0 * d))
+    gain = p.k3 / (2.0 * d)
+
+    def step(x, dw):
+        root, nonreal = sqrt_with_fallback(x * decay + shift)
+        return (root + gain * dw) ** 2, nonreal
+    return step
 
 
-def alf_step(p, x, dw, dt):
+def alf_bind(p, dt):
     """Drift-implicit square-root step in the original coordinate."""
     c1 = 1.0 + p.k2 * dt
-    rad = 4.0 * (x + (p.k1 - p.k3**2 / 2.0) * dt) * c1 + p.k3**2 * dw * dw
-    root, nonreal = sqrt_with_fallback(rad)
-    out = ((root + p.k3 * dw) / (2.0 * c1)) ** 2
-    return out, nonreal
+    drift = (p.k1 - p.k3**2 / 2.0) * dt
+    k3, k3sq, d = p.k3, p.k3**2, 2.0 * c1
+
+    def step(x, dw):
+        root, nonreal = sqrt_with_fallback(4.0 * (x + drift) * c1 + k3sq * dw * dw)
+        return ((root + k3 * dw) / d) ** 2, nonreal
+    return step
 
 
-def ns_step(p, v, dw, dt):
+def ns_bind(p, dt):
     """Drift-implicit step for the square-root coordinate v = sqrt(x).
 
     The recursion stays in v; report x as the real part of v**2.
     """
-    s = v + 0.5 * p.k3 * dw
-    rad = s * s + (p.k1 - p.k3**2 / 4.0) * dt
-    root, nonreal = sqrt_with_fallback(rad)
-    return (root + s) / (2.0 + p.k2 * dt), nonreal
+    half_k3 = 0.5 * p.k3
+    drift = (p.k1 - p.k3**2 / 4.0) * dt
+    d = 2.0 + p.k2 * dt
+
+    def step(v, dw):
+        s = v + half_k3 * dw
+        root, nonreal = sqrt_with_fallback(s * s + drift)
+        return (root + s) / d, nonreal
+    return step
 
 
 def check_exact_ou_dimension(p):

@@ -7,11 +7,12 @@ import pytest
 import lsd.experiments
 from lsd.errors import (ConfigurationError, DataError, DegenerateStateError,
                         DomainError, InversionError, NumericError)
-from lsd.experiments import (_BATCH, _blocks, _steps_for, _terminal_batch,
+from lsd.experiments import (_BATCH, _TALLY, ScanCounters, _blocks,
+                             _steps_for, _terminal_batch,
                              domain_violation_scan, exact_cir_error_decay,
                              exact_cir_experiment, fit_order, simulate_path,
                              simulate_paths, strong_error)
-from lsd.models import CirParams
+from lsd.models import CevParams, CirParams, WfParams
 from lsd.schemes import SCHEMES, SchemeId, make_stepper
 from lsd.wiener import (cir_effective_increment, generate_lattice,
                         halve_increments, path_seed)
@@ -23,6 +24,16 @@ CIR_EXACT_OU = SchemeId("cir", "exact_ou")
 SINGLE_DRIVER_ROWS = [k for k, row in SCHEMES.items() if row.drivers == 1]
 # Feller badly violated: alf's radicand goes negative and x with it.
 STRESSED_CIR = CirParams(1.0, 2.0, 20.0)
+# Every row whose step returns a mask, with params and x0 under which most
+# of them mark paths: cir's and cev's leave the real line, cir's x goes
+# negative too, and wf's lsd2-lsd4 fold from x0 near 1.
+_WF_NEAR_ONE = (WfParams(0.2, 0.4, 0.6), 0.98)
+MASKED_ROWS = {
+    **{SchemeId("cir", v): (STRESSED_CIR, 4.0) for v in ("sd_theta", "alf", "ns")},
+    SchemeId("cev", "sd_theta"): (CevParams(1e-4, 1.0, 2.0, 0.6), 1.0 / 16.0),
+    **{SchemeId("wf", v): _WF_NEAR_ONE
+       for v in ("lsd1", "lsd2", "lsd3", "lsd4", "sd", "sd_alt", "biss")},
+}
 
 
 def _to_horizon(stepper, x0, dt, inc, **kwargs):
@@ -533,7 +544,38 @@ class TestExactCir:
             for s in (CIR_LSD1, lsd3)]
 
 
+def _per_step_counts(scheme, params, x0, T, n, M, seed):
+    """The counters of a scan at dt = T / n, taken by a plain loop over the
+    stepper's steps, which counts every step as it is made."""
+    stepper = make_stepper(scheme, params)
+    field = {"non_real": "non_real_events", "clamped": "clamp_events"}[stepper.event]
+    inc = np.stack([generate_lattice(path_seed(path_seed(seed, 0), i), T, n,
+                                     0).increments for i in range(M)])
+    counts = ScanCounters()
+    state = stepper.init(x0, size=M)
+    for t in range(n):
+        state, mask = stepper.step(state, inc[:, t], T / n)
+        setattr(counts, field, getattr(counts, field) + int(np.count_nonzero(mask)))
+        counts.negative_states += int(np.count_nonzero(stepper.x_of(state) < 0))
+    return counts
+
+
 class TestScan:
+    @pytest.mark.parametrize("n", [1, _TALLY - 1, _TALLY, _TALLY + 1, 10_000])
+    def test_counters_equal_a_per_step_count(self, n):
+        # the scan counts once per block of _TALLY steps; at 10,000 steps its
+        # 100 paths run in time chunks of 1250 steps, which no block divides
+        fired = set()
+        for scheme, (params, x0) in MASKED_ROWS.items():
+            scan = domain_violation_scan([scheme], params, [1.0 / n], 1.0, 100,
+                                         seed=4, x0=x0)[str(scheme)][1.0 / n]
+            assert scan == _per_step_counts(scheme, params, x0, 1.0, n, 100, 4), scheme
+            fired |= {(scheme.model, k) for k, v in vars(scan).items() if v}
+        assert fired >= {("cir", "negative_states"), ("cir", "non_real_events"),
+                         ("cev", "non_real_events")}
+        if n > 1:
+            assert ("wf", "clamp_events") in fired
+
     def test_lsd_clean_under_feller(self, cir_params):
         ids = [SchemeId("cir", v) for v in ("lsd1", "lsd2", "lsd3")]
         scan = domain_violation_scan(ids, cir_params, [1e-2], 1.0, 20, seed=6,
@@ -664,6 +706,76 @@ class TestBatches:
                 r"path 3: forced$")):
             strong_error([CIR_LSD1], CIR_LSD2, cir_params, 4.0, 1.0, [2.0**-4],
                          2.0**-12, M=300, seed=1)
+
+    @pytest.mark.parametrize("fails_at", [300, 1024 + 300])
+    def test_error_in_a_tallied_block_names_the_global_step(self, monkeypatch,
+                                                            fails_at):
+        # a scan of 2^12 steps runs its 100 paths in four chunks of 1024;
+        # the step fails mid-block, in the first chunk or in the second
+        real = lsd.experiments.make_stepper
+
+        def failing(*args, **kwargs):
+            stepper = real(*args, **kwargs)
+            step, calls = stepper.step, [0]
+
+            def step_or_fail(state, dw, dt):
+                calls[0] += 1
+                if calls[0] == fails_at + 1:
+                    raise DomainError("forced", index=3)
+                return step(state, dw, dt)
+
+            stepper.step = step_or_fail
+            return stepper
+
+        monkeypatch.setattr(lsd.experiments, "make_stepper", failing)
+        with pytest.raises(DomainError, match=(
+                rf"^cir:alf, dt=0\.000244140625, at step {fails_at}, "
+                rf"paths 0\.\.99: path 3: forced$")):
+            domain_violation_scan([SchemeId("cir", "alf")], STRESSED_CIR,
+                                  [2.0**-12], 1.0, 100, seed=1)
+
+    @pytest.mark.parametrize("fault, error, path", [
+        ("nan", NumericError, "path 10: x is not finite"),
+        ("raise", DomainError, "path 9: forced"),
+    ])
+    def test_values_run_names_the_first_bad_step_mid_block(self, cir_params,
+                                                           fault, error, path):
+        # at step 200, inside the second block, path 2's x turns NaN (and
+        # path 1's at step 250) or the step raises on path 1; the x of every
+        # step before it is recorded as it was made
+        n, dt = 3 * _TALLY, 1.0 / (3 * _TALLY)
+        inc = np.stack([generate_lattice(path_seed(5, i), 1.0, n, 0).increments
+                        for i in range(4)])
+        stepper = make_stepper(CIR_LSD1, cir_params)
+        clean = np.empty((n + 1, 4))
+        clean[0] = 4.0
+        _to_horizon(stepper, 4.0, dt, inc, values=clean)
+        step, calls = stepper.step, [0]
+
+        def faulty(state, dw, dt):
+            calls[0] += 1
+            if fault == "raise" and calls[0] == 201:
+                raise DomainError("forced", index=1)
+            state, mask = step(state, dw, dt)
+            for at, bad in ((201, 2), (251, 1)):
+                if fault == "nan" and calls[0] == at:
+                    state = state.copy()
+                    state[bad] = np.nan
+            return state, mask
+
+        stepper.step = faulty
+        values = np.full((n + 1, 4), -1.0)
+        values[0] = 4.0
+        with pytest.raises(error, match=(
+                r"^cir:lsd1, dt=0\.0026041666666666665, at step 200, "
+                rf"paths 8\.\.11: {path}$")):
+            _to_horizon(stepper, 4.0, dt, inc, values=values,
+                        paths=range(8, 12))
+        assert values[:201].tobytes() == clean[:201].tobytes()
+        if fault == "nan":
+            assert np.isnan(values[201:, 2]).all()
+            assert np.isnan(values[251:, 1]).all()
+            assert np.isfinite(values[:, [0, 3]]).all()
 
 
 @pytest.mark.parametrize("run, message", [

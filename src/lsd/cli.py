@@ -140,8 +140,7 @@ def _run_scan(cfg, params):
     rows = [("scheme", "dt", "negative_states", "non_real_events",
              "clamp_events")]
     summary = {}
-    for scheme in ids:
-        per_dt = scan[str(scheme)]
+    for scheme, per_dt in zip(ids, scan):
         summary[scheme.variant] = {}
         for dt in cfg.dts:
             c = per_dt[dt]

@@ -88,15 +88,15 @@ class ExactCirPaths:
     """The squared-OU reference path and scheme paths on a shared grid.
 
     ``x1`` and ``x2`` are the OU components and ``exact`` is x1^2 + x2^2;
-    ``schemes`` maps each riding scheme's variant to its path.  Every array
-    has one entry per grid time.
+    ``schemes`` lists one path per riding scheme, in the order the schemes
+    were given.  Every array has one entry per grid time.
     """
 
     times: np.ndarray
     x1: np.ndarray
     x2: np.ndarray
     exact: np.ndarray
-    schemes: Dict[str, np.ndarray] = field(default_factory=dict)
+    schemes: List[np.ndarray] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +573,7 @@ def exact_cir_experiment(params: ModelParams, x0: float, m_split: float,
     x1, x2, exact, *paths = values[:, :, 0].T.copy()
     return ExactCirPaths(times=np.linspace(0.0, T, n + 1), x1=x1, x2=x2,
                          exact=exact,
-                         schemes={s.variant: x for s, x in zip(schemes, paths)})
+                         schemes=paths)
 
 
 def exact_cir_error_decay(params: ModelParams, x0: float, m_split: float,
@@ -608,22 +608,23 @@ def exact_cir_error_decay(params: ModelParams, x0: float, m_split: float,
 def domain_violation_scan(schemes: Sequence[SchemeId], params: ModelParams,
                           step_sizes: Sequence[float], T: float, M: int,
                           seed: int, x0: float = 4.0, theta: float = 1.0,
-                          ) -> Dict[str, Dict[float, ScanCounters]]:
+                          ) -> List[Dict[float, ScanCounters]]:
     """Tally negative, non-real, and clamped states per scheme and step size.
 
-    The same Brownian paths drive every scheme at a given step size, so the
-    counters compare schemes like-for-like.
+    Returns one ``{dt: ScanCounters}`` per scheme, in order.  The same
+    Brownian paths drive every scheme at a given step size, so the counters
+    compare schemes like-for-like.
     """
     if M < 1:
         raise ConfigurationError(f"need at least 1 path, got M={M}")
-    steppers = {str(s): make_stepper(s, params, theta=theta) for s in schemes}
-    if any(st.drivers != 1 for st in steppers.values()):
+    steppers = [make_stepper(s, params, theta=theta) for s in schemes]
+    if any(st.drivers != 1 for st in steppers):
         raise ConfigurationError("scan supports single-driver schemes only")
     _distinct(step_sizes)
-    results = {name: {dt: ScanCounters() for dt in step_sizes} for name in steppers}
+    results = [{dt: ScanCounters() for dt in step_sizes} for _ in steppers]
     for k, dt in enumerate(step_sizes):
         n = _steps_for(T, dt, min(M, _BATCH))
-        runs = [(st, dt, 0, results[name][dt]) for name, st in steppers.items()]
+        runs = [(st, dt, 0, counts[dt]) for st, counts in zip(steppers, results)]
         for _ in _terminal_blocks(path_seed(seed, k), M, T, n, x0, runs):
             pass
     return results

@@ -133,16 +133,6 @@ class Heston32Params:
         return 4.0 * self.k2 / self.k3**2 + 6.0
 
     @property
-    def a(self) -> float:
-        """CIR's ``a`` for the LSD rows, which run CIR's maps: c_star / 2."""
-        return 0.5 * self.c_star
-
-    @property
-    def b(self) -> float:
-        """CIR's ``b`` for the LSD rows: k1 / 2."""
-        return 0.5 * self.k1
-
-    @property
     def c_impl(self) -> float:
         """Coefficient of the inverse term in the drift-implicit map."""
         return self.k2 / 2.0 + 3.0 * self.k3**2 / 8.0

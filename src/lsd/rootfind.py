@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InversionError, NumericError
+from .errors import ConfigurationError, InversionError, NumericError
 
 _MAX_EXPANSIONS = 60
 _MAX_ITER = 100
@@ -26,10 +26,11 @@ STEP_TOL = 1e-13    # what each drift-implicit scheme step solves to
 class MonotoneSpec:
     """A function to invert on an open interval, rising through the target.
 
-    ``fn`` maps an array of x to their values, element by element; ``lo``
-    and ``hi`` may be infinite.  fn rises through the target at the wanted
-    root (invert a falling map as its negative), which sets which way a
-    bracket hunt goes first; a crossing where fn falls is never a root.
+    ``fn`` maps an array of x to their values, element by element, on
+    (``lo``, ``hi``) with 0 <= lo < hi <= inf; any other interval raises
+    ConfigurationError.  fn rises through the target at the wanted root
+    (invert a falling map as its negative), which sets which way a bracket
+    hunt goes first; a crossing where fn falls is never a root.
     ``slope``, if set, maps x to fn'(x) the same way; it only guides the
     search, so it may fall to 0 or below (a step there bisects instead), and
     the acceptance criteria stay those of fn alone.
@@ -40,15 +41,16 @@ class MonotoneSpec:
     hi: float = math.inf
     slope: Optional[Callable] = None
 
+    def __post_init__(self):
+        if not 0.0 <= self.lo < self.hi:    # False for a NaN end
+            raise ConfigurationError(
+                f"interval ({self.lo!r}, {self.hi!r}) is not 0 <= lo < hi <= inf")
+
 
 def _toward(endpoint: float, x):
-    """Next probes when expanding from the array x toward an interval endpoint."""
-    if math.isinf(endpoint):
-        away = (x == 0.0) | ((x > 0) != (endpoint > 0))
-        return np.where(away, np.copysign(np.maximum(1.0, np.abs(x)), endpoint), x * 2.0)
-    if endpoint == 0.0:
-        return x / 2.0
-    return endpoint + (x - endpoint) / 2.0
+    """Next probes when expanding from the positive array x toward an
+    interval endpoint: doubling toward +inf, else halving the distance."""
+    return x * 2.0 if endpoint == math.inf else endpoint + (x - endpoint) / 2.0
 
 
 def invert_monotone(spec: MonotoneSpec, u: float, tol: float = 1e-12,
@@ -118,7 +120,6 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
         return val - u[idx]
 
     start = (max(1.0, 2.0 * spec.lo) if math.isinf(spec.hi)
-             else min(-1.0, 2.0 * spec.hi) if math.isinf(spec.lo)
              else 0.5 * (spec.lo + spec.hi))
     seed = np.broadcast_to(start if seed is None else seed, shape).ravel()
     seed = np.where((spec.lo < seed) & (seed < spec.hi), seed, start)
@@ -255,9 +256,8 @@ def _newton(spec, h, target, tol, x, hx, root):
             end = np.where(neg, b, a)
             probe &= inside | np.where(neg, b < spec.hi, a > spec.lo)
             mid = 0.5 * (a + b)
-            for edge in (spec.lo, spec.hi):
-                if math.isinf(edge):
-                    mid = np.where(mid == edge, _toward(edge, x), mid)
+            if math.isinf(spec.hi):
+                mid = np.where(mid == spec.hi, _toward(spec.hi, x), mid)
             xn = np.where(inside, xn, np.where(probe, end, mid))
         hn = h(i, xn)
         ok = probe & ((hn < 0) != neg)

@@ -6,9 +6,10 @@ arrays (a lone state is a 0-d array).  :data:`SCHEMES` holds one row per
 (model, variant) with what the engine needs to run it, and is the only
 description of a row: :func:`make_stepper` builds one :class:`Stepper` for
 every row, the squared-OU pair included, which binds the row's map once per
-dt.  A step returns ``(state, mask)``: the map's own pair for a row that
-declares a ``mask`` kind, which the stepper's ``event`` names, and
-``(state, None)`` for the others.  A name selects exactly one computation.
+dt; a row that runs CIR's LSD maps binds its own (a, b).  A step returns
+``(state, mask)``: the map's own pair for a row that declares a ``mask``
+kind, which the stepper's ``event`` names, and ``(state, None)`` for the
+others.  A name selects exactly one computation.
 The rows named ``implicit_printed`` run a drift-implicit map as printed in
 its source, whose drift does not match the SDE; the plain ``implicit`` rows
 run the consistent form.
@@ -61,9 +62,9 @@ def _identity(p, x):
 _IN_X = dict(to_state=_identity, to_x=_identity)
 
 SCHEMES = {
-    ("cir", "lsd1"): Scheme(bind=cir.lsd1_bind),
-    ("cir", "lsd2"): Scheme(bind=cir.lsd2_bind),
-    ("cir", "lsd3"): Scheme(bind=cir.lsd3_bind),
+    ("cir", "lsd1"): Scheme(bind=lambda p, dt: cir.lsd1_bind(p.a, p.b, dt)),
+    ("cir", "lsd2"): Scheme(bind=lambda p, dt: cir.lsd2_bind(p.a, p.b, dt)),
+    ("cir", "lsd3"): Scheme(bind=lambda p, dt: cir.lsd3_bind(p.a, p.b, dt)),
     ("cir", "sd_theta"): Scheme(bind=cir.sd_theta_bind, **_IN_X, mask="non_real",
                                 theta=True),
     ("cir", "alf"): Scheme(bind=cir.alf_bind, **_IN_X, mask="non_real"),
@@ -90,8 +91,10 @@ SCHEMES = {
     ("wf", "hyb"): Scheme(wf.hyb_step, **_IN_X),
     ("wf", "implicit"): Scheme(bind=partial(wf.implicit_bind, sign_mode="corrected")),
     ("wf", "implicit_printed"): Scheme(bind=partial(wf.implicit_bind, sign_mode="printed")),
-    ("heston32", "lsd1"): Scheme(bind=cir.lsd1_bind),
-    ("heston32", "lsd2"): Scheme(bind=cir.lsd2_bind),
+    ("heston32", "lsd1"): Scheme(
+        bind=lambda p, dt: cir.lsd1_bind(0.5 * p.c_star, 0.5 * p.k1, dt)),
+    ("heston32", "lsd2"): Scheme(
+        bind=lambda p, dt: cir.lsd2_bind(0.5 * p.c_star, 0.5 * p.k1, dt)),
     ("heston32", "sd_exp"): Scheme(heston.sd_exp_step, **_IN_X),
     ("heston32", "implicit"): Scheme(
         heston.implicit_step, to_state=lambda p, x: x ** -0.5,

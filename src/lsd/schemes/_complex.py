@@ -15,9 +15,8 @@ def sqrt_with_fallback(radicand):
 
     Returns ``(root, nonreal)``: ``root`` is always complex, so a path runs
     the same arithmetic whether or not its batch-mates leave the real line,
-    and ``nonreal`` is a boolean mask shaped like the radicand, marking
-    entries that were negative or already had an imaginary part.
+    and ``nonreal`` is a boolean mask shaped like the radicand, marking the
+    roots with a non-zero imaginary part: a negative, complex or NaN radicand's.
     """
-    rad = np.asarray(radicand)
-    nonreal = (rad.imag != 0) | (rad.real < 0)
-    return np.sqrt(np.asarray(rad, complex)), nonreal
+    root = np.sqrt(np.asarray(radicand, complex))
+    return root, root.imag != 0

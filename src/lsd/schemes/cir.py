@@ -1,10 +1,11 @@
 """One-step maps for the square-root (CIR) model.
 
 LSD variants advance the transformed state y = 2 sqrt(x) / k3, whose drift is
-a/y - b y with a = 2 k1/k3^2 and b = k2/2 + k3^2/8.  Companion schemes advance
-the original state (or its square root for the drift-implicit variant) and may
-leave the real line; they then continue in the complex plane and the real part
-is what gets reported.
+a/y - b y with a = 2 k1/k3^2 and b = k2/2 + k3^2/8; their binds take (a, b),
+which each row of the scheme table states, as Heston 3/2's rows share them.
+Companion schemes advance the original state (or its square root for the
+drift-implicit variant) and may leave the real line; they then continue in
+the complex plane and the real part is what gets reported.
 """
 
 import numpy as np
@@ -23,23 +24,23 @@ def _bernoulli_affine(B, C, dt):
             bernoulli_power(1.0, 0.0, C, 1.0, dt))
 
 
-def lsd1_bind(p, dt):
+def lsd1_bind(a, b, dt):
     """Linear drift part frozen: y' = sqrt((dw + (1 - b dt) y)^2 + 2 a dt)."""
-    decay = 1.0 - p.b * dt
-    shift, growth = _bernoulli_affine(p.a, 0.0, dt)
+    decay = 1.0 - b * dt
+    shift, growth = _bernoulli_affine(a, 0.0, dt)
     return lambda y, dw: np.sqrt(shift + growth * np.square(dw + decay * y))
 
 
-def lsd2_bind(p, dt):
+def lsd2_bind(a, b, dt):
     """Full drift kept: y' = sqrt((dw + y)^2 e^(-2b dt) + a(1 - e^(-2b dt))/b)."""
-    shift, growth = _bernoulli_affine(p.a, -p.b, dt)
+    shift, growth = _bernoulli_affine(a, -b, dt)
     return lambda y, dw: np.sqrt(shift + growth * np.square(dw + y))
 
 
-def lsd3_bind(p, dt):
+def lsd3_bind(a, b, dt):
     """Algebraic variant: positive root of (1+b dt) v^2 - (dw+y) v - a dt = 0."""
-    c1 = 1.0 + p.b * dt
-    q, d = 4.0 * c1 * p.a * dt, 2.0 * c1
+    c1 = 1.0 + b * dt
+    q, d = 4.0 * c1 * a * dt, 2.0 * c1
     return lambda y, dw: ((s := dw + y) + np.sqrt(s * s + q)) / d
 
 

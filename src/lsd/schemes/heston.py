@@ -3,9 +3,8 @@
 The transformed state y = (2/k3) x**(-1/2) has drift (2 k2/k3^2 + 3)/y
 - (k1/2) y and unit diffusion; the dt coefficient inside the squared updates
 is c_star = 4 k2/k3^2 + 6.  The LSD updates are CIR's Bernoulli steps with
-(a, b) = (c_star/2, k1/2), so their rows run :func:`cir.lsd1_bind` and
-:func:`cir.lsd2_bind`; :class:`~lsd.models.Heston32Params` exposes a and b
-under CIR's names.  The
+(a, b) = (c_star/2, k1/2), so their rows in the scheme table bind
+:func:`cir.lsd1_bind` and :func:`cir.lsd2_bind` to that pair.  The
 drift-implicit competitor runs in the unscaled inverse-root coordinate
 v = x**(-1/2), for which its map has a closed-form positive root, and reports
 x = v**(-2).

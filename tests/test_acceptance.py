@@ -102,13 +102,13 @@ def test_c3_domain_preservation_under_stress():
         params = CirParams(1.0, 2.0, k3)
         scan = domain_violation_scan(lsd_ids + companion_ids, params,
                                      [1e-2, 1e-3], 1.0, 100, seed=SEED, x0=4.0)
-        for s in lsd_ids:
-            for counters in scan[str(s)].values():
+        for per_dt in scan[:len(lsd_ids)]:
+            for counters in per_dt.values():
                 lsd_clean &= counters.negative_states == 0
                 lsd_clean &= counters.non_real_events == 0
         if k3 == 20.0:
-            alf_hits = scan["cir:alf"][1e-2].non_real_events
-            ns_hits = scan["cir:ns"][1e-2].non_real_events
+            alf_hits = scan[len(lsd_ids)][1e-2].non_real_events
+            ns_hits = scan[len(lsd_ids) + 1][1e-2].non_real_events
     ok = lsd_clean and alf_hits >= 1 and ns_hits >= 1
     _report(3, ok, f"lsd clean={lsd_clean}, alf non-real={alf_hits}, "
                    f"ns non-real={ns_hits} at k3=20, dt=1e-2")
@@ -209,10 +209,10 @@ def test_c6_steps_agree_with_closed_forms():
         y = math.exp(rng.uniform(math.log(1e-2), math.log(50.0)))
         dw = rng.normal() * 0.3
         dt = 10 ** rng.uniform(-5, -2)
-        got1 = cir_mod.lsd1_bind(CIR, dt)(y, dw)
+        got1 = cir_mod.lsd1_bind(CIR.a, CIR.b, dt)(y, dw)
         want1 = math.sqrt(bernoulli_power(
             A=dw + (1.0 - CIR.b * dt) * y, B=CIR.a, C=0.0, l=1.0, dt=dt))
-        got2 = cir_mod.lsd2_bind(CIR, dt)(y, dw)
+        got2 = cir_mod.lsd2_bind(CIR.a, CIR.b, dt)(y, dw)
         want2 = math.sqrt(bernoulli_power(
             A=dw + y, B=CIR.a, C=-CIR.b, l=1.0, dt=dt))
         worst = max(worst, ulps_apart(got1, want1), ulps_apart(got2, want2))

@@ -495,9 +495,9 @@ class TestExactCir:
         inc = generate_lattice(path_seed(4, 0), 1.0, 100, 0,
                                drivers=2).increments
         dw = cir_effective_increment(res.x1[:-1], res.x2[:-1], *inc)
-        for s in ids:
+        for s, got in zip(ids, res.schemes, strict=True):
             path = simulate_path(s, cir_ou_params, 4.0, 1.0, 100, dw)
-            np.testing.assert_array_equal(res.schemes[s.variant], path.values)
+            np.testing.assert_array_equal(got, path.values)
 
     def test_decay_error_names_scheme_dt_step_and_paths(self, cir_ou_params,
                                                         monkeypatch):
@@ -543,6 +543,14 @@ class TestExactCir:
             exact_cir_error_decay(cir_ou_params, schemes=[s], **kwargs)[0]
             for s in (CIR_LSD1, lsd3)]
 
+    def test_repeated_rider_keeps_its_own_path(self, cir_ou_params):
+        alf = SchemeId("cir", "alf")
+        res = exact_cir_experiment(cir_ou_params, 4.0, 0.5, 1e-2, 1.0, seed=4,
+                                   schemes=[CIR_LSD1, alf, CIR_LSD1])
+        assert len(res.schemes) == 3
+        np.testing.assert_array_equal(res.schemes[2], res.schemes[0])
+        assert not np.array_equal(res.schemes[1], res.schemes[0])
+
 
 def _per_step_counts(scheme, params, x0, T, n, M, seed):
     """The counters of a scan at dt = T / n, taken by a plain loop over the
@@ -568,7 +576,7 @@ class TestScan:
         fired = set()
         for scheme, (params, x0) in MASKED_ROWS.items():
             scan = domain_violation_scan([scheme], params, [1.0 / n], 1.0, 100,
-                                         seed=4, x0=x0)[str(scheme)][1.0 / n]
+                                         seed=4, x0=x0)[0][1.0 / n]
             assert scan == _per_step_counts(scheme, params, x0, 1.0, n, 100, 4), scheme
             fired |= {(scheme.model, k) for k, v in vars(scan).items() if v}
         assert fired >= {("cir", "negative_states"), ("cir", "non_real_events"),
@@ -580,8 +588,9 @@ class TestScan:
         ids = [SchemeId("cir", v) for v in ("lsd1", "lsd2", "lsd3")]
         scan = domain_violation_scan(ids, cir_params, [1e-2], 1.0, 20, seed=6,
                                      x0=4.0)
-        for s in ids:
-            counters = scan[str(s)][1e-2]
+        assert len(scan) == len(ids)
+        for per_dt in scan:
+            counters = per_dt[1e-2]
             assert counters.negative_states == 0
             assert counters.non_real_events == 0
             assert counters.clamp_events == 0
@@ -592,7 +601,15 @@ class TestScan:
         ids = [SchemeId("cir", "alf")]
         a = domain_violation_scan(ids, p, [1e-2], 1.0, 300, seed=6, x0=4.0)
         b = domain_violation_scan(ids, p, [1e-2], 1.0, 300, seed=6, x0=4.0)
-        assert a[str(ids[0])][1e-2] == b[str(ids[0])][1e-2]
+        assert a[0][1e-2] == b[0][1e-2]
+
+    def test_repeated_scheme_keeps_its_own_result(self):
+        alf, ns = SchemeId("cir", "alf"), SchemeId("cir", "ns")
+        scan = domain_violation_scan([alf, ns, alf], STRESSED_CIR, [1e-2, 1e-3],
+                                     1.0, 100, seed=6, x0=4.0)
+        assert len(scan) == 3
+        assert scan[2] == scan[0] and scan[2] is not scan[0]
+        assert scan[0][1e-2].non_real_events > 0
 
     @pytest.mark.parametrize("M", [0, -3])
     def test_requires_a_path(self, cir_params, M):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsd.errors import InversionError, NumericError
+from lsd import rootfind
+from lsd.errors import ConfigurationError, InversionError, NumericError
 from lsd.models import AitParams, CevParams, WfParams
 from lsd.rootfind import STEP_TOL, MonotoneSpec, invert_monotone, solve_monotone
 from lsd.schemes import SchemeId, make_stepper
@@ -160,18 +161,30 @@ def test_no_rising_crossing_either_way_raises_with_the_span_searched():
     assert excinfo.value.bracket == (2.0**-60, 2.0**60)
 
 
-@pytest.mark.parametrize("u, seed", [(-5.0, None), (10.0, -3.0)])
-def test_expands_toward_an_infinite_endpoint_of_either_sign(u, seed):
-    # from the default seed 1 toward -inf, and from -3 toward +inf, the hunt
-    # must cross zero and grow, not double away from the endpoint
-    spec = MonotoneSpec(lambda x: x, lo=-math.inf)
-    assert invert_monotone(spec, u, seed=seed) == pytest.approx(u, rel=1e-12)
+@pytest.mark.parametrize("lo, hi", [(-math.inf, math.inf), (-1.0, math.inf),
+                                    (1.0, 1.0), (2.0, 1.0), (math.nan, 1.0),
+                                    (0.0, math.nan)])
+def test_interval_outside_the_contract_is_rejected(lo, hi):
+    # every caller solves on (lo, hi) with 0 <= lo < hi <= inf
+    with pytest.raises(ConfigurationError, match=r"is not 0 <= lo < hi <= inf"):
+        MonotoneSpec(lambda x: x, lo=lo, hi=hi)
 
 
-def test_default_seed_is_finite_below_a_finite_upper_endpoint():
-    # on (-inf, 0) the midpoint seed would be -inf
-    spec = MonotoneSpec(lambda x: x, lo=-math.inf, hi=0.0)
-    assert invert_monotone(spec, -5.0) == pytest.approx(-5.0, rel=1e-12)
+def test_illinois_iteration_cap_names_the_lowest_unresolved_element(monkeypatch):
+    # With one Illinois iteration allowed, the first element (its seed is
+    # its root) is accepted before the bracket phase and the others are not.
+    def g(x):
+        return x**3 + x
+
+    monkeypatch.setattr(rootfind, "_MAX_ITER", 1)
+    u = np.array([2.0, 1.0, 5.0, 20.0])
+    message = r"^residual \S+ or x error above tolerance after 1 iterations$"
+    with pytest.raises(InversionError, match=message) as excinfo:
+        solve_monotone(MonotoneSpec(g), u, seed=np.ones(4))
+    assert excinfo.value.index == 1
+    lo, hi = excinfo.value.bracket
+    assert lo < hi
+    assert g(lo) < u[1] < g(hi)
 
 
 def test_batch_of_mixed_cases_on_the_printed_wf_map():
@@ -336,17 +349,19 @@ def test_safeguard_acts_where_newton_fails_on_the_cev_map():
 
 
 def test_safeguard_expands_toward_an_infinite_end():
-    # x^3 - 3x falls on (-1, 1), where the seeds lie; each target has one
-    # root, beyond the seed toward +inf or -inf, which the bracket must
-    # grow to reach.
+    # y^3 - 3y with y = x - 2 falls on (1, 3), where the seeds lie, and never
+    # exceeds 2 on (0, 3); each target is above 2, so its one root lies beyond
+    # x = 4, which the bracket (seed, inf) must grow to reach: Newton finds
+    # fn' < 0 and doubles x, and the hunt without a slope doubles it too.
     def g(x):
-        return x**3 - 3.0 * x
+        return (x - 2.0) ** 3 - 3.0 * (x - 2.0)
 
-    spec = MonotoneSpec(g, lo=-math.inf, slope=lambda x: 3.0 * x * x - 3.0)
-    u, seeds = np.array([10.0, -10.0, 30.0]), np.array([0.0, 0.5, -0.9])
+    spec = MonotoneSpec(g, slope=lambda x: 3.0 * (x - 2.0) ** 2 - 3.0)
+    u, seeds = np.array([10.0, 30.0, 100.0]), np.array([2.0, 2.5, 1.1])
     got = solve_monotone(spec, u, tol=STEP_TOL, seed=seeds)
     assert _meets_both_criteria(g, got, u, STEP_TOL)
-    generic = solve_monotone(MonotoneSpec(g, lo=-math.inf), u, tol=STEP_TOL, seed=seeds)
+    assert np.all(got > 2.0 * seeds)
+    generic = solve_monotone(MonotoneSpec(g), u, tol=STEP_TOL, seed=seeds)
     np.testing.assert_allclose(got, generic, rtol=2.0 * STEP_TOL, atol=0.0)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from lsd.errors import ConfigurationError
 from lsd.schemes import SCHEMES, SchemeId, make_stepper
+from lsd.schemes import cir as cir_mod
 
 FIXTURE = {"cir": "cir_params", "cev": "cev_params", "wf": "wf_params",
            "heston32": "heston_params", "ait": "ait_params"}
@@ -39,6 +40,42 @@ def test_row_runs_through_its_stepper(key, request):
         x = stepper.x_of(state)
         assert np.shape(x) == shape
         assert np.all(np.isfinite(x))
+
+
+def _cir_ab(p):
+    """CIR's drift a/y - b y in y = 2 sqrt(x)/k3."""
+    return 2.0 * p.k1 / p.k3**2, p.k2 / 2.0 + p.k3**2 / 8.0
+
+
+def _heston32_ab(p):
+    """Heston 3/2's drift (2 k2/k3^2 + 3)/y - (k1/2) y in y = (2/k3) x^(-1/2)."""
+    return 2.0 * p.k2 / p.k3**2 + 3.0, p.k1 / 2.0
+
+
+# The rows that run one of CIR's LSD maps, with the (a, b) each must bind.
+SHARED_MAPS = {
+    ("cir", "lsd1"): (cir_mod.lsd1_bind, _cir_ab),
+    ("cir", "lsd2"): (cir_mod.lsd2_bind, _cir_ab),
+    ("cir", "lsd3"): (cir_mod.lsd3_bind, _cir_ab),
+    ("heston32", "lsd1"): (cir_mod.lsd1_bind, _heston32_ab),
+    ("heston32", "lsd2"): (cir_mod.lsd2_bind, _heston32_ab),
+}
+
+
+@pytest.mark.parametrize("key", list(SHARED_MAPS), ids=lambda k: f"{k[0]}:{k[1]}")
+def test_shared_map_row_binds_its_printed_coefficients(key, request):
+    # dt = 1e-13 puts lsd2 on the linear branch of the Bernoulli solution
+    model, variant = key
+    bind, coefficients = SHARED_MAPS[key]
+    params = request.getfixturevalue(FIXTURE[model])
+    stepper = make_stepper(SchemeId(model, variant), params)
+    rng = np.random.default_rng(5)
+    y = stepper.init(X0[model], size=64)
+    for dt in (DT, 2.0**-6, 1e-13):
+        dw = rng.standard_normal(64) * np.sqrt(dt)
+        want = bind(*coefficients(params), dt)(y, dw)
+        y, _ = stepper.step(y, dw, dt)
+        assert y.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("key, params, kwargs, message", [

@@ -19,7 +19,7 @@ STRESS_PARAMS = [CirParams(1.0, 2.0, k3) for k3 in (4.0, 10.0, 20.0)]
 
 def _lsd(variant):
     bind = getattr(cir_mod, f"{variant}_bind")
-    return lambda p, y, dw, dt: bind(p, dt)(y, dw)
+    return lambda p, y, dw, dt: bind(p.a, p.b, dt)(y, dw)
 
 
 def _exact_ou(p, state, dw1, dw2, dt):
@@ -31,13 +31,13 @@ def _exact_ou(p, state, dw1, dw2, dt):
 
 class TestLsdValues:
     def test_lsd1_worked_example(self, cir_params):
-        y = cir_mod.lsd1_bind(cir_params, 0.01)(4.0, 0.05)
+        y = cir_mod.lsd1_bind(cir_params.a, cir_params.b, 0.01)(4.0, 0.05)
         assert y == pytest.approx(4.0149750933224978, rel=1e-14)
         x = cir_params.inverse(y)
         assert x == pytest.approx(4.03000625, rel=1e-14)
 
     def test_lsd3_degenerates_to_shifted_state(self, cir_params):
-        y = cir_mod.lsd3_bind(cir_params, 1e-12)(4.0, 0.05)
+        y = cir_mod.lsd3_bind(cir_params.a, cir_params.b, 1e-12)(4.0, 0.05)
         assert abs(y - 4.05) <= 1e-6
 
     @pytest.mark.parametrize("variant", ["lsd1", "lsd2", "lsd3"])
@@ -71,7 +71,7 @@ class TestClosedFormAgreement:
         for _ in range(200):
             y = math.exp(rng.uniform(math.log(1e-3), math.log(1e2)))
             dw, dt = rng.normal() * 0.3, 10 ** rng.uniform(-6, -1)
-            got = cir_mod.lsd1_bind(cir_params, dt)(y, dw)
+            got = cir_mod.lsd1_bind(cir_params.a, cir_params.b, dt)(y, dw)
             A = dw + (1.0 - cir_params.b * dt) * y
             want = math.sqrt(bernoulli_power(A=A, B=cir_params.a, C=0.0,
                                              l=1.0, dt=dt))
@@ -81,7 +81,7 @@ class TestClosedFormAgreement:
         for _ in range(200):
             y = math.exp(rng.uniform(math.log(1e-3), math.log(1e2)))
             dw, dt = rng.normal() * 0.3, 10 ** rng.uniform(-6, -1)
-            got = cir_mod.lsd2_bind(cir_params, dt)(y, dw)
+            got = cir_mod.lsd2_bind(cir_params.a, cir_params.b, dt)(y, dw)
             want = math.sqrt(bernoulli_power(A=dw + y, B=cir_params.a,
                                              C=-cir_params.b, l=1.0, dt=dt))
             assert ulps_apart(got, want) <= 2
@@ -112,8 +112,8 @@ class TestPerDtBinding:
         lsd1 = np.sqrt(bernoulli_power(dw + (1.0 - p.b * dt) * y, p.a, 0.0,
                                        1.0, dt))
         lsd2 = np.sqrt(bernoulli_power(dw + y, p.a, -p.b, 1.0, dt))
-        assert cir_mod.lsd1_bind(p, dt)(y, dw).tobytes() == lsd1.tobytes()
-        assert cir_mod.lsd2_bind(p, dt)(y, dw).tobytes() == lsd2.tobytes()
+        assert cir_mod.lsd1_bind(p.a, p.b, dt)(y, dw).tobytes() == lsd1.tobytes()
+        assert cir_mod.lsd2_bind(p.a, p.b, dt)(y, dw).tobytes() == lsd2.tobytes()
 
 
 class TestQuadraticResidual:
@@ -122,7 +122,7 @@ class TestQuadraticResidual:
         for _ in range(500):
             y = math.exp(rng.uniform(math.log(1e-3), math.log(1e2)))
             dw, dt = rng.normal(), 10 ** rng.uniform(-5, -1)
-            v = cir_mod.lsd3_bind(p, dt)(y, dw)
+            v = cir_mod.lsd3_bind(p.a, p.b, dt)(y, dw)
             c2, c1, c0 = 1.0 + p.b * dt, -(dw + y), -p.a * dt
             residual = c2 * v * v + c1 * v + c0
             scale = 1.0 + abs(c2) + abs(c1) + abs(c0)

@@ -10,10 +10,14 @@ from lsd.schemes import heston as heston_mod
 from oracles import bisect, ulps_apart
 
 
-def _lsd(variant):
+def _ab(p):
     # heston32's LSD rows run cir's maps with (a, b) = (c_star/2, k1/2)
+    return 0.5 * p.c_star, 0.5 * p.k1
+
+
+def _lsd(variant):
     bind = getattr(cir_mod, f"{variant}_bind")
-    return lambda p, y, dw, dt: bind(p, dt)(y, dw)
+    return lambda p, y, dw, dt: bind(*_ab(p), dt)(y, dw)
 
 
 def _companion(variant, p, x, dw, dt):
@@ -27,7 +31,7 @@ class TestLsdValues:
     def test_lsd1_worked_example(self, heston_params):
         y0 = heston_params.forward(1.0)
         assert y0 == pytest.approx(4.4721359549995794, rel=1e-14)
-        y = cir_mod.lsd1_bind(heston_params, 1e-4)(y0, 0.0)
+        y = cir_mod.lsd1_bind(*_ab(heston_params), 1e-4)(y0, 0.0)
         assert y == pytest.approx(4.4878056999495867, rel=1e-12)
         assert heston_params.inverse(y) == pytest.approx(0.9930289368385675,
                                                          rel=1e-12)
@@ -41,7 +45,7 @@ class TestLsdValues:
         y = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), 5000))
         dw = rng.standard_normal(5000) * 2.0
         dt = 1e-3
-        out = cir_mod.lsd1_bind(heston_params, dt)(y, dw)
+        out = cir_mod.lsd1_bind(*_ab(heston_params), dt)(y, dw)
         assert np.all(out >= math.sqrt(heston_params.c_star * dt) - 1e-15)
 
     @pytest.mark.parametrize("variant", ["lsd1", "lsd2"])
@@ -58,7 +62,7 @@ class TestClosedFormAgreement:
         for _ in range(200):
             y = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
             dw, dt = rng.normal() * 0.2, 10 ** rng.uniform(-6, -2)
-            got = cir_mod.lsd1_bind(p, dt)(y, dw)
+            got = cir_mod.lsd1_bind(*_ab(p), dt)(y, dw)
             A = dw + (1.0 - 0.5 * p.k1 * dt) * y
             want = math.sqrt(bernoulli_power(A=A, B=0.5 * p.c_star, C=0.0,
                                              l=1.0, dt=dt))
@@ -69,7 +73,7 @@ class TestClosedFormAgreement:
         for _ in range(200):
             y = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
             dw, dt = rng.normal() * 0.2, 10 ** rng.uniform(-6, -2)
-            got = cir_mod.lsd2_bind(p, dt)(y, dw)
+            got = cir_mod.lsd2_bind(*_ab(p), dt)(y, dw)
             want = math.sqrt(bernoulli_power(A=dw + y, B=0.5 * p.c_star,
                                              C=-0.5 * p.k1, l=1.0, dt=dt))
             assert ulps_apart(got, want) <= 2

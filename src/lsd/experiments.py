@@ -11,15 +11,15 @@ terminal differences into pathwise strong-error estimates.
 
 :func:`_blocks` is the one loop over paths: it draws a block's lattice once,
 time-major, for every scheme of a call, in time chunks when the lattice is
-long, and coarsens each chunk's ladder finest-first.  :func:`_terminal_blocks`
-advances every run of a call over each chunk in turn and returns x at the
-horizon.  :func:`_terminal_batch` is the one loop over time.  A run that
-records x or counts events (``simulate``, ``compare``, ``exact-cir``'s path
-and ``scan``) takes x and tallies the counts once per block of at most
-``_TALLY`` = 128 steps, so per buffer it holds at most 128 x B states or
-masks for B paths; the other runs do nothing but step.  A single path runs
-through it as a batch of one, and the squared-OU comparison as one
-two-driver stepper carrying its riders.
+long and for more paths when it is short, and coarsens each chunk's ladder
+finest-first.  :func:`_terminal_blocks` advances every run of a call over
+each chunk in turn and returns x at the horizon.  :func:`_terminal_batch` is
+the one loop over time.  A run that records x or counts events
+(``simulate``, ``compare``, ``exact-cir``'s path and ``scan``) takes x and
+tallies the counts once per block of at most ``_TALLY`` = 128 steps, so per
+buffer it holds at most 128 x B states or masks for B paths; the other runs
+do nothing but step.  A single path runs through it as a batch of one, and
+the squared-OU comparison as one two-driver stepper carrying its riders.
 :func:`simulate_paths` draws one path per step size and runs every listed
 scheme on it once; the ``simulate`` and ``compare`` kinds report its paths.
 """
@@ -38,10 +38,11 @@ from .wiener import (cir_effective_increment, generate_lattice,
                      halve_increments, path_seed)
 
 # Paths per slice of a sum over paths.  It sets only the rounding of the
-# output, as each slice's partial sums are added in path order.  A block of
-# paths is _BATCH wide unless its lattice is drawn in time chunks.
+# output, as each slice's partial sums are added in path order.  Every block
+# but the last is a power-of-two multiple of _BATCH wide (see _blocks).
 _BATCH = 256
-# Least steps in a time chunk of a long one-driver lattice (see _blocks).
+# Least steps in a time chunk of a long one-driver lattice; a block of a
+# shorter lattice holds at least _BATCH x _CHUNK increments (see _rows).
 _CHUNK = 1024
 # Most steps whose states a recorded run holds before it takes their x and
 # counts their events (see _terminal_batch).
@@ -130,16 +131,25 @@ def _distinct(step_sizes: Sequence[float]) -> List[float]:
     return dts
 
 
-def _dyadic_plan(T: float, step_sizes: Sequence[float], rows: int,
-                 ref_step: Optional[float] = None):
+def _rows(M: int, n: int) -> int:
+    """Whole n-step lattices per driver that bound a block of M paths:
+    ``_BATCH``, doubled while that is fewer than ``_BATCH`` x ``_CHUNK``
+    increments, so at most ``_BATCH`` x max(n, 2 ``_CHUNK``); M if fewer."""
+    rows = _BATCH
+    while rows * n < _BATCH * _CHUNK:
+        rows <<= 1
+    return min(M, rows)
+
+
+def _dyadic_plan(T: float, step_sizes: Sequence[float], M: int,
+                 drivers: int = 1, ref_step: Optional[float] = None):
     """Reference step count and, per dt, the halvings that reach it from there.
 
     The reference step defaults to the finest step of the ladder; every dt
-    must be a power-of-two multiple of it.  ``rows`` whole lattices at each
-    level of the ladder must fit in memory; with ``rows`` = min(M,
-    ``_BATCH``) per driver, that bounds every block of :func:`_blocks`,
-    whose paths times chunk steps never exceed ``rows`` times n.  Returns
-    ``(n_ref, {dt: halvings})``.
+    must be a power-of-two multiple of it.  ``_rows(M, n_ref)`` whole
+    lattices per driver at each level of the ladder must fit in memory;
+    that bounds every block of :func:`_blocks`, whose paths times chunk
+    steps never exceed that times n_ref.  Returns ``(n_ref, {dt: halvings})``.
     """
     if not step_sizes:
         raise ConfigurationError("step ladder is empty")
@@ -154,19 +164,24 @@ def _dyadic_plan(T: float, step_sizes: Sequence[float], rows: int,
             raise ConfigurationError(
                 f"step {dt} is not a dyadic multiple of the reference step {ref_step}")
         halvings[dt] = ratio.bit_length() - 1
-    _steps_for(T, ref_step, rows * sum(0.5**h for h in {0, *halvings.values()}))
+    levels = sum(0.5**h for h in {0, *halvings.values()})
+    _steps_for(T, ref_step, drivers * _rows(M, n_ref) * levels)
     return n_ref, halvings
 
 
 def _blocks(seed, M, T, n, halvings, drivers=1):
     """Yield ``(paths, chunks)`` for paths 0..M-1 in consecutive blocks.
 
-    A block is ``_BATCH << j`` paths wide and its lattice is drawn in 2^j
-    time chunks of C = n >> j steps, so it never holds more than ``_BATCH``
-    whole lattices.  For one driver, j is the largest that leaves C at least
-    ``_CHUNK`` steps and every level of ``halvings`` a whole number of steps
-    per chunk; two drivers take j = 0, as the second driver's draws follow
-    all of the first's.
+    A block is ``_rows(M, n) << j`` paths wide, or M if fewer, and its
+    lattice is drawn in 2^j time chunks of C = n >> j steps, so it never
+    holds more than ``_rows(M, n)`` whole lattices.  For one driver, j is
+    the largest that leaves C at least ``_CHUNK`` steps and every level of
+    ``halvings`` a whole number of steps per chunk; two drivers take j = 0,
+    as the second driver's draws follow all of the first's.  A lattice
+    shorter than ``_CHUNK`` steps is widened instead, to at least the
+    ``_BATCH`` x ``_CHUNK`` increments of a chunked block.  Every block but
+    the last is a multiple of ``_BATCH`` wide, so :func:`_slice_sums` adds
+    the same slices.
     ``chunks`` yields ``(offset, inc)`` per chunk in time order, ``offset``
     being its first step.  ``inc[0]`` holds the block's C-step increments,
     path i's drawn by its own generator ``default_rng(path_seed(seed, i))``,
@@ -185,7 +200,7 @@ def _blocks(seed, M, T, n, halvings, drivers=1):
         top = max(levels, default=0)
         while n % (2 << (j + top)) == 0 and n >> (j + 1) >= _CHUNK:
             j += 1
-    width = min(M, _BATCH << j)
+    width = min(M, _rows(M, n) << j)
     for start in range(0, M, width):
         paths = range(start, min(start + width, M))
         yield paths, _chunks(seed, paths, T, n, j, levels, drivers)
@@ -455,7 +470,7 @@ def strong_error(schemes: Sequence[SchemeId], reference: Optional[SchemeId],
         raise ConfigurationError(f"need at least 2 paths, got {M}")
     refs = [s if reference is None else reference for s in schemes]
     dts = sorted(_distinct(step_sizes), reverse=True)
-    n_ref, halvings = _dyadic_plan(T, dts, min(M, _BATCH), ref_step)
+    n_ref, halvings = _dyadic_plan(T, dts, M, ref_step=ref_step)
     steppers = {s: make_stepper(s, params, theta=theta)
                 for s in dict.fromkeys([*refs, *schemes])}
     if any(st.drivers != 1 for st in steppers.values()):
@@ -590,7 +605,7 @@ def exact_cir_error_decay(params: ModelParams, x0: float, m_split: float,
     if M < 1:
         raise ConfigurationError(f"need at least 1 path, got M={M}")
     dts = sorted(_distinct(step_sizes), reverse=True)
-    n_ref, halvings = _dyadic_plan(T, dts, 2 * min(M, _BATCH))
+    n_ref, halvings = _dyadic_plan(T, dts, M, drivers=2)
     ride = _SquaredOuRide(params, m_split, schemes, theta)
     totals = [dict.fromkeys(dts, 0.0) for _ in schemes]
     runs = [(ride, dt, halvings[dt], None) for dt in dts]
@@ -623,7 +638,7 @@ def domain_violation_scan(schemes: Sequence[SchemeId], params: ModelParams,
     _distinct(step_sizes)
     results = [{dt: ScanCounters() for dt in step_sizes} for _ in steppers]
     for k, dt in enumerate(step_sizes):
-        n = _steps_for(T, dt, min(M, _BATCH))
+        n, _ = _dyadic_plan(T, [dt], M)
         runs = [(st, dt, 0, counts[dt]) for st, counts in zip(steppers, results)]
         for _ in _terminal_blocks(path_seed(seed, k), M, T, n, x0, runs):
             pass

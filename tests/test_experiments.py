@@ -7,7 +7,7 @@ import pytest
 import lsd.experiments
 from lsd.errors import (ConfigurationError, DataError, DegenerateStateError,
                         DomainError, InversionError, NumericError)
-from lsd.experiments import (_BATCH, _TALLY, ScanCounters, _blocks,
+from lsd.experiments import (_BATCH, _CHUNK, _TALLY, ScanCounters, _blocks,
                              _steps_for, _terminal_batch,
                              domain_violation_scan, exact_cir_error_decay,
                              exact_cir_experiment, fit_order, simulate_path,
@@ -232,7 +232,7 @@ class TestStrongError:
         np.testing.assert_array_equal(a.stderrs, b.stderrs)
 
     def test_batches_are_summed_in_path_order(self, cir_params):
-        # the rms is built from per-batch sums over paths 0..255 and
+        # the rms is built from per-slice sums over paths 0..255 and
         # 256..299, added in that order; at this seed one sum over all 300
         # paths differs in the last bits at both levels
         T, ref_step, M, seed = 1.0, 2.0**-8, 300, 2
@@ -436,6 +436,18 @@ def test_memory_guard_counts_the_batch(monkeypatch, cir_ou_params, run,
             rf"1\.64e\+04 steps, whose lattice of {re.escape(lattice_bytes)} "
             rf"bytes exceeds physical memory \(1\.05e\+06 bytes\)$")):
         run(100, cir_ou_params)
+
+
+def test_memory_guard_counts_a_widened_block(monkeypatch, cir_params):
+    # 2^9 steps are too few to chunk, so 600 paths run in blocks of 512
+    # paths, whose 2 MiB of increments do not fit in 1 MiB
+    monkeypatch.setattr(lsd.experiments.os, "sysconf",
+                        {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.get)
+    with pytest.raises(ConfigurationError, match=(
+            r"^step 0\.001953125 over the horizon 1\.0 gives 512 steps, whose "
+            r"lattice of 2\.1e\+06 bytes exceeds physical memory")):
+        strong_error([CIR_LSD1], None, cir_params, 4.0, 1.0, [2.0**-9],
+                     2.0**-9, M=600, seed=0)
 
 
 @pytest.mark.parametrize("run, few, many", [
@@ -646,7 +658,8 @@ class TestBatches:
                     assert level.shape == direct.shape
                     assert level.tobytes() == direct.tobytes()
                 yielded.append((paths, inc))
-        assert [p for p, _ in yielded] == [range(0, 256), range(256, 300)]
+        # 32 steps are too few to chunk: the block widens to hold all 300
+        assert [p for p, _ in yielded] == [range(0, 300)]
         assert yielded[-1][1] == {}
 
     @pytest.mark.parametrize("drivers", [1, 2])
@@ -667,13 +680,16 @@ class TestBatches:
         (300, 4096, (0, 2), 2, 4096, 256),         # two drivers: no chunks
         (200, 4096, (0, 2), 1, 1024, 200),         # fewer paths than a slice
         (300, 1024, (0, 2), 1, 1024, 256),         # too short to chunk
+        (600, 512, (0, 2), 1, 512, 512),           # widened: 512 and 88
+        (1100, 300, (0, 2), 1, 300, 1024),         # widened, no power of two
+        (1100, 256, (0, 1), 2, 256, 1024),         # two drivers, widened
     ])
     def test_chunks_are_slices_of_the_halved_lattice(self, M, n, halvings,
                                                      drivers, steps, width):
         T, seed = 0.7, 11
-        # the bytes _dyadic_plan checks: rows = min(M, _BATCH) lattices per
-        # driver at each level
-        guarded = 8 * drivers * min(M, _BATCH) * n * sum(
+        # a block holds at most M whole lattices per driver, and at most
+        # _BATCH paths of max(n, 2 _CHUNK) steps, at each level
+        guarded = 8 * drivers * min(M * n, _BATCH * max(n, 2 * _CHUNK)) * sum(
             0.5**h for h in {0, *halvings})
         blocks, drawn = [], []
         for paths, chunks in _blocks(seed, M, T, n, halvings, drivers=drivers):
@@ -696,6 +712,8 @@ class TestBatches:
             assert offsets == list(range(0, n, steps))
             blocks.append(paths)
         assert blocks == [range(s, min(s + width, M)) for s in range(0, M, width)]
+        # so the slices of the sums over paths do not depend on the blocks
+        assert all(len(paths) % _BATCH == 0 for paths in blocks[:-1])
 
     def test_error_in_a_later_chunk_names_the_global_step(self, cir_params,
                                                           monkeypatch):

@@ -47,6 +47,16 @@ CONFIGS = {
     "exact-cir": ("exact-cir", "cir", _CIR.format(k3=2), 4,
                   "schemes = lsd1, lsd3\ndt = 0.03125, 0.015625, 0.0078125\n"
                   "M = 64\nm = 0.25\n"),
+    # 2^9 reference steps, too few to chunk, so a block is widened to 512
+    # paths: blocks of 512 and 88, across three slices of the sums over paths
+    "wide": ("convergence", "cev", _CEV, 0.0625,
+             "schemes = implicit, lsd1\ndt = 0.125, 0.0625, 0.03125\n"
+             "ref_step = 0.001953125\nM = 600\n"),
+    # a short two-driver lattice: its 300 paths fit one widened block
+    "wide-exact-cir": ("exact-cir", "cir", _CIR.format(k3=2), 4,
+                       "schemes = lsd1, lsd3\n"
+                       "dt = 0.0078125, 0.00390625, 0.001953125\n"
+                       "M = 300\nm = 0.25\n"),
     "scan": ("scan", "cir", "k1 = 1\nk2 = 2\nk3 = 20", 4,
              "schemes = lsd1, lsd2, lsd3, sd_theta, alf, ns\n"
              "dt = 0.01, 0.001\nM = 32\n"),
@@ -82,6 +92,9 @@ SHA256 = {
         "b3a70733885a5afbdb13169c87bb3b89799e2001c11356def39b151ae52c6c3e",
     "exact-cir":
         "e3b5c571ed82fe61f3c8f03debda55467c4c8eddb195c3ea29cfac4edbf1a28b",
+    "wide": "75fbff03f902218bef013cd2e9eb08e94c6c14b2e4f0a8d79b886c76d0f2fa03",
+    "wide-exact-cir":
+        "44a0934d52d8b3c0c91117d67522d2d6fa59600f3ae137f50766008304d66fdb",
     "scan": "2e5e0c1619afff859d9749a7e80a53e03717a8117853b975e45daf12abbdf35b",
     "simulate":
         "9633f9f1fb3678b38ce4ef9c17b83b89f3a40bd2269de21ad68a99f5aa83e037",

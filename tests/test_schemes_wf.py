@@ -98,6 +98,31 @@ class TestLsdValues:
             assert abs(residual) <= 1e-10 * (1.0 + abs(phi) + dt)
 
 
+class TestStepSizeFindings:
+    """The paper's LSD rows keep the domain "with no extra restrictions on
+    the parameters or the step-size"; at (k1, k2, k3) = (1, 2, 1), where
+    both boundary conditions hold, wf lsd2 to lsd4 need a restriction."""
+
+    P = WfParams(1.0, 2.0, 1.0)
+
+    def test_lsd2_raises_at_a_step_of_one_hundredth(self):
+        # for small y the denominator is about 1 - 2 a dt / y^2, negative
+        # wherever y < sqrt(2 a dt), at any dt
+        with pytest.raises(StepSizeError, match=(
+                r"^wf:lsd2, dt=0\.01, at step 80, paths 0\.\.199: path 69: "
+                r"update denominator is not positive")):
+            domain_violation_scan([SchemeId("wf", "lsd2")], self.P, [0.01],
+                                  8.0, 200, seed=1, x0=0.5)
+
+    def test_lsd3_and_lsd4_stay_in_the_domain_through_their_fold(self):
+        # both leave (0, pi) before the fold, which counts as a clamp
+        ids = [SchemeId("wf", "lsd3"), SchemeId("wf", "lsd4")]
+        scan = domain_violation_scan(ids, self.P, [1 / 16], 8.0, 200, seed=1,
+                                     x0=0.5)
+        for counts in scan:
+            assert counts[1 / 16].clamp_events > 0
+
+
 class TestCompanions:
     def test_sd_fixed_point(self, wf_params):
         # drift term a + beta*x vanishes identically at x = 1/2 here

@@ -42,14 +42,15 @@ from .wiener import (cir_effective_increment, generate_lattice,
 # but the last is a power-of-two multiple of _BATCH wide (see _blocks).
 _BATCH = 256
 # Least steps in a time chunk of a long one-driver lattice; a block of a
-# shorter lattice holds at least _BATCH x _CHUNK increments (see _rows).
+# shorter lattice holds at least _BATCH x _CHUNK increments (see _block).
 _CHUNK = 1024
 # Most steps whose states a recorded run holds before it takes their x and
 # counts their events (see _terminal_batch).
 _TALLY = 128
-# Paths drawn row-major before they are copied into a block's time-major
-# chunk: a narrow tile keeps the transposing copy in cache.
-_STAGE = 16
+# Most increments (1 MiB, but at least one path) that one generate_lattice
+# call draws row-major before one copy puts them into a block's time-major
+# chunk: a wide tile writes each step's paths in long, cache-sized runs.
+_TILE = 1 << 17
 
 
 @dataclass
@@ -131,14 +132,21 @@ def _distinct(step_sizes: Sequence[float]) -> List[float]:
     return dts
 
 
-def _rows(M: int, n: int) -> int:
-    """Whole n-step lattices per driver that bound a block of M paths:
-    ``_BATCH``, doubled while that is fewer than ``_BATCH`` x ``_CHUNK``
-    increments, so at most ``_BATCH`` x max(n, 2 ``_CHUNK``); M if fewer."""
+def _block(M: int, n: int, halvings, drivers: int):
+    """``(width, j, tile)`` of the blocks of :func:`_blocks` for M paths of
+    n steps, ``halvings`` being the levels of the ladder: each block is
+    ``width`` paths, drawn in 2^j time chunks of n >> j steps, ``tile``
+    paths per draw call."""
+    j = 0
+    if drivers == 1:
+        top = max(halvings, default=0)
+        while n % (2 << (j + top)) == 0 and n >> (j + 1) >= _CHUNK:
+            j += 1
     rows = _BATCH
     while rows * n < _BATCH * _CHUNK:
         rows <<= 1
-    return min(M, rows)
+    width = min(M, rows << j)
+    return width, j, min(width, max(1, _TILE // (drivers * (n >> j))))
 
 
 def _dyadic_plan(T: float, step_sizes: Sequence[float], M: int,
@@ -146,10 +154,9 @@ def _dyadic_plan(T: float, step_sizes: Sequence[float], M: int,
     """Reference step count and, per dt, the halvings that reach it from there.
 
     The reference step defaults to the finest step of the ladder; every dt
-    must be a power-of-two multiple of it.  ``_rows(M, n_ref)`` whole
-    lattices per driver at each level of the ladder must fit in memory;
-    that bounds every block of :func:`_blocks`, whose paths times chunk
-    steps never exceed that times n_ref.  Returns ``(n_ref, {dt: halvings})``.
+    must be a power-of-two multiple of it.  The widest block of
+    :func:`_blocks` must fit in memory: its chunk at each level of the
+    ladder and its draw tile.  Returns ``(n_ref, {dt: halvings})``.
     """
     if not step_sizes:
         raise ConfigurationError("step ladder is empty")
@@ -165,23 +172,25 @@ def _dyadic_plan(T: float, step_sizes: Sequence[float], M: int,
                 f"step {dt} is not a dyadic multiple of the reference step {ref_step}")
         halvings[dt] = ratio.bit_length() - 1
     levels = sum(0.5**h for h in {0, *halvings.values()})
-    _steps_for(T, ref_step, drivers * _rows(M, n_ref) * levels)
+    width, j, tile = _block(M, n_ref, halvings.values(), drivers)
+    _steps_for(T, ref_step, drivers * (width * levels + tile) / (1 << j))
     return n_ref, halvings
 
 
 def _blocks(seed, M, T, n, halvings, drivers=1):
     """Yield ``(paths, chunks)`` for paths 0..M-1 in consecutive blocks.
 
-    A block is ``_rows(M, n) << j`` paths wide, or M if fewer, and its
-    lattice is drawn in 2^j time chunks of C = n >> j steps, so it never
-    holds more than ``_rows(M, n)`` whole lattices.  For one driver, j is
-    the largest that leaves C at least ``_CHUNK`` steps and every level of
-    ``halvings`` a whole number of steps per chunk; two drivers take j = 0,
-    as the second driver's draws follow all of the first's.  A lattice
-    shorter than ``_CHUNK`` steps is widened instead, to at least the
-    ``_BATCH`` x ``_CHUNK`` increments of a chunked block.  Every block but
-    the last is a multiple of ``_BATCH`` wide, so :func:`_slice_sums` adds
-    the same slices.
+    A block is ``_BATCH << j`` paths wide, or M if fewer, and its lattice
+    is drawn in 2^j time chunks of C = n >> j steps, so it never holds more
+    than ``_BATCH`` whole lattices.  For one driver, j is the largest that
+    leaves C at least ``_CHUNK`` steps and every level of ``halvings`` a
+    whole number of steps per chunk; two drivers take j = 0, as the second
+    driver's draws follow all of the first's.  A lattice shorter than
+    ``_CHUNK`` steps is widened instead, doubling ``_BATCH`` until the block
+    holds at least the ``_BATCH`` x ``_CHUNK`` increments of a chunked one.
+    Every block but the last is a multiple of ``_BATCH`` wide, so
+    :func:`_slice_sums` adds the same slices.  :func:`_block` gives the
+    width, j and the paths per draw call.
     ``chunks`` yields ``(offset, inc)`` per chunk in time order, ``offset``
     being its first step.  ``inc[0]`` holds the block's C-step increments,
     path i's drawn by its own generator ``default_rng(path_seed(seed, i))``,
@@ -195,31 +204,28 @@ def _blocks(seed, M, T, n, halvings, drivers=1):
     at a time.
     """
     levels = sorted(set(halvings) - {0})
-    j = 0
-    if drivers == 1:
-        top = max(levels, default=0)
-        while n % (2 << (j + top)) == 0 and n >> (j + 1) >= _CHUNK:
-            j += 1
-    width = min(M, _rows(M, n) << j)
+    width, j, tile = _block(M, n, halvings, drivers)
     for start in range(0, M, width):
         paths = range(start, min(start + width, M))
-        yield paths, _chunks(seed, paths, T, n, j, levels, drivers)
+        yield paths, _chunks(seed, paths, T, n, j, levels, drivers, tile)
 
 
-def _chunks(seed, paths, T, n, j, levels, drivers):
-    """The 2^j time chunks of one block of :func:`_blocks`."""
+def _chunks(seed, paths, T, n, j, levels, drivers, tile):
+    """The 2^j time chunks of one block of :func:`_blocks`, each drawn
+    ``tile`` paths per :func:`generate_lattice` call into a row-major tile,
+    which one assignment copies into the time-major chunk."""
     c, horizon = n >> j, T / (1 << j)
     shape = (c,) if drivers == 1 else (drivers, c)
     rngs = [np.random.default_rng(path_seed(seed, i)) for i in paths]
-    stage = np.empty((min(_STAGE, len(paths)), *shape))
     for k in range(1 << j):
         inc = {0: np.empty((*shape[::-1], len(paths))).T}
-        for g in range(0, len(paths), len(stage)):
-            group = rngs[g:g + len(stage)]
-            for row, rng in zip(stage, group):
-                row[...] = generate_lattice(rng, horizon, c, 0,
-                                            drivers=drivers).increments
-            inc[0][g:g + len(group)] = stage[:len(group)]
+        buf = np.empty((min(tile, len(paths)), *shape))
+        for g in range(0, len(paths), len(buf)):
+            group = rngs[g:g + len(buf)]
+            inc[0][g:g + len(group)] = generate_lattice(
+                group, horizon, c, 0, drivers=drivers,
+                out=buf[:len(group)]).increments
+        del buf   # before the coarser levels are made
         for prev, h in zip([0, *levels], levels):
             inc[h] = halve_increments(inc[prev], h - prev)
         yield k * c, inc

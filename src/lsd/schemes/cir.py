@@ -26,9 +26,10 @@ def _bernoulli_affine(B, C, dt):
 
 def lsd1_bind(a, b, dt):
     """Linear drift part frozen: y' = sqrt((dw + (1 - b dt) y)^2 + 2 a dt)."""
+    # C = 0 takes bernoulli_power's linear branch, whose growth is 1.0
     decay = 1.0 - b * dt
-    shift, growth = _bernoulli_affine(a, 0.0, dt)
-    return lambda y, dw: np.sqrt(shift + growth * np.square(dw + decay * y))
+    shift = bernoulli_power(0.0, a, 0.0, 1.0, dt)
+    return lambda y, dw: np.sqrt(shift + np.square(dw + decay * y))
 
 
 def lsd2_bind(a, b, dt):

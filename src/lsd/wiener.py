@@ -25,14 +25,16 @@ class WienerLattice:
     """Increments of one or two Wiener processes over [0, horizon].
 
     ``increments`` has shape ``(n,)`` for one driver and ``(2, n)`` for two,
-    where ``n = base_steps * 2**levels``.  Each entry is N(0, horizon / n).
-    Instances are immutable.
+    where ``n = base_steps * 2**levels``; a tile of P paths puts a path axis
+    of P first.  Each entry is N(0, horizon / n).  Instances are immutable;
+    one drawn into a given ``out`` holds that array.
     """
 
     increments: np.ndarray
 
 
-def generate_lattice(seed, horizon, base_steps, levels, drivers=1) -> WienerLattice:
+def generate_lattice(seed, horizon, base_steps, levels, drivers=1,
+                     out=None) -> WienerLattice:
     """Draw a fresh lattice; the same seed always yields identical increments.
 
     Increments are generated once at the finest level only; coarser levels are
@@ -40,7 +42,10 @@ def generate_lattice(seed, horizon, base_steps, levels, drivers=1) -> WienerLatt
     non-negative integer or a ``numpy.random.Generator``, which the draw
     advances: consecutive draws from one generator continue one stream, so
     2^j draws of ``(horizon / 2**j, n >> j)`` join into the lattice
-    ``(horizon, n)`` that its integer seed gives, bit for bit.
+    ``(horizon, n)`` that its integer seed gives, bit for bit.  A sequence
+    of P of them draws a tile: row i is the lattice of ``seed[i]``, bit for
+    bit.  ``out``, if given, is the C-contiguous array the draw fills and
+    returns, of the lattice's or the tile's shape.
     """
     if horizon <= 0:
         raise ConfigurationError(f"horizon must be positive, got {horizon}")
@@ -50,12 +55,20 @@ def generate_lattice(seed, horizon, base_steps, levels, drivers=1) -> WienerLatt
         raise ConfigurationError(f"levels must be >= 0, got {levels}")
     if drivers not in (1, 2):
         raise ConfigurationError(f"drivers must be 1 or 2, got {drivers}")
-    if not isinstance(seed, np.random.Generator) and seed < 0:
-        raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
     n = base_steps << levels
-    rng = np.random.default_rng(seed)
-    shape = (n,) if drivers == 1 else (2, n)
-    return WienerLattice(rng.standard_normal(shape) * np.sqrt(horizon / n))
+    one = isinstance(seed, (int, np.integer, np.random.Generator))
+    paths = () if one else (len(seed),)
+    shape = (*paths, n) if drivers == 1 else (*paths, 2, n)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ConfigurationError(f"out must have shape {shape}, got {out.shape}")
+    for s, row in zip([seed] if one else seed, out[np.newaxis] if one else out):
+        if not isinstance(s, np.random.Generator) and s < 0:
+            raise ConfigurationError(f"seed must be a non-negative integer, got {s}")
+        np.random.default_rng(s).standard_normal(out=row)
+    out *= np.sqrt(horizon / n)
+    return WienerLattice(out)
 
 
 def halve_increments(increments: np.ndarray, times: int) -> np.ndarray:
@@ -96,6 +109,6 @@ def cir_effective_increment(x1, x2, dw1, dw2):
     driving path.
     """
     norm_sq = x1 * x1 + x2 * x2
-    if np.any(norm_sq == 0.0):
+    if not np.asarray(norm_sq).all():
         raise DegenerateStateError("effective increment undefined at x1 = x2 = 0")
     return (x1 * dw1 + x2 * dw2) / np.sqrt(norm_sq)

@@ -416,21 +416,24 @@ def test_steps_for_rejects_a_non_finite_step_count(T, dt):
         _steps_for(T, dt)
 
 
-@pytest.mark.parametrize("run, lattice_bytes", [
+@pytest.mark.parametrize("run, few, lattice_bytes", [
     (lambda M, p: strong_error([CIR_LSD1], None, p, 4.0, 1.0, [2.0**-13, 2.0**-14],
-                               2.0**-14, M=M, seed=0), "1.97e+07"),
+                               2.0**-14, M=M, seed=0), 2, "2.05e+06"),
     (lambda M, p: domain_violation_scan([CIR_LSD1], p, [2.0**-14], 1.0, M,
-                                        seed=0), "1.31e+07"),
+                                        seed=0), 2, "1.64e+06"),
     (lambda M, p: exact_cir_error_decay(p, 4.0, 0.5, [2.0**-13, 2.0**-14], 1.0,
-                                        M, 0, [CIR_LSD1]), "3.93e+07"),
+                                        M, 0, [CIR_LSD1]), 1, "4.04e+07"),
 ], ids=["strong_error", "scan", "exact_cir_error_decay"])
-def test_memory_guard_counts_the_batch(monkeypatch, cir_ou_params, run,
+def test_memory_guard_counts_the_batch(monkeypatch, cir_ou_params, run, few,
                                        lattice_bytes):
-    # with 1 MiB of memory, two paths' 2^14-step lattices (128 KiB per path
-    # and driver) fit with their coarsened level; a batch of 100 does not
+    # with 1 MiB of memory, a few paths' blocks of 2^14 steps fit with their
+    # coarsened level and their draw tile; a batch of 100 does not.  One
+    # driver takes 16 chunks of 1024 steps, 800 KiB per level for 100 paths
+    # and as much for their tile; two drivers take whole lattices of
+    # 256 KiB per path, in tiles of 4 paths
     monkeypatch.setattr(lsd.experiments.os, "sysconf",
                         {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.get)
-    run(2, cir_ou_params)
+    run(few, cir_ou_params)
     with pytest.raises(ConfigurationError, match=(
             rf"^step {re.escape(str(2.0**-14))} over the horizon 1\.0 gives "
             rf"1\.64e\+04 steps, whose lattice of {re.escape(lattice_bytes)} "
@@ -438,14 +441,26 @@ def test_memory_guard_counts_the_batch(monkeypatch, cir_ou_params, run,
         run(100, cir_ou_params)
 
 
+def test_memory_guard_counts_a_chunked_block(monkeypatch, cir_params):
+    # 100 paths of 2^14 steps run in one block of 16 chunks of 1024 steps:
+    # 800 KiB of increments and 800 KiB of tile fit in 2 MiB, although 100
+    # whole lattices (1.31e+07 bytes) would not
+    monkeypatch.setattr(lsd.experiments.os, "sysconf",
+                        {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 512}.get)
+    counts = domain_violation_scan([CIR_LSD1], cir_params, [2.0**-14], 1.0,
+                                   100, seed=0)
+    assert counts == [{2.0**-14: ScanCounters()}]
+
+
 def test_memory_guard_counts_a_widened_block(monkeypatch, cir_params):
     # 2^9 steps are too few to chunk, so 600 paths run in blocks of 512
-    # paths, whose 2 MiB of increments do not fit in 1 MiB
+    # paths, whose 2 MiB of increments, with a tile of 256 paths, do not
+    # fit in 1 MiB
     monkeypatch.setattr(lsd.experiments.os, "sysconf",
                         {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.get)
     with pytest.raises(ConfigurationError, match=(
             r"^step 0\.001953125 over the horizon 1\.0 gives 512 steps, whose "
-            r"lattice of 2\.1e\+06 bytes exceeds physical memory")):
+            r"lattice of 3\.15e\+06 bytes exceeds physical memory")):
         strong_error([CIR_LSD1], None, cir_params, 4.0, 1.0, [2.0**-9],
                      2.0**-9, M=600, seed=0)
 

@@ -5,8 +5,8 @@ import pytest
 
 from lsd.closedform import wf_cosine_solution
 from lsd.errors import InversionError, StepSizeError
-from lsd.experiments import domain_violation_scan
-from lsd.models import WfParams
+from lsd.experiments import ScanCounters, domain_violation_scan
+from lsd.models import AitParams, CevParams, CirParams, Heston32Params, WfParams
 from lsd.schemes import SchemeId, make_stepper
 from lsd.schemes import wf as wf_mod
 from oracles import ulps_apart
@@ -98,6 +98,20 @@ class TestLsdValues:
             assert abs(residual) <= 1e-10 * (1.0 + abs(phi) + dt)
 
 
+# Every LSD row but wf lsd2 to lsd4, at the parameters and states where a
+# T = 8, M = 200 scan at dt = 1, 1/4, 1/16 and 1/100 saw no event: cir at
+# (1, 2, 20), the golden cev, heston32 and ait parameters, and wf at
+# k3 = 1 and 0.20101
+_NO_EVENT_ROWS = (
+    [(CirParams(1.0, 2.0, 20.0), 4.0, ("lsd1", "lsd2", "lsd3"))]
+    + [(p, x0, variants) for p, variants in (
+        (CevParams(1 / 16, 1.0, 0.4, 0.75), ("lsd1", "lsd2", "lsd3")),
+        (Heston32Params(0.1, 70.0, math.sqrt(0.2)), ("lsd1", "lsd2")),
+        (AitParams(2.0, 3.0, 4.0, 6.0, 1.0, 2.0, 1.5), ("lsd1", "lsd2")))
+       for x0 in (1 / 16, 0.5, 1.0)]
+    + [(WfParams(1.0, 2.0, k3), 0.5, ("lsd1",)) for k3 in (1.0, 0.20101)])
+
+
 class TestStepSizeFindings:
     """The paper's LSD rows keep the domain "with no extra restrictions on
     the parameters or the step-size"; at (k1, k2, k3) = (1, 2, 1), where
@@ -121,6 +135,15 @@ class TestStepSizeFindings:
                                      x0=0.5)
         for counts in scan:
             assert counts[1 / 16].clamp_events > 0
+
+    @pytest.mark.parametrize("p, x0, variants", _NO_EVENT_ROWS, ids=[
+        f"{p.model}-k3={p.k3:.6g}-x0={x0:g}" for p, x0, _ in _NO_EVENT_ROWS])
+    def test_every_other_lsd_row_completes_the_grid_without_an_event(
+            self, p, x0, variants):
+        dts = [1.0, 0.25, 1 / 16, 0.01]
+        ids = [SchemeId(p.model, v) for v in variants]
+        scan = domain_violation_scan(ids, p, dts, 8.0, 200, seed=1, x0=x0)
+        assert scan == [{dt: ScanCounters() for dt in dts} for _ in ids]
 
 
 class TestCompanions:

@@ -49,6 +49,46 @@ class TestGenerate:
         whole = generate_lattice(seed, T, n, 0).increments
         assert np.concatenate(chunks).tobytes() == whole.tobytes()
 
+    @pytest.mark.parametrize("drivers", [1, 2])
+    @pytest.mark.parametrize("paths", [1, 3])
+    def test_tile_rows_are_the_per_seed_lattices(self, drivers, paths):
+        # a tile of one, and a partial tile: the first rows of a wider array
+        seeds = [path_seed(5, i) for i in range(paths)]
+        shape = (6,) if drivers == 1 else (2, 6)
+        buf = np.full((4, *shape), np.nan)
+        tile = generate_lattice([np.random.default_rng(s) for s in seeds],
+                                0.7, 3, 1, drivers=drivers,
+                                out=buf[:paths]).increments
+        assert np.shares_memory(tile, buf)
+        assert tile.shape == (paths, *shape)
+        for s, row in zip(seeds, tile):
+            one = generate_lattice(s, 0.7, 3, 1, drivers=drivers).increments
+            assert row.tobytes() == one.tobytes()
+        assert np.isnan(buf[paths:]).all()
+        # integer seeds draw the same tile into a fresh array
+        fresh = generate_lattice(seeds, 0.7, 3, 1, drivers=drivers).increments
+        assert fresh.tobytes() == tile.tobytes()
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(horizon=0.0, base_steps=4, levels=0),
+        dict(horizon=1.0, base_steps=0, levels=0),
+        dict(horizon=1.0, base_steps=4, levels=-1),
+        dict(horizon=1.0, base_steps=4, levels=0, drivers=3),
+        dict(horizon=1.0, base_steps=4, levels=0, drivers=2),   # out too small
+        dict(horizon=1.0, base_steps=5, levels=0),              # and too short
+    ])
+    def test_invalid_sizes_for_a_tile(self, kwargs):
+        rngs = [np.random.default_rng(s) for s in (1, 2)]
+        with pytest.raises(ConfigurationError):
+            generate_lattice(rngs, out=np.empty((2, 4)), **kwargs)
+        # no generator was advanced
+        assert rngs[0].standard_normal() == np.random.default_rng(1).standard_normal()
+
+    def test_negative_seed_in_a_tile_is_rejected_by_name(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^seed must be a non-negative integer, got -3$"):
+            generate_lattice([2, -3], 1.0, 4, 0)
+
     def test_negative_seed_is_rejected_by_name(self):
         with pytest.raises(ConfigurationError,
                            match=r"^seed must be a non-negative integer, got -3$"):
@@ -174,6 +214,12 @@ class TestEffectiveIncrement:
     def test_degenerate(self):
         with pytest.raises(DegenerateStateError):
             cir_effective_increment(0.0, 0.0, 0.1, 0.1)
+        # one zero pair among non-zero pairs of a batch
+        x1, x2 = np.array([1.0, 0.0, 3.0]), np.array([2.0, 0.0, 0.0])
+        with pytest.raises(DegenerateStateError):
+            cir_effective_increment(x1, x2, np.ones(3), np.ones(3))
+        with pytest.raises(DegenerateStateError):
+            cir_effective_increment(-0.0, 0.0, 0.1, 0.1)
 
     def test_standard_normal_law(self, rng):
         # fixed direction, i.i.d. N(0, dt) inputs -> output is N(0, dt)

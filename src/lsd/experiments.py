@@ -156,7 +156,8 @@ def _dyadic_plan(T: float, step_sizes: Sequence[float], M: int,
     The reference step defaults to the finest step of the ladder; every dt
     must be a power-of-two multiple of it.  The widest block of
     :func:`_blocks` must fit in memory: its chunk at each level of the
-    ladder and its draw tile.  Returns ``(n_ref, {dt: halvings})``.
+    ladder, or its finest chunk and the draw tile that fills it, whichever
+    is larger.  Returns ``(n_ref, {dt: halvings})``.
     """
     if not step_sizes:
         raise ConfigurationError("step ladder is empty")
@@ -173,24 +174,24 @@ def _dyadic_plan(T: float, step_sizes: Sequence[float], M: int,
         halvings[dt] = ratio.bit_length() - 1
     levels = sum(0.5**h for h in {0, *halvings.values()})
     width, j, tile = _block(M, n_ref, halvings.values(), drivers)
-    _steps_for(T, ref_step, drivers * (width * levels + tile) / (1 << j))
+    _steps_for(T, ref_step,
+               drivers * width * max(levels, 1 + tile / width) / (1 << j))
     return n_ref, halvings
 
 
 def _blocks(seed, M, T, n, halvings, drivers=1):
     """Yield ``(paths, chunks)`` for paths 0..M-1 in consecutive blocks.
 
-    A block is ``_BATCH << j`` paths wide, or M if fewer, and its lattice
-    is drawn in 2^j time chunks of C = n >> j steps, so it never holds more
-    than ``_BATCH`` whole lattices.  For one driver, j is the largest that
-    leaves C at least ``_CHUNK`` steps and every level of ``halvings`` a
-    whole number of steps per chunk; two drivers take j = 0, as the second
-    driver's draws follow all of the first's.  A lattice shorter than
-    ``_CHUNK`` steps is widened instead, doubling ``_BATCH`` until the block
-    holds at least the ``_BATCH`` x ``_CHUNK`` increments of a chunked one.
-    Every block but the last is a multiple of ``_BATCH`` wide, so
-    :func:`_slice_sums` adds the same slices.  :func:`_block` gives the
-    width, j and the paths per draw call.
+    :func:`_block` gives the width, j and the paths per draw call.  A
+    block's lattice is drawn in 2^j time chunks of C = n >> j steps.  For
+    one driver, j is the largest that leaves C at least ``_CHUNK`` steps
+    and every level of ``halvings`` a whole number of steps per chunk; two
+    drivers take j = 0, as the second driver's draws follow all of the
+    first's.  A block is ``_BATCH`` paths of n steps, doubled while that is
+    fewer than ``_BATCH`` x ``_CHUNK`` increments (so a lattice too short
+    to chunk is widened instead), times 2^j, or M paths if fewer.  Every
+    block but the last is a multiple of ``_BATCH`` wide, so
+    :func:`_slice_sums` adds the same slices.
     ``chunks`` yields ``(offset, inc)`` per chunk in time order, ``offset``
     being its first step.  ``inc[0]`` holds the block's C-step increments,
     path i's drawn by its own generator ``default_rng(path_seed(seed, i))``,
@@ -212,20 +213,16 @@ def _blocks(seed, M, T, n, halvings, drivers=1):
 
 def _chunks(seed, paths, T, n, j, levels, drivers, tile):
     """The 2^j time chunks of one block of :func:`_blocks`, each drawn
-    ``tile`` paths per :func:`generate_lattice` call into a row-major tile,
-    which one assignment copies into the time-major chunk."""
+    ``tile`` paths per :func:`generate_lattice` call, whose row-major tile
+    one assignment copies into the time-major chunk."""
     c, horizon = n >> j, T / (1 << j)
     shape = (c,) if drivers == 1 else (drivers, c)
     rngs = [np.random.default_rng(path_seed(seed, i)) for i in paths]
     for k in range(1 << j):
         inc = {0: np.empty((*shape[::-1], len(paths))).T}
-        buf = np.empty((min(tile, len(paths)), *shape))
-        for g in range(0, len(paths), len(buf)):
-            group = rngs[g:g + len(buf)]
-            inc[0][g:g + len(group)] = generate_lattice(
-                group, horizon, c, 0, drivers=drivers,
-                out=buf[:len(group)]).increments
-        del buf   # before the coarser levels are made
+        for g in range(0, len(paths), tile):
+            inc[0][g:g + tile] = generate_lattice(
+                rngs[g:g + tile], horizon, c, 0, drivers=drivers).increments
         for prev, h in zip([0, *levels], levels):
             inc[h] = halve_increments(inc[prev], h - prev)
         yield k * c, inc

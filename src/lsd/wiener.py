@@ -26,15 +26,13 @@ class WienerLattice:
 
     ``increments`` has shape ``(n,)`` for one driver and ``(2, n)`` for two,
     where ``n = base_steps * 2**levels``; a tile of P paths puts a path axis
-    of P first.  Each entry is N(0, horizon / n).  Instances are immutable;
-    one drawn into a given ``out`` holds that array.
+    of P first.  Each entry is N(0, horizon / n).  Instances are immutable.
     """
 
     increments: np.ndarray
 
 
-def generate_lattice(seed, horizon, base_steps, levels, drivers=1,
-                     out=None) -> WienerLattice:
+def generate_lattice(seed, horizon, base_steps, levels, drivers=1) -> WienerLattice:
     """Draw a fresh lattice; the same seed always yields identical increments.
 
     Increments are generated once at the finest level only; coarser levels are
@@ -44,8 +42,7 @@ def generate_lattice(seed, horizon, base_steps, levels, drivers=1,
     2^j draws of ``(horizon / 2**j, n >> j)`` join into the lattice
     ``(horizon, n)`` that its integer seed gives, bit for bit.  A sequence
     of P of them draws a tile: row i is the lattice of ``seed[i]``, bit for
-    bit.  ``out``, if given, is the C-contiguous array the draw fills and
-    returns, of the lattice's or the tile's shape.
+    bit.  Each generator fills its own row, and the tile is scaled once.
     """
     if horizon <= 0:
         raise ConfigurationError(f"horizon must be positive, got {horizon}")
@@ -59,10 +56,7 @@ def generate_lattice(seed, horizon, base_steps, levels, drivers=1,
     one = isinstance(seed, (int, np.integer, np.random.Generator))
     paths = () if one else (len(seed),)
     shape = (*paths, n) if drivers == 1 else (*paths, 2, n)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape:
-        raise ConfigurationError(f"out must have shape {shape}, got {out.shape}")
+    out = np.empty(shape)
     for s, row in zip([seed] if one else seed, out[np.newaxis] if one else out):
         if not isinstance(s, np.random.Generator) and s < 0:
             raise ConfigurationError(f"seed must be a non-negative integer, got {s}")

@@ -416,24 +416,25 @@ def test_steps_for_rejects_a_non_finite_step_count(T, dt):
         _steps_for(T, dt)
 
 
-@pytest.mark.parametrize("run, few, lattice_bytes", [
+@pytest.mark.parametrize("run, lattice_bytes", [
     (lambda M, p: strong_error([CIR_LSD1], None, p, 4.0, 1.0, [2.0**-13, 2.0**-14],
-                               2.0**-14, M=M, seed=0), 2, "2.05e+06"),
+                               2.0**-14, M=M, seed=0), "1.64e+06"),
     (lambda M, p: domain_violation_scan([CIR_LSD1], p, [2.0**-14], 1.0, M,
-                                        seed=0), 2, "1.64e+06"),
+                                        seed=0), "1.64e+06"),
     (lambda M, p: exact_cir_error_decay(p, 4.0, 0.5, [2.0**-13, 2.0**-14], 1.0,
-                                        M, 0, [CIR_LSD1]), 1, "4.04e+07"),
+                                        M, 0, [CIR_LSD1]), "3.93e+07"),
 ], ids=["strong_error", "scan", "exact_cir_error_decay"])
-def test_memory_guard_counts_the_batch(monkeypatch, cir_ou_params, run, few,
+def test_memory_guard_counts_the_batch(monkeypatch, cir_ou_params, run,
                                        lattice_bytes):
-    # with 1 MiB of memory, a few paths' blocks of 2^14 steps fit with their
-    # coarsened level and their draw tile; a batch of 100 does not.  One
-    # driver takes 16 chunks of 1024 steps, 800 KiB per level for 100 paths
-    # and as much for their tile; two drivers take whole lattices of
-    # 256 KiB per path, in tiles of 4 paths
+    # with 1 MiB of memory, two paths' blocks of 2^14 steps fit; a batch of
+    # 100 does not.  One driver takes 16 chunks of 1024 steps, 800 KiB for
+    # 100 paths, and its draw tile of 100 paths is as large while it fills
+    # the chunk, which outweighs the coarsened level; two drivers take whole
+    # lattices of 256 KiB per path, and two paths' tile and chunk fill
+    # exactly 1 MiB
     monkeypatch.setattr(lsd.experiments.os, "sysconf",
                         {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.get)
-    run(few, cir_ou_params)
+    run(2, cir_ou_params)
     with pytest.raises(ConfigurationError, match=(
             rf"^step {re.escape(str(2.0**-14))} over the horizon 1\.0 gives "
             rf"1\.64e\+04 steps, whose lattice of {re.escape(lattice_bytes)} "

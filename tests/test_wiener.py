@@ -52,35 +52,33 @@ class TestGenerate:
     @pytest.mark.parametrize("drivers", [1, 2])
     @pytest.mark.parametrize("paths", [1, 3])
     def test_tile_rows_are_the_per_seed_lattices(self, drivers, paths):
-        # a tile of one, and a partial tile: the first rows of a wider array
+        # tiles of two paths: a tile of one, or a whole tile and a partial one
         seeds = [path_seed(5, i) for i in range(paths)]
+        rngs = [np.random.default_rng(s) for s in seeds]
+        tiles = [generate_lattice(rngs[g:g + 2], 0.7, 3, 1,
+                                  drivers=drivers).increments
+                 for g in range(0, paths, 2)]
         shape = (6,) if drivers == 1 else (2, 6)
-        buf = np.full((4, *shape), np.nan)
-        tile = generate_lattice([np.random.default_rng(s) for s in seeds],
-                                0.7, 3, 1, drivers=drivers,
-                                out=buf[:paths]).increments
-        assert np.shares_memory(tile, buf)
-        assert tile.shape == (paths, *shape)
-        for s, row in zip(seeds, tile):
+        assert [t.shape for t in tiles] == [(len(seeds[g:g + 2]), *shape)
+                                           for g in range(0, paths, 2)]
+        rows = np.concatenate(tiles)
+        for s, row in zip(seeds, rows):
             one = generate_lattice(s, 0.7, 3, 1, drivers=drivers).increments
             assert row.tobytes() == one.tobytes()
-        assert np.isnan(buf[paths:]).all()
-        # integer seeds draw the same tile into a fresh array
-        fresh = generate_lattice(seeds, 0.7, 3, 1, drivers=drivers).increments
-        assert fresh.tobytes() == tile.tobytes()
+        # integer seeds draw the same rows
+        whole = generate_lattice(seeds, 0.7, 3, 1, drivers=drivers).increments
+        assert whole.tobytes() == rows.tobytes()
 
     @pytest.mark.parametrize("kwargs", [
         dict(horizon=0.0, base_steps=4, levels=0),
         dict(horizon=1.0, base_steps=0, levels=0),
         dict(horizon=1.0, base_steps=4, levels=-1),
         dict(horizon=1.0, base_steps=4, levels=0, drivers=3),
-        dict(horizon=1.0, base_steps=4, levels=0, drivers=2),   # out too small
-        dict(horizon=1.0, base_steps=5, levels=0),              # and too short
     ])
     def test_invalid_sizes_for_a_tile(self, kwargs):
         rngs = [np.random.default_rng(s) for s in (1, 2)]
         with pytest.raises(ConfigurationError):
-            generate_lattice(rngs, out=np.empty((2, 4)), **kwargs)
+            generate_lattice(rngs, **kwargs)
         # no generator was advanced
         assert rngs[0].standard_normal() == np.random.default_rng(1).standard_normal()
 

@@ -26,8 +26,9 @@ import numpy as np
 
 from .config import ExperimentConfig, parse_config
 from .errors import ConfigurationError, LsdError
-from .experiments import (domain_violation_scan, exact_cir_error_decay,
-                          exact_cir_experiment, simulate_paths, strong_error)
+from .experiments import (block_plan, domain_violation_scan,
+                          exact_cir_error_decay, exact_cir_experiment,
+                          simulate_paths, strong_error)
 from .models import PARAMS_BY_MODEL, domain_report
 from .schemes import SchemeId
 
@@ -73,7 +74,9 @@ def _run_convergence(cfg, params):
         if report.dropped_from_fit:
             dropped[scheme.variant] = report.dropped_from_fit
     summary = {"slope": slopes, "intercept": intercepts,
-               "ref_step": cfg.ref_step, "M": cfg.M}
+               "ref_step": cfg.ref_step, "M": cfg.M,
+               "block_plan": block_plan(cfg.T, cfg.dts, cfg.M,
+                                        ref_step=cfg.ref_step)}
     if dropped:
         summary["dropped_from_fit"] = dropped
     return rows, summary
@@ -115,7 +118,13 @@ def _run_compare(cfg, params):
 
 
 def _run_exact_cir(cfg, params):
+    # both memory checks come before any step: the decay's in its plan, and
+    # the sample path's as the sample runs first; the two draw from
+    # generators of their own, so the order does not change the numbers
     ids = _scheme_ids(cfg)
+    plan = block_plan(cfg.T, cfg.dts, cfg.M, drivers=2)
+    sample = exact_cir_experiment(params, cfg.x0, cfg.m, max(cfg.dts), cfg.T,
+                                  cfg.seed, ids, theta=cfg.theta)
     decays = exact_cir_error_decay(
         params, cfg.x0, cfg.m, cfg.dts, cfg.T, cfg.M, cfg.seed, ids,
         theta=cfg.theta)
@@ -125,12 +134,10 @@ def _run_exact_cir(cfg, params):
         means[scheme.variant] = {str(dt): v for dt, v in decay.items()}
         for dt in sorted(decay, reverse=True):
             rows.append((scheme.variant, _fmt(dt), _fmt(decay[dt])))
-    sample = exact_cir_experiment(params, cfg.x0, cfg.m, max(cfg.dts), cfg.T,
-                                  cfg.seed, ids, theta=cfg.theta)
     identity_gap = float(np.max(np.abs(sample.x1**2 + sample.x2**2 - sample.exact)))
     return rows, {"mean_abs_terminal_diff": means,
                   "identity_max_abs_gap": identity_gap,
-                  "M": cfg.M, "m": cfg.m}
+                  "M": cfg.M, "m": cfg.m, "block_plan": plan}
 
 
 def _run_scan(cfg, params):
@@ -147,7 +154,8 @@ def _run_scan(cfg, params):
             rows.append((scheme.variant, _fmt(dt), str(c.negative_states),
                          str(c.non_real_events), str(c.clamp_events)))
             summary[scheme.variant][str(dt)] = asdict(c)
-    return rows, {"counters": summary, "M": cfg.M}
+    plans = {str(dt): block_plan(cfg.T, [dt], cfg.M) for dt in cfg.dts}
+    return rows, {"counters": summary, "M": cfg.M, "block_plan": plans}
 
 
 _RUNNERS = {

@@ -12,8 +12,11 @@ terminal differences into pathwise strong-error estimates.
 :func:`_blocks` is the one loop over paths: it draws a block's lattice once,
 time-major, for every scheme of a call, in time chunks when the lattice is
 long and for more paths when it is short, and coarsens each chunk's ladder
-finest-first.  :func:`_terminal_blocks` advances every run of a call over
-each chunk in turn and returns x at the horizon.  :func:`_terminal_batch` is
+finest-first.  Each (path, driver) draws from its own generator, so a
+lattice of any driver count is cut into time chunks by one rule, and
+:func:`block_plan` reports the blocks a run takes.
+:func:`_terminal_blocks` advances every run of a call over each chunk in
+turn and returns x at the horizon.  :func:`_terminal_batch` is
 the one loop over time.  A run that records x or counts events
 (``simulate``, ``compare``, ``exact-cir``'s path and ``scan``) takes x and
 tallies the counts once per block of at most ``_TALLY`` = 128 steps, so per
@@ -24,6 +27,7 @@ the squared-OU comparison as one two-driver stepper carrying its riders.
 scheme on it once; the ``simulate`` and ``compare`` kinds report its paths.
 """
 
+import copy
 import math
 import os
 from dataclasses import dataclass, field
@@ -41,8 +45,9 @@ from .wiener import (cir_effective_increment, generate_lattice,
 # output, as each slice's partial sums are added in path order.  Every block
 # but the last is a power-of-two multiple of _BATCH wide (see _blocks).
 _BATCH = 256
-# Least steps in a time chunk of a long one-driver lattice; a block of a
-# shorter lattice holds at least _BATCH x _CHUNK increments (see _block).
+# Least increments per path, counted over all drivers, in a time chunk of a
+# long lattice; a block of a shorter lattice holds at least _BATCH x _CHUNK
+# increments per driver (see _block).
 _CHUNK = 1024
 # Most steps whose states a recorded run holds before it takes their x and
 # counts their events (see _terminal_batch).
@@ -136,17 +141,16 @@ def _block(M: int, n: int, halvings, drivers: int):
     """``(width, j, tile)`` of the blocks of :func:`_blocks` for M paths of
     n steps, ``halvings`` being the levels of the ladder: each block is
     ``width`` paths, drawn in 2^j time chunks of n >> j steps, ``tile``
-    paths per draw call."""
+    paths of one driver per draw call."""
+    top = max(halvings, default=0)
     j = 0
-    if drivers == 1:
-        top = max(halvings, default=0)
-        while n % (2 << (j + top)) == 0 and n >> (j + 1) >= _CHUNK:
-            j += 1
+    while n % (2 << (j + top)) == 0 and drivers * (n >> (j + 1)) >= _CHUNK:
+        j += 1
     rows = _BATCH
     while rows * n < _BATCH * _CHUNK:
         rows <<= 1
     width = min(M, rows << j)
-    return width, j, min(width, max(1, _TILE // (drivers * (n >> j))))
+    return width, j, min(width, max(1, _TILE // (n >> j)))
 
 
 def _dyadic_plan(T: float, step_sizes: Sequence[float], M: int,
@@ -155,9 +159,12 @@ def _dyadic_plan(T: float, step_sizes: Sequence[float], M: int,
 
     The reference step defaults to the finest step of the ladder; every dt
     must be a power-of-two multiple of it.  The widest block of
-    :func:`_blocks` must fit in memory: its chunk at each level of the
-    ladder, or its finest chunk and the draw tile that fills it, whichever
-    is larger.  Returns ``(n_ref, {dt: halvings})``.
+    :func:`_blocks` must fit in memory: every driver's chunk at each level
+    of the ladder, or every driver's finest chunk and the draw tile that
+    fills one of them, whichever is larger.  The tile that skips a later
+    driver's generator past the draws before it is drawn before the first
+    chunk and is no larger than a draw tile, so the second count covers it.
+    Returns ``(n_ref, {dt: halvings})``.
     """
     if not step_sizes:
         raise ConfigurationError("step ladder is empty")
@@ -174,35 +181,47 @@ def _dyadic_plan(T: float, step_sizes: Sequence[float], M: int,
         halvings[dt] = ratio.bit_length() - 1
     levels = sum(0.5**h for h in {0, *halvings.values()})
     width, j, tile = _block(M, n_ref, halvings.values(), drivers)
-    _steps_for(T, ref_step,
-               drivers * width * max(levels, 1 + tile / width) / (1 << j))
+    chunks = drivers * width
+    _steps_for(T, ref_step, max(chunks * levels, chunks + tile) / (1 << j))
     return n_ref, halvings
+
+
+def block_plan(T: float, step_sizes: Sequence[float], M: int,
+               drivers: int = 1, ref_step: Optional[float] = None
+               ) -> Dict[str, int]:
+    """The blocks a run of M paths over the dyadic ladder ``step_sizes``
+    takes, after the memory check of :func:`_dyadic_plan`: the paths of the
+    widest block, its time chunks, the steps of a chunk at the reference
+    step and the paths of one driver per draw call."""
+    n, halvings = _dyadic_plan(T, step_sizes, M, drivers, ref_step)
+    width, j, tile = _block(M, n, halvings.values(), drivers)
+    return {"block_width": width, "chunks_per_block": 1 << j,
+            "steps_per_chunk": n >> j, "paths_per_draw": tile}
 
 
 def _blocks(seed, M, T, n, halvings, drivers=1):
     """Yield ``(paths, chunks)`` for paths 0..M-1 in consecutive blocks.
 
     :func:`_block` gives the width, j and the paths per draw call.  A
-    block's lattice is drawn in 2^j time chunks of C = n >> j steps.  For
-    one driver, j is the largest that leaves C at least ``_CHUNK`` steps
-    and every level of ``halvings`` a whole number of steps per chunk; two
-    drivers take j = 0, as the second driver's draws follow all of the
-    first's.  A block is ``_BATCH`` paths of n steps, doubled while that is
+    block's lattice is drawn in 2^j time chunks of C = n >> j steps, j the
+    largest that leaves C times the driver count at least ``_CHUNK``
+    increments and every level of ``halvings`` a whole number of steps per
+    chunk.  A block is ``_BATCH`` paths of n steps, doubled while that is
     fewer than ``_BATCH`` x ``_CHUNK`` increments (so a lattice too short
     to chunk is widened instead), times 2^j, or M paths if fewer.  Every
     block but the last is a multiple of ``_BATCH`` wide, so
     :func:`_slice_sums` adds the same slices.
     ``chunks`` yields ``(offset, inc)`` per chunk in time order, ``offset``
     being its first step.  ``inc[0]`` holds the block's C-step increments,
-    path i's drawn by its own generator ``default_rng(path_seed(seed, i))``,
-    which runs on from chunk to chunk, so the chunks of a path join into
-    ``generate_lattice(path_seed(seed, i), T, n, 0)`` bit for bit.
-    ``inc[h]`` is that halved h times for each h in ``halvings``.  They are
-    time-major: step t's increments, ``inc[h].T[t]``, are contiguous.
-    Levels are coarsened finest-first, each from the previous one, which
-    gives the same floats as halving ``inc[0]`` directly.  The dict is
-    emptied before the next chunk is drawn, so one chunk's arrays are alive
-    at a time.
+    ``(paths, C)`` for one driver and ``(paths, drivers, C)`` for more, and
+    the chunks of path i join into
+    ``generate_lattice(path_seed(seed, i), T, n, 0, drivers)`` bit for bit
+    (see :func:`_chunks`).  ``inc[h]`` is that halved h times for each h in
+    ``halvings``.  They are time-major: step t's increments,
+    ``inc[h].T[t]``, are contiguous.  Levels are coarsened finest-first,
+    each from the previous one, which gives the same floats as halving
+    ``inc[0]`` directly.  The dict is emptied before the next chunk is
+    drawn, so one chunk's arrays are alive at a time.
     """
     levels = sorted(set(halvings) - {0})
     width, j, tile = _block(M, n, halvings, drivers)
@@ -212,17 +231,35 @@ def _blocks(seed, M, T, n, halvings, drivers=1):
 
 
 def _chunks(seed, paths, T, n, j, levels, drivers, tile):
-    """The 2^j time chunks of one block of :func:`_blocks`, each drawn
-    ``tile`` paths per :func:`generate_lattice` call, whose row-major tile
-    one assignment copies into the time-major chunk."""
+    """The 2^j time chunks of one block of :func:`_blocks`.
+
+    Path i's stream is ``default_rng(path_seed(seed, i))``, whose normals
+    d·n .. (d + 1)·n - 1 are driver d's increments.  Each (path, driver)
+    draws from its own generator: driver 0's is the path's, and driver d's
+    is driver d - 1's, copied before it draws and advanced past its n
+    normals by throw-away draws of one tile per call, before the first
+    chunk.  Each chunk fills one driver's lane ``tile`` paths per
+    :func:`generate_lattice` call, whose row-major tile one assignment
+    copies into the time-major chunk; each generator runs on from chunk to
+    chunk.
+    """
     c, horizon = n >> j, T / (1 << j)
-    shape = (c,) if drivers == 1 else (drivers, c)
-    rngs = [np.random.default_rng(path_seed(seed, i)) for i in paths]
-    for k in range(1 << j):
-        inc = {0: np.empty((*shape[::-1], len(paths))).T}
+    seeds = [path_seed(seed, i) for i in paths]
+    lanes = [[np.random.default_rng(s) for s in seeds]]
+    for d in range(1, drivers):
+        lanes.append([np.random.default_rng(s) for s in seeds] if d == 1
+                     else [copy.deepcopy(rng) for rng in lanes[-1]])
         for g in range(0, len(paths), tile):
-            inc[0][g:g + tile] = generate_lattice(
-                rngs[g:g + tile], horizon, c, 0, drivers=drivers).increments
+            for _ in range(1 << j):
+                generate_lattice(lanes[d][g:g + tile], horizon, c, 0)
+    for k in range(1 << j):
+        inc = {0: np.empty((c, drivers, len(paths))).T}
+        for d, lane in enumerate(lanes):
+            for g in range(0, len(paths), tile):
+                inc[0][g:g + tile, d] = generate_lattice(
+                    lane[g:g + tile], horizon, c, 0).increments
+        if drivers == 1:
+            inc[0] = inc[0][:, 0]
         for prev, h in zip([0, *levels], levels):
             inc[h] = halve_increments(inc[prev], h - prev)
         yield k * c, inc

@@ -89,6 +89,26 @@ M = 40
 seed = 5
 """
 
+EXACT_CIR = """
+[experiment]
+kind = exact-cir
+model = cir
+name = coupled
+
+[params]
+k1 = 2
+k2 = 2
+k3 = 2
+
+[run]
+x0 = 4
+T = 1
+schemes = lsd1
+dt = 0.01, 0.005
+M = 8
+seed = 3
+"""
+
 
 COMPARE_CIR = """
 [experiment]
@@ -484,31 +504,33 @@ seed = 6
         assert not out.exists()
 
     def test_exact_cir_kind(self, tmp_path):
-        text = """
-[experiment]
-kind = exact-cir
-model = cir
-name = coupled
-
-[params]
-k1 = 2
-k2 = 2
-k3 = 2
-
-[run]
-x0 = 4
-T = 1
-schemes = lsd1
-dt = 0.01, 0.005
-M = 8
-seed = 3
-"""
-        cfg = self._write(tmp_path, text)
+        cfg = self._write(tmp_path, EXACT_CIR)
         assert main([str(cfg), "--out", str(tmp_path / "o")]) == 0
         summary = json.loads((tmp_path / "o" / "coupled.json").read_text())
         assert summary["identity_max_abs_gap"] == 0.0
         lines = (tmp_path / "o" / "coupled.csv").read_text().splitlines()
         assert lines[0] == "scheme,dt,mean_abs_terminal_diff"
+
+    def test_exact_cir_refuses_its_sample_path_before_any_step(
+            self, tmp_path, capsys, monkeypatch):
+        # with 1 MiB of memory, the decay's two paths of 2^14 steps fit in
+        # chunks, but the sample path's lattice and recorded values do not:
+        # the run is refused before the decay steps at all
+        decays = []
+        monkeypatch.setattr(lsd.cli, "exact_cir_error_decay",
+                            lambda *args, **kwargs: decays.append(args))
+        monkeypatch.setattr(lsd.experiments.os, "sysconf",
+                            {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.get)
+        text = EXACT_CIR.replace("dt = 0.01, 0.005", "dt = 0.00006103515625")
+        cfg = self._write(tmp_path, text.replace("M = 8", "M = 2"))
+        out = tmp_path / "o"
+        assert main([str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: step 6.103515625e-05 over the horizon 1.0 gives 1.64e+04 "
+            "steps, whose lattice of 1.44e+06 bytes exceeds physical memory "
+            "(1.05e+06 bytes)\n")
+        assert decays == []
+        assert not out.exists()
 
 
 def test_kind_tables_name_the_same_kinds():

@@ -1,5 +1,6 @@
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -422,16 +423,17 @@ def test_steps_for_rejects_a_non_finite_step_count(T, dt):
     (lambda M, p: domain_violation_scan([CIR_LSD1], p, [2.0**-14], 1.0, M,
                                         seed=0), "1.64e+06"),
     (lambda M, p: exact_cir_error_decay(p, 4.0, 0.5, [2.0**-13, 2.0**-14], 1.0,
-                                        M, 0, [CIR_LSD1]), "3.93e+07"),
+                                        M, 0, [CIR_LSD1]), "1.23e+06"),
 ], ids=["strong_error", "scan", "exact_cir_error_decay"])
 def test_memory_guard_counts_the_batch(monkeypatch, cir_ou_params, run,
                                        lattice_bytes):
     # with 1 MiB of memory, two paths' blocks of 2^14 steps fit; a batch of
     # 100 does not.  One driver takes 16 chunks of 1024 steps, 800 KiB for
     # 100 paths, and its draw tile of 100 paths is as large while it fills
-    # the chunk, which outweighs the coarsened level; two drivers take whole
-    # lattices of 256 KiB per path, and two paths' tile and chunk fill
-    # exactly 1 MiB
+    # the chunk, which outweighs the coarsened level; two drivers take 32
+    # chunks of 512 steps, 800 KiB for both drivers of 100 paths, beside
+    # which the coarsened level and the draw tile of one driver (400 KiB
+    # each) weigh the same
     monkeypatch.setattr(lsd.experiments.os, "sysconf",
                         {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.get)
     run(2, cir_ou_params)
@@ -451,6 +453,20 @@ def test_memory_guard_counts_a_chunked_block(monkeypatch, cir_params):
     counts = domain_violation_scan([CIR_LSD1], cir_params, [2.0**-14], 1.0,
                                    100, seed=0)
     assert counts == [{2.0**-14: ScanCounters()}]
+
+
+def test_memory_guard_counts_a_chunked_two_driver_block(monkeypatch,
+                                                       cir_ou_params):
+    # 64 paths of 2^14 steps and two drivers run in one block of 32 chunks
+    # of 512 steps: 512 KiB of finest increments, with 256 KiB of either
+    # the coarsened level or a one-driver tile, fit in 1 MiB, although 64
+    # whole two-driver lattices and their coarsened level (2.52e+07 bytes)
+    # would not
+    monkeypatch.setattr(lsd.experiments.os, "sysconf",
+                        {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.get)
+    means = exact_cir_error_decay(cir_ou_params, 4.0, 0.5,
+                                  [2.0**-13, 2.0**-14], 1.0, 64, 0, [CIR_LSD1])
+    assert all(math.isfinite(m) for m in means[0].values())
 
 
 def test_memory_guard_counts_a_widened_block(monkeypatch, cir_params):
@@ -693,7 +709,9 @@ class TestBatches:
         (300, 3 << 10, (0, 1), 1, 1536, 300),      # no power of two
         (300, 4096, (0, 11), 1, 2048, 300),        # the deepest halving binds
         (300, 3 << 10, (0, 10), 1, 3 << 10, 256),  # its 3 steps stay whole
-        (300, 4096, (0, 2), 2, 4096, 256),         # two drivers: no chunks
+        (300, 4096, (0, 2), 2, 512, 300),          # two drivers: 2 x 512 steps
+        (1024, 2048, (0, 1, 2), 2, 512, 1024),     # the exact_ou workload's
+        (300, 3 << 10, (0, 1), 2, 768, 300),       # two drivers, no power of two
         (200, 4096, (0, 2), 1, 1024, 200),         # fewer paths than a slice
         (300, 1024, (0, 2), 1, 1024, 256),         # too short to chunk
         (600, 512, (0, 2), 1, 512, 512),           # widened: 512 and 88
@@ -757,6 +775,61 @@ class TestBatches:
                 r"path 3: forced$")):
             strong_error([CIR_LSD1], CIR_LSD2, cir_params, 4.0, 1.0, [2.0**-4],
                          2.0**-12, M=300, seed=1)
+
+    def test_error_in_a_later_two_driver_chunk_names_the_global_step(
+            self, cir_ou_params, monkeypatch):
+        # 2^12 steps of two drivers for 300 paths run in eight chunks of
+        # 512; the ride fails in the second chunk, at its step 5, on path 3
+        real, calls = cir_effective_increment, [0]
+
+        def failing(*args):
+            calls[0] += 1
+            if calls[0] == 512 + 6:
+                raise DegenerateStateError("forced", index=3)
+            return real(*args)
+
+        monkeypatch.setattr(lsd.experiments, "cir_effective_increment", failing)
+        with pytest.raises(DegenerateStateError, match=(
+                r"^cir:exact_ou \+ cir:lsd1, dt=0\.000244140625, at step 517, "
+                r"paths 0\.\.299: path 3: forced$")):
+            exact_cir_error_decay(cir_ou_params, 4.0, 0.5, [2.0**-12], 1.0,
+                                  M=300, seed=1, schemes=[CIR_LSD1])
+
+    @pytest.mark.parametrize("drivers", [1, 2])
+    def test_previous_chunk_is_freed_before_the_next_is_drawn(self, drivers,
+                                                              monkeypatch):
+        # an emptied dict is not enough: no view of an earlier chunk, and no
+        # array under one, may stay alive while the next chunk is drawn
+        real, earlier, draws = generate_lattice, [], [0]
+
+        def checked(*args, **kwargs):
+            assert all(ref() is None for ref in earlier)
+            draws[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lsd.experiments, "generate_lattice", checked)
+        for _, chunks in _blocks(3, 300, 1.0, 4096, (0, 2), drivers=drivers):
+            for _, inc in chunks:
+                earlier[:] = [weakref.ref(a) for level in inc.values()
+                              for a in (level, level.base) if a is not None]
+        assert all(ref() is None for ref in earlier)
+        assert draws[0] >= 4 * drivers
+
+    def test_each_driver_continues_the_path_stream(self):
+        # driver d of path i takes normals d n .. (d + 1) n - 1 of the
+        # path's generator, so three drivers chunk as two do
+        T, n, seed = 1.0, 4096, 2
+        for paths, chunks in _blocks(seed, 40, T, n, (0,), drivers=3):
+            stream = np.stack([
+                np.random.default_rng(path_seed(seed, i)).standard_normal(3 * n)
+                for i in paths]).reshape(len(paths), 3, n) * np.sqrt(T / n)
+            offsets = []
+            for offset, inc in chunks:
+                steps = inc[0].shape[-1]
+                assert steps < n
+                assert inc[0].tobytes() == stream[..., offset:offset + steps].tobytes()
+                offsets.append(offset)
+            assert offsets == list(range(0, n, steps))
 
     @pytest.mark.parametrize("fails_at", [300, 1024 + 300])
     def test_error_in_a_tallied_block_names_the_global_step(self, monkeypatch,

@@ -6,6 +6,7 @@ of the scheme table runs in some config.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -57,6 +58,12 @@ CONFIGS = {
                        "schemes = lsd1, lsd3\n"
                        "dt = 0.0078125, 0.00390625, 0.001953125\n"
                        "M = 300\nm = 0.25\n"),
+    # 2^11 reference steps of two drivers for 300 paths: one block in four
+    # time chunks of 512 steps, as the exact_ou benchmark workload runs
+    "chunked-exact-cir": ("exact-cir", "cir", _CIR.format(k3=2), 4,
+                          "schemes = lsd1, lsd3\n"
+                          "dt = 0.001953125, 0.0009765625, 0.00048828125\n"
+                          "M = 300\nm = 0.25\n"),
     "scan": ("scan", "cir", "k1 = 1\nk2 = 2\nk3 = 20", 4,
              "schemes = lsd1, lsd2, lsd3, sd_theta, alf, ns\n"
              "dt = 0.01, 0.001\nM = 32\n"),
@@ -95,6 +102,8 @@ SHA256 = {
     "wide": "75fbff03f902218bef013cd2e9eb08e94c6c14b2e4f0a8d79b886c76d0f2fa03",
     "wide-exact-cir":
         "44a0934d52d8b3c0c91117d67522d2d6fa59600f3ae137f50766008304d66fdb",
+    "chunked-exact-cir":
+        "0336781f08ff5b4eb666f0e5f1072541ad58674a25d8762376dad712d7f5ed4f",
     "scan": "2e5e0c1619afff859d9749a7e80a53e03717a8117853b975e45daf12abbdf35b",
     "simulate":
         "9633f9f1fb3678b38ce4ef9c17b83b89f3a40bd2269de21ad68a99f5aa83e037",
@@ -137,6 +146,24 @@ def csv_sha256(name, tmp_path):
 def test_csv_is_byte_identical(name, tmp_path):
     got = csv_sha256(name, tmp_path)
     assert got == SHA256[name], f"{name}: CSV sha256 is {got}"
+
+
+def _plan(width, chunks, steps, tile):
+    return {"block_width": width, "chunks_per_block": chunks,
+            "steps_per_chunk": steps, "paths_per_draw": tile}
+
+
+@pytest.mark.parametrize("name, plan", [
+    ("chunked", _plan(300, 4, 1024, 128)),
+    ("chunked-exact-cir", _plan(300, 4, 512, 256)),
+    ("wide-exact-cir", _plan(300, 1, 512, 256)),
+    ("scan", {"0.01": _plan(32, 1, 100, 32), "0.001": _plan(32, 1, 1000, 32)}),
+])
+def test_summary_records_the_block_plan(name, plan, tmp_path):
+    # the plan is in the JSON only: the CSV keeps its pinned bytes
+    assert csv_sha256(name, tmp_path) == SHA256[name]
+    summary = json.loads((tmp_path / "o" / "golden.json").read_text())
+    assert summary["block_plan"] == plan
 
 
 def test_every_scheme_row_is_pinned():

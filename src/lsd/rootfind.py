@@ -83,7 +83,8 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
     bracket bisects it, or doubles toward an infinite end.  A Newton step
     shorter than the x bound is stretched to it, a probe; x is accepted once
     such a probe changes sign and x or the probe, whichever has the smaller
-    residual, meets the residual bound.  An element unsettled after
+    residual, meets the residual bound; where neither does, the chord point
+    between them is the next x.  An element unsettled after
     ``_NEWTON_ITER`` steps goes through the hunt above from its seed.  Where
     fn has several rising preimages of u the two routes may return different
     ones.
@@ -260,13 +261,23 @@ def _newton(spec, h, target, tol, x, hx, root):
                 mid = np.where(mid == spec.hi, _toward(spec.hi, x), mid)
             xn = np.where(inside, xn, np.where(probe, end, mid))
         hn = h(i, xn)
-        ok = probe & ((hn < 0) != neg)
-        if ok.any():
+        cross = probe & ((hn < 0) != neg)
+        if cross.any():
             # x and its probe straddle the root: take the end of least
             # residual if that is within the target.
             nearer = np.abs(hn) < np.abs(hx)
-            ok &= np.abs(np.where(nearer, hn, hx)) <= target[i]
+            ok = cross & (np.abs(np.where(nearer, hn, hx)) <= target[i])
             root[i[ok]] = np.where(nearer, xn, x)[ok]
+            m = np.flatnonzero(cross & ~ok)
+            if m.size:
+                # Neither end meets the target.  The pair becomes the
+                # bracket and its chord point the next x: a Newton step
+                # from the probe, stretched to the x bound, would land
+                # back on x, and x on the probe, until the steps run out.
+                a[m], b[m] = (np.where(neg[m], x[m], xn[m]),
+                              np.where(neg[m], xn[m], x[m]))
+                xn[m] = x[m] - hx[m] * (xn[m] - x[m]) / (hn[m] - hx[m])
+                hn[m] = h(i[m], xn[m])
             i, xn, hn, a, b = (v[~ok] for v in (i, xn, hn, a, b))
             if not i.size:
                 return

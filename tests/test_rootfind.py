@@ -401,3 +401,38 @@ def test_slope_needs_fewer_map_evaluations(dt, monkeypatch):
     solve_monotone(MonotoneSpec(counted), state + CEV.k3 * (1.0 - CEV.q) * dw,
                    tol=STEP_TOL, seed=state)
     assert np.all(newton < calls)
+
+
+def _cubic(x):
+    return (x - 2.0) ** 3 - 3.0 * (x - 2.0)
+
+
+_P_STIFF = CevParams(0.01, 1.0, 2.0, 0.75)
+TWO_CYCLES = {
+    # (g, g', seed, u): a probe from x straddles the root, but neither end
+    # meets the residual bound, and a Newton step from the probe, stretched
+    # to the x bound, lands back on x
+    "ait golden": (ait_mod.implicit_map(AIT, 0.125, "drift"),
+                   ait_mod.implicit_slope(AIT, 0.125),
+                   1.120679963783886, 1.4121867053540291),
+    "cev stiff": (cev_mod.implicit_map(_P_STIFF, 1.0),
+                  cev_mod.implicit_slope(_P_STIFF, 1.0),
+                  1.0, float(cev_mod.implicit_map(_P_STIFF, 1.0)(np.array(0.04)))),
+    "cubic": (_cubic, lambda x: 3.0 * (x - 2.0) ** 2 - 3.0, 2.5, 30.0),
+}
+
+
+@pytest.mark.parametrize("case", list(TWO_CYCLES))
+def test_newton_leaves_a_two_cycle_through_the_chord(case):
+    # The chord point between x and its probe breaks the cycle: each settles
+    # in fewer map calls than the 20 Newton steps, so Newton alone settles it.
+    g, dg, seed, u = TWO_CYCLES[case]
+    count = [0]
+
+    def counted(x):
+        count[0] += 1
+        return g(x)
+
+    x = solve_monotone(MonotoneSpec(counted, slope=dg), u, tol=STEP_TOL, seed=seed)
+    assert count[0] <= 15
+    assert _meets_both_criteria(g, np.atleast_1d(x), u, STEP_TOL)

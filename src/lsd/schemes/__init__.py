@@ -102,7 +102,8 @@ SCHEMES = {
     ("ait", "lsd1"): Scheme(ait.lsd1_step),
     ("ait", "lsd2"): Scheme(ait.lsd2_step),
     ("ait", "implicit"): Scheme(bind=partial(ait.implicit_bind, variant="drift")),
-    ("ait", "implicit_printed"): Scheme(bind=partial(ait.implicit_bind, variant="printed")),
+    ("ait", "implicit_printed"): Scheme(bind=partial(ait.implicit_bind, variant="printed"),
+                                       check=ait.check_printed_bracket),
 }
 
 VARIANTS = {model: tuple(v for m, v in SCHEMES if m == model)
@@ -178,9 +179,10 @@ def make_stepper(scheme: SchemeId, params: ModelParams, theta: float = 1.0,
                  m_split: float = 0.5):
     """Build the stepper for one scheme from its row in :data:`SCHEMES`.
 
-    Checks the row's precondition (the squared-OU dimension).  ``theta``,
-    which must lie in [0, 1], reaches only the rows that take it;
-    ``m_split`` only the squared-OU row, whose initial split it sets.
+    Checks the row's precondition (the squared-OU dimension, or the sign
+    bracket of the printed ait map).  ``theta``, which must lie in [0, 1],
+    reaches only the rows that take it; ``m_split`` only the squared-OU
+    row, whose initial split it sets.
     A stepper has ``scheme_id``, ``drivers``, ``event`` (the row's ``mask``
     kind, or None), ``init(x0, size=None)``, ``step(state, dw, dt) ->
     (state, mask)`` and ``x_of(state)``.

@@ -13,6 +13,7 @@ SDE.
 
 import numpy as np
 
+from ..errors import ConfigurationError
 from ..rootfind import STEP_TOL, MonotoneSpec, solve_monotone
 
 
@@ -40,6 +41,25 @@ def implicit_map(p, dt, variant):
         return y + bracket * dt
 
     return g
+
+
+def check_printed_bracket(p):
+    """The printed map must change sign through every target on (0, inf).
+
+    As y -> inf its bracket grows like Km1 y^e1, e1 = (rho+1)/(rho-1) > 1,
+    so g -> inf for any dt.  As y -> 0 the terms in y^e1, y^e2 and y vanish
+    and g behaves as dt (K4/y - K2 y^e5), e5 = (rho-r)/(rho-1).  For
+    e5 < -1, that is r > 2 rho - 1, the y^e5 term outgrows 1/y and g -> -inf;
+    for e5 = -1 the two are (K4 - K2)/y, so g -> -inf iff K2 > K4.
+    Otherwise g -> +inf at 0 as well: it falls to an interior minimum and
+    rises again, so a target below that minimum has no preimage and one
+    above it has two, and no interval brackets the root by sign.
+    """
+    if not (p.e5 < -1.0 or (p.e5 == -1.0 and p.K2 > p.K4)):
+        raise ConfigurationError(
+            "ait:implicit_printed needs its map to fall to -inf at 0: "
+            f"r > 2*rho - 1, or r = 2*rho - 1 with K2 > K4; got r={p.r}, "
+            f"rho={p.rho}, K2={p.K2}, K4={p.K4}")
 
 
 def implicit_slope(p, dt):

@@ -124,9 +124,9 @@ SHA256 = {
     "wf-others":
         "60b83b4c8a38812579a4258e8738acf059d2569de4def447b049cddb2330ff34",
     "ait-others":
-        "07fb07dc6dadc76b7c317eb1a99d77f18348cb6cc3c66e6535368d96e175a7e7",
+        "a22b3ac27377b2f9afb890e5c9d60cbe13e1fe90fc2fd00f42b49d8740a9df4f",
     "wf-printed":
-        "910702ee3a944e222a458e2408eac28f55e1bbf8ea3d14f4078caacc7f826835",
+        "22fb94e3cc1a61e65c3ac51e7d2693cde707edff6a402944ed29abd47844db21",
 }
 
 

@@ -107,7 +107,8 @@ def test_newton_does_not_return_a_point_meeting_residual_only():
 
 def test_bracket_tightening_does_not_stall():
     # x**20 is so convex that plain regula falsi keeps the upper end fixed
-    # and creeps in from below for more than 100 iterations
+    # and creeps in from below for more than 100 iterations; the secant
+    # through the last two points drops the far end
     count = [0]
 
     def g(x):
@@ -119,46 +120,60 @@ def test_bracket_tightening_does_not_stall():
     assert count[0] <= 40
 
 
+CAP = r"^residual \S+ or x error above tolerance after 100 iterations$"
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_root_beyond_interior_extremum(sign):
-    # sign * sin on (0, pi) has its extremum at pi/2; from a seed on the far
-    # side of it the hunt steps over the narrow window beyond sign * u and
-    # finds no rising crossing.  Bounded at the extremum, as the printed WF
-    # row bounds its map at its peak, the same seed (outside the bounds, so
+    # sign * sin on (0, pi) has its extremum at pi/2, so the whole interval
+    # is no sign bracket.  From a seed on the far side of the extremum the
+    # residual's sign puts the root between the seed and the end, where the
+    # map never meets sign * u; the bracket closes on that end until the
+    # iterations run out.  Bounded at the extremum, as the printed WF row
+    # bounds its map at its peak, the same seed (outside the bounds, so
     # replaced by the midpoint) gives the root on the rising branch.
     u = 0.999
     seed = 3.0 if sign > 0 else 0.1
     root = math.asin(u) if sign > 0 else math.pi - math.asin(u)
     whole = MonotoneSpec(lambda x: sign * math.sin(x), lo=0.0, hi=math.pi)
-    with pytest.raises(InversionError, match="no rising crossing"):
+    with pytest.raises(InversionError, match=CAP) as excinfo:
         invert_monotone(whole, sign * u, seed=seed)
+    assert excinfo.value.index == 0
+    lo, hi = excinfo.value.bracket
+    assert (3.0 <= lo <= hi == math.pi) if sign > 0 else (0.0 == lo < hi <= 0.1)
     lo, hi = (0.0, math.pi / 2.0) if sign > 0 else (math.pi / 2.0, math.pi)
     rising = MonotoneSpec(lambda x: sign * math.sin(x), lo=lo, hi=hi)
     x = invert_monotone(rising, sign * u, seed=seed)
     assert x == pytest.approx(root, rel=1e-12)
 
 
-def test_target_beyond_interior_extremum_raises_with_searched_span():
-    # sin tops out at 1 < 1.001.  From seed 3 the hunt halves 60 times
-    # toward pi (the last probes round to pi) and 60 times toward 0, down
-    # to 3 * 2^-60; the error's bracket is that span, which holds the peak.
+def test_target_beyond_interior_extremum_raises_with_its_last_bracket():
+    # sin tops out at 1 < 1.001.  Every residual is negative, so the bracket
+    # only rises from seed 3: bisected toward pi, it ends on pi, where the
+    # halves round, and its last x is pi.
     spec = MonotoneSpec(math.sin, lo=0.0, hi=math.pi)
-    with pytest.raises(InversionError, match="no rising crossing") as excinfo:
+    with pytest.raises(InversionError, match=CAP) as excinfo:
         invert_monotone(spec, 1.001, seed=3.0)
     assert excinfo.value.index == 0
-    assert excinfo.value.bracket == (3.0 * 2.0**-60, math.pi)
+    assert excinfo.value.bracket == (math.pi, math.pi)
 
 
-def test_no_rising_crossing_either_way_raises_with_the_span_searched():
+def test_target_outside_the_sign_bracket_raises_with_its_last_bracket():
     # The tent min(x, 2 - x) rises to 1 at x = 1 and then falls.  From seed
-    # 1, -3 is met only where the tent falls (x = 5) and 1.5 nowhere; the
-    # hunts probe 60 halvings down and 60 doublings up, from 2^-60 to 2^60
-    # (from 3, 1.5 up to 3 * 2^60).  The error names the lowest such element.
+    # 1, -3 is met only where the tent falls (x = 5), and the positive
+    # residual sends the bracket down: after one probe of 1e-12 below the
+    # seed it halves toward 0 in each of the other 99 iterations.  From seed
+    # 3, 1.5 is met nowhere, and the negative residual doubles x in each
+    # iteration after the probe.  The error names the lowest such element.
     spec = MonotoneSpec(lambda x: np.minimum(x, 2.0 - x))
-    with pytest.raises(InversionError, match="no rising crossing") as excinfo:
+    with pytest.raises(InversionError, match=CAP) as excinfo:
         solve_monotone(spec, [0.5, -3.0, 1.5, 0.25], seed=[0.8, 1.0, 3.0, 0.8])
     assert excinfo.value.index == 1
-    assert excinfo.value.bracket == (2.0**-60, 2.0**60)
+    assert excinfo.value.bracket == (0.0, (1.0 - 1e-12) * 2.0**-99)
+    with pytest.raises(InversionError, match=CAP) as excinfo:
+        solve_monotone(spec, [0.5, 1.5, 0.25], seed=[0.8, 3.0, 0.8])
+    assert excinfo.value.index == 1
+    assert excinfo.value.bracket == ((3.0 + 3e-12) * 2.0**99, math.inf)
 
 
 @pytest.mark.parametrize("lo, hi", [(-math.inf, math.inf), (-1.0, math.inf),
@@ -170,9 +185,9 @@ def test_interval_outside_the_contract_is_rejected(lo, hi):
         MonotoneSpec(lambda x: x, lo=lo, hi=hi)
 
 
-def test_illinois_iteration_cap_names_the_lowest_unresolved_element(monkeypatch):
-    # With one Illinois iteration allowed, the first element (its seed is
-    # its root) is accepted before the bracket phase and the others are not.
+def test_iteration_cap_names_the_lowest_unresolved_element(monkeypatch):
+    # With one iteration allowed, the first element (its seed is its root)
+    # is accepted by its probe and the others are not.
     def g(x):
         return x**3 + x
 
@@ -190,9 +205,10 @@ def test_illinois_iteration_cap_names_the_lowest_unresolved_element(monkeypatch)
 def test_batch_of_mixed_cases_on_the_printed_wf_map():
     # At dt = 1e-2 the printed map rises to about 2.8597 at its peak near
     # y = 3.0011, and on (0, peak) it is monotone.  Each element takes a
-    # different route: accepted at the seed, a hunt up, a target above the
-    # maximum, a hunt down, and a seed right of the peak, which starts from
-    # the middle of the branch instead.
+    # different route: accepted at the seed, a root above the seed, a
+    # target above the maximum, whose bracket closes on the peak, a root
+    # below the seed, and a seed right of the peak, which starts from the
+    # middle of the branch instead.
     p, dt = WfParams(1.0, 2.0, 0.20101), 1e-2
     g = wf_mod.implicit_map(p, dt, "printed")
     peak = wf_mod.printed_peak(p, dt)
@@ -205,11 +221,10 @@ def test_batch_of_mixed_cases_on_the_printed_wf_map():
     spec = MonotoneSpec(counted, lo=0.0, hi=peak)
     seeds = np.array([1.0, 1.0, 2.86, 2.0, 3.1])
     targets = np.array([g(1.0), g(2.0), 2.87, g(0.6), 2.8596])
-    with pytest.raises(InversionError, match="no rising crossing") as excinfo:
+    with pytest.raises(InversionError, match=CAP) as excinfo:
         solve_monotone(spec, targets, tol=1e-13, seed=seeds)
     assert excinfo.value.index == 2
-    lo, hi = excinfo.value.bracket
-    assert lo < 2.86 < hi <= peak
+    assert excinfo.value.bracket == (peak, peak)
 
     ok = [0, 1, 3, 4]
     got = solve_monotone(spec, targets[ok], tol=1e-13, seed=seeds[ok])
@@ -352,7 +367,8 @@ def test_safeguard_expands_toward_an_infinite_end():
     # y^3 - 3y with y = x - 2 falls on (1, 3), where the seeds lie, and never
     # exceeds 2 on (0, 3); each target is above 2, so its one root lies beyond
     # x = 4, which the bracket (seed, inf) must grow to reach: Newton finds
-    # fn' < 0 and doubles x, and the hunt without a slope doubles it too.
+    # fn' < 0 and doubles x, and the secant without a slope falls and
+    # doubles it too.
     def g(x):
         return (x - 2.0) ** 3 - 3.0 * (x - 2.0)
 
@@ -382,8 +398,8 @@ def test_errors_name_their_element_with_a_slope():
 @pytest.mark.parametrize("dt", [2.0**-4, 2.0**-9])
 def test_slope_needs_fewer_map_evaluations(dt, monkeypatch):
     # One step of the cev implicit row on 256 paths: the map's calls, and
-    # the elements it evaluates, against the same batch solved without the
-    # slope (6.8 calls a solve on average over the implicit convergence run).
+    # the elements it evaluates, against the same batch solved by the
+    # secant without the slope.
     g = cev_mod.implicit_map(CEV, dt)
     calls = np.zeros(2, int)
 
@@ -436,3 +452,30 @@ def test_newton_leaves_a_two_cycle_through_the_chord(case):
     x = solve_monotone(MonotoneSpec(counted, slope=dg), u, tol=STEP_TOL, seed=seed)
     assert count[0] <= 15
     assert _meets_both_criteria(g, np.atleast_1d(x), u, STEP_TOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coef=st.tuples(st.floats(0.01, 5.0), st.floats(0.01, 5.0),
+                      st.floats(0.01, 5.0)),
+       with_slope=st.booleans(),
+       cases=st.lists(st.tuples(st.floats(1e-3, 50.0), st.floats(1e-3, 50.0)),
+                      min_size=1, max_size=12))
+def test_random_rising_maps_solve_alike_in_a_batch_and_alone(coef, with_slope,
+                                                             cases):
+    # a x^3 + b x - c / x rises from -inf at 0 to inf, a sign bracket for
+    # every target.  Its arithmetic rounds the same element by element, so
+    # a batch solve equals, bit for bit, each element solved alone, with
+    # the slope or by the secant, and meets both criteria.
+    a, b, c = coef
+
+    def g(x):
+        return a * x * x * x + b * x - c / x
+
+    slope = (lambda x: 3.0 * a * x * x + b + c / (x * x)) if with_slope else None
+    spec = MonotoneSpec(g, slope=slope)
+    roots, seeds = np.array(cases).T
+    u = g(roots)
+    batch = solve_monotone(spec, u, tol=STEP_TOL, seed=seeds)
+    alone = [solve_monotone(spec, v, tol=STEP_TOL, seed=s) for v, s in zip(u, seeds)]
+    assert batch.tolist() == [float(x) for x in alone]
+    assert _meets_both_criteria(g, batch, u, STEP_TOL)

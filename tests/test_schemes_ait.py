@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from lsd.errors import ConfigurationError
+from lsd.models import AitParams
 from lsd.schemes import SchemeId, make_stepper
 from lsd.schemes import ait as ait_mod
 from oracles import bisect
@@ -93,3 +95,25 @@ class TestImplicit:
             b = _companion("implicit", ait_params, 4.0, 0.0, dt)
             ratios.append(abs(a - b) / dt)
         assert max(ratios) <= 3.0 * min(ratios)
+
+
+@pytest.mark.parametrize("r, k2, admitted", [
+    (1.2, 6.0, False), (1.5, 6.0, False), (1.9, 6.0, False),
+    (2.0, 6.0, True),     # r = 2 rho - 1 with K2 = 3 > K4 = 0.375
+    (3.0, 6.0, True),
+    (2.0, 0.5, False),    # r = 2 rho - 1 with K2 = 0.25 <= K4
+])
+def test_printed_row_admits_only_a_sign_bracket(r, k2, admitted):
+    # The printed map falls to -inf at 0 only for r > 2 rho - 1, or for
+    # r = 2 rho - 1 with K2 > K4; elsewhere its +K4/y term sends it to +inf
+    # there and no interval brackets a root by sign.
+    p = AitParams(km1=2.0, k0=3.0, k1=4.0, k2=k2, k3=1.0, r=r, rho=1.5)
+    g = ait_mod.implicit_map(p, 0.01, "printed")
+    assert (g(1e-10) < 0.0) == admitted
+    printed = SchemeId("ait", "implicit_printed")
+    if admitted:
+        make_stepper(printed, p)
+    else:
+        with pytest.raises(ConfigurationError, match=r"r > 2\*rho - 1"):
+            make_stepper(printed, p)
+    make_stepper(SchemeId("ait", "implicit"), p)    # its map has -K4/y

@@ -161,9 +161,10 @@ def _dyadic_plan(T: float, step_sizes: Sequence[float], M: int,
     must be a power-of-two multiple of it.  The widest block of
     :func:`_blocks` must fit in memory: every driver's chunk at each level
     of the ladder, or every driver's finest chunk and the draw tile that
-    fills one of them, whichever is larger.  The tile that skips a later
-    driver's generator past the draws before it is drawn before the first
-    chunk and is no larger than a draw tile, so the second count covers it.
+    fills one of them, whichever is larger.  The buffer that skips a later
+    driver's generator past the draws before it is freed before the first
+    chunk is drawn and is no larger than a draw tile, so the second count
+    covers it.
     Returns ``(n_ref, {dt: halvings})``.
     """
     if not step_sizes:
@@ -237,11 +238,11 @@ def _chunks(seed, paths, T, n, j, levels, drivers, tile):
     d·n .. (d + 1)·n - 1 are driver d's increments.  Each (path, driver)
     draws from its own generator: driver 0's is the path's, and driver d's
     is driver d - 1's, copied before it draws and advanced past its n
-    normals by throw-away draws of one tile per call, before the first
-    chunk.  Each chunk fills one driver's lane ``tile`` paths per
-    :func:`generate_lattice` call, whose row-major tile one assignment
-    copies into the time-major chunk; each generator runs on from chunk to
-    chunk.
+    normals before the first chunk: they are drawn into one reused buffer
+    no larger than a draw tile, one call per buffer's worth.  Each chunk
+    fills one driver's lane ``tile`` paths per :func:`generate_lattice`
+    call, whose row-major tile one assignment copies into the time-major
+    chunk; each generator runs on from chunk to chunk.
     """
     c, horizon = n >> j, T / (1 << j)
     seeds = [path_seed(seed, i) for i in paths]
@@ -249,9 +250,11 @@ def _chunks(seed, paths, T, n, j, levels, drivers, tile):
     for d in range(1, drivers):
         lanes.append([np.random.default_rng(s) for s in seeds] if d == 1
                      else [copy.deepcopy(rng) for rng in lanes[-1]])
-        for g in range(0, len(paths), tile):
-            for _ in range(1 << j):
-                generate_lattice(lanes[d][g:g + tile], horizon, c, 0)
+        skip = np.empty(min(n, tile * c))
+        for rng in lanes[d]:
+            for done in range(0, n, skip.size):
+                rng.standard_normal(out=skip[:n - done])
+        del skip
     for k in range(1 << j):
         inc = {0: np.empty((c, drivers, len(paths))).T}
         for d, lane in enumerate(lanes):
@@ -285,10 +288,12 @@ def _locate(exc, stepper, dt, j, paths):
 def _stack(states):
     """The states of consecutive steps stacked along a step axis just before
     the path axis, so that a pair keeps its first axis; a nested state (the
-    squared-OU construction's) is stacked part by part."""
+    squared-OU construction's) is stacked part by part.  One ``np.array``
+    over the list and a moved axis give ``np.stack(states, axis=-2)``'s
+    array at a fraction of its cost per call."""
     if isinstance(states[0], (tuple, list)):
         return [_stack(part) for part in zip(*states)]
-    return np.stack(states, axis=-2)
+    return np.moveaxis(np.array(states), 0, -2)
 
 
 def _terminal_batch(stepper, state, dt, increments, offset=0,

@@ -76,7 +76,9 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
     meets the residual bound.  Where neither does, the chord point between
     them is the next x.  An element still at work after ``_NEWTON_ITER``
     steps bisects its bracket, and x is accepted once the bracket it leaves
-    is within the x bound and x meets the residual bound.
+    is within the x bound and x meets the residual bound.  A midpoint that
+    rounds onto lo or hi takes the float next to it inside the bracket, so
+    fn is called only inside (lo, hi).
 
     ``fn`` (and ``slope``) is called once per iteration on the elements still
     at work, fn once more on those that take a chord point, each element
@@ -92,15 +94,18 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
         k = int(np.argmax(bad))
         raise NumericError(f"non-finite target u={float(u[k])!r}", index=k)
     target = tol * np.maximum(1.0, np.abs(u))
+    # The loop's scalar operands as 0-d arrays: numpy 2 promotes a Python
+    # scalar operand on every call, at more cost.
+    tol, one, zero, nan = (np.array(v) for v in (tol, 1.0, 0.0, np.nan))
 
     def h(idx, x):
         """fn(x) - u on the elements ``idx``; fn never sees the others."""
         if not idx.size:
             return x
         val = np.asarray(spec.fn(x), float)
-        nan = np.isnan(val)
-        if nan.any():
-            k = int(np.argmax(nan))
+        bad = np.isnan(val)
+        if bad.any():
+            k = int(np.argmax(bad))
             raise NumericError(f"non-finite function value at x={float(x[k])!r}",
                                index=int(idx[k]))
         return val - u[idx]
@@ -117,7 +122,7 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
     a, b = np.full(u.size, float(spec.lo)), np.full(u.size, float(spec.hi))
     k = 0
     while i.size:
-        neg = hx < 0    # the root lies above x
+        neg = hx < zero    # the root lies above x
         a, b = np.where(neg, x, a), np.where(neg, b, x)
         if k == _MAX_ITER:
             raise InversionError(
@@ -133,8 +138,8 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
                 d = (hx - hp) / (x - xp)
         else:
             d = np.inf    # a step of 0, stretched to a probe
-        tx = tol * np.maximum(1.0, np.abs(x))
-        xn = x - hx / np.where(d > 0, d, np.nan)
+        tx = tol * np.maximum(one, np.abs(x))
+        xn = x - hx / np.where(d > zero, d, nan)
         probe = np.abs(xn - x) < tx
         xn = np.where(probe, x - np.copysign(tx, hx), xn)
         inside = (a < xn) & (xn < b)
@@ -144,15 +149,18 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
             end = np.where(neg, b, a)
             probe &= inside | np.where(neg, b < spec.hi, a > spec.lo)
             mid = np.where(b == math.inf, 2.0 * a, 0.5 * (a + b))
+            # a midpoint that rounds onto lo or hi steps inside
+            mid = np.where(mid >= spec.hi, np.nextafter(b, a),
+                           np.where(mid <= spec.lo, np.nextafter(a, b), mid))
             xn = np.where(inside, xn, np.where(probe, end, mid))
         hn = h(i, xn)
-        cross = probe & ((hn < 0) != neg)
+        cross = probe & ((hn < zero) != neg)
         ok = None
         if k >= _NEWTON_ITER:
             # xn bisected the bracket: it settles once the half it leaves is
             # within the x bound.
-            left = np.where(hn < 0, b - xn, xn - a)
-            ok = ((left <= tol * np.maximum(1.0, np.abs(xn)))
+            left = np.where(hn < zero, b - xn, xn - a)
+            ok = ((left <= tol * np.maximum(one, np.abs(xn)))
                   & (np.abs(hn) <= target[i]))
             root[i[ok]] = xn[ok]
         elif cross.any():

@@ -6,10 +6,11 @@ arrays (a lone state is a 0-d array).  :data:`SCHEMES` holds one row per
 (model, variant) with what the engine needs to run it, and is the only
 description of a row: :func:`make_stepper` builds one :class:`Stepper` for
 every row, the squared-OU pair included, which binds the row's map once per
-dt; a row that runs CIR's LSD maps binds its own (a, b).  A step returns
-``(state, mask)``: the map's own pair for a row that declares a ``mask``
-kind, which the stepper's ``event`` names, and ``(state, None)`` for the
-others.  A name selects exactly one computation.
+dt; a row that runs CIR's LSD maps binds its own (a, b), and cev's LSD
+rows bind (a, b, c, q).  A step returns ``(state, mask)``: the map's own
+pair for a row that declares a ``mask`` kind, which the stepper's
+``event`` names, and ``(state, None)`` for the others.  A name selects
+exactly one computation.
 The rows named ``implicit_printed`` run a drift-implicit map as printed in
 its source, whose drift does not match the SDE; the plain ``implicit`` rows
 run the consistent form.
@@ -74,9 +75,9 @@ SCHEMES = {
         bind=cir.exact_ou_bind, drivers=2, check=cir.check_exact_ou_dimension,
         to_state=lambda p, x, m_split: np.sqrt([m_split * x, (1.0 - m_split) * x]),
         to_x=lambda p, x: x[0] * x[0] + x[1] * x[1]),
-    ("cev", "lsd1"): Scheme(cev.lsd1_step),
-    ("cev", "lsd2"): Scheme(cev.lsd2_step),
-    ("cev", "lsd3"): Scheme(cev.lsd3_step),
+    ("cev", "lsd1"): Scheme(bind=lambda p, dt: cev.lsd1_bind(p.a, p.b, p.c, p.q, dt)),
+    ("cev", "lsd2"): Scheme(bind=lambda p, dt: cev.lsd2_bind(p.a, p.b, p.c, p.q, dt)),
+    ("cev", "lsd3"): Scheme(bind=lambda p, dt: cev.lsd3_bind(p.a, p.b, p.c, p.q, dt)),
     ("cev", "sd_theta"): Scheme(cev.sd_theta_step, **_IN_X, mask="non_real", theta=True),
     ("cev", "implicit"): Scheme(
         bind=cev.implicit_bind, to_state=lambda p, x: x ** (1.0 - p.q),

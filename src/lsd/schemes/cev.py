@@ -3,6 +3,10 @@
 The transformed state is y = x**(1-q) / (k3 (1-q)) with drift
 a y**(-q/(1-q)) - b/y - c y.  The drift-implicit competitor runs in the
 unscaled power coordinate u = x**(1-q), matching the map it inverts.
+
+The LSD binds take (a, b, c, q), which the scheme table reads from the
+parameters.  Like cir's, each bind, and the implicit map and its slope,
+folds its per-dt constants once into 0-d float64 arrays.
 """
 
 import numpy as np
@@ -12,32 +16,48 @@ from ..rootfind import STEP_TOL, MonotoneSpec, solve_monotone
 from ._complex import sqrt_with_fallback
 
 
-def lsd1_step(p, y, dw, dt):
+def lsd1_bind(a, b, c, q, dt):
     """Exponential variant built on the frozen Bernoulli equation."""
-    q = p.q
-    denom = 1.0 + p.b * dt / (y * y)
-    phi = (y + dw) / denom
-    B = p.a / (y ** ((2.0 * q - 1.0) / (1.0 - q)) * denom)
-    C = -p.c / denom
-    return np.sqrt(bernoulli_power(phi, B, C, 1.0, dt))
+    bdt, e = np.array(b * dt), np.array((2.0 * q - 1.0) / (1.0 - q))
+    a, neg_c = np.array(a), np.array(-c)
+
+    def step(y, dw):
+        denom = 1.0 + bdt / (y * y)
+        phi = (y + dw) / denom
+        B = a / (y ** e * denom)
+        C = neg_c / denom
+        return np.sqrt(bernoulli_power(phi, B, C, 1.0, dt))
+
+    return step
 
 
-def lsd2_step(p, y, dw, dt):
+def lsd2_bind(a, b, c, q, dt):
     """Algebraic variant with the power term frozen at the step start."""
-    q = p.q
-    phi = dw + y - p.b * dt / y
-    c1 = 1.0 + p.c * dt
-    disc = phi * phi + 4.0 * p.a * dt * c1 * y ** ((1.0 - 2.0 * q) / (1.0 - q))
-    return (phi + np.sqrt(disc)) / (2.0 * c1)
+    bdt, e = np.array(b * dt), np.array((1.0 - 2.0 * q) / (1.0 - q))
+    c1 = 1.0 + c * dt
+    k, d = np.array(4.0 * a * dt * c1), np.array(2.0 * c1)
+
+    def step(y, dw):
+        phi = dw + y - bdt / y
+        disc = phi * phi + k * y ** e
+        return (phi + np.sqrt(disc)) / d
+
+    return step
 
 
-def lsd3_step(p, y, dw, dt):
+def lsd3_bind(a, b, c, q, dt):
     """Algebraic variant keeping only the 1/y term implicit."""
-    q = p.q
-    phi = dw + y + p.a * y ** (-q / (1.0 - q)) * dt - p.b * dt / y
-    c1 = 1.0 + p.c * dt
-    disc = phi * phi + 4.0 * dt * c1
-    return (phi + np.sqrt(disc)) / (2.0 * c1)
+    bdt, e = np.array(b * dt), np.array(-q / (1.0 - q))
+    c1 = 1.0 + c * dt
+    k, d = np.array(4.0 * dt * c1), np.array(2.0 * c1)
+    a, dt = np.array(a), np.array(dt)
+
+    def step(y, dw):
+        phi = dw + y + a * y ** e * dt - bdt / y
+        disc = phi * phi + k
+        return (phi + np.sqrt(disc)) / d
+
+    return step
 
 
 def sd_theta_step(p, x, dw, dt, theta):
@@ -54,10 +74,12 @@ def sd_theta_step(p, x, dw, dt, theta):
 def implicit_map(p, dt):
     """The drift-implicit map G on the power coordinate u = x**(1-q)."""
     q = p.q
+    k1, k2, e = np.array(p.k1), np.array(p.k2), np.array(-q / (1.0 - q))
+    c, one_q, dt = np.array(0.5 * q * p.k3**2), np.array(1.0 - q), np.array(dt)
 
     def g(u):
-        drift = p.k1 * u ** (-q / (1.0 - q)) - p.k2 * u - 0.5 * q * p.k3**2 / u
-        return u - (1.0 - q) * drift * dt
+        drift = k1 * u ** e - k2 * u - c / u
+        return u - one_q * drift * dt
 
     return g
 
@@ -66,11 +88,11 @@ def implicit_slope(p, dt):
     """G' in closed form; it falls below 0 only where 0.5 q (1-q) k3^2 / u^2
     outweighs the rest, which needs a large dt."""
     q = p.q
-    c1, c2 = q * p.k1 * dt, 1.0 + (1.0 - q) * p.k2 * dt
-    c3 = 0.5 * q * (1.0 - q) * p.k3**2 * dt
+    c1, c2 = np.array(q * p.k1 * dt), np.array(1.0 + (1.0 - q) * p.k2 * dt)
+    c3, e = np.array(0.5 * q * (1.0 - q) * p.k3**2 * dt), np.array(-1.0 / (1.0 - q))
 
     def dg(u):
-        return c1 * u ** (-1.0 / (1.0 - q)) + c2 - c3 / (u * u)
+        return c1 * u ** e + c2 - c3 / (u * u)
 
     return dg
 

@@ -6,6 +6,11 @@ which each row of the scheme table states, as Heston 3/2's rows share them.
 Companion schemes advance the original state (or its square root for the
 drift-implicit variant) and may leave the real line; they then continue in
 the complex plane and the real part is what gets reported.
+
+Each bind folds its per-dt constants once into 0-d float64 arrays, which the
+map then applies in the order its formula states.  numpy 2 promotes a Python
+float operand as a weak scalar on every ufunc call; a 0-d array operand
+gives the same float64 or complex128 result at less cost per call.
 """
 
 import numpy as np
@@ -27,7 +32,7 @@ def _bernoulli_affine(B, C, dt):
 def lsd1_bind(a, b, dt):
     """Linear drift part frozen: y' = sqrt((dw + (1 - b dt) y)^2 + 2 a dt)."""
     # C = 0 takes bernoulli_power's linear branch, whose growth is 1.0
-    decay = 1.0 - b * dt
+    decay = np.array(1.0 - b * dt)
     shift = bernoulli_power(0.0, a, 0.0, 1.0, dt)
     return lambda y, dw: np.sqrt(shift + np.square(dw + decay * y))
 
@@ -41,7 +46,7 @@ def lsd2_bind(a, b, dt):
 def lsd3_bind(a, b, dt):
     """Algebraic variant: positive root of (1+b dt) v^2 - (dw+y) v - a dt = 0."""
     c1 = 1.0 + b * dt
-    q, d = 4.0 * c1 * a * dt, 2.0 * c1
+    q, d = np.array(4.0 * c1 * a * dt), np.array(2.0 * c1)
     return lambda y, dw: ((s := dw + y) + np.sqrt(s * s + q)) / d
 
 
@@ -52,9 +57,9 @@ def sd_theta_bind(p, dt, theta):
     returned mask marks where that happened this step.
     """
     d = 1.0 + p.k2 * theta * dt
-    decay = 1.0 - p.k2 * dt / d
-    shift = (dt / d) * (p.k1 - p.k3**2 / (4.0 * d))
-    gain = p.k3 / (2.0 * d)
+    decay = np.array(1.0 - p.k2 * dt / d)
+    shift = np.array((dt / d) * (p.k1 - p.k3**2 / (4.0 * d)))
+    gain = np.array(p.k3 / (2.0 * d))
 
     def step(x, dw):
         root, nonreal = sqrt_with_fallback(x * decay + shift)
@@ -64,9 +69,9 @@ def sd_theta_bind(p, dt, theta):
 
 def alf_bind(p, dt):
     """Drift-implicit square-root step in the original coordinate."""
-    c1 = 1.0 + p.k2 * dt
-    drift = (p.k1 - p.k3**2 / 2.0) * dt
-    k3, k3sq, d = p.k3, p.k3**2, 2.0 * c1
+    c1 = np.array(1.0 + p.k2 * dt)
+    drift = np.array((p.k1 - p.k3**2 / 2.0) * dt)
+    k3, k3sq, d = np.array(p.k3), np.array(p.k3**2), np.array(2.0 * c1)
 
     def step(x, dw):
         root, nonreal = sqrt_with_fallback(4.0 * (x + drift) * c1 + k3sq * dw * dw)
@@ -79,9 +84,9 @@ def ns_bind(p, dt):
 
     The recursion stays in v; report x as the real part of v**2.
     """
-    half_k3 = 0.5 * p.k3
-    drift = (p.k1 - p.k3**2 / 4.0) * dt
-    d = 2.0 + p.k2 * dt
+    half_k3 = np.array(0.5 * p.k3)
+    drift = np.array((p.k1 - p.k3**2 / 4.0) * dt)
+    d = np.array(2.0 + p.k2 * dt)
 
     def step(v, dw):
         s = v + half_k3 * dw

@@ -9,7 +9,7 @@ import lsd.experiments
 from lsd.errors import (ConfigurationError, DataError, DegenerateStateError,
                         DomainError, InversionError, NumericError)
 from lsd.experiments import (_BATCH, _CHUNK, _TALLY, ScanCounters, _blocks,
-                             _steps_for, _terminal_batch,
+                             _stack, _steps_for, _terminal_batch,
                              domain_violation_scan, exact_cir_error_decay,
                              exact_cir_experiment, fit_order, simulate_path,
                              simulate_paths, strong_error)
@@ -667,6 +667,91 @@ class TestScan:
         with pytest.raises(ConfigurationError, match="repeat"):
             domain_violation_scan([SchemeId("cir", "alf")], STRESSED_CIR,
                                   [0.01, 0.01, 0.001], 1.0, 20, seed=6)
+
+
+def _stack_by_np_stack(states):
+    """What ``_stack`` gives, by ``np.stack`` on each part."""
+    if isinstance(states[0], (tuple, list)):
+        return [_stack_by_np_stack(part) for part in zip(*states)]
+    return np.stack(states, axis=-2)
+
+
+def _leaves(stacked):
+    if isinstance(stacked, list):
+        return [leaf for part in stacked for leaf in _leaves(part)]
+    return [stacked]
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "squared_ou"])
+def test_stack_equals_np_stack(kind, rng):
+    # a held block of 5 steps of 7 paths: a scheme's real or complex
+    # states, or the squared-OU pair with a real and a complex rider
+    def state():
+        x = rng.standard_normal(7)
+        if kind == "real":
+            return x
+        if kind == "complex":
+            return x + 1j * rng.standard_normal(7)
+        return (rng.standard_normal((2, 7)), [x, np.sqrt(x + 0j)])
+
+    states = [state() for _ in range(5)]
+    got, want = _leaves(_stack(states)), _leaves(_stack_by_np_stack(states))
+    assert len(got) == len(want) == (3 if kind == "squared_ou" else 1)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+class TestStepWrapper:
+    """The engine takes each step through ``stepper.step``, once per step,
+    so a wrapper set on the stepper that ``make_stepper`` returns sees every
+    step: a tracer that times the schemes' steps wraps it that way."""
+
+    @staticmethod
+    def _wrap(monkeypatch):
+        """Wrap every new stepper's step; returns {scheme: path-steps seen}."""
+        seen, make = {}, lsd.experiments.make_stepper
+
+        def wrapping(*args, **kwargs):
+            stepper = make(*args, **kwargs)
+            step, name = stepper.step, str(stepper.scheme_id)
+            seen.setdefault(name, 0)
+
+            def counted(state, dw, dt):
+                seen[name] += np.size(dw) // stepper.drivers
+                return step(state, dw, dt)
+
+            stepper.step = counted
+            return stepper
+
+        monkeypatch.setattr(lsd.experiments, "make_stepper", wrapping)
+        return seen
+
+    def test_wrapper_sees_every_step_of_a_strong_error(self, cir_params,
+                                                       monkeypatch):
+        def run():
+            return strong_error([CIR_LSD1, SchemeId("cir", "lsd3")], CIR_LSD2,
+                                cir_params, 4.0, 1.0, [2.0**-3, 2.0**-4],
+                                2.0**-6, M=300, seed=1)
+
+        plain = run()
+        seen = self._wrap(monkeypatch)
+        wrapped = run()
+        assert seen == {"cir:lsd2": 300 * 64, "cir:lsd1": 300 * (8 + 16),
+                        "cir:lsd3": 300 * (8 + 16)}
+        for a, b in zip(wrapped, plain):
+            np.testing.assert_array_equal(a.rms_errors, b.rms_errors)
+
+    def test_wrapper_sees_every_step_of_a_scan(self, monkeypatch):
+        ids = [SchemeId("cir", "alf"), SchemeId("cir", "ns")]
+        def run():
+            return domain_violation_scan(ids, STRESSED_CIR, [1e-2, 1e-3], 1.0,
+                                         30, seed=6, x0=4.0)
+
+        plain = run()
+        seen = self._wrap(monkeypatch)
+        assert run() == plain
+        assert seen == {"cir:alf": 30 * 1100, "cir:ns": 30 * 1100}
 
 
 class TestBatches:

@@ -158,6 +158,32 @@ def test_target_beyond_interior_extremum_raises_with_its_last_bracket():
     assert 3.0 < lo <= hi == math.pi and hi - lo <= 1e-15
 
 
+@pytest.mark.parametrize("f,lo,hi,u,seed,end", [
+    (math.sin, 0.0, math.pi, 1.001, 3.0, "hi"),
+    (lambda x: x, 1.0, 2.0, 2.5, 1.5, "hi"),
+    (lambda x: x, 1.0, 2.0, 0.5, 1.5, "lo"),
+], ids=["sin-hi", "line-hi", "line-lo"])
+def test_bisection_toward_an_end_never_calls_fn_there(f, lo, hi, u, seed, end):
+    # The map is NaN at both ends, and u lies beyond its range, so the
+    # bracket closes on one end; a midpoint that rounds onto it takes the
+    # float inside instead, and the solve ends at the cap, not on a NaN.
+    seen = []
+
+    def fn(x):
+        seen.append(x)
+        return f(x) if lo < x < hi else math.nan
+
+    with pytest.raises(InversionError, match=CAP) as excinfo:
+        invert_monotone(MonotoneSpec(fn, lo=lo, hi=hi), u, seed=seed)
+    assert excinfo.value.index == 0
+    a, b = excinfo.value.bracket
+    if end == "hi":
+        assert seed < a < b == hi and b - a <= 1e-15
+    else:
+        assert lo == a < b < seed and b - a <= 1e-15
+    assert lo not in seen and hi not in seen
+
+
 def test_target_outside_the_sign_bracket_raises_with_its_last_bracket():
     # The tent min(x, 2 - x) rises to 1 at x = 1 and then falls.  From seed
     # 1, -3 is met only where the tent falls (x = 5), and the positive

@@ -6,6 +6,7 @@ import pytest
 from lsd.errors import ConfigurationError
 from lsd.schemes import SCHEMES, SchemeId, make_stepper
 from lsd.schemes import cir as cir_mod
+from lsd.schemes._complex import sqrt_with_fallback
 
 FIXTURE = {"cir": "cir_params", "cev": "cev_params", "wf": "wf_params",
            "heston32": "heston_params", "ait": "ait_params"}
@@ -40,6 +41,20 @@ def test_row_runs_through_its_stepper(key, request):
         x = stepper.x_of(state)
         assert np.shape(x) == shape
         assert np.all(np.isfinite(x))
+
+
+def test_non_real_mask_marks_a_non_zero_imaginary_part():
+    # the mask casts the root's imaginary part to bool: NaN marks, -0.0 not
+    radicand = np.array([-1.0, -0.0, 4.0, np.nan, np.inf, -np.inf, 1.0 + 2.0j,
+                         complex(-4.0, -0.0), complex(4.0, -0.0),
+                         complex(np.nan, 0.0)])
+    root, nonreal = sqrt_with_fallback(radicand)
+    assert nonreal.dtype == bool
+    np.testing.assert_array_equal(nonreal, root.imag != 0)
+    assert nonreal.tolist() == [True, False, False, True, False, True, True,
+                                True, False, True]
+    lone = sqrt_with_fallback(np.array(-1.0))[1]
+    assert lone.dtype == bool and lone.shape == () and lone
 
 
 def _cir_ab(p):

@@ -9,8 +9,9 @@ from lsd.schemes import cev as cev_mod
 from oracles import bisect
 
 
-def _lsd(variant):
-    return getattr(cev_mod, f"{variant}_step")
+def _lsd(variant, p, dt):
+    """The LSD row's map bound at dt, as the scheme table binds it."""
+    return getattr(cev_mod, f"{variant}_bind")(p.a, p.b, p.c, p.q, dt)
 
 
 def _companion(variant, p, x, dw, dt, theta=1.0):
@@ -22,31 +23,31 @@ def _companion(variant, p, x, dw, dt, theta=1.0):
 
 class TestLsdValues:
     def test_lsd1_worked_example(self, cev_params):
-        y = cev_mod.lsd1_step(cev_params, 5.0, 0.0, 0.01)
+        y = _lsd("lsd1", cev_params, 0.01)(5.0, 0.0)
         assert y == pytest.approx(4.9865319703583006, rel=1e-12)
         x = cev_params.inverse(y)
         assert x == pytest.approx(0.0618293144526685, abs=1e-4)
 
     def test_lsd2_degenerate_quadratic(self, cev_params):
-        y = cev_mod.lsd2_step(cev_params, 5.0, 0.0, 1e-12)
+        y = _lsd("lsd2", cev_params, 1e-12)(5.0, 0.0)
         assert abs(y - 5.0) <= 1e-6
 
     @pytest.mark.parametrize("variant", ["lsd1", "lsd2", "lsd3"])
     def test_identity_limit(self, cev_params, variant):
-        y = _lsd(variant)(cev_params, 2.4, 0.0, 1e-12)
+        y = _lsd(variant, cev_params, 1e-12)(2.4, 0.0)
         assert abs(y - 2.4) <= 1e-6
 
     def test_lsd3_always_positive(self, cev_params, rng):
         y = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), 1000))
         dw = rng.standard_normal(1000) * 2.0
-        out = cev_mod.lsd3_step(cev_params, y, dw, 0.01)
+        out = _lsd("lsd3", cev_params, 0.01)(y, dw)
         assert np.all(out > 0)
 
     @pytest.mark.parametrize("variant", ["lsd1", "lsd2"])
     def test_bulk_positivity(self, cev_params, variant, rng):
         y = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), 1000))
         dw = rng.standard_normal(1000) * 2.0
-        out = _lsd(variant)(cev_params, y, dw, 0.01)
+        out = _lsd(variant, cev_params, 0.01)(y, dw)
         assert np.all(out > 0)
 
 
@@ -58,7 +59,7 @@ class TestQuadraticResidual:
         for _ in range(300):
             y = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
             dw, dt = rng.normal() * 0.5, 10 ** rng.uniform(-5, -1)
-            out = _lsd(variant)(p, y, dw, dt)
+            out = _lsd(variant, p, dt)(y, dw)
             c2 = 1.0 + p.c * dt
             if variant == "lsd2":
                 c1 = -(dw + y - p.b * dt / y)

@@ -7,10 +7,15 @@ arrays (a lone state is a 0-d array).  :data:`SCHEMES` holds one row per
 description of a row: :func:`make_stepper` builds one :class:`Stepper` for
 every row, the squared-OU pair included, which binds the row's map once per
 dt; a row that runs CIR's LSD maps binds its own (a, b), and cev's LSD
-rows bind (a, b, c, q).  A step returns ``(state, mask)``: the map's own
-pair for a row that declares a ``mask`` kind, which the stepper's
-``event`` names, and ``(state, None)`` for the others.  A name selects
-exactly one computation.
+rows bind (a, b, c, q).  Each bind folds its per-dt constants once into
+0-d float64 arrays, which the map then applies in the order its formula
+states: a folded product or sum is one the formula evaluates as a unit, so
+no float moves.  numpy 2 promotes a Python float operand as a weak scalar
+on every ufunc call; a 0-d array operand gives the same float64 or
+complex128 result at less cost per call.  A step returns
+``(state, mask)``: the map's own pair for a row that declares a ``mask``
+kind, which the stepper's ``event`` names, and ``(state, None)`` for the
+others.  A name selects exactly one computation.
 The rows named ``implicit_printed`` run a drift-implicit map as printed in
 its source, whose drift does not match the SDE; the plain ``implicit`` rows
 run the consistent form.
@@ -31,28 +36,26 @@ from . import ait, cev, cir, heston, wf
 class Scheme:
     """One row of :data:`SCHEMES`.
 
-    ``step(p, state, dw, dt)`` advances the iterated coordinate; a row may
-    set ``bind(p, dt)`` instead, which folds the per-dt constants and
-    returns ``map(state, dw)``.  ``theta`` rows' ``step`` and ``bind`` also
-    take ``theta``.
+    Its one required field, ``bind(p, dt)``, folds the per-dt constants and
+    returns ``map(state, dw)``, which advances the iterated coordinate;
+    ``theta`` rows' ``bind`` also takes ``theta``.
     ``to_state(p, x)`` and ``to_x(p, state)`` map x to it and back; they
     are unset where it is the Lamperti coordinate.
-    ``mask``: the step returns ``(state, mask)`` with a ``"non_real"`` mask
+    ``mask``: the map returns ``(state, mask)`` with a ``"non_real"`` mask
     (the state is complex and may leave the real line; x is its real part)
-    or a ``"clamped"`` one, or, if unset, the state alone.  Steps map arrays
+    or a ``"clamped"`` one, or, if unset, the state alone.  Maps take arrays
     of paths.  ``check(p)`` is a precondition; ``drivers = 2`` marks the
     squared-OU row, whose state and dw stack a pair along a first axis and
     whose ``to_state`` also takes the split weight ``m_split``.
     """
 
-    step: Optional[Callable] = None
+    bind: Callable
     to_state: Optional[Callable] = None
     to_x: Optional[Callable] = None
     mask: Optional[str] = None
     theta: bool = False
     check: Optional[Callable] = None
     drivers: int = 1
-    bind: Optional[Callable] = None
 
 
 def _identity(p, x):
@@ -78,30 +81,30 @@ SCHEMES = {
     ("cev", "lsd1"): Scheme(bind=lambda p, dt: cev.lsd1_bind(p.a, p.b, p.c, p.q, dt)),
     ("cev", "lsd2"): Scheme(bind=lambda p, dt: cev.lsd2_bind(p.a, p.b, p.c, p.q, dt)),
     ("cev", "lsd3"): Scheme(bind=lambda p, dt: cev.lsd3_bind(p.a, p.b, p.c, p.q, dt)),
-    ("cev", "sd_theta"): Scheme(cev.sd_theta_step, **_IN_X, mask="non_real", theta=True),
+    ("cev", "sd_theta"): Scheme(cev.sd_theta_bind, **_IN_X, mask="non_real", theta=True),
     ("cev", "implicit"): Scheme(
         bind=cev.implicit_bind, to_state=lambda p, x: x ** (1.0 - p.q),
         to_x=lambda p, u: u ** (1.0 / (1.0 - p.q))),
-    ("wf", "lsd1"): Scheme(wf.lsd1_step, mask="clamped"),
-    ("wf", "lsd2"): Scheme(wf.lsd2_step, mask="clamped"),
-    ("wf", "lsd3"): Scheme(wf.lsd3_step, mask="clamped"),
-    ("wf", "lsd4"): Scheme(wf.lsd4_step, mask="clamped"),
-    ("wf", "sd"): Scheme(wf.sd_step, **_IN_X, mask="clamped"),
-    ("wf", "sd_alt"): Scheme(wf.sd_alt_step, **_IN_X, mask="clamped"),
-    ("wf", "biss"): Scheme(wf.biss_step, **_IN_X, mask="clamped"),
-    ("wf", "hyb"): Scheme(wf.hyb_step, **_IN_X),
+    ("wf", "lsd1"): Scheme(wf.lsd1_bind, mask="clamped"),
+    ("wf", "lsd2"): Scheme(wf.lsd2_bind, mask="clamped"),
+    ("wf", "lsd3"): Scheme(wf.lsd3_bind, mask="clamped"),
+    ("wf", "lsd4"): Scheme(wf.lsd4_bind, mask="clamped"),
+    ("wf", "sd"): Scheme(wf.sd_bind, **_IN_X, mask="clamped"),
+    ("wf", "sd_alt"): Scheme(wf.sd_alt_bind, **_IN_X, mask="clamped"),
+    ("wf", "biss"): Scheme(wf.biss_bind, **_IN_X, mask="clamped"),
+    ("wf", "hyb"): Scheme(wf.hyb_bind, **_IN_X),
     ("wf", "implicit"): Scheme(bind=partial(wf.implicit_bind, sign_mode="corrected")),
     ("wf", "implicit_printed"): Scheme(bind=partial(wf.implicit_bind, sign_mode="printed")),
     ("heston32", "lsd1"): Scheme(
         bind=lambda p, dt: cir.lsd1_bind(0.5 * p.c_star, 0.5 * p.k1, dt)),
     ("heston32", "lsd2"): Scheme(
         bind=lambda p, dt: cir.lsd2_bind(0.5 * p.c_star, 0.5 * p.k1, dt)),
-    ("heston32", "sd_exp"): Scheme(heston.sd_exp_step, **_IN_X),
+    ("heston32", "sd_exp"): Scheme(heston.sd_exp_bind, **_IN_X),
     ("heston32", "implicit"): Scheme(
-        heston.implicit_step, to_state=lambda p, x: x ** -0.5,
+        heston.implicit_bind, to_state=lambda p, x: x ** -0.5,
         to_x=lambda p, v: v ** -2.0),
-    ("ait", "lsd1"): Scheme(ait.lsd1_step),
-    ("ait", "lsd2"): Scheme(ait.lsd2_step),
+    ("ait", "lsd1"): Scheme(ait.lsd1_bind),
+    ("ait", "lsd2"): Scheme(ait.lsd2_bind),
     ("ait", "implicit"): Scheme(bind=partial(ait.implicit_bind, variant="drift")),
     ("ait", "implicit_printed"): Scheme(bind=partial(ait.implicit_bind, variant="printed"),
                                        check=ait.check_printed_bracket),
@@ -139,7 +142,8 @@ def _broadcast(value, size):
 class Stepper:
     """Advances one scheme; built by :func:`make_stepper`.
 
-    Its row's map is bound again only when a step's dt changes.
+    Every row gives its map one way, through ``bind``; the stepper binds
+    it again only when a step's dt changes.
     """
 
     _dt = _map = None
@@ -150,11 +154,7 @@ class Stepper:
         self.drivers, self.event = row.drivers, row.mask
         self._to_state = (partial(row.to_state, m_split=m_split)
                           if row.drivers == 2 else row.to_state)
-        extra = {"theta": theta} if row.theta else {}
-        if row.bind is not None:
-            self._bind = partial(row.bind, **extra)
-        else:
-            self._bind = lambda p, dt: partial(row.step, p, dt=dt, **extra)
+        self._bind = partial(row.bind, theta=theta) if row.theta else row.bind
 
     def init(self, x0, size=None):
         """The state at x0 as an array shaped like x0, or ``size`` copies."""

@@ -17,18 +17,32 @@ from ..errors import ConfigurationError
 from ..rootfind import STEP_TOL, MonotoneSpec, solve_monotone
 
 
-def lsd1_step(p, y, dw, dt):
-    phi = -p.K3 * dw + y + p.K0 * y**p.e2 * dt
-    c1 = 1.0 + p.Km1 * y**p.e4 * dt + p.K1 * dt
-    c2 = (p.K2 * y**p.e3 + p.K4) * dt
+def _positive_root(phi, c1, c2):
+    """The positive root of c1 v^2 - phi v - c2 = 0, for c1, c2 > 0."""
     return (phi + np.sqrt(phi * phi + 4.0 * c1 * c2)) / (2.0 * c1)
 
 
-def lsd2_step(p, y, dw, dt):
-    phi = -p.K3 * dw + y + p.K0 * y**p.e2 * dt - p.Km1 * y**p.e1 * dt
-    c1 = 1.0 + p.K1 * dt
-    c2 = (p.K2 * y**p.e3 + p.K4) * dt
-    return (phi + np.sqrt(phi * phi + 4.0 * c1 * c2)) / (2.0 * c1)
+def lsd1_bind(p, dt):
+    neg_K3, K0, Km1 = np.array(-p.K3), np.array(p.K0), np.array(p.Km1)
+    K1dt, K2, K4 = np.array(p.K1 * dt), np.array(p.K2), np.array(p.K4)
+    e2, e3, e4 = p.e2, p.e3, p.e4
+
+    def step(y, dw):
+        phi = neg_K3 * dw + y + K0 * y**e2 * dt
+        c1 = 1.0 + Km1 * y**e4 * dt + K1dt
+        return _positive_root(phi, c1, (K2 * y**e3 + K4) * dt)
+    return step
+
+
+def lsd2_bind(p, dt):
+    neg_K3, K0, Km1 = np.array(-p.K3), np.array(p.K0), np.array(p.Km1)
+    c1, K2, K4 = np.array(1.0 + p.K1 * dt), np.array(p.K2), np.array(p.K4)
+    e1, e2, e3 = p.e1, p.e2, p.e3
+
+    def step(y, dw):
+        phi = neg_K3 * dw + y + K0 * y**e2 * dt - Km1 * y**e1 * dt
+        return _positive_root(phi, c1, (K2 * y**e3 + K4) * dt)
+    return step
 
 
 def implicit_map(p, dt, variant):

@@ -5,8 +5,7 @@ a y**(-q/(1-q)) - b/y - c y.  The drift-implicit competitor runs in the
 unscaled power coordinate u = x**(1-q), matching the map it inverts.
 
 The LSD binds take (a, b, c, q), which the scheme table reads from the
-parameters.  Like cir's, each bind, and the implicit map and its slope,
-folds its per-dt constants once into 0-d float64 arrays.
+parameters.
 """
 
 import numpy as np
@@ -60,15 +59,17 @@ def lsd3_bind(a, b, c, q, dt):
     return step
 
 
-def sd_theta_step(p, x, dw, dt, theta):
+def sd_theta_bind(p, dt, theta):
     """Theta-semi-discrete step in the original coordinate, complex-capable."""
-    q = p.q
     d = 1.0 + p.k2 * theta * dt
-    inner = (x * (1.0 - p.k2 * dt / d) + p.k1 * dt / d
-             - (p.k3**2 * dt / (4.0 * d * d)) * x ** (2.0 * q - 1.0))
-    root, nonreal = sqrt_with_fallback(inner)
-    out = (root + (p.k3 / (2.0 * d)) * x ** (q - 0.5) * dw) ** 2
-    return out, nonreal
+    decay, shift = np.array(1.0 - p.k2 * dt / d), np.array(p.k1 * dt / d)
+    c, gain = np.array(p.k3**2 * dt / (4.0 * d * d)), np.array(p.k3 / (2.0 * d))
+    e_inner, e_noise = 2.0 * p.q - 1.0, p.q - 0.5
+
+    def step(x, dw):
+        root, nonreal = sqrt_with_fallback(x * decay + shift - c * x ** e_inner)
+        return (root + gain * x ** e_noise * dw) ** 2, nonreal
+    return step
 
 
 def implicit_map(p, dt):

@@ -6,11 +6,6 @@ which each row of the scheme table states, as Heston 3/2's rows share them.
 Companion schemes advance the original state (or its square root for the
 drift-implicit variant) and may leave the real line; they then continue in
 the complex plane and the real part is what gets reported.
-
-Each bind folds its per-dt constants once into 0-d float64 arrays, which the
-map then applies in the order its formula states.  numpy 2 promotes a Python
-float operand as a weak scalar on every ufunc call; a 0-d array operand
-gives the same float64 or complex128 result at less cost per call.
 """
 
 import numpy as np

@@ -13,10 +13,13 @@ x = v**(-2).
 import numpy as np
 
 
-def sd_exp_step(p, x, dw, dt):
+def sd_exp_bind(p, dt):
     """Exponential semi-discrete step; positive by construction."""
-    exponent = (p.k1 - p.k2 * x - 0.5 * p.k3**2 * x) * dt + p.k3 * np.sqrt(x) * dw
-    return x * np.exp(exponent)
+
+    def step(x, dw):
+        exponent = (p.k1 - p.k2 * x - 0.5 * p.k3**2 * x) * dt + p.k3 * np.sqrt(x) * dw
+        return x * np.exp(exponent)
+    return step
 
 
 def implicit_map(p, dt):
@@ -28,8 +31,12 @@ def implicit_map(p, dt):
     return g
 
 
-def implicit_step(p, v, dw, dt):
+def implicit_bind(p, dt):
     """Advance v = x**(-1/2) through the closed-form inverse of G."""
-    u = v - 0.5 * p.k3 * dw
     c1 = 1.0 + 0.5 * p.k1 * dt
-    return (u + np.sqrt(u * u + 4.0 * c1 * p.c_impl * dt)) / (2.0 * c1)
+    q, d = np.array(4.0 * c1 * p.c_impl * dt), np.array(2.0 * c1)
+
+    def step(v, dw):
+        u = v - 0.5 * p.k3 * dw
+        return (u + np.sqrt(u * u + q)) / d
+    return step

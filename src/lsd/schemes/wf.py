@@ -42,36 +42,52 @@ def _require(ok, what):
                             index=int(np.flatnonzero(np.logical_not(ok))[0]))
 
 
-def lsd1_step(p, y, dw, dt):
-    """Cosine-decay variant; returns (y', clamp_mask)."""
-    denom = 1.0 + (p.b / y) * np.tan(0.5 * y) * dt
-    phi = (p.k3 * dw + y) / denom
-    decay = wf_cosine_solution(phi, p.a / denom, dt)
-    clipped = np.minimum(decay, 1.0)
-    clamped = decay > 1.0
-    return 2.0 * np.arccos(clipped), clamped
+def lsd1_bind(p, dt):
+    """Cosine-decay variant; maps to (y', clamp_mask)."""
+    a, b, k3 = np.array(p.a), np.array(p.b), np.array(p.k3)
+
+    def step(y, dw):
+        denom = 1.0 + (b / y) * np.tan(0.5 * y) * dt
+        phi = (k3 * dw + y) / denom
+        decay = wf_cosine_solution(phi, a / denom, dt)
+        clipped = np.minimum(decay, 1.0)
+        clamped = decay > 1.0
+        return 2.0 * np.arccos(clipped), clamped
+    return step
 
 
-def lsd2_step(p, y, dw, dt):
+def lsd2_bind(p, dt):
     """Fully frozen-ratio variant; raises where the denominator is not positive."""
-    cot = 1.0 / np.tan(0.5 * y)
-    denom = 1.0 - (p.a / y) * cot * dt + (p.b / y) * np.tan(0.5 * y) * dt
-    _require(denom >= _DENOMINATOR_TOL, "update denominator is not positive")
-    return _fold((p.k3 * dw + y) / denom)
+    a, b, k3 = np.array(p.a), np.array(p.b), np.array(p.k3)
+
+    def step(y, dw):
+        cot = 1.0 / np.tan(0.5 * y)
+        denom = 1.0 - (a / y) * cot * dt + (b / y) * np.tan(0.5 * y) * dt
+        _require(denom >= _DENOMINATOR_TOL, "update denominator is not positive")
+        return _fold((k3 * dw + y) / denom)
+    return step
 
 
-def lsd3_step(p, y, dw, dt):
-    cot = 1.0 / np.tan(0.5 * y)
-    num = p.k3 * dw + y + p.a * cot * dt
-    denom = 1.0 + (p.b / y) * np.tan(0.5 * y) * dt
-    return _fold(num / denom)
+def lsd3_bind(p, dt):
+    a, b, k3 = np.array(p.a), np.array(p.b), np.array(p.k3)
+
+    def step(y, dw):
+        cot = 1.0 / np.tan(0.5 * y)
+        num = k3 * dw + y + a * cot * dt
+        denom = 1.0 + (b / y) * np.tan(0.5 * y) * dt
+        return _fold(num / denom)
+    return step
 
 
-def lsd4_step(p, y, dw, dt):
-    cot = 1.0 / np.tan(0.5 * y)
-    phi = p.k3 * dw + y - dt / y + (p.a * cot - p.b * np.tan(0.5 * y)) * dt
-    root = (phi + np.sqrt(phi * phi + 4.0 * dt)) / 2.0
-    return _fold(root)
+def lsd4_bind(p, dt):
+    a, b, k3 = np.array(p.a), np.array(p.b), np.array(p.k3)
+
+    def step(y, dw):
+        cot = 1.0 / np.tan(0.5 * y)
+        phi = k3 * dw + y - dt / y + (a * cot - b * np.tan(0.5 * y)) * dt
+        root = (phi + np.sqrt(phi * phi + 4.0 * dt)) / 2.0
+        return _fold(root)
+    return step
 
 
 def _clip_unit(value):
@@ -80,44 +96,58 @@ def _clip_unit(value):
     return clipped, clamped
 
 
-def sd_step(p, x, dw, dt):
+def _rotated(x, half_k3, dw):
+    """sin^2(k3 dw/2 + arcsin(sqrt(x))), the noise's rotation of x."""
+    return np.sin(half_k3 * dw + np.arcsin(np.sqrt(x))) ** 2
+
+
+def sd_bind(p, dt):
     """Semi-discrete step in the original coordinate; clamps the arcsin root."""
-    inner = x + (p.a + p.beta * x) * dt
-    inner, clamped = _clip_unit(inner)
-    out = np.sin(0.5 * p.k3 * dw + np.arcsin(np.sqrt(inner))) ** 2
-    return out, clamped
+    a, beta, half_k3 = np.array(p.a), np.array(p.beta), np.array(0.5 * p.k3)
+
+    def step(x, dw):
+        inner, clamped = _clip_unit(x + (a + beta * x) * dt)
+        return _rotated(inner, half_k3, dw), clamped
+    return step
 
 
-def sd_alt_step(p, x, dw, dt):
+def sd_alt_bind(p, dt):
     """Alternative semi-discrete step with the prestabilised inner value."""
-    inner = (x * (1.0 + p.beta * dt) + p.a * dt) / (1.0 + (p.a + p.beta) * dt)
-    inner, clamped = _clip_unit(inner)
-    out = np.sin(0.5 * p.k3 * dw + np.arcsin(np.sqrt(inner))) ** 2
-    return out, clamped
+    a, beta, half_k3 = np.array(p.a), np.array(p.beta), np.array(0.5 * p.k3)
+
+    def step(x, dw):
+        inner = (x * (1.0 + beta * dt) + a * dt) / (1.0 + (a + beta) * dt)
+        inner, clamped = _clip_unit(inner)
+        return _rotated(inner, half_k3, dw), clamped
+    return step
 
 
-def biss_step(p, x, dw, dt):
+def biss_bind(p, dt):
     """Balance implicit split step; result clipped to [0, 1] if it escapes."""
     k1, k2, k3 = p.k1, p.k2, p.k3
     eps = min(k1 * dt, (k2 - k1) * dt, 1.0 - k1 * dt, 1.0 - (k2 - k1) * dt)
     if eps <= 0.0:
         raise StepSizeError("balance control width collapsed; decrease the step size")
-    xa = np.asarray(x, float)
-    low = np.clip(xa, eps, None)
-    high = np.clip(xa, None, 1.0 - eps)
-    d1 = np.where(xa < 0.5,
-                  k3 * np.sqrt((1.0 - low) / low),
-                  k3 * np.sqrt(high / (1.0 - high)))
-    noise = k3 * np.sqrt(np.clip(xa * (1.0 - xa), 0.0, None)) * dw
-    out = xa + (k1 - k2 * xa) * dt + noise / (1.0 + d1 * np.abs(dw)) * (1.0 - k2 * dt)
-    return _clip_unit(out)
+    top, damp = np.array(1.0 - eps), np.array(1.0 - k2 * dt)
+
+    def step(x, dw):
+        xa = np.asarray(x, float)
+        low = np.clip(xa, eps, None)
+        high = np.clip(xa, None, top)
+        d1 = np.where(xa < 0.5,
+                      k3 * np.sqrt((1.0 - low) / low),
+                      k3 * np.sqrt(high / (1.0 - high)))
+        noise = k3 * np.sqrt(np.clip(xa * (1.0 - xa), 0.0, None)) * dw
+        out = xa + (k1 - k2 * xa) * dt + noise / (1.0 + d1 * np.abs(dw)) * damp
+        return _clip_unit(out)
+    return step
 
 
-def hyb_step(p, x, dw, dt):
+def hyb_bind(p, dt):
     """Splitting scheme: exact linear flow composed with the rotated noise."""
     growth = np.exp(p.beta * dt)
-    rotated = np.sin(0.5 * p.k3 * dw + np.arcsin(np.sqrt(x))) ** 2
-    return (p.a / p.beta) * (growth - 1.0) + growth * rotated
+    shift, half_k3 = np.array((p.a / p.beta) * (growth - 1.0)), np.array(0.5 * p.k3)
+    return lambda x, dw: shift + growth * _rotated(x, half_k3, dw)
 
 
 def implicit_map(p, dt, sign_mode):

@@ -217,7 +217,7 @@ def test_c6_steps_agree_with_closed_forms():
             A=dw + y, B=CIR.a, C=-CIR.b, l=1.0, dt=dt))
         worst = max(worst, ulps_apart(got1, want1), ulps_apart(got2, want2))
         yw = rng.uniform(0.1, math.pi - 0.1)
-        got3 = wf_mod.lsd1_step(WF, yw, dw, dt)[0]
+        got3 = wf_mod.lsd1_bind(WF, dt)(yw, dw)[0]
         denom = 1.0 + (WF.b / yw) * math.tan(0.5 * yw) * dt
         phi = (WF.k3 * dw + yw) / denom
         want3 = 2.0 * math.acos(min(1.0, wf_cosine_solution(phi, WF.a / denom, dt)))

@@ -7,7 +7,8 @@ import pytest
 
 import lsd.experiments
 from lsd.errors import (ConfigurationError, DataError, DegenerateStateError,
-                        DomainError, InversionError, NumericError)
+                        DomainError, InversionError, NumericError,
+                        StepSizeError)
 from lsd.experiments import (_BATCH, _CHUNK, _TALLY, ScanCounters, _blocks,
                              _stack, _steps_for, _terminal_batch,
                              domain_violation_scan, exact_cir_error_decay,
@@ -73,14 +74,21 @@ class TestSimulatePath:
         with pytest.raises(ConfigurationError):
             simulate_path(CIR_LSD1, cir_params, 4.0, 1.0, 10, np.zeros(5))
 
-    def test_error_carries_step_index(self, wf_params):
-        # force the vanishing-denominator error mid-path
+    @pytest.mark.parametrize("variant, error, match", [
+        ("lsd2", Exception, "at step 0"),
+        ("biss", StepSizeError,
+         r"^wf:biss, dt=1\.0, at step 0: balance control width collapsed")],
+        ids=["lsd2", "biss"])
+    def test_error_carries_step_index(self, wf_params, variant, error, match):
+        # lsd2: force the vanishing-denominator error mid-path; biss refuses
+        # dt = 1/k1 when it binds, and is named like a step's error
         y = 0.05
-        x0 = wf_params.inverse(y)
         cot = 1.0 / math.tan(0.5 * y)
         c = (wf_params.a / y) * cot - (wf_params.b / y) * math.tan(0.5 * y)
-        with pytest.raises(Exception, match="at step 0"):
-            simulate_path(SchemeId("wf", "lsd2"), wf_params, x0, 1.0 / c, 1,
+        x0, T = {"lsd2": (wf_params.inverse(y), 1.0 / c),
+                 "biss": (0.5, 1.0 / wf_params.k1)}[variant]
+        with pytest.raises(error, match=match):
+            simulate_path(SchemeId("wf", variant), wf_params, x0, T, 1,
                           np.zeros(1))
 
     def test_error_keeps_its_type_and_bracket(self, wf_params):

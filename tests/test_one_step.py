@@ -1,11 +1,13 @@
 """One-step moments of every scheme-table row against its SDE.
 
-From a fixed x, one step of size dt has E[dX]/dt -> mu(x) and
-E[dX^2]/dt -> sigma^2(x) as dt -> 0 for a scheme consistent with
-dX = mu dt + sigma dW.  The expectations are Gauss-Hermite quadratures over
-the driving increment, so the check is deterministic and independent of the
-schemes' own coefficients: mu and sigma^2 are written out below from the
-model equations.  A row that runs a map as printed in its source, named
+From a fixed x, one step of size dt has E[dX]/dt -> mu(x),
+E[dX^2]/dt -> sigma^2(x) and, with z = dW/sqrt(dt), E[dX z]/(sigma sqrt(dt))
+-> +1 as dt -> 0 for a scheme consistent with dX = mu dt + sigma dW; the
+last is the sign of the noise, which the moments cannot see.  The
+expectations are Gauss-Hermite quadratures over the driving increment, so
+the check is deterministic and independent of the schemes' own
+coefficients: mu and sigma^2 are written out below from the model
+equations.  A row that runs a map as printed in its source, named
 ``*_printed``, must fail the drift check.
 """
 
@@ -19,6 +21,10 @@ DT = 1e-6
 NODES = 60
 DRIFT_RTOL = 1e-4
 VARIANCE_RTOL = 2e-3
+NOISE_SIGN_TOL = 1e-3
+# The squared-OU row's initial split; its x moves with the effective normal
+# z_eff = sqrt(m) z1 + sqrt(1 - m) z2.
+M_SPLIT = 0.5
 
 # The states each row is checked at.  E[dX^2]/dt also holds mu^2 dt, which
 # the variance tolerance cannot absorb where mu is large (heston32 at 0.5).
@@ -42,6 +48,9 @@ _LSD_CIR = ("the LSD coefficients should be a = 2k1/k3^2 - 1/2 and "
 _LSD_CEV = "the LSD coefficient a is too large by a factor of k3^2"
 _LSD_HESTON = ("the Lamperti drift is (2k2/k3^2 + 3/2)/y - k1 y/2, so "
                "c_star should be 4k2/k3^2 + 3, not + 6")
+_HESTON_NOISE = ("; and the noise has the wrong sign: y = (2/k3) x^(-1/2) "
+                 "falls as x rises, so the map must take -dw, and "
+                 "E[dX z]/(sigma sqrt(dt)) reads -1")
 KNOWN_WRONG = {
     ("cir", "lsd1"): _LSD_CIR,
     ("cir", "lsd2"): _LSD_CIR,
@@ -51,8 +60,8 @@ KNOWN_WRONG = {
     ("cev", "lsd1"): _LSD_CEV,
     ("cev", "lsd2"): _LSD_CEV,
     ("cev", "lsd3"): _LSD_CEV + ", and the update lacks the -dt/y term",
-    ("heston32", "lsd1"): _LSD_HESTON,
-    ("heston32", "lsd2"): _LSD_HESTON,
+    ("heston32", "lsd1"): _LSD_HESTON + _HESTON_NOISE,
+    ("heston32", "lsd2"): _LSD_HESTON + _HESTON_NOISE,
     ("wf", "sd_alt"): "drift 0.596 where the SDE gives 0.2; not diagnosed",
 }
 
@@ -69,18 +78,21 @@ def _rows():
 
 
 def _one_step_moments(stepper, x, dt):
-    """(E[dX]/dt, E[dX^2]/dt) for one step from x, by Gauss-Hermite quadrature."""
+    """(E[dX]/dt, E[dX^2]/dt, E[dX z]/sqrt(dt)) for one step from x, by
+    Gauss-Hermite quadrature; z is the normal that drives x."""
     z, w = np.polynomial.hermite_e.hermegauss(NODES)
     w = w / w.sum()
     if stepper.drivers == 2:
-        z1, z2 = np.meshgrid(z, z)
-        dw = (np.sqrt(dt) * z1.ravel(), np.sqrt(dt) * z2.ravel())
+        z1, z2 = (g.ravel() for g in np.meshgrid(z, z))
+        dw = (np.sqrt(dt) * z1, np.sqrt(dt) * z2)
         w = np.outer(w, w).ravel()
+        z = np.sqrt(M_SPLIT) * z1 + np.sqrt(1.0 - M_SPLIT) * z2
     else:
         dw = np.sqrt(dt) * z
     state, _ = stepper.step(stepper.init(x, size=w.size), dw, dt)
     dx = stepper.x_of(state) - x
-    return np.sum(w * dx) / dt, np.sum(w * dx * dx) / dt
+    return (np.sum(w * dx) / dt, np.sum(w * dx * dx) / dt,
+            np.sum(w * dx * z) / np.sqrt(dt))
 
 
 @pytest.mark.parametrize("key, x", _rows())
@@ -89,10 +101,11 @@ def test_one_step_moments_match_the_sde(key, x, request):
     params = request.getfixturevalue(
         "cir_ou_params" if variant == "exact_ou" else FIXTURE[model])
     mu, sigma2 = (f(params, x) for f in SDE[model])
-    drift, second = _one_step_moments(
-        make_stepper(SchemeId(model, variant), params), x, DT)
+    drift, second, noise = _one_step_moments(
+        make_stepper(SchemeId(model, variant), params, m_split=M_SPLIT), x, DT)
     drift_error = abs(drift - mu) / abs(mu)
     assert abs(second - sigma2) <= VARIANCE_RTOL * sigma2
+    assert abs(noise / np.sqrt(sigma2) - 1.0) <= NOISE_SIGN_TOL
     if variant.endswith("_printed"):
         assert drift_error > DRIFT_RTOL
     else:

@@ -1,10 +1,12 @@
 """Every row of the scheme table runs through the stepper interface."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lsd.errors import ConfigurationError
-from lsd.schemes import SCHEMES, SchemeId, make_stepper
+from lsd.schemes import SCHEMES, SchemeId, Stepper, make_stepper
 from lsd.schemes import cir as cir_mod
 from lsd.schemes._complex import sqrt_with_fallback
 
@@ -41,6 +43,31 @@ def test_row_runs_through_its_stepper(key, request):
         x = stepper.x_of(state)
         assert np.shape(x) == shape
         assert np.all(np.isfinite(x))
+
+
+@pytest.mark.parametrize("key", list(SCHEMES), ids=lambda k: f"{k[0]}:{k[1]}")
+def test_row_binds_once_per_dt(key, request):
+    # the stepper binds the row's map again only when a step's dt changes
+    model, variant = key
+    row = SCHEMES[key]
+    params = request.getfixturevalue(
+        "cir_ou_params" if variant == "exact_ou" else FIXTURE[model])
+    dts = []
+
+    def counting(p, dt, **kwargs):
+        dts.append(dt)
+        return row.bind(p, dt, **kwargs)
+
+    stepper = Stepper(SchemeId(model, variant),
+                      dataclasses.replace(row, bind=counting), params, 1.0, 0.5)
+    state = stepper.init(X0[model], size=4)
+    rng = np.random.default_rng(11)
+    for dt, binds in ((DT, 1), (DT, 1), (DT, 1), (DT / 2, 2), (DT, 3)):
+        dw = rng.standard_normal((stepper.drivers, 4)) * np.sqrt(dt)
+        state, _ = stepper.step(
+            state, tuple(dw) if stepper.drivers == 2 else dw[0], dt)
+        assert len(dts) == binds
+    assert dts == [DT, DT / 2, DT]
 
 
 def test_non_real_mask_marks_a_non_zero_imaginary_part():

@@ -11,7 +11,7 @@ from oracles import bisect
 
 
 def _lsd(variant):
-    return getattr(ait_mod, f"{variant}_step")
+    return getattr(ait_mod, f"{variant}_bind")
 
 
 def _companion(variant, p, x, dw, dt):
@@ -25,21 +25,21 @@ class TestLsdValues:
     def test_lsd1_worked_example(self, ait_params):
         y0 = ait_params.forward(4.0)
         assert y0 == 0.5
-        y = ait_mod.lsd1_step(ait_params, y0, 0.0, 0.01)
+        y = ait_mod.lsd1_bind(ait_params, 0.01)(y0, 0.0)
         assert y == pytest.approx(0.5516741398556624, rel=1e-13)
         assert ait_params.inverse(y) == pytest.approx(3.2857517425959491,
                                                       rel=1e-12)
 
     @pytest.mark.parametrize("variant", ["lsd1", "lsd2"])
     def test_identity_limit(self, ait_params, variant):
-        y = _lsd(variant)(ait_params, 0.5, 0.0, 1e-12)
+        y = _lsd(variant)(ait_params, 1e-12)(0.5, 0.0)
         assert abs(y - 0.5) <= 1e-6
 
     @pytest.mark.parametrize("variant", ["lsd1", "lsd2"])
     def test_bulk_positivity(self, ait_params, variant, rng):
         y = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), 1000))
         dw = rng.standard_normal(1000) * 2.0
-        out = _lsd(variant)(ait_params, y, dw, 1e-2)
+        out = _lsd(variant)(ait_params, 1e-2)(y, dw)
         assert np.all(out > 0)
 
     def test_zero_exponent_uses_unit_power(self, ait_params):
@@ -55,7 +55,7 @@ class TestLsdValues:
         for _ in range(300):
             y = math.exp(rng.uniform(math.log(1e-2), math.log(5.0)))
             dw, dt = rng.normal() * 0.3, 10 ** rng.uniform(-5, -2)
-            out = _lsd(variant)(p, y, dw, dt)
+            out = _lsd(variant)(p, dt)(y, dw)
             if variant == "lsd1":
                 phi = -p.K3 * dw + y + p.K0 * y**p.e2 * dt
                 c2 = 1.0 + p.Km1 * y**p.e4 * dt + p.K1 * dt

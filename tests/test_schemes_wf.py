@@ -15,7 +15,7 @@ HALF_PI = math.pi / 2.0
 
 
 def _lsd(variant):
-    return getattr(wf_mod, f"{variant}_step")
+    return getattr(wf_mod, f"{variant}_bind")
 
 
 def _companion(variant, p, x, dw, dt):
@@ -29,20 +29,20 @@ class TestLsdValues:
     def test_lsd3_steady_state(self, wf_params):
         # a == b at these parameters, so pi/2 is an exact fixed point of the
         # drift-only update
-        y = wf_mod.lsd3_step(wf_params, HALF_PI, 0.0, 0.01)[0]
+        y = wf_mod.lsd3_bind(wf_params, 0.01)(HALF_PI, 0.0)[0]
         assert abs(y - HALF_PI) <= 1e-12
         assert wf_params.inverse(y) == pytest.approx(0.5, abs=1e-6)
 
     @pytest.mark.parametrize("variant", ["lsd1", "lsd2", "lsd3", "lsd4"])
     def test_identity_limit(self, wf_params, variant):
-        y = _lsd(variant)(wf_params, 1.1, 0.0, 1e-12)[0]
+        y = _lsd(variant)(wf_params, 1e-12)(1.1, 0.0)[0]
         assert abs(y - 1.1) <= 1e-6
 
     @pytest.mark.parametrize("variant", ["lsd1", "lsd2", "lsd3", "lsd4"])
     def test_states_map_into_unit_interval(self, wf_params, variant, rng):
         y = rng.uniform(0.05, math.pi - 0.05, 10_000)
         dw = rng.standard_normal(10_000) * 0.5
-        out = _lsd(variant)(wf_params, y, dw, 1e-3)[0]
+        out = _lsd(variant)(wf_params, 1e-3)(y, dw)[0]
         x = wf_params.inverse(out)
         assert np.all((x >= 0.0) & (x <= 1.0))
         assert np.all((out >= 0.0) & (out <= math.pi))
@@ -53,7 +53,7 @@ class TestLsdValues:
         c = (wf_params.a / y) * cot - (wf_params.b / y) * math.tan(0.5 * y)
         dt_critical = 1.0 / c
         with pytest.raises(StepSizeError):
-            wf_mod.lsd2_step(wf_params, y, 0.0, dt_critical)
+            wf_mod.lsd2_bind(wf_params, dt_critical)(y, 0.0)
 
     def test_lsd2_negative_denominator_raises_in_a_scan(self):
         # a negative denominator used to flip a path to a state near 0,
@@ -79,7 +79,7 @@ class TestLsdValues:
         for _ in range(300):
             y = rng.uniform(0.1, math.pi - 0.1)
             dw, dt = rng.normal() * 0.1, 10 ** rng.uniform(-5, -2)
-            got = wf_mod.lsd1_step(p, y, dw, dt)[0]
+            got = wf_mod.lsd1_bind(p, dt)(y, dw)[0]
             denom = 1.0 + (p.b / y) * math.tan(0.5 * y) * dt
             phi = (p.k3 * dw + y) / denom
             decay = wf_cosine_solution(phi, p.a / denom, dt)
@@ -174,7 +174,7 @@ class TestCompanions:
 
     def test_sd_clamps_and_flags(self, wf_params):
         # a huge step drives the inner value below 0, forcing the clip
-        value, clamped = wf_mod.sd_step(wf_params, 0.999, 0.0, 2.0)
+        value, clamped = wf_mod.sd_bind(wf_params, 2.0)(0.999, 0.0)
         assert clamped
         assert 0.0 <= value <= 1.0
 

@@ -27,7 +27,6 @@ the squared-OU comparison as one two-driver stepper carrying its riders.
 scheme on it once; the ``simulate`` and ``compare`` kinds report its paths.
 """
 
-import copy
 import math
 import os
 from dataclasses import dataclass, field
@@ -161,10 +160,10 @@ def _dyadic_plan(T: float, step_sizes: Sequence[float], M: int,
     must be a power-of-two multiple of it.  The widest block of
     :func:`_blocks` must fit in memory: every driver's chunk at each level
     of the ladder, or every driver's finest chunk and the draw tile that
-    fills one of them, whichever is larger.  The buffer that skips a later
-    driver's generator past the draws before it is freed before the first
-    chunk is drawn and is no larger than a draw tile, so the second count
-    covers it.
+    fills one of them, whichever is larger.  The buffer through which driver
+    d's generator discards the d·n normals of the drivers before it is
+    freed before the first chunk is drawn and is no larger than a draw
+    tile, so the second count covers it.
     Returns ``(n_ref, {dt: halvings})``.
     """
     if not step_sizes:
@@ -236,25 +235,24 @@ def _chunks(seed, paths, T, n, j, levels, drivers, tile):
 
     Path i's stream is ``default_rng(path_seed(seed, i))``, whose normals
     d·n .. (d + 1)·n - 1 are driver d's increments.  Each (path, driver)
-    draws from its own generator: driver 0's is the path's, and driver d's
-    is driver d - 1's, copied before it draws and advanced past its n
-    normals before the first chunk: they are drawn into one reused buffer
-    no larger than a draw tile, one call per buffer's worth.  Each chunk
-    fills one driver's lane ``tile`` paths per :func:`generate_lattice`
-    call, whose row-major tile one assignment copies into the time-major
-    chunk; each generator runs on from chunk to chunk.
+    draws from its own generator, a fresh one of the path's stream that
+    discards the d·n normals of the drivers before it ahead of the first
+    chunk, so δ drivers discard δ(δ - 1)/2·n per path: they are drawn into
+    one reused buffer no larger than a draw tile, one call per buffer's
+    worth.  Each chunk fills one driver's lane ``tile`` paths per
+    :func:`generate_lattice` call, whose row-major tile one assignment
+    copies into the time-major chunk; each generator runs on from chunk to
+    chunk.
     """
     c, horizon = n >> j, T / (1 << j)
     seeds = [path_seed(seed, i) for i in paths]
-    lanes = [[np.random.default_rng(s) for s in seeds]]
-    for d in range(1, drivers):
-        lanes.append([np.random.default_rng(s) for s in seeds] if d == 1
-                     else [copy.deepcopy(rng) for rng in lanes[-1]])
-        skip = np.empty(min(n, tile * c))
-        for rng in lanes[d]:
-            for done in range(0, n, skip.size):
-                rng.standard_normal(out=skip[:n - done])
-        del skip
+    lanes = [[np.random.default_rng(s) for s in seeds] for _ in range(drivers)]
+    skip = np.empty(min(n, tile * c))
+    for d, lane in enumerate(lanes):
+        for rng in lane:
+            for done in range(0, d * n, skip.size):
+                rng.standard_normal(out=skip[:d * n - done])
+    del skip
     for k in range(1 << j):
         inc = {0: np.empty((c, drivers, len(paths))).T}
         for d, lane in enumerate(lanes):
@@ -339,7 +337,7 @@ def _terminal_batch(stepper, state, dt, increments, offset=0,
                 values[start + 1:start + 1 + len(held)] = np.moveaxis(x, -2, 0)
             if counters is not None:
                 if event is not None:
-                    counters.__dict__[event] += int(np.count_nonzero(masks))
+                    counters.__dict__[event] += int(np.count_nonzero(np.array(masks)))
                 counters.negative_states += int(np.count_nonzero(x < 0))
             held.clear()
             masks.clear()

@@ -50,6 +50,14 @@ class MonotoneSpec:
                 f"interval ({self.lo!r}, {self.hi!r}) is not 0 <= lo < hi <= inf")
 
 
+def implicit_step(spec: MonotoneSpec, noise) -> Callable:
+    """The drift-implicit step map(y, dw): solve fn(y') = y + noise * dw for
+    every path to ``STEP_TOL``, seeded at the state y.  The map looks
+    :func:`solve_monotone` up at each call, so what replaces that one name
+    reaches every drift-implicit row."""
+    return lambda y, dw: solve_monotone(spec, y + noise * dw, tol=STEP_TOL, seed=y)
+
+
 def invert_monotone(spec: MonotoneSpec, u: float, tol: float = 1e-12,
                     seed: Optional[float] = None) -> float:
     """:func:`solve_monotone` for one float u; ``fn`` maps floats to floats."""

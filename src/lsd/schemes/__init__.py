@@ -133,12 +133,6 @@ class SchemeId:
         return f"{self.model}:{self.variant}"
 
 
-def _broadcast(value, size):
-    """``value`` as a float array, or ``size`` copies of it along a new last axis."""
-    value = np.asarray(value, float)
-    return value if size is None else np.repeat(value[..., np.newaxis], size, -1)
-
-
 class Stepper:
     """Advances one scheme; built by :func:`make_stepper`.
 
@@ -161,7 +155,8 @@ class Stepper:
         state = lamperti_forward(self.params, x0)   # checks the domain too
         if self._to_state is not None:
             state = self._to_state(self.params, x0)
-        return _broadcast(state, size)
+        state = np.asarray(state, float)
+        return state if size is None else np.repeat(state[..., np.newaxis], size, -1)
 
     def step(self, state, dw, dt):
         if dt != self._dt:

@@ -14,7 +14,7 @@ SDE.
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..rootfind import STEP_TOL, MonotoneSpec, solve_monotone
+from ..rootfind import MonotoneSpec, implicit_step
 
 
 def _positive_root(phi, c1, c2):
@@ -94,10 +94,5 @@ def implicit_bind(p, dt, variant):
     paths; g is per ``variant``, and the ``drift`` map is solved with its
     slope."""
     slope = implicit_slope(p, dt) if variant == "drift" else None
-    spec = MonotoneSpec(implicit_map(p, dt, variant), lo=0.0, hi=np.inf,
-                        slope=slope)
-
-    def step(y, dw):
-        return solve_monotone(spec, y - p.K3 * dw, tol=STEP_TOL, seed=y)
-
-    return step
+    return implicit_step(MonotoneSpec(implicit_map(p, dt, variant), slope=slope),
+                         -p.K3)

@@ -11,7 +11,7 @@ parameters.
 import numpy as np
 
 from ..closedform import bernoulli_power
-from ..rootfind import STEP_TOL, MonotoneSpec, solve_monotone
+from ..rootfind import MonotoneSpec, implicit_step
 from ._complex import sqrt_with_fallback
 
 
@@ -100,11 +100,5 @@ def implicit_slope(p, dt):
 
 def implicit_bind(p, dt):
     """The step map(u, dw) at dt: one batch inversion of G, guided by G'."""
-    spec = MonotoneSpec(implicit_map(p, dt), lo=0.0, hi=np.inf,
-                        slope=implicit_slope(p, dt))
-    scale = p.k3 * (1.0 - p.q)
-
-    def step(u, dw):
-        return solve_monotone(spec, u + scale * dw, tol=STEP_TOL, seed=u)
-
-    return step
+    spec = MonotoneSpec(implicit_map(p, dt), slope=implicit_slope(p, dt))
+    return implicit_step(spec, p.k3 * (1.0 - p.q))

@@ -17,13 +17,6 @@ from ._complex import sqrt_with_fallback
 _EXACT_OU_DIMENSION_TOL = 1e-12
 
 
-def _bernoulli_affine(B, C, dt):
-    # bernoulli_power(A, B, C, 1, dt) = shift + growth A^2, bit for bit on
-    # both branches for 0-d B and C
-    return (bernoulli_power(0.0, B, C, 1.0, dt),
-            bernoulli_power(1.0, 0.0, C, 1.0, dt))
-
-
 def lsd1_bind(a, b, dt):
     """Linear drift part frozen: y' = sqrt((dw + (1 - b dt) y)^2 + 2 a dt)."""
     # C = 0 takes bernoulli_power's linear branch, whose growth is 1.0
@@ -34,7 +27,10 @@ def lsd1_bind(a, b, dt):
 
 def lsd2_bind(a, b, dt):
     """Full drift kept: y' = sqrt((dw + y)^2 e^(-2b dt) + a(1 - e^(-2b dt))/b)."""
-    shift, growth = _bernoulli_affine(a, -b, dt)
+    # bernoulli_power(A, a, -b, 1, dt) = shift + growth A^2, bit for bit on
+    # both branches for 0-d a and b
+    shift = bernoulli_power(0.0, a, -b, 1.0, dt)
+    growth = bernoulli_power(1.0, 0.0, -b, 1.0, dt)
     return lambda y, dw: np.sqrt(shift + growth * np.square(dw + y))
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..closedform import wf_cosine_solution
 from ..errors import InversionError, StepSizeError
-from ..rootfind import STEP_TOL, MonotoneSpec, solve_monotone
+from ..rootfind import MonotoneSpec, implicit_step
 
 _DENOMINATOR_TOL = 1e-12
 
@@ -61,8 +61,9 @@ def lsd2_bind(p, dt):
     a, b, k3 = np.array(p.a), np.array(p.b), np.array(p.k3)
 
     def step(y, dw):
-        cot = 1.0 / np.tan(0.5 * y)
-        denom = 1.0 - (a / y) * cot * dt + (b / y) * np.tan(0.5 * y) * dt
+        t = np.tan(0.5 * y)
+        cot = 1.0 / t
+        denom = 1.0 - (a / y) * cot * dt + (b / y) * t * dt
         _require(denom >= _DENOMINATOR_TOL, "update denominator is not positive")
         return _fold((k3 * dw + y) / denom)
     return step
@@ -72,9 +73,10 @@ def lsd3_bind(p, dt):
     a, b, k3 = np.array(p.a), np.array(p.b), np.array(p.k3)
 
     def step(y, dw):
-        cot = 1.0 / np.tan(0.5 * y)
+        t = np.tan(0.5 * y)
+        cot = 1.0 / t
         num = k3 * dw + y + a * cot * dt
-        denom = 1.0 + (b / y) * np.tan(0.5 * y) * dt
+        denom = 1.0 + (b / y) * t * dt
         return _fold(num / denom)
     return step
 
@@ -83,8 +85,9 @@ def lsd4_bind(p, dt):
     a, b, k3 = np.array(p.a), np.array(p.b), np.array(p.k3)
 
     def step(y, dw):
-        cot = 1.0 / np.tan(0.5 * y)
-        phi = k3 * dw + y - dt / y + (a * cot - b * np.tan(0.5 * y)) * dt
+        t = np.tan(0.5 * y)
+        cot = 1.0 / t
+        phi = k3 * dw + y - dt / y + (a * cot - b * t) * dt
         root = (phi + np.sqrt(phi * phi + 4.0 * dt)) / 2.0
         return _fold(root)
     return step
@@ -211,9 +214,9 @@ def implicit_bind(p, dt, sign_mode):
     g = implicit_map(p, dt, sign_mode)
     if sign_mode == "corrected":
         spec = MonotoneSpec(g, lo=0.0, hi=np.pi, slope=implicit_slope(p, dt))
-        return lambda y, dw: solve_monotone(spec, y + p.k3 * dw, tol=STEP_TOL, seed=y)
+        return implicit_step(spec, p.k3)
     peak = printed_peak(p, dt)
-    spec, top = MonotoneSpec(g, lo=0.0, hi=peak), float(g(peak))
+    solve, top = implicit_step(MonotoneSpec(g, lo=0.0, hi=peak), p.k3), float(g(peak))
 
     def step(y, dw):
         u = y + p.k3 * dw
@@ -224,6 +227,6 @@ def implicit_bind(p, dt, sign_mode):
                 f"u={float(np.ravel(u)[k])!r} lies outside the map's range: its "
                 f"maximum near x={peak!r} is {top!r}", index=k,
                 bracket=(math.nextafter(peak, 0.0), math.nextafter(peak, math.pi)))
-        return solve_monotone(spec, u, tol=STEP_TOL, seed=y)
+        return solve(y, dw)
 
     return step

@@ -14,6 +14,7 @@ from lsd.schemes import ait as ait_mod
 from lsd.schemes import cev as cev_mod
 from lsd.schemes import wf as wf_mod
 from oracles import bisect
+from test_scheme_table import FIXTURE, X0
 
 
 def test_identity():
@@ -370,6 +371,33 @@ def test_batch_step_matches_lone_steps_on_the_implicit_maps(model, dt, draws):
         assert abs(got - lone) <= 1e-12 * max(1.0, abs(lone))
     generic = solve_monotone(spec, target, tol=STEP_TOL, seed=state)
     assert np.all(np.abs(batch - generic) <= 2.0 * STEP_TOL * np.maximum(1.0, np.abs(generic)))
+
+
+@pytest.mark.parametrize("model, variant", [
+    ("cev", "implicit"), ("wf", "implicit"), ("wf", "implicit_printed"),
+    ("ait", "implicit"), ("ait", "implicit_printed")])
+def test_every_solved_row_steps_through_the_one_implicit_step(model, variant,
+                                                              request, monkeypatch):
+    # Each step is one call of rootfind.solve_monotone, looked up there, to
+    # STEP_TOL and seeded at the state it steps from.
+    calls = []
+
+    def counting(spec, u, tol=1e-12, seed=None, solve=rootfind.solve_monotone):
+        calls.append((tol, seed))
+        return solve(spec, u, tol, seed)
+
+    monkeypatch.setattr(rootfind, "solve_monotone", counting)
+    params = request.getfixturevalue(FIXTURE[model])
+    stepper = make_stepper(SchemeId(model, variant), params)
+    state, dt = stepper.init(X0[model], size=4), 1e-2
+    dws = np.random.default_rng(5).standard_normal((3, 4)) * math.sqrt(dt)
+    for k, dw in enumerate(dws, 1):
+        new, _ = stepper.step(state, dw, dt)
+        assert len(calls) == k
+        tol, seed = calls[-1]
+        assert tol == STEP_TOL
+        np.testing.assert_array_equal(seed, state)
+        state = new
 
 
 def test_safeguard_acts_where_newton_fails_on_the_cev_map():

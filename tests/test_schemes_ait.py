@@ -43,11 +43,22 @@ class TestLsdValues:
         assert np.all(out > 0)
 
     def test_zero_exponent_uses_unit_power(self, ait_params):
-        # r = 2*rho - 1 here, so the e3 power is x**0 == 1 for every state
-        assert ait_params.e3 == 0.0
-        y = np.array([0.2, 1.0, 7.0])
-        c2 = (ait_params.K2 * y**ait_params.e3 + ait_params.K4) * 0.01
-        np.testing.assert_allclose(c2, (3.0 + 0.375) * 0.01, rtol=1e-15)
+        # r = 2*rho - 1 here, so the K2 term's power of y is y**0 == 1 and
+        # each map's quadratic has the constant -(K2 + K4) dt on every path
+        p, dt = ait_params, 0.01
+        assert p.e3 == 0.0
+        y, dw = np.array([0.2, 1.0, 7.0]), np.array([0.05, -0.1, 0.2])
+        c0 = -(p.K2 + p.K4) * dt
+        for variant in ("lsd1", "lsd2"):
+            v = _lsd(variant)(p, dt)(y, dw)
+            phi = -p.K3 * dw + y + p.K0 * y**p.e2 * dt
+            if variant == "lsd1":
+                c1 = 1.0 + p.Km1 * y**p.e4 * dt + p.K1 * dt
+            else:
+                phi -= p.Km1 * y**p.e1 * dt
+                c1 = 1.0 + p.K1 * dt
+            residual = c1 * v * v - phi * v + c0
+            assert np.all(np.abs(residual) <= 1e-13 * (1.0 + c1 + np.abs(phi) - c0))
 
     @pytest.mark.parametrize("variant", ["lsd1", "lsd2"])
     def test_root_satisfies_quadratic(self, ait_params, variant, rng):

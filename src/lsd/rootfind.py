@@ -21,6 +21,9 @@ from .errors import ConfigurationError, InversionError, NumericError
 _MAX_ITER = 100
 _NEWTON_ITER = 20   # Newton or secant steps before an element bisects
 STEP_TOL = 1e-13    # what each drift-implicit scheme step solves to
+# The loop's constant operands as 0-d arrays: numpy 2 promotes a Python
+# scalar operand on every call, at more cost.
+_ONE, _ZERO, _NAN = np.array(1.0), np.array(0.0), np.array(np.nan)
 
 
 @dataclass
@@ -102,11 +105,9 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
         k = int(np.argmax(bad))
         raise NumericError(f"non-finite target u={float(u[k])!r}", index=k)
     target = tol * np.maximum(1.0, np.abs(u))
-    # The loop's scalar operands as 0-d arrays: numpy 2 promotes a Python
-    # scalar operand on every call, at more cost.
-    tol, one, zero, nan = (np.array(v) for v in (tol, 1.0, 0.0, np.nan))
+    tol = np.array(tol)
 
-    def h(idx, x):
+    def h(idx, x, u):
         """fn(x) - u on the elements ``idx``; fn never sees the others."""
         if not idx.size:
             return x
@@ -116,21 +117,22 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
             k = int(np.argmax(bad))
             raise NumericError(f"non-finite function value at x={float(x[k])!r}",
                                index=int(idx[k]))
-        return val - u[idx]
+        return val - u
 
     start = (max(1.0, 2.0 * spec.lo) if math.isinf(spec.hi)
              else 0.5 * (spec.lo + spec.hi))
     x = np.broadcast_to(start if seed is None else seed, shape).ravel()
     x = np.where((spec.lo < x) & (x < spec.hi), x, start)
     i = np.arange(u.size)
-    hx = h(i, x)
+    hx = h(i, x, u)
     root = np.full(u.size, np.nan)
     # The bracket (a, b) starts as (lo, hi), and each residual's sign moves
-    # one end of it to its x.
+    # one end of it to its x.  u and its residual bound travel with the
+    # elements still at work.
     a, b = np.full(u.size, float(spec.lo)), np.full(u.size, float(spec.hi))
     k = 0
     while i.size:
-        neg = hx < zero    # the root lies above x
+        neg = hx < _ZERO    # the root lies above x
         a, b = np.where(neg, x, a), np.where(neg, b, x)
         if k == _MAX_ITER:
             raise InversionError(
@@ -138,7 +140,7 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
                 f"{_MAX_ITER} iterations", bracket=(float(a[0]), float(b[0])),
                 index=int(i[0]))
         if k >= _NEWTON_ITER:
-            d = np.nan    # no step, so a bisection
+            d = _NAN    # no step, so a bisection
         elif spec.slope is not None:
             d = spec.slope(x)
         elif k:
@@ -146,50 +148,57 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
                 d = (hx - hp) / (x - xp)
         else:
             d = np.inf    # a step of 0, stretched to a probe
-        tx = tol * np.maximum(one, np.abs(x))
-        xn = x - hx / np.where(d > zero, d, nan)
+        tx = tol * np.maximum(_ONE, np.abs(x))
+        xn = x - hx / np.where(d > _ZERO, d, _NAN)
         probe = np.abs(xn - x) < tx
-        xn = np.where(probe, x - np.copysign(tx, hx), xn)
+        probing = probe.any()
+        if probing:
+            xn = np.where(probe, x - np.copysign(tx, hx), xn)
         inside = (a < xn) & (xn < b)
         if not inside.all():
             # A probe past an evaluated bracket end probes that end instead;
             # any other step out of the bracket bisects it.
-            end = np.where(neg, b, a)
-            probe &= inside | np.where(neg, b < spec.hi, a > spec.lo)
             mid = np.where(b == math.inf, 2.0 * a, 0.5 * (a + b))
             # a midpoint that rounds onto lo or hi steps inside
             mid = np.where(mid >= spec.hi, np.nextafter(b, a),
                            np.where(mid <= spec.lo, np.nextafter(a, b), mid))
-            xn = np.where(inside, xn, np.where(probe, end, mid))
-        hn = h(i, xn)
-        cross = probe & ((hn < zero) != neg)
+            if probing:
+                probe &= inside | np.where(neg, b < spec.hi, a > spec.lo)
+                mid = np.where(probe, np.where(neg, b, a), mid)
+            xn = np.where(inside, xn, mid)
+        hn = h(i, xn, u)
         ok = None
         if k >= _NEWTON_ITER:
             # xn bisected the bracket: it settles once the half it leaves is
             # within the x bound.
-            left = np.where(hn < zero, b - xn, xn - a)
-            ok = ((left <= tol * np.maximum(one, np.abs(xn)))
-                  & (np.abs(hn) <= target[i]))
+            left = np.where(hn < _ZERO, b - xn, xn - a)
+            ok = ((left <= tol * np.maximum(_ONE, np.abs(xn)))
+                  & (np.abs(hn) <= target))
             root[i[ok]] = xn[ok]
-        elif cross.any():
-            # x and its probe straddle the root: take the end of least
-            # residual if that is within the target.
-            nearer = np.abs(hn) < np.abs(hx)
-            ok = cross & (np.abs(np.where(nearer, hn, hx)) <= target[i])
-            root[i[ok]] = np.where(nearer, xn, x)[ok]
-            m = np.flatnonzero(cross & ~ok)
-            if m.size:
-                # Neither end meets the target.  The pair becomes the
-                # bracket and its chord point the next x: a Newton step
-                # from the probe, stretched to the x bound, would land
-                # back on x, and x on the probe, until the steps run out.
-                a[m], b[m] = (np.where(neg[m], x[m], xn[m]),
-                              np.where(neg[m], xn[m], x[m]))
-                xn[m] = x[m] - hx[m] * (xn[m] - x[m]) / (hn[m] - hx[m])
-                hn[m] = h(i[m], xn[m])
+        elif probing:
+            cross = probe & ((hn < _ZERO) != neg)
+            if cross.any():
+                # x and its probe straddle the root: take the end of least
+                # residual if that is within the target.
+                nearer = np.abs(hn) < np.abs(hx)
+                ok = cross & (np.abs(np.where(nearer, hn, hx)) <= target)
+                root[i[ok]] = np.where(nearer, xn, x)[ok]
+                m = np.flatnonzero(cross & ~ok)
+                if m.size:
+                    # Neither end meets the target.  The pair becomes the
+                    # bracket and its chord point the next x: a Newton step
+                    # from the probe, stretched to the x bound, would land
+                    # back on x, and x on the probe, until the steps run out.
+                    a[m], b[m] = (np.where(neg[m], x[m], xn[m]),
+                                  np.where(neg[m], xn[m], x[m]))
+                    xn[m] = x[m] - hx[m] * (xn[m] - x[m]) / (hn[m] - hx[m])
+                    hn[m] = h(i[m], xn[m], u[m])
         if ok is not None and ok.any():
-            keep = ~ok
-            i, xn, hn, a, b = (v[keep] for v in (i, xn, hn, a, b))
+            if ok.all():
+                break
+            keep = np.flatnonzero(~ok)
+            i, xn, hn, a, b, u, target = (
+                v[keep] for v in (i, xn, hn, a, b, u, target))
             if spec.slope is None:    # the secant's previous point
                 x, hx = x[keep], hx[keep]
         xp, hp, x, hx = x, hx, xn, hn

@@ -54,11 +54,40 @@ class MonotoneSpec:
 
 
 def implicit_step(spec: MonotoneSpec, noise) -> Callable:
-    """The drift-implicit step map(y, dw): solve fn(y') = y + noise * dw for
-    every path to ``STEP_TOL``, seeded at the state y.  The map looks
+    """The drift-implicit step map(y, dw): solve fn(y') = t, t = y + noise *
+    dw, for every path to ``STEP_TOL``.
+
+    Each path is seeded at s2, the second pass of the fixed-point iteration
+    s <- t + (s - fn(s)) from s0 = t: one explicit step, then one
+    correction.  The state y lies O(sqrt(dt)) from the root, s2 much
+    nearer.  The seed is y wherever s2 does not qualify: t, s1 or s2
+    outside (lo, hi), or a residual t - fn(s1) larger in size than
+    t - fn(t), that is |s2 - s1| > |s1 - s0|.  fn sees only points inside
+    (lo, hi): where a pass has left the interval, fn is evaluated at an
+    interior point instead and its value is not used.  The map looks
     :func:`solve_monotone` up at each call, so what replaces that one name
-    reaches every drift-implicit row."""
-    return lambda y, dw: solve_monotone(spec, y + noise * dw, tol=STEP_TOL, seed=y)
+    reaches every drift-implicit row.
+    """
+    lo, hi, mid = (np.array(v) for v in (spec.lo, spec.hi, _interior(spec)))
+
+    def step(y, dw):
+        t = y + noise * dw
+        inside = (lo < t) & (t < hi)
+        r0 = t - spec.fn(np.where(inside, t, mid))
+        s1 = t + r0
+        inside &= (lo < s1) & (s1 < hi)
+        r1 = t - spec.fn(np.where(inside, s1, mid))
+        s2 = s1 + r1
+        inside &= (lo < s2) & (s2 < hi) & (np.abs(r1) <= np.abs(r0))
+        return solve_monotone(spec, t, tol=STEP_TOL, seed=np.where(inside, s2, y))
+
+    return step
+
+
+def _interior(spec: MonotoneSpec) -> float:
+    """A point inside (lo, hi), where a solve without a seed starts."""
+    return (max(1.0, 2.0 * spec.lo) if math.isinf(spec.hi)
+            else 0.5 * (spec.lo + spec.hi))
 
 
 def invert_monotone(spec: MonotoneSpec, u: float, tol: float = 1e-12,
@@ -76,9 +105,10 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
     max(1, |x|)``, the latter shown by a sign change within that bound of
     x.  On a flat map the residual alone allows a large error in x.
 
-    Each element runs Newton's method from its seed, the previous state when
-    the caller has one (Press et al., *Numerical Recipes* §9.4, ``rtsafe``),
-    and keeps a bracket from the sign of every residual: a step where the
+    Each element runs Newton's method from its seed (Press et al., *Numerical
+    Recipes* §9.4, ``rtsafe``): for a drift-implicit step the explicit
+    predictor of :func:`implicit_step`, and where no seed is given or it lies
+    outside (lo, hi), a point inside the interval.  It keeps a bracket from the sign of every residual: a step where the
     slope is <= 0 or outside the bracket bisects it, or doubles toward an
     infinite end.  Without a ``slope``, the secant through the element's
     last two points gives it, and the first step is 0.  A step shorter than
@@ -119,8 +149,7 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
                                index=int(idx[k]))
         return val - u
 
-    start = (max(1.0, 2.0 * spec.lo) if math.isinf(spec.hi)
-             else 0.5 * (spec.lo + spec.hi))
+    start = _interior(spec)
     x = np.broadcast_to(start if seed is None else seed, shape).ravel()
     x = np.where((spec.lo < x) & (x < spec.hi), x, start)
     i = np.arange(u.size)

@@ -99,7 +99,7 @@ SHA256 = {
         "b3a70733885a5afbdb13169c87bb3b89799e2001c11356def39b151ae52c6c3e",
     "exact-cir":
         "e3b5c571ed82fe61f3c8f03debda55467c4c8eddb195c3ea29cfac4edbf1a28b",
-    "wide": "75fbff03f902218bef013cd2e9eb08e94c6c14b2e4f0a8d79b886c76d0f2fa03",
+    "wide": "bf8b03079b3a9d0b71bb9aaee9a15a51a9171316ba5ca5bc67a8d3e77427526b",
     "wide-exact-cir":
         "44a0934d52d8b3c0c91117d67522d2d6fa59600f3ae137f50766008304d66fdb",
     "chunked-exact-cir":
@@ -114,19 +114,19 @@ SHA256 = {
     "heston32":
         "19bc615cb22ccbb1255cce4f83c0da79916b4798d135eb8f7c8f906e8c5fcc07",
     "cev":
-        "1a47febb8660d230c6c16a64756bc8fab18351e683b70b69e825d6843083da15",
+        "ec8ee9149d6e27af55d23a8127bafbcd2bff93bd750aeb897caa85b7310d9a45",
     "wf":
-        "a774b7bcad1eaf49f3fef1900c890bee7b7e01a60488b982e8a8a75bff3d8096",
+        "d93f618a79d7836d8473a7bd6a9b688b59d727b6d8a2e6ab7c37518e1270ad64",
     "ait":
-        "8457c8e9ff267e0aa0223c8264299d215bfcd6419a4f9e36e103c22081991fe1",
+        "d58b0092ed2c47c171cafa5390530b4667c0ea9c5754a4fa1d652cfec66e4267",
     "cev-others":
         "60dbdc6da39f3de36d148c0a2b78928f8780d6bf3178ea60fd6201a25d9c45b0",
     "wf-others":
         "60b83b4c8a38812579a4258e8738acf059d2569de4def447b049cddb2330ff34",
     "ait-others":
-        "a22b3ac27377b2f9afb890e5c9d60cbe13e1fe90fc2fd00f42b49d8740a9df4f",
+        "e96044a3d7425f87c7d5e78be9c4fbfcf11a217b5281ac9fbf526dd05c0c4801",
     "wf-printed":
-        "22fb94e3cc1a61e65c3ac51e7d2693cde707edff6a402944ed29abd47844db21",
+        "825afd8640a237c770d749a82bfdf4f80b767cfb575498ed741c7f278251dfd2",
 }
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from lsd import rootfind
 from lsd.errors import ConfigurationError, InversionError, NumericError
 from lsd.models import AitParams, CevParams, WfParams
-from lsd.rootfind import STEP_TOL, MonotoneSpec, invert_monotone, solve_monotone
+from lsd.rootfind import (STEP_TOL, MonotoneSpec, implicit_step, invert_monotone,
+                          solve_monotone)
 from lsd.schemes import SchemeId, make_stepper
 from lsd.schemes import ait as ait_mod
 from lsd.schemes import cev as cev_mod
@@ -373,31 +375,189 @@ def test_batch_step_matches_lone_steps_on_the_implicit_maps(model, dt, draws):
     assert np.all(np.abs(batch - generic) <= 2.0 * STEP_TOL * np.maximum(1.0, np.abs(generic)))
 
 
-@pytest.mark.parametrize("model, variant", [
-    ("cev", "implicit"), ("wf", "implicit"), ("wf", "implicit_printed"),
-    ("ait", "implicit"), ("ait", "implicit_printed")])
+SOLVED = [("cev", "implicit"), ("wf", "implicit"), ("wf", "implicit_printed"),
+          ("ait", "implicit"), ("ait", "implicit_printed")]
+
+
+def _recording(monkeypatch):
+    """Record (spec, u, tol, seed) of every rootfind.solve_monotone call."""
+    calls = []
+
+    def recording(spec, u, tol=1e-12, seed=None, solve=rootfind.solve_monotone):
+        calls.append((spec, u, tol, seed))
+        return solve(spec, u, tol, seed)
+
+    monkeypatch.setattr(rootfind, "solve_monotone", recording)
+    return calls
+
+
+def _predictor_seed(spec, y, t):
+    """Path by path: s2 of s <- t + (s - fn(s)) from s0 = t where t, s1 and
+    s2 lie in (lo, hi) and |s2 - s1| <= |s1 - s0|, else the state y."""
+    def inside(s):
+        return spec.lo < s < spec.hi
+
+    seed = []
+    for y_i, t_i in zip(y, t):
+        s = y_i
+        if inside(t_i):
+            s1 = t_i + (t_i - spec.fn(np.array(t_i)))
+            if inside(s1):
+                s2 = t_i + (s1 - spec.fn(np.array(s1)))
+                if inside(s2) and abs(s2 - s1) <= abs(s1 - t_i):
+                    s = s2
+        seed.append(s)
+    return np.array(seed)
+
+
+@pytest.mark.parametrize("model, variant", SOLVED)
 def test_every_solved_row_steps_through_the_one_implicit_step(model, variant,
                                                               request, monkeypatch):
     # Each step is one call of rootfind.solve_monotone, looked up there, to
-    # STEP_TOL and seeded at the state it steps from.
-    calls = []
-
-    def counting(spec, u, tol=1e-12, seed=None, solve=rootfind.solve_monotone):
-        calls.append((tol, seed))
-        return solve(spec, u, tol, seed)
-
-    monkeypatch.setattr(rootfind, "solve_monotone", counting)
+    # STEP_TOL and seeded at the predictor s2 where it qualifies and at the
+    # state it steps from elsewhere.
+    calls = _recording(monkeypatch)
     params = request.getfixturevalue(FIXTURE[model])
     stepper = make_stepper(SchemeId(model, variant), params)
     state, dt = stepper.init(X0[model], size=4), 1e-2
     dws = np.random.default_rng(5).standard_normal((3, 4)) * math.sqrt(dt)
+    predicted = 0
     for k, dw in enumerate(dws, 1):
         new, _ = stepper.step(state, dw, dt)
         assert len(calls) == k
-        tol, seed = calls[-1]
+        spec, u, tol, seed = calls[-1]
         assert tol == STEP_TOL
-        np.testing.assert_array_equal(seed, state)
+        np.testing.assert_array_equal(seed, _predictor_seed(spec, state, u))
+        predicted += np.count_nonzero(seed != state)
         state = new
+    assert predicted > 0
+
+
+# (model, variant, x0, dt).  At dt = 1 some cev paths from x0 = 1e-4 (and
+# some ait paths) step toward targets t <= 0, outside (0, inf), and the wf
+# and ait predictors overshoot, so those paths are seeded at the state.
+AGREE = [(m, v, X0[m], 1e-2) for m, v in SOLVED] + [
+    ("cev", "implicit", 1e-4, 1.0), ("wf", "implicit", 0.5, 1.0),
+    ("ait", "implicit", 4.0, 1.0), ("ait", "implicit_printed", 4.0, 1.0)]
+
+
+@pytest.mark.parametrize("model, variant, x0, dt", AGREE)
+def test_predictor_and_state_seeds_solve_alike(model, variant, x0, dt, request,
+                                               monkeypatch):
+    # The seed only starts the solve: from the predictor and from the state
+    # the roots agree to twice the tolerance each is solved to.
+    solve = rootfind.solve_monotone
+    calls = _recording(monkeypatch)
+    params = request.getfixturevalue(FIXTURE[model])
+    stepper = make_stepper(SchemeId(model, variant), params)
+    state = stepper.init(x0, size=64)
+    outside = predicted = 0
+    for dw in np.random.default_rng(9).standard_normal((4, 64)) * math.sqrt(dt):
+        new, _ = stepper.step(state, dw, dt)
+        spec, u, _, seed = calls[-1]
+        np.testing.assert_array_equal(seed, _predictor_seed(spec, state, u))
+        plain = solve(spec, u, STEP_TOL, state)
+        assert np.all(np.abs(new - plain)
+                      <= 2.0 * STEP_TOL * np.maximum(1.0, np.abs(plain)))
+        outside += np.count_nonzero(u <= spec.lo)
+        predicted += np.count_nonzero(seed != state)
+        state = new
+    if dt < 1.0:
+        assert predicted == state.size * 4
+    else:
+        assert predicted < state.size * 4
+    if model == "cev" and dt == 1.0:
+        assert outside > 0
+
+
+def _inside_only(fn, lo, hi):
+    """fn, raising on any x outside (lo, hi)."""
+    def guarded(x):
+        if not np.all((lo < x) & (x < hi)):
+            raise AssertionError(f"fn called outside ({lo}, {hi})")
+        return fn(x)
+
+    return guarded
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", ["cev", "wf", "wf printed"])
+def test_predictor_calls_fn_only_inside_the_interval(case):
+    # cev: targets at and below 0, and targets so near 0 that s1 overshoots
+    # past hi = inf only in the next pass.  wf: targets beyond 0 and pi, and
+    # states near the ends where s1 leaves (0, pi).  The printed wf map on
+    # (0, peak): states above the peak, outside the interval, whose targets
+    # lie below the map's maximum, one of them below 0, so each has a root.
+    if case == "cev":
+        dt = 1.0
+        g, dg, lo, hi = (cev_mod.implicit_map(CEV, dt),
+                         cev_mod.implicit_slope(CEV, dt), 0.0, math.inf)
+        y, noise = np.array([0.1, 0.1, 0.1, 0.02, 0.5]), CEV.k3 * (1.0 - CEV.q)
+        dw = np.array([-1.0, -2.0, -0.999, 0.0, 0.3])
+    elif case == "wf":
+        dt = 0.5
+        g, dg, lo, hi = (wf_mod.implicit_map(WF, dt, "corrected"),
+                         wf_mod.implicit_slope(WF, dt), 0.0, math.pi)
+        y, noise = np.array([0.05, 3.1, 0.01, 3.13, 1.5]), WF.k3
+        dw = np.array([-1.0, 1.0, 0.0, 0.0, 0.1])
+    else:
+        dt = 1e-2
+        g, dg, lo = wf_mod.implicit_map(WF, dt, "printed"), None, 0.0
+        hi = wf_mod.printed_peak(WF, dt)
+        y, noise = np.array([3.05, 3.05, 1.0, 2.0]), WF.k3
+        dw = np.array([-1.5, -16.0, 0.1, -0.2])
+    t = y + noise * dw
+    spec = MonotoneSpec(_inside_only(g, lo, hi), lo=lo, hi=hi, slope=dg)
+    got = implicit_step(spec, noise)(y, dw)
+    assert np.any((t <= lo) | (t >= hi)) or np.any((y <= lo) | (y >= hi))
+    assert _meets_both_criteria(g, got, t, STEP_TOL)
+
+
+def test_predictor_beyond_the_interval_seeds_at_the_state(monkeypatch):
+    # 0.1 x + e^(4 (x - 9.5)) on (0, 10) from t = 5: s1 = 9.5 lies inside and
+    # the second correction is the shorter, but s2 = 12.55 lies beyond hi.
+    calls = _recording(monkeypatch)
+
+    def g(x):
+        return 0.1 * x + np.exp(4.0 * (x - 9.5))
+
+    spec = MonotoneSpec(_inside_only(g, 0.0, 10.0), lo=0.0, hi=10.0)
+    y, dw = np.array([4.0]), np.array([1.0])
+    got = implicit_step(spec, 1.0)(y, dw)
+    assert calls[-1][3].tolist() == [4.0]
+    assert _meets_both_criteria(g, got, y + dw, STEP_TOL)
+
+
+def test_predictor_saves_map_calls_on_the_implicit_workload(monkeypatch):
+    # The implicit benchmark workload's parameters, x0 and 512 paths, at
+    # each of its step sizes and its reference step: over the same targets,
+    # solve_monotone calls fn fewer times from the predictor than from the
+    # state.  A count, not a timing.
+    p = CevParams(1.0 / 16.0, 1.0, 0.4, 0.75)
+    solve = rootfind.solve_monotone
+    calls = _recording(monkeypatch)
+
+    def fn_calls(spec, u, seed):
+        count = [0]
+
+        def counted(x):
+            count[0] += 1
+            return spec.fn(x)
+
+        solve(replace(spec, fn=counted), u, STEP_TOL, seed)
+        return count[0]
+
+    for dt in [2.0**-k for k in (4, 5, 6, 7, 9)]:
+        stepper = make_stepper(SchemeId("cev", "implicit"), p)
+        state = stepper.init(1.0 / 16.0, size=512)
+        predictor = at_state = 0
+        for dw in np.random.default_rng(1).standard_normal((16, 512)) * math.sqrt(dt):
+            new, _ = stepper.step(state, dw, dt)
+            spec, u, _, seed = calls[-1]
+            predictor += fn_calls(spec, u, seed)
+            at_state += fn_calls(spec, u, state)
+            state = new
+        assert predictor < at_state
 
 
 def test_safeguard_acts_where_newton_fails_on_the_cev_map():

@@ -58,13 +58,13 @@ def implicit_step(spec: MonotoneSpec, noise) -> Callable:
     dw, for every path to ``STEP_TOL``.
 
     Each path is seeded at s2, the second pass of the fixed-point iteration
-    s <- t + (s - fn(s)) from s0 = t: one explicit step, then one
+    s <- s + (t - fn(s)) from s0 = t: one explicit step, then one
     correction.  The state y lies O(sqrt(dt)) from the root, s2 much
     nearer.  The seed is y wherever s2 does not qualify: t, s1 or s2
-    outside (lo, hi), or a residual t - fn(s1) larger in size than
-    t - fn(t), that is |s2 - s1| > |s1 - s0|.  fn sees only points inside
-    (lo, hi): where a pass has left the interval, fn is evaluated at an
-    interior point instead and its value is not used.  The map looks
+    outside (lo, hi), or a second correction t - fn(s1) longer than the
+    first, t - fn(t).  fn sees only points inside (lo, hi): where a pass
+    has left the interval, fn is evaluated at an interior point instead and
+    its value is not used.  The map looks
     :func:`solve_monotone` up at each call, so what replaces that one name
     reaches every drift-implicit row.
     """
@@ -108,18 +108,19 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
     Each element runs Newton's method from its seed (Press et al., *Numerical
     Recipes* §9.4, ``rtsafe``): for a drift-implicit step the explicit
     predictor of :func:`implicit_step`, and where no seed is given or it lies
-    outside (lo, hi), a point inside the interval.  It keeps a bracket from the sign of every residual: a step where the
-    slope is <= 0 or outside the bracket bisects it, or doubles toward an
-    infinite end.  Without a ``slope``, the secant through the element's
-    last two points gives it, and the first step is 0.  A step shorter than
-    the x bound is stretched to it, a probe; x is accepted once such a probe
-    changes sign and x or the probe, whichever has the smaller residual,
-    meets the residual bound.  Where neither does, the chord point between
-    them is the next x.  An element still at work after ``_NEWTON_ITER``
-    steps bisects its bracket, and x is accepted once the bracket it leaves
-    is within the x bound and x meets the residual bound.  A midpoint that
-    rounds onto lo or hi takes the float next to it inside the bracket, so
-    fn is called only inside (lo, hi).
+    outside (lo, hi), a point inside the interval.  It keeps a bracket from
+    the sign of every residual: a step where the slope is <= 0 or outside
+    the bracket bisects it, or doubles toward an infinite end.  Without a
+    ``slope``, the secant through the element's last two points gives it,
+    and the first step is 0.  A step shorter than the x bound is stretched
+    to it, a probe; x is accepted once such a probe changes sign and x or
+    the probe, whichever has the smaller residual, meets the residual bound.
+    Where neither does, the chord point between them is the next x.  An
+    element still at work after ``_NEWTON_ITER`` steps bisects its bracket,
+    and x is accepted once the bracket it leaves is within the x bound and
+    x meets the residual bound.  A midpoint that rounds onto lo or hi takes
+    the float next to it inside the bracket, so fn is called only inside
+    (lo, hi).
 
     ``fn`` (and ``slope``) is called once per iteration on the elements still
     at work, fn once more on those that take a chord point, each element

@@ -18,7 +18,10 @@ kind, which the stepper's ``event`` names, and ``(state, None)`` for the
 others.  A name selects exactly one computation.
 The rows named ``implicit_printed`` run a drift-implicit map as printed in
 its source, whose drift does not match the SDE; the plain ``implicit`` rows
-run the consistent form.
+run the consistent form.  The ``lsdN_printed`` rows of cir, cev and
+heston32 run the LSD maps with the coefficients the paper prints, written
+out below; the plain ``lsdN`` rows read theirs from :mod:`lsd.models`,
+which holds the same values until the consistent ones replace them.
 """
 
 from dataclasses import dataclass
@@ -65,10 +68,35 @@ def _identity(p, x):
 # The maps of the rows that iterate x itself.
 _IN_X = dict(to_state=_identity, to_x=_identity)
 
+
+# The LSD coefficients as the paper prints them, which the ``lsdN_printed``
+# rows bind: cir (a, b) = (2k1/k3^2, k2/2 + k3^2/8); cev (a, b, c, q) with
+# a = k1 k3^((1-2q)/(1-q)) (1-q)^(-q/(1-q)); heston32 (a, b) = (c_star/2,
+# k1/2) with c_star = 4k2/k3^2 + 6, on +dw.
+def _cir_printed(p):
+    return 2.0 * p.k1 / p.k3**2, p.k2 / 2.0 + p.k3**2 / 8.0
+
+
+def _cev_printed(p):
+    q = p.q
+    a = p.k1 * p.k3 ** ((1 - 2 * q) / (1 - q)) * (1 - q) ** (-q / (1 - q))
+    return a, q / (2.0 - 2.0 * q), p.k2 * (1.0 - q), q
+
+
+def _heston32_printed(p):
+    return 0.5 * (4.0 * p.k2 / p.k3**2 + 6.0), 0.5 * p.k1
+
+
 SCHEMES = {
     ("cir", "lsd1"): Scheme(bind=lambda p, dt: cir.lsd1_bind(p.a, p.b, dt)),
     ("cir", "lsd2"): Scheme(bind=lambda p, dt: cir.lsd2_bind(p.a, p.b, dt)),
     ("cir", "lsd3"): Scheme(bind=lambda p, dt: cir.lsd3_bind(p.a, p.b, dt)),
+    ("cir", "lsd1_printed"): Scheme(
+        bind=lambda p, dt: cir.lsd1_bind(*_cir_printed(p), dt)),
+    ("cir", "lsd2_printed"): Scheme(
+        bind=lambda p, dt: cir.lsd2_bind(*_cir_printed(p), dt)),
+    ("cir", "lsd3_printed"): Scheme(
+        bind=lambda p, dt: cir.lsd3_bind(*_cir_printed(p), dt)),
     ("cir", "sd_theta"): Scheme(bind=cir.sd_theta_bind, **_IN_X, mask="non_real",
                                 theta=True),
     ("cir", "alf"): Scheme(bind=cir.alf_bind, **_IN_X, mask="non_real"),
@@ -81,6 +109,12 @@ SCHEMES = {
     ("cev", "lsd1"): Scheme(bind=lambda p, dt: cev.lsd1_bind(p.a, p.b, p.c, p.q, dt)),
     ("cev", "lsd2"): Scheme(bind=lambda p, dt: cev.lsd2_bind(p.a, p.b, p.c, p.q, dt)),
     ("cev", "lsd3"): Scheme(bind=lambda p, dt: cev.lsd3_bind(p.a, p.b, p.c, p.q, dt)),
+    ("cev", "lsd1_printed"): Scheme(
+        bind=lambda p, dt: cev.lsd1_bind(*_cev_printed(p), dt)),
+    ("cev", "lsd2_printed"): Scheme(
+        bind=lambda p, dt: cev.lsd2_bind(*_cev_printed(p), dt)),
+    ("cev", "lsd3_printed"): Scheme(
+        bind=lambda p, dt: cev.lsd3_bind(*_cev_printed(p), dt)),
     ("cev", "sd_theta"): Scheme(cev.sd_theta_bind, **_IN_X, mask="non_real", theta=True),
     ("cev", "implicit"): Scheme(
         bind=cev.implicit_bind, to_state=lambda p, x: x ** (1.0 - p.q),
@@ -99,6 +133,10 @@ SCHEMES = {
         bind=lambda p, dt: cir.lsd1_bind(0.5 * p.c_star, 0.5 * p.k1, dt)),
     ("heston32", "lsd2"): Scheme(
         bind=lambda p, dt: cir.lsd2_bind(0.5 * p.c_star, 0.5 * p.k1, dt)),
+    ("heston32", "lsd1_printed"): Scheme(
+        bind=lambda p, dt: cir.lsd1_bind(*_heston32_printed(p), dt)),
+    ("heston32", "lsd2_printed"): Scheme(
+        bind=lambda p, dt: cir.lsd2_bind(*_heston32_printed(p), dt)),
     ("heston32", "sd_exp"): Scheme(heston.sd_exp_bind, **_IN_X),
     ("heston32", "implicit"): Scheme(
         heston.implicit_bind, to_state=lambda p, x: x ** -0.5,

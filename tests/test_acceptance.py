@@ -95,7 +95,9 @@ def test_c2_other_models_convergence_order(model, params, x0, variant):
 # --------------------------------------------------------------------------
 
 def test_c3_domain_preservation_under_stress():
-    lsd_ids = [SchemeId("cir", v) for v in ("lsd1", "lsd2", "lsd3")]
+    # the paper's LSD maps, which the printed rows run
+    lsd_ids = [SchemeId("cir", v)
+               for v in ("lsd1_printed", "lsd2_printed", "lsd3_printed")]
     companion_ids = [SchemeId("cir", v) for v in ("alf", "ns")]
     lsd_clean = True
     for k3 in (4.0, 10.0, 20.0):

@@ -298,13 +298,16 @@ class TestCli:
         assert "dropped_from_fit" not in summary
 
     def test_scan_reports_nonreal_for_implicit_competitors(self, tmp_path):
-        cfg = self._write(tmp_path, SCAN_STRESSED)
+        # the paper's LSD maps, which the printed rows run
+        printed = ("lsd1_printed", "lsd2_printed", "lsd3_printed")
+        cfg = self._write(tmp_path, SCAN_STRESSED.replace("lsd1, lsd2, lsd3",
+                                                          ", ".join(printed)))
         assert main([str(cfg), "--out", str(tmp_path / "o")]) == 0
         summary = json.loads((tmp_path / "o" / "stressed.json").read_text())
         counters = summary["counters"]
         assert counters["alf"]["0.01"]["non_real_events"] >= 1
         assert counters["ns"]["0.01"]["non_real_events"] >= 1
-        for lsd_variant in ("lsd1", "lsd2", "lsd3"):
+        for lsd_variant in printed:
             assert counters[lsd_variant]["0.01"]["negative_states"] == 0
 
     def test_error_leaves_no_partial_outputs(self, tmp_path):
@@ -393,7 +396,7 @@ k3 = 20
 [run]
 x0 = 4
 T = 1
-schemes = alf, lsd1
+schemes = alf, lsd1_printed
 dt = 0.01
 seed = 6
 """
@@ -402,7 +405,8 @@ seed = 6
         summary = json.loads((tmp_path / "o" / "stressed.json").read_text())
         counters = summary["counters_last_dt"]
         assert counters["alf"]["negative"] == 85
-        assert counters["lsd1"] == {"non_real": 0, "clamped": 0, "negative": 0}
+        assert counters["lsd1_printed"] == {"non_real": 0, "clamped": 0,
+                                            "negative": 0}
 
     def test_compare_kind(self, tmp_path):
         cfg = self._write(tmp_path, COMPARE_CIR)

@@ -90,6 +90,16 @@ CONFIGS = {
     # x0 near 1 soon ask for; from 0.02 both step sizes complete
     "wf-printed": ("simulate", "wf", _WF, 0.02,
                    "schemes = implicit_printed\ndt = 0.01, 0.001\n"),
+    # the LSD rows with the paper's printed coefficients, each model in the
+    # setting of the config that runs its plain rows
+    "cir-printed": ("scan", "cir", "k1 = 1\nk2 = 2\nk3 = 20", 4,
+                    "schemes = lsd1_printed, lsd2_printed, lsd3_printed\n"
+                    "dt = 0.01, 0.001\nM = 32\n"),
+    "cev-printed": ("convergence", "cev", _CEV, 0.0625,
+                    "schemes = lsd1_printed, lsd2_printed, lsd3_printed\n"
+                    + _LADDER),
+    "heston32-printed": ("convergence", "heston32", _HESTON, 1,
+                         "schemes = lsd1_printed, lsd2_printed\n" + _LADDER),
 }
 
 SHA256 = {
@@ -127,6 +137,12 @@ SHA256 = {
         "e96044a3d7425f87c7d5e78be9c4fbfcf11a217b5281ac9fbf526dd05c0c4801",
     "wf-printed":
         "825afd8640a237c770d749a82bfdf4f80b767cfb575498ed741c7f278251dfd2",
+    "cir-printed":
+        "95ee811e2fda03e9ea6f6cf8fde79577c00eaebcb48db50a6d6cbf891d5d4b8b",
+    "cev-printed":
+        "caee29cbaf1825f0a90b1364a48367ca85b3b7840effd77aa3fee8204e593b1d",
+    "heston32-printed":
+        "1159fb5df40d11354f3ff6b2a7129ac8037da1c7d3c976961a292470370d09b7",
 }
 
 

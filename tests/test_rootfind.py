@@ -392,8 +392,9 @@ def _recording(monkeypatch):
 
 
 def _predictor_seed(spec, y, t):
-    """Path by path: s2 of s <- t + (s - fn(s)) from s0 = t where t, s1 and
-    s2 lie in (lo, hi) and |s2 - s1| <= |s1 - s0|, else the state y."""
+    """Path by path: s2 of s <- s + (t - fn(s)) from s0 = t where t, s1 and
+    s2 lie in (lo, hi) and the second correction is no longer than the
+    first, else the state y."""
     def inside(s):
         return spec.lo < s < spec.hi
 
@@ -401,10 +402,12 @@ def _predictor_seed(spec, y, t):
     for y_i, t_i in zip(y, t):
         s = y_i
         if inside(t_i):
-            s1 = t_i + (t_i - spec.fn(np.array(t_i)))
+            r0 = t_i - spec.fn(np.array(t_i))
+            s1 = t_i + r0
             if inside(s1):
-                s2 = t_i + (s1 - spec.fn(np.array(s1)))
-                if inside(s2) and abs(s2 - s1) <= abs(s1 - t_i):
+                r1 = t_i - spec.fn(np.array(s1))
+                s2 = s1 + r1
+                if inside(s2) and abs(r1) <= abs(r0):
                     s = s2
         seed.append(s)
     return np.array(seed)
@@ -515,7 +518,8 @@ def test_predictor_calls_fn_only_inside_the_interval(case):
 
 def test_predictor_beyond_the_interval_seeds_at_the_state(monkeypatch):
     # 0.1 x + e^(4 (x - 9.5)) on (0, 10) from t = 5: s1 = 9.5 lies inside and
-    # the second correction is the shorter, but s2 = 12.55 lies beyond hi.
+    # the second correction, 3.05, is shorter than the first, 4.5, but
+    # s2 = 12.55 lies beyond hi.
     calls = _recording(monkeypatch)
 
     def g(x):

@@ -134,7 +134,8 @@ def test_shared_map_row_binds_its_printed_coefficients(key, request):
     (("gbm", "lsd1"), "cir_params", {}, r"^unknown model 'gbm'$"),
     (("cir", "lsd9"), "cir_params", {},
      r"^unknown variant 'lsd9' for model 'cir'; expected one of \('lsd1', "
-     r"'lsd2', 'lsd3', 'sd_theta', 'alf', 'ns', 'exact_ou'\)$"),
+     r"'lsd2', 'lsd3', 'lsd1_printed', 'lsd2_printed', 'lsd3_printed', "
+     r"'sd_theta', 'alf', 'ns', 'exact_ou'\)$"),
 ], ids=["split-0", "split-1", "theta", "dimension", "model", "unknown-model",
         "unknown-variant"])
 def test_make_stepper_rejects_with_its_message(key, params, kwargs, message,

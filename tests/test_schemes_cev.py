@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lsd.models import CevParams
-from lsd.schemes import SchemeId, make_stepper
+from lsd.schemes import SCHEMES, SchemeId, make_stepper
 from lsd.schemes import cev as cev_mod
 from oracles import bisect
 
@@ -23,7 +23,7 @@ def _companion(variant, p, x, dw, dt, theta=1.0):
 
 class TestLsdValues:
     def test_lsd1_worked_example(self, cev_params):
-        y = _lsd("lsd1", cev_params, 0.01)(5.0, 0.0)
+        y = SCHEMES["cev", "lsd1_printed"].bind(cev_params, 0.01)(5.0, 0.0)
         assert y == pytest.approx(4.9865319703583006, rel=1e-12)
         x = cev_params.inverse(y)
         assert x == pytest.approx(0.0618293144526685, abs=1e-4)

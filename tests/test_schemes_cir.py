@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lsd.closedform import bernoulli_power
 from lsd.errors import ConfigurationError
 from lsd.models import CirParams
-from lsd.schemes import SchemeId, make_stepper
+from lsd.schemes import SCHEMES, SchemeId, make_stepper
 from lsd.schemes import cir as cir_mod
 from lsd.wiener import generate_lattice, path_seed
 from lsd.experiments import simulate_path
@@ -22,6 +22,12 @@ def _lsd(variant):
     return lambda p, y, dw, dt: bind(p.a, p.b, dt)(y, dw)
 
 
+def _printed(variant):
+    """The paper's map of an LSD variant: its ``_printed`` row, bound at dt."""
+    bind = SCHEMES["cir", f"{variant}_printed"].bind
+    return lambda p, y, dw, dt: bind(p, dt)(y, dw)
+
+
 def _exact_ou(p, state, dw1, dw2, dt):
     """One squared-OU step; returns (x1', x2', x')."""
     stepper = make_stepper(SchemeId("cir", "exact_ou"), p)
@@ -31,7 +37,7 @@ def _exact_ou(p, state, dw1, dw2, dt):
 
 class TestLsdValues:
     def test_lsd1_worked_example(self, cir_params):
-        y = cir_mod.lsd1_bind(cir_params.a, cir_params.b, 0.01)(4.0, 0.05)
+        y = _printed("lsd1")(cir_params, 4.0, 0.05, 0.01)
         assert y == pytest.approx(4.0149750933224978, rel=1e-14)
         x = cir_params.inverse(y)
         assert x == pytest.approx(4.03000625, rel=1e-14)
@@ -47,6 +53,7 @@ class TestLsdValues:
 
 
 class TestLsdPositivity:
+    # the paper's maps, which the printed rows run
     @pytest.mark.parametrize("params", [CirParams(2.0, 2.0, 1.0)] + STRESS_PARAMS,
                              ids=lambda p: f"k3={p.k3}")
     @pytest.mark.parametrize("variant", ["lsd1", "lsd2", "lsd3"])
@@ -54,7 +61,7 @@ class TestLsdPositivity:
         y = np.exp(rng.uniform(np.log(1e-6), np.log(1e3), 10_000))
         dw = rng.standard_normal(10_000) * 3.0
         dt = np.exp(rng.uniform(np.log(1e-6), np.log(1e-1)))
-        out = _lsd(variant)(params, y, dw, float(dt))
+        out = _printed(variant)(params, y, dw, float(dt))
         assert np.all(out > 0)
 
     @settings(max_examples=200)
@@ -63,7 +70,7 @@ class TestLsdPositivity:
     def test_positivity_property(self, y, dw, dt):
         p = CirParams(1.0, 2.0, 10.0)
         for variant in ("lsd1", "lsd2", "lsd3"):
-            assert _lsd(variant)(p, y, dw, dt) > 0
+            assert _printed(variant)(p, y, dw, dt) > 0
 
 
 class TestClosedFormAgreement:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lsd.closedform import bernoulli_power
-from lsd.schemes import SchemeId, make_stepper
+from lsd.schemes import SCHEMES, SchemeId, make_stepper
 from lsd.schemes import cir as cir_mod
 from lsd.schemes import heston as heston_mod
 from oracles import bisect, ulps_apart
@@ -31,7 +31,7 @@ class TestLsdValues:
     def test_lsd1_worked_example(self, heston_params):
         y0 = heston_params.forward(1.0)
         assert y0 == pytest.approx(4.4721359549995794, rel=1e-14)
-        y = cir_mod.lsd1_bind(*_ab(heston_params), 1e-4)(y0, 0.0)
+        y = SCHEMES["heston32", "lsd1_printed"].bind(heston_params, 1e-4)(y0, 0.0)
         assert y == pytest.approx(4.4878056999495867, rel=1e-12)
         assert heston_params.inverse(y) == pytest.approx(0.9930289368385675,
                                                          rel=1e-12)

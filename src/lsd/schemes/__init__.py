@@ -18,10 +18,7 @@ kind, which the stepper's ``event`` names, and ``(state, None)`` for the
 others.  A name selects exactly one computation.
 The rows named ``implicit_printed`` run a drift-implicit map as printed in
 its source, whose drift does not match the SDE; the plain ``implicit`` rows
-run the consistent form.  The ``lsdN_printed`` rows of cir, cev and
-heston32 run the LSD maps with the coefficients the paper prints, written
-out below; the plain ``lsdN`` rows read theirs from :mod:`lsd.models`,
-which holds the same values until the consistent ones replace them.
+run the consistent form.
 """
 
 from dataclasses import dataclass
@@ -72,7 +69,8 @@ _IN_X = dict(to_state=_identity, to_x=_identity)
 # The LSD coefficients as the paper prints them, which the ``lsdN_printed``
 # rows bind: cir (a, b) = (2k1/k3^2, k2/2 + k3^2/8); cev (a, b, c, q) with
 # a = k1 k3^((1-2q)/(1-q)) (1-q)^(-q/(1-q)); heston32 (a, b) = (c_star/2,
-# k1/2) with c_star = 4k2/k3^2 + 6, on +dw.
+# k1/2) with c_star = 4k2/k3^2 + 6, on +dw.  The plain ``lsdN`` rows read
+# the same values from lsd.models until the consistent ones replace them.
 def _cir_printed(p):
     return 2.0 * p.k1 / p.k3**2, p.k2 / 2.0 + p.k3**2 / 8.0
 

@@ -487,8 +487,8 @@ def _inside_only(fn, lo, hi):
 @pytest.mark.parametrize("case", ["cev", "wf", "wf printed"])
 def test_predictor_calls_fn_only_inside_the_interval(case):
     # cev: targets at and below 0, and targets so near 0 that s1 overshoots
-    # past hi = inf only in the next pass.  wf: targets beyond 0 and pi, and
-    # states near the ends where s1 leaves (0, pi).  The printed wf map on
+    # (to 1.6e10 and 1952) and s2 falls below 0.  wf: targets beyond 0 and
+    # pi, and targets near the ends from which s1 leaves (0, pi).  The printed wf map on
     # (0, peak): states above the peak, outside the interval, whose targets
     # lie below the map's maximum, one of them below 0, so each has a root.
     if case == "cev":

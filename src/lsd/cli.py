@@ -62,7 +62,7 @@ def _run_convergence(cfg, params):
     reference = SchemeId(cfg.model, cfg.reference) if cfg.reference else None
     reports = strong_error(
         ids, reference, params, cfg.x0, cfg.T, cfg.dts, cfg.ref_step, cfg.M,
-        cfg.seed, theta=cfg.theta)
+        cfg.seed)
     rows = [("scheme", "dt", "rms", "stderr")]
     slopes, intercepts, dropped = {}, {}, {}
     for scheme, report in zip(ids, reports):
@@ -84,7 +84,7 @@ def _run_convergence(cfg, params):
 
 def _paths(cfg, params):
     return simulate_paths(_scheme_ids(cfg), params, cfg.x0, cfg.T, cfg.dts,
-                          cfg.seed, theta=cfg.theta, m_split=cfg.m)
+                          cfg.seed, m_split=cfg.m)
 
 
 def _run_simulate(cfg, params):
@@ -124,10 +124,9 @@ def _run_exact_cir(cfg, params):
     ids = _scheme_ids(cfg)
     plan = block_plan(cfg.T, cfg.dts, cfg.M, drivers=2)
     sample = exact_cir_experiment(params, cfg.x0, cfg.m, max(cfg.dts), cfg.T,
-                                  cfg.seed, ids, theta=cfg.theta)
+                                  cfg.seed, ids)
     decays = exact_cir_error_decay(
-        params, cfg.x0, cfg.m, cfg.dts, cfg.T, cfg.M, cfg.seed, ids,
-        theta=cfg.theta)
+        params, cfg.x0, cfg.m, cfg.dts, cfg.T, cfg.M, cfg.seed, ids)
     rows = [("scheme", "dt", "mean_abs_terminal_diff")]
     means = {}
     for scheme, decay in zip(ids, decays):
@@ -143,7 +142,7 @@ def _run_exact_cir(cfg, params):
 def _run_scan(cfg, params):
     ids = _scheme_ids(cfg)
     scan = domain_violation_scan(ids, params, cfg.dts, cfg.T, cfg.M, cfg.seed,
-                                 x0=cfg.x0, theta=cfg.theta)
+                                 x0=cfg.x0)
     rows = [("scheme", "dt", "negative_states", "non_real_events",
              "clamp_events")]
     summary = {}
@@ -182,7 +181,6 @@ def run(cfg: ExperimentConfig, out_dir: Path, name: str) -> Tuple[Path, Path]:
         "schemes": cfg.schemes,
         "dt": cfg.dts,
         "seed": cfg.seed,
-        "theta": cfg.theta,
         "domain_report": domain_report(params),
         "wall_time_s": elapsed,
     }

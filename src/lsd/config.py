@@ -9,7 +9,7 @@ a config never half-works.
 
 import math
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 from .errors import ConfigurationError
 from .models import PARAMS_BY_MODEL
@@ -22,7 +22,7 @@ KINDS = ("simulate", "convergence", "compare", "exact-cir", "scan")
 _SECTION_KEYS = {"experiment": ("kind", "model", "name"),
                  "params": None,
                  "run": ("x0", "T", "schemes", "dt", "ref_step", "M", "seed",
-                         "theta", "m", "reference")}
+                         "m", "reference")}
 
 _PARAM_KEYS = {model: tuple(f.name for f in fields(cls))
                for model, cls in PARAMS_BY_MODEL.items()}
@@ -35,9 +35,9 @@ _DEFAULT_M = {"convergence": 1000, "scan": 100, "exact-cir": 100,
 class ExperimentConfig:
     """Everything one run needs, as :func:`parse_config` reads it.
 
-    Every real is finite, ``seed`` is at least 0 and ``theta`` lies in
-    [0, 1].  Where the config leaves them out, ``M`` is the kind's default,
-    ``ref_step`` the finest dt over 8, and ``name`` and ``reference`` are None.
+    Every real is finite and ``seed`` is at least 0.  Where the config
+    leaves them out, ``M`` is the kind's default, ``ref_step`` the finest dt
+    over 8, and ``name`` and ``reference`` are None.
     """
 
     kind: str
@@ -51,9 +51,11 @@ class ExperimentConfig:
     M: int
     name: Optional[str] = None
     seed: int = 0
-    theta: float = 1.0
     m: float = 0.5
     reference: Optional[str] = None
+    # The θ of every sd_theta row, not a key; kept only because
+    # perfbench/child.py reads it.
+    theta: ClassVar[float] = 1.0
 
     def scheme_variant(self, name: str) -> str:
         """The scheme-table variant a configured name selects: the name itself.
@@ -187,8 +189,6 @@ def parse_config(text: str) -> ExperimentConfig:
            else _DEFAULT_M[kind]),
         seed=(_to_int(run["seed"][0], "seed", run["seed"][1])
               if "seed" in run else 0),
-        theta=(_to_float(run["theta"][0], "theta", run["theta"][1])
-               if "theta" in run else 1.0),
         m=(_to_float(run["m"][0], "m", run["m"][1]) if "m" in run else 0.5),
         reference=run.get("reference", (None, 0))[0],
     )
@@ -205,9 +205,6 @@ def parse_config(text: str) -> ExperimentConfig:
     if cfg.seed < 0:
         raise ConfigurationError(
             f"line {run['seed'][1]}: seed must be >= 0, got {cfg.seed}")
-    if not 0.0 <= cfg.theta <= 1.0:
-        raise ConfigurationError(
-            f"line {run['theta'][1]}: theta must lie in [0, 1], got {cfg.theta}")
     if cfg.M < 1:
         raise ConfigurationError(f"M must be >= 1, got {cfg.M}")
     if not 0.0 < cfg.m < 1.0:

@@ -411,8 +411,7 @@ def _slice_sums(total, values):
 
 
 def simulate_path(scheme: SchemeId, params: ModelParams, x0: float, T: float,
-                  n: int, driver, theta: float = 1.0,
-                  m_split: float = 0.5) -> PathResult:
+                  n: int, driver, m_split: float = 0.5) -> PathResult:
     """Run one trajectory on the uniform grid (T, n) from given increments.
 
     LSD schemes iterate in the transformed coordinate starting from the
@@ -424,7 +423,7 @@ def simulate_path(scheme: SchemeId, params: ModelParams, x0: float, T: float,
     """
     if n < 0:
         raise ConfigurationError(f"step count must be >= 0, got {n}")
-    stepper = make_stepper(scheme, params, theta=theta, m_split=m_split)
+    stepper = make_stepper(scheme, params, m_split=m_split)
     driver = np.asarray(driver, dtype=float)
     if stepper.drivers == 2:
         if driver.ndim != 2 or driver.shape[0] != 2 or driver.shape[1] < n:
@@ -446,8 +445,8 @@ def simulate_path(scheme: SchemeId, params: ModelParams, x0: float, T: float,
 
 def simulate_paths(schemes: Sequence[SchemeId], params: ModelParams,
                    x0: float, T: float, step_sizes: Sequence[float],
-                   seed: int, theta: float = 1.0,
-                   m_split: float = 0.5) -> Dict[float, List[PathResult]]:
+                   seed: int, m_split: float = 0.5,
+                   ) -> Dict[float, List[PathResult]]:
     """One path per step size, each listed scheme run on it once.
 
     Step size number k draws its lattice from ``path_seed(seed, k)`` with as
@@ -471,7 +470,7 @@ def simulate_paths(schemes: Sequence[SchemeId], params: ModelParams,
                                drivers=max(drivers)).increments
         results[dt] = [simulate_path(s, params, x0, T, n,
                                      inc if d == max(drivers) else inc[0],
-                                     theta=theta, m_split=m_split)
+                                     m_split=m_split)
                        for s, d in zip(schemes, drivers)]
     return results
 
@@ -499,7 +498,7 @@ def fit_order(step_sizes, errors):
 def strong_error(schemes: Sequence[SchemeId], reference: Optional[SchemeId],
                  params: ModelParams, x0: float, T: float,
                  step_sizes: Sequence[float], ref_step: float, M: int,
-                 seed: int, theta: float = 1.0) -> List[ErrorReport]:
+                 seed: int) -> List[ErrorReport]:
     """Root-mean-square terminal distance to a fine-step reference solution.
 
     One report per scheme, in order, against ``reference`` or, if that is
@@ -514,8 +513,7 @@ def strong_error(schemes: Sequence[SchemeId], reference: Optional[SchemeId],
     refs = [s if reference is None else reference for s in schemes]
     dts = sorted(_distinct(step_sizes), reverse=True)
     n_ref, halvings = _dyadic_plan(T, dts, M, ref_step=ref_step)
-    steppers = {s: make_stepper(s, params, theta=theta)
-                for s in dict.fromkeys([*refs, *schemes])}
+    steppers = {s: make_stepper(s, params) for s in dict.fromkeys([*refs, *schemes])}
     if any(st.drivers != 1 for st in steppers.values()):
         raise ConfigurationError("strong_error supports single-driver schemes")
     sums = [(dict.fromkeys(dts, 0.0), dict.fromkeys(dts, 0.0)) for _ in schemes]
@@ -579,7 +577,7 @@ class _SquaredOuRide:
 
     drivers, event = 2, None
 
-    def __init__(self, params, m_split, riders, theta):
+    def __init__(self, params, m_split, riders):
         for s in riders:
             if s.model != "cir" or s.variant == "exact_ou":
                 raise ConfigurationError(
@@ -587,7 +585,7 @@ class _SquaredOuRide:
                     f"reconstructed increments, got {s}")
         exact = SchemeId("cir", "exact_ou")
         self.ou = make_stepper(exact, params, m_split=m_split)
-        self.riders = [make_stepper(s, params, theta=theta) for s in riders]
+        self.riders = [make_stepper(s, params) for s in riders]
         self.scheme_id = " + ".join(str(s) for s in (exact, *riders))
 
     def init(self, x0, size=None):
@@ -617,10 +615,14 @@ def exact_cir_experiment(params: ModelParams, x0: float, m_split: float,
     on the same probability-space realisation.  The run is a batch of one
     through the experiments' stepping loop, which records every value; a
     scheme path starts at ``x0``, the squared-OU path at x1^2 + x2^2.
+    ``theta`` is kept only because ``perfbench/child.py`` passes it; it
+    must be 1.0, the θ of every ``sd_theta`` row.
     """
+    if theta != 1.0:
+        raise ConfigurationError(f"theta is fixed at 1.0, got {theta}")
     # the lattice, the recorded values and the path arrays copied from them
     n = _steps_for(T, dt, 2 + 2 * (3 + len(schemes)) + 1)
-    ride = _SquaredOuRide(params, m_split, schemes, theta)
+    ride = _SquaredOuRide(params, m_split, schemes)
     lattice = generate_lattice(path_seed(seed, 0), T, n, 0, drivers=2)
     values = np.empty((n + 1, 3 + len(schemes), 1))
     state = ride.init(x0, size=1)
@@ -637,7 +639,7 @@ def exact_cir_experiment(params: ModelParams, x0: float, m_split: float,
 def exact_cir_error_decay(params: ModelParams, x0: float, m_split: float,
                           step_sizes: Sequence[float], T: float, M: int,
                           seed: int, schemes: Sequence[SchemeId],
-                          theta: float = 1.0) -> List[Dict[float, float]]:
+                          ) -> List[Dict[float, float]]:
     """Mean terminal distance between each scheme and the squared-OU path per dt.
 
     Returns one ``{dt: mean}`` per scheme, in order.  Step sizes must form a
@@ -649,7 +651,7 @@ def exact_cir_error_decay(params: ModelParams, x0: float, m_split: float,
         raise ConfigurationError(f"need at least 1 path, got M={M}")
     dts = sorted(_distinct(step_sizes), reverse=True)
     n_ref, halvings = _dyadic_plan(T, dts, M, drivers=2)
-    ride = _SquaredOuRide(params, m_split, schemes, theta)
+    ride = _SquaredOuRide(params, m_split, schemes)
     totals = [dict.fromkeys(dts, 0.0) for _ in schemes]
     runs = [(ride, dt, halvings[dt], None) for dt in dts]
     for xs in _terminal_blocks(seed, M, T, n_ref, x0, runs, drivers=2):
@@ -665,8 +667,7 @@ def exact_cir_error_decay(params: ModelParams, x0: float, m_split: float,
 
 def domain_violation_scan(schemes: Sequence[SchemeId], params: ModelParams,
                           step_sizes: Sequence[float], T: float, M: int,
-                          seed: int, x0: float = 4.0, theta: float = 1.0,
-                          ) -> List[Dict[float, ScanCounters]]:
+                          seed: int, x0: float) -> List[Dict[float, ScanCounters]]:
     """Tally negative, non-real, and clamped states per scheme and step size.
 
     Returns one ``{dt: ScanCounters}`` per scheme, in order.  The same
@@ -675,7 +676,7 @@ def domain_violation_scan(schemes: Sequence[SchemeId], params: ModelParams,
     """
     if M < 1:
         raise ConfigurationError(f"need at least 1 path, got M={M}")
-    steppers = [make_stepper(s, params, theta=theta) for s in schemes]
+    steppers = [make_stepper(s, params) for s in schemes]
     if any(st.drivers != 1 for st in steppers):
         raise ConfigurationError("scan supports single-driver schemes only")
     _distinct(step_sizes)

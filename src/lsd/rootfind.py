@@ -140,8 +140,6 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
 
     def h(idx, x, u):
         """fn(x) - u on the elements ``idx``; fn never sees the others."""
-        if not idx.size:
-            return x
         val = np.asarray(spec.fn(x), float)
         bad = np.isnan(val)
         if bad.any():

@@ -37,8 +37,7 @@ class Scheme:
     """One row of :data:`SCHEMES`.
 
     Its one required field, ``bind(p, dt)``, folds the per-dt constants and
-    returns ``map(state, dw)``, which advances the iterated coordinate;
-    ``theta`` rows' ``bind`` also takes ``theta``.
+    returns ``map(state, dw)``, which advances the iterated coordinate.
     ``to_state(p, x)`` and ``to_x(p, state)`` map x to it and back; they
     are unset where it is the Lamperti coordinate.
     ``mask``: the map returns ``(state, mask)`` with a ``"non_real"`` mask
@@ -53,7 +52,6 @@ class Scheme:
     to_state: Optional[Callable] = None
     to_x: Optional[Callable] = None
     mask: Optional[str] = None
-    theta: bool = False
     check: Optional[Callable] = None
     drivers: int = 1
 
@@ -95,8 +93,7 @@ SCHEMES = {
         bind=lambda p, dt: cir.lsd2_bind(*_cir_printed(p), dt)),
     ("cir", "lsd3_printed"): Scheme(
         bind=lambda p, dt: cir.lsd3_bind(*_cir_printed(p), dt)),
-    ("cir", "sd_theta"): Scheme(bind=cir.sd_theta_bind, **_IN_X, mask="non_real",
-                                theta=True),
+    ("cir", "sd_theta"): Scheme(bind=cir.sd_theta_bind, **_IN_X, mask="non_real"),
     ("cir", "alf"): Scheme(bind=cir.alf_bind, **_IN_X, mask="non_real"),
     ("cir", "ns"): Scheme(bind=cir.ns_bind, to_state=lambda p, x: np.sqrt(x),
                           to_x=lambda p, v: v * v, mask="non_real"),
@@ -113,7 +110,7 @@ SCHEMES = {
         bind=lambda p, dt: cev.lsd2_bind(*_cev_printed(p), dt)),
     ("cev", "lsd3_printed"): Scheme(
         bind=lambda p, dt: cev.lsd3_bind(*_cev_printed(p), dt)),
-    ("cev", "sd_theta"): Scheme(cev.sd_theta_bind, **_IN_X, mask="non_real", theta=True),
+    ("cev", "sd_theta"): Scheme(cev.sd_theta_bind, **_IN_X, mask="non_real"),
     ("cev", "implicit"): Scheme(
         bind=cev.implicit_bind, to_state=lambda p, x: x ** (1.0 - p.q),
         to_x=lambda p, u: u ** (1.0 / (1.0 - p.q))),
@@ -179,12 +176,11 @@ class Stepper:
     _dt = _map = None
 
     def __init__(self, scheme_id: SchemeId, row: Scheme, params: ModelParams,
-                 theta: float, m_split: float):
+                 m_split: float):
         self.scheme_id, self.scheme, self.params = scheme_id, row, params
         self.drivers, self.event = row.drivers, row.mask
         self._to_state = (partial(row.to_state, m_split=m_split)
                           if row.drivers == 2 else row.to_state)
-        self._bind = partial(row.bind, theta=theta) if row.theta else row.bind
 
     def init(self, x0, size=None):
         """The state at x0 as an array shaped like x0, or ``size`` copies."""
@@ -196,7 +192,7 @@ class Stepper:
 
     def step(self, state, dw, dt):
         if dt != self._dt:
-            self._dt, self._map = dt, self._bind(self.params, dt)
+            self._dt, self._map = dt, self.scheme.bind(self.params, dt)
         out = self._map(state, dw)
         return out if self.event else (out, None)
 
@@ -207,14 +203,12 @@ class Stepper:
         return np.real(x) if self.event == "non_real" else x
 
 
-def make_stepper(scheme: SchemeId, params: ModelParams, theta: float = 1.0,
-                 m_split: float = 0.5):
+def make_stepper(scheme: SchemeId, params: ModelParams, m_split: float = 0.5):
     """Build the stepper for one scheme from its row in :data:`SCHEMES`.
 
     Checks the row's precondition (the squared-OU dimension, or the sign
-    bracket of the printed ait map).  ``theta``, which must lie in [0, 1],
-    reaches only the rows that take it; ``m_split`` only the squared-OU
-    row, whose initial split it sets.
+    bracket of the printed ait map).  ``m_split`` reaches only the
+    squared-OU row, whose initial split it sets.
     A stepper has ``scheme_id``, ``drivers``, ``event`` (the row's ``mask``
     kind, or None), ``init(x0, size=None)``, ``step(state, dw, dt) ->
     (state, mask)`` and ``x_of(state)``.
@@ -225,8 +219,6 @@ def make_stepper(scheme: SchemeId, params: ModelParams, theta: float = 1.0,
     row = SCHEMES[scheme.model, scheme.variant]
     if row.check is not None:
         row.check(params)
-    if row.theta and not 0.0 <= theta <= 1.0:
-        raise ConfigurationError(f"theta must lie in [0, 1], got {theta}")
     if row.drivers == 2 and not 0.0 < m_split < 1.0:
         raise ConfigurationError(f"split weight must lie in (0,1), got {m_split}")
-    return Stepper(scheme, row, params, theta, m_split)
+    return Stepper(scheme, row, params, m_split)

@@ -59,9 +59,9 @@ def lsd3_bind(a, b, c, q, dt):
     return step
 
 
-def sd_theta_bind(p, dt, theta):
-    """Theta-semi-discrete step in the original coordinate, complex-capable."""
-    d = 1.0 + p.k2 * theta * dt
+def sd_theta_bind(p, dt):
+    """The θ = 1 semi-discrete step in x itself, complex-capable."""
+    d = 1.0 + p.k2 * dt
     decay, shift = np.array(1.0 - p.k2 * dt / d), np.array(p.k1 * dt / d)
     c, gain = np.array(p.k3**2 * dt / (4.0 * d * d)), np.array(p.k3 / (2.0 * d))
     e_inner, e_noise = 2.0 * p.q - 1.0, p.q - 0.5

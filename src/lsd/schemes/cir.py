@@ -41,13 +41,13 @@ def lsd3_bind(a, b, dt):
     return lambda y, dw: ((s := dw + y) + np.sqrt(s * s + q)) / d
 
 
-def sd_theta_bind(p, dt, theta):
-    """Theta-semi-discrete step in the original coordinate.
+def sd_theta_bind(p, dt):
+    """The θ = 1 semi-discrete step in x itself.
 
     Negative values under the square root continue in the complex plane; the
     returned mask marks where that happened this step.
     """
-    d = 1.0 + p.k2 * theta * dt
+    d = 1.0 + p.k2 * dt
     decay = np.array(1.0 - p.k2 * dt / d)
     shift = np.array((dt / d) * (p.k1 - p.k3**2 / (4.0 * d)))
     gain = np.array(p.k3 / (2.0 * d))

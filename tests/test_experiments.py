@@ -429,7 +429,7 @@ def test_steps_for_rejects_a_non_finite_step_count(T, dt):
     (lambda M, p: strong_error([CIR_LSD1], None, p, 4.0, 1.0, [2.0**-13, 2.0**-14],
                                2.0**-14, M=M, seed=0), "1.64e+06"),
     (lambda M, p: domain_violation_scan([CIR_LSD1], p, [2.0**-14], 1.0, M,
-                                        seed=0), "1.64e+06"),
+                                        seed=0, x0=4.0), "1.64e+06"),
     (lambda M, p: exact_cir_error_decay(p, 4.0, 0.5, [2.0**-13, 2.0**-14], 1.0,
                                         M, 0, [CIR_LSD1]), "1.23e+06"),
 ], ids=["strong_error", "scan", "exact_cir_error_decay"])
@@ -459,7 +459,7 @@ def test_memory_guard_counts_a_chunked_block(monkeypatch, cir_params):
     monkeypatch.setattr(lsd.experiments.os, "sysconf",
                         {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 512}.get)
     counts = domain_violation_scan([CIR_LSD1], cir_params, [2.0**-14], 1.0,
-                                   100, seed=0)
+                                   100, seed=0, x0=4.0)
     assert counts == [{2.0**-14: ScanCounters()}]
 
 
@@ -537,6 +537,13 @@ class TestExactCir:
         with pytest.raises(ConfigurationError):
             exact_cir_experiment(cir_params, 4.0, 0.5, 1e-2, 1.0, seed=4,
                                  schemes=[])
+
+    def test_theta_other_than_one_is_rejected(self, cir_ou_params):
+        # the keyword stays for old callers; every sd_theta row runs at 1
+        with pytest.raises(ConfigurationError,
+                           match=r"^theta is fixed at 1\.0, got 0\.5$"):
+            exact_cir_experiment(cir_ou_params, 4.0, 0.5, 1e-2, 1.0, seed=4,
+                                 schemes=[], theta=0.5)
 
     def test_schemes_ride_the_effective_increments(self, cir_ou_params):
         # each scheme path is the single path driven by the increments
@@ -667,14 +674,14 @@ class TestScan:
     def test_requires_a_path(self, cir_params, M):
         with pytest.raises(ConfigurationError, match=rf"M={M}\b"):
             domain_violation_scan([CIR_LSD1], cir_params, [1e-2], 1.0, M,
-                                  seed=6)
+                                  seed=6, x0=4.0)
 
     def test_repeated_dt_is_rejected(self):
         # dt number k is drawn from path_seed(seed, k): a repeat would shift
         # the later draws and overwrite the first one's counters
         with pytest.raises(ConfigurationError, match="repeat"):
             domain_violation_scan([SchemeId("cir", "alf")], STRESSED_CIR,
-                                  [0.01, 0.01, 0.001], 1.0, 20, seed=6)
+                                  [0.01, 0.01, 0.001], 1.0, 20, seed=6, x0=4.0)
 
 
 def _stack_by_np_stack(states):
@@ -949,7 +956,7 @@ class TestBatches:
                 rf"^cir:alf, dt=0\.000244140625, at step {fails_at}, "
                 rf"paths 0\.\.99: path 3: forced$")):
             domain_violation_scan([SchemeId("cir", "alf")], STRESSED_CIR,
-                                  [2.0**-12], 1.0, 100, seed=1)
+                                  [2.0**-12], 1.0, 100, seed=1, x0=4.0)
 
     @pytest.mark.parametrize("fault, error, path", [
         ("nan", NumericError, "path 10: x is not finite"),
@@ -1002,7 +1009,7 @@ class TestBatches:
         r"^strong_error supports single-driver schemes$", id="strong_error"),
     pytest.param(
         lambda p: domain_violation_scan([CIR_LSD1, CIR_EXACT_OU], p, [0.25],
-                                        1.0, M=1, seed=0),
+                                        1.0, M=1, seed=0, x0=4.0),
         r"^scan supports single-driver schemes only$", id="scan"),
     pytest.param(
         lambda p: exact_cir_experiment(p, 4.0, 0.5, 0.25, 1.0, 0,

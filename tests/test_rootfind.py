@@ -297,6 +297,17 @@ def test_non_finite_target_is_named_before_fn_is_called(route, bad):
     assert excinfo.value.index == (0 if route == "invert_monotone" else 1)
     assert count[0] == 0
 
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_empty_batch_gives_an_empty_batch(shape):
+    g, dg = cev_mod.implicit_map(CEV, 1e-2), cev_mod.implicit_slope(CEV, 1e-2)
+    empty = np.empty(shape)
+    for spec in (MonotoneSpec(g, slope=dg), MonotoneSpec(g)):
+        for got in (solve_monotone(spec, empty),
+                    implicit_step(spec, 1.0)(empty, empty)):
+            assert got.dtype == np.float64 and got.shape == shape
+
+
 CEV = CevParams(1.0 / 16.0, 1.0, 0.4, 0.75)
 AIT = AitParams(km1=2.0, k0=3.0, k1=4.0, k2=6.0, k3=1.0, r=2.0, rho=1.5)
 WF = WfParams(1.0, 2.0, 0.20101)

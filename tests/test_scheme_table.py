@@ -46,6 +46,15 @@ def test_row_runs_through_its_stepper(key, request):
 
 
 @pytest.mark.parametrize("key", list(SCHEMES), ids=lambda k: f"{k[0]}:{k[1]}")
+def test_row_binds_from_params_and_dt_alone(key, request):
+    # a name selects one computation, so no per-run argument reaches a row
+    model, variant = key
+    params = request.getfixturevalue(
+        "cir_ou_params" if variant == "exact_ou" else FIXTURE[model])
+    assert callable(SCHEMES[key].bind(params, DT))
+
+
+@pytest.mark.parametrize("key", list(SCHEMES), ids=lambda k: f"{k[0]}:{k[1]}")
 def test_row_binds_once_per_dt(key, request):
     # the stepper binds the row's map again only when a step's dt changes
     model, variant = key
@@ -54,12 +63,12 @@ def test_row_binds_once_per_dt(key, request):
         "cir_ou_params" if variant == "exact_ou" else FIXTURE[model])
     dts = []
 
-    def counting(p, dt, **kwargs):
+    def counting(p, dt):
         dts.append(dt)
-        return row.bind(p, dt, **kwargs)
+        return row.bind(p, dt)
 
     stepper = Stepper(SchemeId(model, variant),
-                      dataclasses.replace(row, bind=counting), params, 1.0, 0.5)
+                      dataclasses.replace(row, bind=counting), params, 0.5)
     state = stepper.init(X0[model], size=4)
     rng = np.random.default_rng(11)
     for dt, binds in ((DT, 1), (DT, 1), (DT, 1), (DT / 2, 2), (DT, 3)):
@@ -125,8 +134,6 @@ def test_shared_map_row_binds_its_printed_coefficients(key, request):
      r"^split weight must lie in \(0,1\), got 0\.0$"),
     (("cir", "exact_ou"), "cir_ou_params", dict(m_split=1.0),
      r"^split weight must lie in \(0,1\), got 1\.0$"),
-    (("cir", "sd_theta"), "cir_params", dict(theta=-50.0),
-     r"^theta must lie in \[0, 1\], got -50\.0$"),
     (("cir", "exact_ou"), "cir_params", {},
      r"^squared-OU construction needs 4\*k1/k3\^2 = 2, got 8\.0$"),
     (("cir", "lsd1"), "cev_params", {},
@@ -136,7 +143,7 @@ def test_shared_map_row_binds_its_printed_coefficients(key, request):
      r"^unknown variant 'lsd9' for model 'cir'; expected one of \('lsd1', "
      r"'lsd2', 'lsd3', 'lsd1_printed', 'lsd2_printed', 'lsd3_printed', "
      r"'sd_theta', 'alf', 'ns', 'exact_ou'\)$"),
-], ids=["split-0", "split-1", "theta", "dimension", "model", "unknown-model",
+], ids=["split-0", "split-1", "dimension", "model", "unknown-model",
         "unknown-variant"])
 def test_make_stepper_rejects_with_its_message(key, params, kwargs, message,
                                                request):

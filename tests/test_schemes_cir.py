@@ -144,7 +144,7 @@ class TestCompanions:
         assert not non_real
 
     def test_sd_theta_drift_only(self, cir_params):
-        stepper = make_stepper(SchemeId("cir", "sd_theta"), cir_params, theta=1.0)
+        stepper = make_stepper(SchemeId("cir", "sd_theta"), cir_params)
         state, _ = stepper.step(stepper.init(4.0), 0.0, 0.01)
         assert stepper.x_of(state) == pytest.approx(3.9387735486351403, rel=1e-14)
 

@@ -199,14 +199,19 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"{model!r}; expected one of {VARIANTS[model]}")
     if cfg.reference is not None and cfg.reference not in VARIANTS[model]:
         raise ConfigurationError(
-            f"reference scheme {cfg.reference!r} is not valid for {model!r}")
+            f"line {run['reference'][1]}: reference scheme {cfg.reference!r} is "
+            f"not valid for model {model!r}; expected one of {VARIANTS[model]}")
     if not cfg.T > 0:
-        raise ConfigurationError(f"T must be positive, got {cfg.T}")
+        raise ConfigurationError(f"line {t_line}: T must be positive, got {cfg.T}")
+    if not cfg.ref_step > 0:    # the default, min(dts) / 8, always is
+        raise ConfigurationError(
+            f"line {run['ref_step'][1]}: ref_step must be positive, got {cfg.ref_step}")
     if cfg.seed < 0:
         raise ConfigurationError(
             f"line {run['seed'][1]}: seed must be >= 0, got {cfg.seed}")
-    if cfg.M < 1:
-        raise ConfigurationError(f"M must be >= 1, got {cfg.M}")
-    if not 0.0 < cfg.m < 1.0:
-        raise ConfigurationError(f"m must lie in (0, 1), got {cfg.m}")
+    if cfg.M < 1:    # the kind's default always is
+        raise ConfigurationError(f"line {run['M'][1]}: M must be >= 1, got {cfg.M}")
+    if not 0.0 < cfg.m < 1.0:    # the default, 0.5, lies inside
+        raise ConfigurationError(
+            f"line {run['m'][1]}: m must lie in (0, 1), got {cfg.m}")
     return cfg

@@ -112,6 +112,8 @@ class ExactCirPaths:
 def _steps_for(T: float, dt: float, rows: float = 1) -> int:
     """The whole number of steps dt makes over T, if ``rows`` lattices of
     that many 8-byte increments fit in physical memory together."""
+    if dt <= 0:
+        raise ConfigurationError(f"step {dt} is not positive")
     ratio = T / dt
     if not math.isfinite(ratio):
         raise ConfigurationError(

@@ -68,7 +68,8 @@ def implicit_step(spec: MonotoneSpec, noise) -> Callable:
     :func:`solve_monotone` up at each call, so what replaces that one name
     reaches every drift-implicit row.
     """
-    lo, hi, mid = (np.array(v) for v in (spec.lo, spec.hi, _interior(spec)))
+    lo, hi, mid, noise = (np.array(v) for v in
+                          (spec.lo, spec.hi, _interior(spec), noise))
 
     def step(y, dw):
         t = y + noise * dw
@@ -132,28 +133,29 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
     """
     shape, u = np.shape(u), np.ravel(np.asarray(u, float))
     bad = ~np.isfinite(u)
-    if bad.any():
+    if np.count_nonzero(bad):
         k = int(np.argmax(bad))
         raise NumericError(f"non-finite target u={float(u[k])!r}", index=k)
-    target = tol * np.maximum(1.0, np.abs(u))
     tol = np.array(tol)
+    target = tol * np.maximum(_ONE, np.abs(u))
 
     def h(idx, x, u):
         """fn(x) - u on the elements ``idx``; fn never sees the others."""
         val = np.asarray(spec.fn(x), float)
         bad = np.isnan(val)
-        if bad.any():
+        if np.count_nonzero(bad):
             k = int(np.argmax(bad))
             raise NumericError(f"non-finite function value at x={float(x[k])!r}",
                                index=int(idx[k]))
         return val - u
 
     start = _interior(spec)
-    x = np.broadcast_to(start if seed is None else seed, shape).ravel()
+    x = start if seed is None else seed
+    x = np.ravel(x if np.shape(x) == shape else np.broadcast_to(x, shape))
     x = np.where((spec.lo < x) & (x < spec.hi), x, start)
     i = np.arange(u.size)
     hx = h(i, x, u)
-    root = np.full(u.size, np.nan)
+    root = np.empty(u.size)    # every element is written before the return
     # The bracket (a, b) starts as (lo, hi), and each residual's sign moves
     # one end of it to its x.  u and its residual bound travel with the
     # elements still at work.
@@ -161,7 +163,8 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
     k = 0
     while i.size:
         neg = hx < _ZERO    # the root lies above x
-        a, b = np.where(neg, x, a), np.where(neg, b, x)
+        np.copyto(a, x, where=neg)
+        np.copyto(b, x, where=~neg)
         if k == _MAX_ITER:
             raise InversionError(
                 f"residual {float(hx[0])!r} or x error above tolerance after "
@@ -179,11 +182,11 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
         tx = tol * np.maximum(_ONE, np.abs(x))
         xn = x - hx / np.where(d > _ZERO, d, _NAN)
         probe = np.abs(xn - x) < tx
-        probing = probe.any()
+        probing = np.count_nonzero(probe)
         if probing:
-            xn = np.where(probe, x - np.copysign(tx, hx), xn)
+            np.copyto(xn, x - np.copysign(tx, hx), where=probe)
         inside = (a < xn) & (xn < b)
-        if not inside.all():
+        if np.count_nonzero(inside) < i.size:
             # A probe past an evaluated bracket end probes that end instead;
             # any other step out of the bracket bisects it.
             mid = np.where(b == math.inf, 2.0 * a, 0.5 * (a + b))
@@ -193,7 +196,7 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
             if probing:
                 probe &= inside | np.where(neg, b < spec.hi, a > spec.lo)
                 mid = np.where(probe, np.where(neg, b, a), mid)
-            xn = np.where(inside, xn, mid)
+            np.copyto(xn, mid, where=~inside)
         hn = h(i, xn, u)
         ok = None
         if k >= _NEWTON_ITER:
@@ -202,33 +205,38 @@ def solve_monotone(spec: MonotoneSpec, u, tol: float = 1e-12,
             left = np.where(hn < _ZERO, b - xn, xn - a)
             ok = ((left <= tol * np.maximum(_ONE, np.abs(xn)))
                   & (np.abs(hn) <= target))
-            root[i[ok]] = xn[ok]
+            settled = xn
         elif probing:
             cross = probe & ((hn < _ZERO) != neg)
-            if cross.any():
+            if np.count_nonzero(cross):
                 # x and its probe straddle the root: take the end of least
                 # residual if that is within the target.
                 nearer = np.abs(hn) < np.abs(hx)
                 ok = cross & (np.abs(np.where(nearer, hn, hx)) <= target)
-                root[i[ok]] = np.where(nearer, xn, x)[ok]
-                m = np.flatnonzero(cross & ~ok)
-                if m.size:
-                    # Neither end meets the target.  The pair becomes the
-                    # bracket and its chord point the next x: a Newton step
-                    # from the probe, stretched to the x bound, would land
-                    # back on x, and x on the probe, until the steps run out.
-                    a[m], b[m] = (np.where(neg[m], x[m], xn[m]),
-                                  np.where(neg[m], xn[m], x[m]))
-                    xn[m] = x[m] - hx[m] * (xn[m] - x[m]) / (hn[m] - hx[m])
-                    hn[m] = h(i[m], xn[m], u[m])
-        if ok is not None and ok.any():
-            if ok.all():
+                settled = np.where(nearer, xn, x)
+        if ok is not None:
+            n = np.count_nonzero(ok)
+            if n == i.size:
+                root[i] = settled
                 break
-            keep = np.flatnonzero(~ok)
-            i, xn, hn, a, b, u, target = (
-                v[keep] for v in (i, xn, hn, a, b, u, target))
-            if spec.slope is None:    # the secant's previous point
-                x, hx = x[keep], hx[keep]
+            # a bisection takes no chord; a probe's unsettled crossings do
+            m = np.flatnonzero(cross & ~ok) if probing else []
+            if len(m):
+                # Neither end meets the target.  The pair becomes the
+                # bracket and its chord point the next x: a Newton step
+                # from the probe, stretched to the x bound, would land
+                # back on x, and x on the probe, until the steps run out.
+                a[m], b[m] = (np.where(neg[m], x[m], xn[m]),
+                              np.where(neg[m], xn[m], x[m]))
+                xn[m] = x[m] - hx[m] * (xn[m] - x[m]) / (hn[m] - hx[m])
+                hn[m] = h(i[m], xn[m], u[m])
+            if n:
+                root[i[ok]] = settled[ok]
+                keep = np.flatnonzero(~ok)
+                i, xn, hn, a, b, u, target = (
+                    v[keep] for v in (i, xn, hn, a, b, u, target))
+                if spec.slope is None:    # the secant's previous point
+                    x, hx = x[keep], hx[keep]
         xp, hp, x, hx = x, hx, xn, hn
         k += 1
     return root.reshape(shape)

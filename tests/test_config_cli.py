@@ -218,11 +218,17 @@ class TestParse:
         ("dt = 0.25, 0.125", "dt = 0.25, -0.125",
          r"^line 15: dt values must be positive$"),
         ("dt = 0.25, 0.125", "dt = 0.25, 0.125\nreference = lsd9",
-         r"^reference scheme 'lsd9' is not valid for 'cir'$"),
-        ("T = 1", "T = 0", r"^T must be positive, got 0\.0$"),
-        ("dt = 0.25, 0.125", "dt = 0.25, 0.125\nM = 0", r"^M must be >= 1, got 0$"),
+         r"^line 16: reference scheme 'lsd9' is not valid for model 'cir'; "
+         r"expected one of \('lsd1', "),
+        ("T = 1", "T = 0", r"^line 13: T must be positive, got 0\.0$"),
+        ("dt = 0.25, 0.125", "dt = 0.25, 0.125\nref_step = 0",
+         r"^line 16: ref_step must be positive, got 0\.0$"),
+        ("dt = 0.25, 0.125", "dt = 0.25, 0.125\nref_step = -0.001",
+         r"^line 16: ref_step must be positive, got -0\.001$"),
+        ("dt = 0.25, 0.125", "dt = 0.25, 0.125\nM = 0",
+         r"^line 16: M must be >= 1, got 0$"),
         ("dt = 0.25, 0.125", "dt = 0.25, 0.125\nm = 1",
-         r"^m must lie in \(0, 1\), got 1\.0$"),
+         r"^line 16: m must lie in \(0, 1\), got 1\.0$"),
     ])
     def test_rejects_with_its_message(self, old, new, message):
         assert old in MINIMAL_CIR
@@ -326,6 +332,8 @@ class TestCli:
          "error: invalid parameters for 'wf': k1 must be positive, got -1.0\n"),
         (COMPARE_CIR, "lsd1, lsd2, sd_theta", "lsd1",
          "error: compare needs at least two schemes\n"),
+        (TINY_CONVERGENCE, "ref_step = 0.0078125", "ref_step = 0",
+         "error: line 17: ref_step must be positive, got 0.0\n"),
     ])
     def test_rejects_with_its_message(self, tmp_path, capsys, text, old, new,
                                       message):

@@ -231,6 +231,13 @@ class TestStrongError:
             strong_error([CIR_LSD1], None, cir_params, 4.0, 1.0, [dt], dt,
                          M=2, seed=0)
 
+    @pytest.mark.parametrize("ref_step", [0.0, -0.001])
+    def test_non_positive_reference_step_is_rejected(self, cir_params, ref_step):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^step {ref_step} is not positive$"):
+            strong_error([CIR_LSD1], None, cir_params, 4.0, 1.0, [0.25],
+                         ref_step, M=2, seed=0)
+
     def test_rerun_is_identical(self, cir_params):
         # M = 300 spans two batches of paths
         kwargs = dict(x0=4.0, T=1.0, step_sizes=[2.0**-4, 2.0**-5],

@@ -11,7 +11,7 @@ from lsd.errors import ConfigurationError, InversionError, NumericError
 from lsd.models import AitParams, CevParams, WfParams
 from lsd.rootfind import (STEP_TOL, MonotoneSpec, implicit_step, invert_monotone,
                           solve_monotone)
-from lsd.schemes import SchemeId, make_stepper
+from lsd.schemes import SCHEMES, SchemeId, make_stepper
 from lsd.schemes import ait as ait_mod
 from lsd.schemes import cev as cev_mod
 from lsd.schemes import wf as wf_mod
@@ -445,6 +445,78 @@ def test_every_solved_row_steps_through_the_one_implicit_step(model, variant,
         predicted += np.count_nonzero(seed != state)
         state = new
     assert predicted > 0
+
+
+def _layouts(v):
+    """The 12 values of v, each layout in a buffer of its own: contiguous, a
+    strided column and a transposed 2-D array."""
+    column = np.zeros((v.size, 2))
+    column[:, 0] = v
+    return {"contiguous": v.copy(), "strided": column[:, 0],
+            "transposed": v.copy().reshape(3, 4).T}
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "transposed"])
+@pytest.mark.parametrize("with_slope", [True, False])
+def test_solve_leaves_its_inputs_unchanged(layout, with_slope):
+    # Seeds at and below 0 lie outside (0, inf) and start at the interior
+    # point instead.  The solve writes into its own arrays only, and a
+    # strided layout solves as its contiguous copy does.
+    g, dg = cev_mod.implicit_map(CEV, 0.25), cev_mod.implicit_slope(CEV, 0.25)
+    spec = MonotoneSpec(g, slope=dg if with_slope else None)
+    rng = np.random.default_rng(17)
+    roots = rng.uniform(0.05, 3.0, 12)
+    seeds = roots * rng.uniform(0.5, 1.5, 12)
+    seeds[[2, 7]] = -1.0, 0.0
+    u, seed = _layouts(g(roots))[layout], _layouts(seeds)[layout]
+    u0, seed0 = u.copy(), seed.copy()
+    got = solve_monotone(spec, u, tol=STEP_TOL, seed=seed)
+    np.testing.assert_array_equal(u, u0)
+    np.testing.assert_array_equal(seed, seed0)
+    want = solve_monotone(spec, np.ascontiguousarray(u), tol=STEP_TOL,
+                          seed=np.ascontiguousarray(seed))
+    assert got.shape == u.shape
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "transposed"])
+@pytest.mark.parametrize("model, variant", SOLVED)
+def test_solved_row_leaves_its_inputs_unchanged(model, variant, layout, request):
+    params = request.getfixturevalue(FIXTURE[model])
+    dt = 1e-2
+    step = SCHEMES[model, variant].bind(params, dt)
+    rng = np.random.default_rng(19)
+    xs = X0[model] * rng.uniform(0.7, 1.3, 12)
+    states = make_stepper(SchemeId(model, variant), params).init(xs)
+    y = _layouts(states)[layout]
+    dw = _layouts(rng.standard_normal(12) * math.sqrt(dt))[layout]
+    y0, dw0 = y.copy(), dw.copy()
+    got = step(y, dw)
+    np.testing.assert_array_equal(y, y0)
+    np.testing.assert_array_equal(dw, dw0)
+    assert got.shape == y.shape
+    np.testing.assert_array_equal(
+        got, step(np.ascontiguousarray(y), np.ascontiguousarray(dw)))
+
+
+LONE = (float, np.float64, np.array, lambda v: np.array([v]))
+
+
+@pytest.mark.parametrize("model, variant", SOLVED)
+def test_lone_state_steps_alike_in_every_form(model, variant, request):
+    # A state and its increment as a Python float, a numpy scalar, a 0-d
+    # array or a one-element array: the same float, shaped like the state.
+    params = request.getfixturevalue(FIXTURE[model])
+    dt = 1e-2
+    step = SCHEMES[model, variant].bind(params, dt)
+    y = float(make_stepper(SchemeId(model, variant), params).init(X0[model]))
+    dw = 0.3 * math.sqrt(dt)
+    got = []
+    for form in LONE:
+        out = step(form(y), form(dw))
+        assert np.shape(out) == np.shape(form(y))
+        got.append(float(np.ravel(out)[0]))
+    assert got == [got[0]] * len(LONE)
 
 
 # (model, variant, x0, dt).  At dt = 1 some cev paths from x0 = 1e-4 (and

@@ -15,8 +15,7 @@ from .errors import (ConfigurationError, DataError, DegenerateStateError,
 from .experiments import (ErrorReport, ExactCirPaths, PathResult,
                           ScanCounters, domain_violation_scan,
                           exact_cir_error_decay, exact_cir_experiment,
-                          fit_order, simulate_path, simulate_paths,
-                          strong_error)
+                          fit_order, simulate_paths, strong_error)
 from .models import (AitParams, CevParams, CirParams, Heston32Params,
                      WfParams, domain_report, lamperti_forward)
 from .rootfind import MonotoneSpec, invert_monotone

@@ -118,9 +118,11 @@ def _run_compare(cfg, params):
 
 
 def _run_exact_cir(cfg, params):
-    # both memory checks come before any step: the decay's in its plan, and
-    # the sample path's as the sample runs first; the two draw from
-    # generators of their own, so the order does not change the numbers
+    # block_plan checks the decay's blocks, and the sample path checks its
+    # block and recorded values before its first step, so both checks come
+    # before the decay steps; the sample path is path 0 of the decay's
+    # stream, drawn by generators of its own, so the order does not change
+    # the numbers
     ids = _scheme_ids(cfg)
     plan = block_plan(cfg.T, cfg.dts, cfg.M, drivers=2)
     sample = exact_cir_experiment(params, cfg.x0, cfg.m, max(cfg.dts), cfg.T,

@@ -9,10 +9,11 @@ Simulations at several step sizes share one Brownian path per path index via
 dyadic coarsening of a finest-level increment lattice, which is what turns
 terminal differences into pathwise strong-error estimates.
 
-:func:`_blocks` is the one loop over paths: it draws a block's lattice once,
+:func:`_blocks` is the one loop over paths, and :func:`_chunks` the one
+place that draws increments: a block's lattice is drawn once,
 time-major, for every scheme of a call, in time chunks when the lattice is
-long and for more paths when it is short, and coarsens each chunk's ladder
-finest-first.  Each (path, driver) draws from its own generator, so a
+long and for more paths when it is short, and each chunk's ladder is
+coarsened finest-first.  Each (path, driver) draws from its own generator, so a
 lattice of any driver count is cut into time chunks by one rule, and
 :func:`block_plan` reports the blocks a run takes.
 :func:`_terminal_blocks` advances every run of a call over each chunk in
@@ -21,10 +22,10 @@ the one loop over time.  A run that records x or counts events
 (``simulate``, ``compare``, ``exact-cir``'s path and ``scan``) takes x and
 tallies the counts once per block of at most ``_TALLY`` = 128 steps, so per
 buffer it holds at most 128 x B states or masks for B paths; the other runs
-do nothing but step.  A single path runs through it as a batch of one, and
-the squared-OU comparison as one two-driver stepper carrying its riders.
-:func:`simulate_paths` draws one path per step size and runs every listed
-scheme on it once; the ``simulate`` and ``compare`` kinds report its paths.
+do nothing but step.  The squared-OU comparison runs as one two-driver
+stepper carrying its riders.  :func:`simulate_paths` and the sample path of
+:func:`exact_cir_experiment` are one-path runs that record x, and one
+memory rule, in :func:`_dyadic_plan`, covers every run.
 """
 
 import math
@@ -55,6 +56,10 @@ _TALLY = 128
 # call draws row-major before one copy puts them into a block's time-major
 # chunk: a wide tile writes each step's paths in long, cache-sized runs.
 _TILE = 1 << 17
+# Most steps a run may take over its horizon.  The stepping loop costs about
+# 2.6 us of Python per step whatever the batch width (one cir lsd1 path on a
+# 2-core x86 VM), so a run of more steps would take hours.
+_MAX_STEPS = 1 << 32
 
 
 @dataclass
@@ -109,9 +114,8 @@ class ExactCirPaths:
 # grid / ladder helpers
 # ---------------------------------------------------------------------------
 
-def _steps_for(T: float, dt: float, rows: float = 1) -> int:
-    """The whole number of steps dt makes over T, if ``rows`` lattices of
-    that many 8-byte increments fit in physical memory together."""
+def _steps_for(T: float, dt: float) -> int:
+    """The whole number of steps dt makes over T, at most ``_MAX_STEPS``."""
     if dt <= 0:
         raise ConfigurationError(f"step {dt} is not positive")
     ratio = T / dt
@@ -119,14 +123,12 @@ def _steps_for(T: float, dt: float, rows: float = 1) -> int:
         raise ConfigurationError(
             f"step {dt} over the horizon {T} gives no finite step count")
     n = round(ratio)
+    if n > _MAX_STEPS:
+        raise ConfigurationError(
+            f"step {dt} over the horizon {T} gives {n:.3g} steps, more than "
+            f"the {_MAX_STEPS:.3g} a run may take")
     if n < 1 or abs(n * dt - T) > 1e-9 * T:
         raise ConfigurationError(f"step {dt} does not divide the horizon {T}")
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if 8 * rows * n > memory:
-        raise ConfigurationError(
-            f"step {dt} over the horizon {T} gives {n:.3g} steps, whose "
-            f"lattice of {8 * rows * n:.3g} bytes exceeds physical memory "
-            f"({memory:.3g} bytes)")
     return n
 
 
@@ -155,17 +157,19 @@ def _block(M: int, n: int, halvings, drivers: int):
 
 
 def _dyadic_plan(T: float, step_sizes: Sequence[float], M: int,
-                 drivers: int = 1, ref_step: Optional[float] = None):
+                 drivers: int = 1, ref_step: Optional[float] = None,
+                 kept: int = 0):
     """Reference step count and, per dt, the halvings that reach it from there.
 
     The reference step defaults to the finest step of the ladder; every dt
     must be a power-of-two multiple of it.  The widest block of
-    :func:`_blocks` must fit in memory: every driver's chunk at each level
-    of the ladder, or every driver's finest chunk and the draw tile that
-    fills one of them, whichever is larger.  The buffer through which driver
-    d's generator discards the d·n normals of the drivers before it is
-    freed before the first chunk is drawn and is no larger than a draw
-    tile, so the second count covers it.
+    :func:`_blocks` and the ``kept`` bytes the run holds until it returns
+    must fit in physical memory: the block holds every driver's chunk at
+    each level of the ladder, or every driver's finest chunk and the draw
+    tile that fills one of them, whichever is larger.  The buffer through
+    which driver d's generator discards the d·n normals of the drivers
+    before it is freed before the first chunk is drawn and is no larger
+    than a draw tile, so the second count covers it.
     Returns ``(n_ref, {dt: halvings})``.
     """
     if not step_sizes:
@@ -184,7 +188,13 @@ def _dyadic_plan(T: float, step_sizes: Sequence[float], M: int,
     levels = sum(0.5**h for h in {0, *halvings.values()})
     width, j, tile = _block(M, n_ref, halvings.values(), drivers)
     chunks = drivers * width
-    _steps_for(T, ref_step, max(chunks * levels, chunks + tile) / (1 << j))
+    need = 8 * max(chunks * levels, chunks + tile) * (n_ref >> j) + kept
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise ConfigurationError(
+            f"step {ref_step} over the horizon {T} gives {n_ref:.3g} steps, "
+            f"whose lattice of {need:.3g} bytes exceeds physical memory "
+            f"({memory:.3g} bytes)")
     return n_ref, halvings
 
 
@@ -201,8 +211,9 @@ def block_plan(T: float, step_sizes: Sequence[float], M: int,
             "steps_per_chunk": n >> j, "paths_per_draw": tile}
 
 
-def _blocks(seed, M, T, n, halvings, drivers=1):
-    """Yield ``(paths, chunks)`` for paths 0..M-1 in consecutive blocks.
+def _blocks(seed, paths, T, n, halvings, drivers=1):
+    """Yield ``(block, chunks)`` for the range ``paths`` in consecutive
+    blocks, each a range of path indices.
 
     :func:`_block` gives the width, j and the paths per draw call.  A
     block's lattice is drawn in 2^j time chunks of C = n >> j steps, j the
@@ -210,7 +221,7 @@ def _blocks(seed, M, T, n, halvings, drivers=1):
     increments and every level of ``halvings`` a whole number of steps per
     chunk.  A block is ``_BATCH`` paths of n steps, doubled while that is
     fewer than ``_BATCH`` x ``_CHUNK`` increments (so a lattice too short
-    to chunk is widened instead), times 2^j, or M paths if fewer.  Every
+    to chunk is widened instead), times 2^j, or every path if fewer.  Every
     block but the last is a multiple of ``_BATCH`` wide, so
     :func:`_slice_sums` adds the same slices.
     ``chunks`` yields ``(offset, inc)`` per chunk in time order, ``offset``
@@ -226,10 +237,10 @@ def _blocks(seed, M, T, n, halvings, drivers=1):
     drawn, so one chunk's arrays are alive at a time.
     """
     levels = sorted(set(halvings) - {0})
-    width, j, tile = _block(M, n, halvings, drivers)
-    for start in range(0, M, width):
-        paths = range(start, min(start + width, M))
-        yield paths, _chunks(seed, paths, T, n, j, levels, drivers, tile)
+    width, j, tile = _block(len(paths), n, halvings, drivers)
+    for start in range(0, len(paths), width):
+        block = paths[start:start + width]
+        yield block, _chunks(seed, block, T, n, j, levels, drivers, tile)
 
 
 def _chunks(seed, paths, T, n, j, levels, drivers, tile):
@@ -381,26 +392,37 @@ def _terminal_x(stepper, state, dt, n, paths):
     return x
 
 
-def _terminal_blocks(seed, M, T, n, x0, runs, drivers=1):
-    """Yield, per block of :func:`_blocks`, the list of every run's x at the
-    horizon, in order.
+def _terminal_blocks(seed, paths, T, n, x0, runs, drivers=1):
+    """Yield, per block of :func:`_blocks` over the range ``paths``, the
+    list of every run's x at the horizon, in order.
 
-    ``runs`` lists ``(stepper, dt, h, counters)``: each run starts from x0
-    and steps at dt over the lattice halved h times, adding to ``counters``
-    if it is not None.  The runs advance over each chunk in the order given,
-    and each is checked at the horizon as soon as it gets there.
+    ``runs`` lists ``(stepper, dt, h, counters, values)``: each run starts
+    from x0 and steps at dt over the lattice halved h times, adding to
+    ``counters`` if it is not None; a one-driver run on a two-driver
+    lattice takes driver 0, which is the one-driver lattice bit for bit.
+    ``values``, if not None, gets x after each step of a one-block run, its
+    first row set by the caller, and its errors name no paths.  The runs
+    advance over each chunk in the order given, and each is checked at the
+    horizon as soon as it gets there.
     """
-    halvings = {h for _, _, h, _ in runs}
-    for paths, chunks in _blocks(seed, M, T, n, halvings, drivers):
-        states = [st.init(x0, size=len(paths)) for st, *_ in runs]
+    halvings = {run[2] for run in runs}
+    for block, chunks in _blocks(seed, paths, T, n, halvings, drivers):
+        states = [st.init(x0, size=len(block)) for st, *_ in runs]
         xs = []
         for offset, inc in chunks:
-            last = offset + inc[0].shape[-1] == n
-            for r, (st, dt, h, counters) in enumerate(runs):
-                states[r] = _terminal_batch(st, states[r], dt, inc[h],
-                                            offset >> h, counters, paths=paths)
-                if last:
-                    xs.append(_terminal_x(st, states[r], dt, n >> h, paths))
+            steps = inc[0].shape[-1]
+            for r, (st, dt, h, counters, values) in enumerate(runs):
+                # no local may keep a view of inc past this loop: the next
+                # chunk is drawn after this one is released
+                first, where = offset >> h, block if values is None else None
+                states[r] = _terminal_batch(
+                    st, states[r], dt,
+                    inc[h] if st.drivers == drivers else inc[h][:, 0],
+                    first, counters,
+                    None if values is None
+                    else values[first:first + (steps >> h) + 1], where)
+                if offset + steps == n:
+                    xs.append(_terminal_x(st, states[r], dt, n >> h, where))
         yield xs
 
 
@@ -412,68 +434,38 @@ def _slice_sums(total, values):
     return total
 
 
-def simulate_path(scheme: SchemeId, params: ModelParams, x0: float, T: float,
-                  n: int, driver, m_split: float = 0.5) -> PathResult:
-    """Run one trajectory on the uniform grid (T, n) from given increments.
-
-    LSD schemes iterate in the transformed coordinate starting from the
-    forward transform of ``x0`` and record the inverse transform after every
-    step.  The path runs through the experiments' stepping loop as a batch
-    of one, so it takes the same values as inside any batch, and an error
-    raised by a step is re-raised as it is, its message prefixed with the
-    scheme, dt and step index.
-    """
-    if n < 0:
-        raise ConfigurationError(f"step count must be >= 0, got {n}")
-    stepper = make_stepper(scheme, params, m_split=m_split)
-    driver = np.asarray(driver, dtype=float)
-    if stepper.drivers == 2:
-        if driver.ndim != 2 or driver.shape[0] != 2 or driver.shape[1] < n:
-            raise ConfigurationError(
-                f"scheme {scheme} needs a (2, >= {n}) driver, got {driver.shape}")
-    elif driver.ndim != 1 or driver.shape[0] < n:
-        raise ConfigurationError(
-            f"driver must provide at least {n} increments, got {driver.shape}")
-    dt = T / n if n else 0.0
-    times = np.linspace(0.0, T, n + 1)
-    values = np.empty(n + 1)
-    values[0] = x0
-    counters = ScanCounters()
-    _terminal_batch(stepper, stepper.init(x0, size=1), dt,
-                    driver[np.newaxis, ..., :n], counters=counters,
-                    values=values[:, np.newaxis])
-    return PathResult(times=times, values=values, counters=counters)
-
-
 def simulate_paths(schemes: Sequence[SchemeId], params: ModelParams,
                    x0: float, T: float, step_sizes: Sequence[float],
                    seed: int, m_split: float = 0.5,
                    ) -> Dict[float, List[PathResult]]:
     """One path per step size, each listed scheme run on it once.
 
-    Step size number k draws its lattice from ``path_seed(seed, k)`` with as
-    many drivers as the schemes need.  A one-driver scheme takes the first
-    driver, which is the one-driver lattice bit for bit, so its path does
-    not depend on the schemes beside it.  Returns ``{dt: [one PathResult
-    per scheme]}`` in the order given.  Every path is kept until the run
-    returns, so the times and values of all of them, beside the finest
-    lattice, must fit in memory.
+    Step size number k runs path k of :func:`_terminal_blocks` at T / n,
+    with as many drivers as the schemes need, recording x after every step;
+    a one-driver scheme takes the first driver, so its path does not depend
+    on the schemes beside it.  Returns ``{dt: [one PathResult per scheme]}``
+    in the order given.  Every path is kept until the run returns, so the
+    times and values of all of them, beside each step size's block, must
+    fit in memory.  An error names the scheme, dt and step.
     """
     if not schemes:
         raise ConfigurationError("need at least one scheme")
     _distinct(step_sizes)
-    drivers = [make_stepper(s, params, m_split=m_split).drivers for s in schemes]
+    steppers = [make_stepper(s, params, m_split=m_split) for s in schemes]
+    drivers = max(st.drivers for st in steppers)
     ns = [_steps_for(T, dt) for dt in step_sizes]
-    kept = 2 * len(schemes) * sum(n + 1 for n in ns)
-    _steps_for(T, min(step_sizes), max(drivers) + kept / max(ns))
+    kept = 16 * len(schemes) * sum(n + 1 for n in ns)
+    for dt in step_sizes:
+        _dyadic_plan(T, [dt], 1, drivers, kept=kept)
     results = {}
     for k, (dt, n) in enumerate(zip(step_sizes, ns)):
-        inc = generate_lattice(path_seed(seed, k), T, n, 0,
-                               drivers=max(drivers)).increments
-        results[dt] = [simulate_path(s, params, x0, T, n,
-                                     inc if d == max(drivers) else inc[0],
-                                     m_split=m_split)
-                       for s, d in zip(schemes, drivers)]
+        results[dt] = [PathResult(np.linspace(0.0, T, n + 1),
+                                  np.full(n + 1, x0, float), ScanCounters())
+                       for _ in steppers]
+        runs = [(st, T / n, 0, p.counters, p.values[:, np.newaxis])
+                for st, p in zip(steppers, results[dt])]
+        for _ in _terminal_blocks(seed, range(k, k + 1), T, n, x0, runs, drivers):
+            pass
     return results
 
 
@@ -520,9 +512,10 @@ def strong_error(schemes: Sequence[SchemeId], reference: Optional[SchemeId],
         raise ConfigurationError("strong_error supports single-driver schemes")
     sums = [(dict.fromkeys(dts, 0.0), dict.fromkeys(dts, 0.0)) for _ in schemes]
     ref_ids = list(dict.fromkeys(refs))
-    runs = [(steppers[r], ref_step, 0, None) for r in ref_ids]
-    runs += [(steppers[s], dt, halvings[dt], None) for s in schemes for dt in dts]
-    for xs in _terminal_blocks(seed, M, T, n_ref, x0, runs):
+    runs = [(steppers[r], ref_step, 0, None, None) for r in ref_ids]
+    runs += [(steppers[s], dt, halvings[dt], None, None)
+             for s in schemes for dt in dts]
+    for xs in _terminal_blocks(seed, range(M), T, n_ref, x0, runs):
         x_ref = dict(zip(ref_ids, xs))
         x_dt = iter(xs[len(ref_ids):])
         for ref, (sum2, sum4) in zip(refs, sums):
@@ -614,28 +607,26 @@ def exact_cir_experiment(params: ModelParams, x0: float, m_split: float,
 
     Every scheme is driven by the effective increment reconstructed from the
     two OU components at the left endpoint of each step, so all paths live
-    on the same probability-space realisation.  The run is a batch of one
-    through the experiments' stepping loop, which records every value; a
-    scheme path starts at ``x0``, the squared-OU path at x1^2 + x2^2.
+    on the same probability-space realisation.  The run is path 0 of
+    :func:`_terminal_blocks`, recording x after every step; a scheme path
+    starts at ``x0``, the squared-OU path at x1^2 + x2^2.
     ``theta`` is kept only because ``perfbench/child.py`` passes it; it
     must be 1.0, the θ of every ``sd_theta`` row.
     """
     if theta != 1.0:
         raise ConfigurationError(f"theta is fixed at 1.0, got {theta}")
-    # the lattice, the recorded values and the path arrays copied from them
-    n = _steps_for(T, dt, 2 + 2 * (3 + len(schemes)) + 1)
     ride = _SquaredOuRide(params, m_split, schemes)
-    lattice = generate_lattice(path_seed(seed, 0), T, n, 0, drivers=2)
-    values = np.empty((n + 1, 3 + len(schemes), 1))
-    state = ride.init(x0, size=1)
-    values[0] = ride.x_of(state)
+    n, rows = _steps_for(T, dt), 3 + len(schemes)
+    _dyadic_plan(T, [dt], 1, drivers=2, kept=8 * (rows + 1) * (n + 1))
+    values = np.empty((n + 1, rows, 1))
+    values[0] = ride.x_of(ride.init(x0, size=1))
     values[0, 3:] = x0
-    _terminal_batch(ride, state, dt, lattice.increments[np.newaxis],
-                    values=values)
-    x1, x2, exact, *paths = values[:, :, 0].T.copy()
+    for _ in _terminal_blocks(seed, range(1), T, n, x0,
+                              [(ride, dt, 0, None, values)], drivers=2):
+        pass
+    x1, x2, exact, *paths = values[:, :, 0].T
     return ExactCirPaths(times=np.linspace(0.0, T, n + 1), x1=x1, x2=x2,
-                         exact=exact,
-                         schemes=paths)
+                         exact=exact, schemes=paths)
 
 
 def exact_cir_error_decay(params: ModelParams, x0: float, m_split: float,
@@ -655,8 +646,8 @@ def exact_cir_error_decay(params: ModelParams, x0: float, m_split: float,
     n_ref, halvings = _dyadic_plan(T, dts, M, drivers=2)
     ride = _SquaredOuRide(params, m_split, schemes)
     totals = [dict.fromkeys(dts, 0.0) for _ in schemes]
-    runs = [(ride, dt, halvings[dt], None) for dt in dts]
-    for xs in _terminal_blocks(seed, M, T, n_ref, x0, runs, drivers=2):
+    runs = [(ride, dt, halvings[dt], None, None) for dt in dts]
+    for xs in _terminal_blocks(seed, range(M), T, n_ref, x0, runs, drivers=2):
         for dt, x in zip(dts, xs):
             for total, x_scheme in zip(totals, x[3:]):
                 total[dt] = _slice_sums(total[dt], np.abs(x_scheme - x[2]))
@@ -685,7 +676,8 @@ def domain_violation_scan(schemes: Sequence[SchemeId], params: ModelParams,
     results = [{dt: ScanCounters() for dt in step_sizes} for _ in steppers]
     for k, dt in enumerate(step_sizes):
         n, _ = _dyadic_plan(T, [dt], M)
-        runs = [(st, dt, 0, counts[dt]) for st, counts in zip(steppers, results)]
-        for _ in _terminal_blocks(path_seed(seed, k), M, T, n, x0, runs):
+        runs = [(st, dt, 0, counts[dt], None)
+                for st, counts in zip(steppers, results)]
+        for _ in _terminal_blocks(path_seed(seed, k), range(M), T, n, x0, runs):
             pass
     return results

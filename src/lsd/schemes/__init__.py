@@ -83,6 +83,13 @@ def _heston32_printed(p):
     return 0.5 * (4.0 * p.k2 / p.k3**2 + 6.0), 0.5 * p.k1
 
 
+def _heston32_implicit(p, dt):
+    """Drift-implicit Euler in v = x^(-1/2): cir's lsd3 quadratic with
+    (a, b) = (c_impl, k1/2), driven by -k3 dw/2."""
+    step, gain = cir.lsd3_bind(p.c_impl, 0.5 * p.k1, dt), np.array(-0.5 * p.k3)
+    return lambda v, dw: step(v, gain * dw)
+
+
 SCHEMES = {
     ("cir", "lsd1"): Scheme(bind=lambda p, dt: cir.lsd1_bind(p.a, p.b, dt)),
     ("cir", "lsd2"): Scheme(bind=lambda p, dt: cir.lsd2_bind(p.a, p.b, dt)),
@@ -134,7 +141,7 @@ SCHEMES = {
         bind=lambda p, dt: cir.lsd2_bind(*_heston32_printed(p), dt)),
     ("heston32", "sd_exp"): Scheme(heston.sd_exp_bind, **_IN_X),
     ("heston32", "implicit"): Scheme(
-        heston.implicit_bind, to_state=lambda p, x: x ** -0.5,
+        _heston32_implicit, to_state=lambda p, x: x ** -0.5,
         to_x=lambda p, v: v ** -2.0),
     ("ait", "lsd1"): Scheme(ait.lsd1_bind),
     ("ait", "lsd2"): Scheme(ait.lsd2_bind),

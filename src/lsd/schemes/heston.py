@@ -6,8 +6,9 @@ is c_star = 4 k2/k3^2 + 6.  The LSD updates are CIR's Bernoulli steps with
 (a, b) = (c_star/2, k1/2), so their rows in the scheme table bind
 :func:`cir.lsd1_bind` and :func:`cir.lsd2_bind` to that pair.  The
 drift-implicit competitor runs in the unscaled inverse-root coordinate
-v = x**(-1/2), for which its map has a closed-form positive root, and reports
-x = v**(-2).
+v = x**(-1/2) and reports x = v**(-2).  Its step solves G(v') = v - k3 dw/2
+for the G of :func:`implicit_map`, the quadratic of :func:`cir.lsd3_bind`
+with (a, b) = (c_impl, k1/2), which its row binds on the noise -k3 dw/2.
 """
 
 import numpy as np
@@ -29,14 +30,3 @@ def implicit_map(p, dt):
         return (1.0 + 0.5 * p.k1 * dt) * v - p.c_impl * dt / v
 
     return g
-
-
-def implicit_bind(p, dt):
-    """Advance v = x**(-1/2) through the closed-form inverse of G."""
-    c1 = 1.0 + 0.5 * p.k1 * dt
-    q, d = np.array(4.0 * c1 * p.c_impl * dt), np.array(2.0 * c1)
-
-    def step(v, dw):
-        u = v - 0.5 * p.k3 * dw
-        return (u + np.sqrt(u * u + q)) / d
-    return step

@@ -22,7 +22,7 @@ import pytest
 from lsd.cli import main
 from lsd.closedform import bernoulli_power, wf_cosine_solution
 from lsd.experiments import (domain_violation_scan, exact_cir_error_decay,
-                             exact_cir_experiment, simulate_path, strong_error)
+                             exact_cir_experiment, strong_error)
 from lsd.models import (AitParams, CevParams, CirParams, Heston32Params,
                         WfParams)
 from lsd.rootfind import MonotoneSpec, invert_monotone
@@ -34,6 +34,7 @@ from lsd.schemes import heston as heston_mod
 from lsd.schemes import wf as wf_mod
 from lsd.wiener import generate_lattice, path_seed
 from oracles import bisect, rk4, ulps_apart
+from test_experiments import run_path
 
 SEED = 20240915
 
@@ -325,7 +326,7 @@ def test_c9_fixed_points():
     zeros = np.zeros(n)
     worst = 0.0
     for variant in ("lsd3", "hyb"):
-        res = simulate_path(SchemeId("wf", variant), WF, 0.5, n * dt, n, zeros)
+        res = run_path(SchemeId("wf", variant), WF, 0.5, n * dt, n, zeros)
         worst = max(worst, float(np.max(np.abs(res.values - 0.5))))
     ok = worst <= 1e-5
     _report(9, ok, f"max drift from 0.5 over {n} steps = {worst:.3e} (tol 1e-5)")

@@ -424,17 +424,42 @@ seed = 6
         assert set(summary["max_abs_diff"]) == {"lsd2", "sd_theta"}
 
     def test_compare_runs_each_scheme_once_per_dt(self, tmp_path, monkeypatch):
+        # each path is too short to chunk, so a run steps in one call
         calls = []
-        run_one = lsd.experiments.simulate_path
+        run_one = lsd.experiments._terminal_batch
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return run_one(*args, **kwargs)
+        def counted(stepper, state, dt, *args, **kwargs):
+            calls.append((str(stepper.scheme_id), dt))
+            return run_one(stepper, state, dt, *args, **kwargs)
 
-        monkeypatch.setattr(lsd.experiments, "simulate_path", counted)
+        monkeypatch.setattr(lsd.experiments, "_terminal_batch", counted)
         cfg = self._write(tmp_path, COMPARE_CIR)
         assert main([str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert len(calls) == 3 * 2
+        assert set(calls) == {(f"cir:{s}", dt) for s in ("lsd1", "lsd2", "sd_theta")
+                              for dt in (0.01, 0.02)}
+
+    @pytest.mark.parametrize("text", [TINY_CONVERGENCE, MINIMAL_WF_SIMULATE,
+                                      COMPARE_CIR, EXACT_CIR, SCAN_STRESSED],
+                             ids=["convergence", "simulate", "compare",
+                                  "exact-cir", "scan"])
+    def test_every_kind_draws_through_the_block_engine(self, tmp_path,
+                                                        monkeypatch, text):
+        # the engine draws each chunk as a tile of per-path generators; no
+        # kind draws a lattice of its own from an integer seed
+        seeds, draw = [], lsd.experiments.generate_lattice
+
+        def recorded(seed, *args, **kwargs):
+            seeds.append(seed)
+            return draw(seed, *args, **kwargs)
+
+        monkeypatch.setattr(lsd.experiments, "generate_lattice", recorded)
+        cfg = self._write(tmp_path, text)
+        assert main([str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert seeds
+        for seed in seeds:
+            assert isinstance(seed, list)
+            assert all(isinstance(g, np.random.Generator) for g in seed)
 
     def test_compare_diffs_are_simulate_columns_subtracted(self, tmp_path):
         cfg = self._write(tmp_path, COMPARE_CIR)
@@ -497,7 +522,7 @@ seed = 6
         assert main([str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: step {float(dt)} over the horizon 1.0 gives ")
-        assert "exceeds physical memory" in err
+        assert err.endswith(" steps, more than the 4.29e+09 a run may take\n")
         assert not out.exists()
 
     def test_step_too_small_for_a_step_count_fails_cleanly(self, tmp_path,
@@ -524,21 +549,21 @@ seed = 6
 
     def test_exact_cir_refuses_its_sample_path_before_any_step(
             self, tmp_path, capsys, monkeypatch):
-        # with 1 MiB of memory, the decay's two paths of 2^14 steps fit in
-        # chunks, but the sample path's lattice and recorded values do not:
-        # the run is refused before the decay steps at all
+        # with 1 MiB of memory, the decay's two paths of 2^15 steps fit in
+        # chunks, and so does the sample path's block, but not its recorded
+        # values beside it: the run is refused before the decay steps at all
         decays = []
         monkeypatch.setattr(lsd.cli, "exact_cir_error_decay",
                             lambda *args, **kwargs: decays.append(args))
         monkeypatch.setattr(lsd.experiments.os, "sysconf",
                             {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.get)
-        text = EXACT_CIR.replace("dt = 0.01, 0.005", "dt = 0.00006103515625")
+        text = EXACT_CIR.replace("dt = 0.01, 0.005", "dt = 0.000030517578125")
         cfg = self._write(tmp_path, text.replace("M = 8", "M = 2"))
         out = tmp_path / "o"
         assert main([str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "error: step 6.103515625e-05 over the horizon 1.0 gives 1.64e+04 "
-            "steps, whose lattice of 1.44e+06 bytes exceeds physical memory "
+            "error: step 3.0517578125e-05 over the horizon 1.0 gives 3.28e+04 "
+            "steps, whose lattice of 1.32e+06 bytes exceeds physical memory "
             "(1.05e+06 bytes)\n")
         assert decays == []
         assert not out.exists()

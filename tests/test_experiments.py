@@ -9,11 +9,12 @@ import lsd.experiments
 from lsd.errors import (ConfigurationError, DataError, DegenerateStateError,
                         DomainError, InversionError, NumericError,
                         StepSizeError)
-from lsd.experiments import (_BATCH, _CHUNK, _TALLY, ScanCounters, _blocks,
-                             _stack, _steps_for, _terminal_batch,
+from lsd.experiments import (_BATCH, _CHUNK, _MAX_STEPS, _TALLY, PathResult,
+                             ScanCounters, _blocks, _stack, _steps_for,
+                             _terminal_batch, block_plan,
                              domain_violation_scan, exact_cir_error_decay,
-                             exact_cir_experiment, fit_order, simulate_path,
-                             simulate_paths, strong_error)
+                             exact_cir_experiment, fit_order, simulate_paths,
+                             strong_error)
 from lsd.models import CevParams, CirParams, WfParams
 from lsd.schemes import SCHEMES, SchemeId, make_stepper
 from lsd.wiener import (cir_effective_increment, generate_lattice,
@@ -44,6 +45,20 @@ def _to_horizon(stepper, x0, dt, inc, **kwargs):
     return stepper.x_of(_terminal_batch(stepper, state, dt, inc, **kwargs))
 
 
+def run_path(scheme, params, x0, T, n, driver):
+    """One path of n steps over T from the increments ``driver``, ``(n,)``
+    or ``(2, n)``, run through the engine's stepping loop as a batch of one
+    that records x after every step, as ``simulate`` runs its paths."""
+    stepper = make_stepper(scheme, params)
+    values = np.empty(n + 1)
+    values[0] = x0
+    counters = ScanCounters()
+    _terminal_batch(stepper, stepper.init(x0, size=1), T / n,
+                    np.asarray(driver, dtype=float)[np.newaxis, ..., :n],
+                    counters=counters, values=values[:, np.newaxis])
+    return PathResult(np.linspace(0.0, T, n + 1), values, counters)
+
+
 def _outcome(run):
     """``(run(), None)``, or ``(None, j)`` if it raises InversionError at step j."""
     try:
@@ -53,26 +68,17 @@ def _outcome(run):
 
 
 class TestSimulatePath:
-    def test_empty_grid(self, cir_params):
-        res = simulate_path(CIR_LSD1, cir_params, 4.0, 1.0, 0, np.empty(0))
-        assert res.values.tolist() == [4.0]
-        assert res.times.tolist() == [0.0]
-
     def test_zero_noise_wf_steady_state(self, wf_params):
-        res = simulate_path(SchemeId("wf", "lsd3"), wf_params, 0.5, 1.0, 100,
-                            np.zeros(100))
+        res = run_path(SchemeId("wf", "lsd3"), wf_params, 0.5, 1.0, 100,
+                       np.zeros(100))
         assert np.all(np.abs(res.values - 0.5) <= 1e-5)
 
     def test_cir_lsd1_positivity_at_textbook_params(self, cir_params):
         lat = generate_lattice(path_seed(1, 0), 1.0, 10_000, 0)
-        res = simulate_path(CIR_LSD1, cir_params, 4.0, 1.0, 10_000,
-                            lat.increments)
+        res = run_path(CIR_LSD1, cir_params, 4.0, 1.0, 10_000,
+                       lat.increments)
         assert np.all(res.values > 0)
         assert res.values[0] == 4.0
-
-    def test_driver_too_short(self, cir_params):
-        with pytest.raises(ConfigurationError):
-            simulate_path(CIR_LSD1, cir_params, 4.0, 1.0, 10, np.zeros(5))
 
     @pytest.mark.parametrize("variant, error, match", [
         ("lsd2", Exception, "at step 0"),
@@ -88,22 +94,22 @@ class TestSimulatePath:
         x0, T = {"lsd2": (wf_params.inverse(y), 1.0 / c),
                  "biss": (0.5, 1.0 / wf_params.k1)}[variant]
         with pytest.raises(error, match=match):
-            simulate_path(SchemeId("wf", variant), wf_params, x0, T, 1,
-                          np.zeros(1))
+            run_path(SchemeId("wf", variant), wf_params, x0, T, 1,
+                     np.zeros(1))
 
     def test_error_keeps_its_type_and_bracket(self, wf_params):
         # from x0 = 0.999 the target lies above the printed map's maximum
         with pytest.raises(
                 InversionError,
                 match=r"wf:implicit_printed, dt=0\.01, at step 0: ") as excinfo:
-            simulate_path(SchemeId("wf", "implicit_printed"), wf_params, 0.999,
-                          0.01, 1, np.array([5.0]))
+            run_path(SchemeId("wf", "implicit_printed"), wf_params, 0.999,
+                     0.01, 1, np.array([5.0]))
         assert excinfo.value.bracket is not None
 
     @pytest.mark.parametrize("key", SINGLE_DRIVER_ROWS,
                              ids=lambda k: f"{k[0]}:{k[1]}")
     def test_batch_matches_single_path(self, key, request):
-        # simulate_path runs its path as a batch of one, so every recorded x
+        # a recorded path runs as a batch of one, so every recorded x
         # equals, to the last bit, that path's column in a batch of eight.
         # The wf:implicit_printed map has no preimage for some targets; there
         # the batch must stop at the first step at which a lone path stops.
@@ -121,7 +127,7 @@ class TestSimulatePath:
         stops = []
         for row, column in zip(inc, batch.T):
             single, at = _outcome(
-                lambda: simulate_path(scheme, params, x0, 1.0, n, row))
+                lambda: run_path(scheme, params, x0, 1.0, n, row))
             if single is not None:
                 np.testing.assert_array_equal(single.values[:recorded],
                                               column[:recorded])
@@ -133,14 +139,14 @@ class TestSimulatePath:
         inc = np.stack([generate_lattice(path_seed(6, i), 1.0, 100, 0).increments
                         for i in range(64)])
         batch = _to_horizon(make_stepper(alf, STRESSED_CIR), 4.0, 0.01, inc)
-        alone = [simulate_path(alf, STRESSED_CIR, 4.0, 1.0, 100, row).values[-1]
+        alone = [run_path(alf, STRESSED_CIR, 4.0, 1.0, 100, row).values[-1]
                  for row in inc]
         np.testing.assert_array_equal(batch, alone)
 
     def test_counts_negative_states(self):
         lat = generate_lattice(path_seed(6, 0), 1.0, 100, 0)
-        res = simulate_path(SchemeId("cir", "alf"), STRESSED_CIR, 4.0, 1.0,
-                            100, lat.increments)
+        res = run_path(SchemeId("cir", "alf"), STRESSED_CIR, 4.0, 1.0,
+                       100, lat.increments)
         assert res.counters.negative_states == np.count_nonzero(res.values < 0) == 85
 
     def test_two_driver_batch_matches_single_paths(self, cir_ou_params):
@@ -151,7 +157,7 @@ class TestSimulatePath:
         batch = _to_horizon(make_stepper(exact_ou, cir_ou_params), 4.0,
                             1.0 / 64, inc)
         for i in range(3):
-            single = simulate_path(exact_ou, cir_ou_params, 4.0, 1.0, 64, inc[i])
+            single = run_path(exact_ou, cir_ou_params, 4.0, 1.0, 64, inc[i])
             assert batch[i] == single.values[-1]
 
 
@@ -222,12 +228,12 @@ class TestStrongError:
     @pytest.mark.parametrize("dt, steps", [(1e-12, "1e\\+12"),
                                            (1e-300, "1e\\+300")])
     def test_unrunnable_step_count_is_rejected(self, cir_params, dt, steps):
-        # one path's lattice would not fit in memory: rejected by name
-        # before anything is allocated
+        # more steps than a run may take: rejected by name before anything
+        # is allocated
         with pytest.raises(ConfigurationError,
                            match=rf"^step {dt} over the horizon 1\.0 gives "
-                                 rf"{steps} steps, whose lattice of .* bytes "
-                                 rf"exceeds physical memory"):
+                                 rf"{steps} steps, more than the 4\.29e\+09 "
+                                 rf"a run may take$"):
             strong_error([CIR_LSD1], None, cir_params, 4.0, 1.0, [dt], dt,
                          M=2, seed=0)
 
@@ -385,15 +391,15 @@ class TestDifferenceTrajectories:
         peaks = {}
         for dt in (1e-2, 1e-3):
             n = round(1.0 / dt)
-            pa = simulate_path(CIR_LSD1, cir_params, 4.0, 1.0, n, np.zeros(n))
-            pb = simulate_path(CIR_LSD2, cir_params, 4.0, 1.0, n, np.zeros(n))
+            pa = run_path(CIR_LSD1, cir_params, 4.0, 1.0, n, np.zeros(n))
+            pb = run_path(CIR_LSD2, cir_params, 4.0, 1.0, n, np.zeros(n))
             peaks[dt] = np.max(np.abs(pa.values - pb.values)) / dt
         assert max(peaks.values()) <= 2.0 * min(peaks.values())
 
     def test_lsd_vs_companion_stays_sane(self, cir_params):
         a, b = simulate_paths([CIR_LSD1, SchemeId("cir", "sd_theta")],
                               cir_params, 4.0, 1.0, [1e-4], seed=2)[1e-4]
-        pa = simulate_path(
+        pa = run_path(
             CIR_LSD1, cir_params, 4.0, 1.0, 10_000,
             generate_lattice(path_seed(2, 0), 1.0, 10_000, 0).increments)
         assert a.values.tobytes() == pa.values.tobytes()
@@ -411,8 +417,24 @@ class TestSimulatePaths:
             assert beside[dt][1].values.tobytes() == alone[dt][0].values.tobytes()
             n = _steps_for(1.0, dt)
             dw = generate_lattice(path_seed(3, k), 1.0, n, 0, drivers=2)
-            ou = simulate_path(exact_ou, cir_ou_params, 4.0, 1.0, n, dw.increments)
+            ou = run_path(exact_ou, cir_ou_params, 4.0, 1.0, n, dw.increments)
             assert beside[dt][0].values.tobytes() == ou.values.tobytes()
+
+    def test_steps_at_the_horizon_over_the_step_count(self, cir_params):
+        # 0.3 / 3 is 0.09999999999999999: a path of n steps over T steps at
+        # T / n, not at the dt it was asked for, and cir sd_theta's path
+        # differs at the two
+        sd_theta = SchemeId("cir", "sd_theta")
+        got, = simulate_paths([sd_theta], cir_params, 4.0, 0.3, [0.1],
+                              seed=5)[0.1]
+        inc = generate_lattice(path_seed(5, 0), 0.3, 3, 0).increments
+        want = run_path(sd_theta, cir_params, 4.0, 0.3, 3, inc)
+        assert got.values.tobytes() == want.values.tobytes()
+        at_dt = np.empty((4, 1))
+        at_dt[0] = 4.0
+        _to_horizon(make_stepper(sd_theta, cir_params), 4.0, 0.1,
+                    inc[np.newaxis], values=at_dt)
+        assert at_dt[:, 0].tobytes() != got.values.tobytes()
 
     def test_repeated_dt_is_rejected(self, cir_params):
         # dt number k draws path k, and the results are keyed by dt
@@ -430,6 +452,54 @@ class TestSimulatePaths:
 def test_steps_for_rejects_a_non_finite_step_count(T, dt):
     with pytest.raises(ConfigurationError, match="no finite step count"):
         _steps_for(T, dt)
+
+
+def test_step_bound_admits_exactly_max_steps():
+    assert _steps_for(float(_MAX_STEPS), 1.0) == _MAX_STEPS
+    with pytest.raises(ConfigurationError, match=(
+            r"^step 1\.0 over the horizon 4294967297\.0 gives 4\.29e\+09 "
+            r"steps, more than the 4\.29e\+09 a run may take$")):
+        _steps_for(float(_MAX_STEPS + 1), 1.0)
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("a lattice was drawn")
+
+
+@pytest.mark.parametrize("run", [
+    lambda p: strong_error([CIR_LSD1], None, p, 4.0, 1.0, [2.0**-39],
+                           2.0**-40, M=2, seed=0),
+    lambda p: domain_violation_scan([CIR_LSD1], p, [2.0**-40], 1.0, 2,
+                                    seed=0, x0=4.0),
+    lambda p: exact_cir_error_decay(p, 4.0, 0.5, [2.0**-40], 1.0, 2, 0,
+                                    [CIR_LSD1]),
+    lambda p: simulate_paths([CIR_LSD1], p, 4.0, 1.0, [2.0**-40], seed=0),
+    lambda p: exact_cir_experiment(p, 4.0, 0.5, 2.0**-40, 1.0, 0, [CIR_LSD1]),
+], ids=["strong_error", "scan", "exact_cir_error_decay", "simulate_paths",
+        "exact_cir_experiment"])
+def test_step_bound_refuses_a_run_before_any_draw(monkeypatch, cir_ou_params,
+                                                  run):
+    # 2^40 steps divide the horizon; the step bound refuses them, whatever
+    # memory the blocks would take
+    monkeypatch.setattr(lsd.experiments, "generate_lattice", _no_draw)
+    with pytest.raises(ConfigurationError, match=(
+            rf"^step {re.escape(str(2.0**-40))} over the horizon 1\.0 gives "
+            r"1\.1e\+12 steps, more than the 4\.29e\+09 a run may take$")):
+        run(cir_ou_params)
+
+
+def test_memory_guard_counts_a_block_not_a_lattice(monkeypatch, cir_params):
+    # 2 paths of 2^17 steps run in one block of 128 chunks of 1024 steps:
+    # 32 KiB with the draw tile fit in 512 KiB, although one path's whole
+    # lattice (1 MiB) would not
+    monkeypatch.setattr(lsd.experiments.os, "sysconf",
+                        {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 128}.get)
+    assert block_plan(1.0, [2.0**-17], 2) == {
+        "block_width": 2, "chunks_per_block": 128, "steps_per_chunk": 1024,
+        "paths_per_draw": 2}
+    counts = domain_violation_scan([CIR_LSD1], cir_params, [2.0**-17], 1.0,
+                                   2, seed=0, x0=4.0)
+    assert counts == [{2.0**-17: ScanCounters()}]
 
 
 @pytest.mark.parametrize("run, lattice_bytes", [
@@ -497,26 +567,31 @@ def test_memory_guard_counts_a_widened_block(monkeypatch, cir_params):
                      2.0**-9, M=600, seed=0)
 
 
-@pytest.mark.parametrize("run, few, many", [
+@pytest.mark.parametrize("run, few, dt, steps, many", [
+    # the first step size is checked first: its block of 1024 steps beside
+    # a time and a value per step of every path, 2^13 + 2^14 steps each
     (lambda schemes, p: simulate_paths(schemes, p, 4.0, 1.0,
                                        [2.0**-13, 2.0**-14], seed=0),
-     [CIR_LSD1], "2.49e+06"),
-    (lambda schemes, p: exact_cir_experiment(p, 4.0, 0.5, 2.0**-14, 1.0, 0,
+     [CIR_LSD1], 2.0**-13, "8.19e+03", "2.38e+06"),
+    # a block of 512 steps of two drivers beside the times and the x1, x2,
+    # squared-OU and scheme values of every step
+    (lambda schemes, p: exact_cir_experiment(p, 4.0, 0.5, 2.0**-15, 1.0, 0,
                                              schemes),
-     [], "2.75e+06"),
+     [], 2.0**-15, "3.28e+04", "2.63e+06"),
 ], ids=["simulate_paths", "exact_cir_experiment"])
 def test_memory_guard_counts_the_kept_paths(monkeypatch, cir_ou_params, run,
-                                            few, many):
-    # with 2 MiB of memory, few paths of 2^14 steps fit beside their lattice;
-    # the recorded paths of six cir schemes do not
+                                            few, dt, steps, many):
+    # with 2 MiB of memory, few recorded paths fit beside their blocks; the
+    # recorded paths of six cir schemes do not
     monkeypatch.setattr(lsd.experiments.os, "sysconf",
                         {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 512}.get)
     run(few, cir_ou_params)
+    monkeypatch.setattr(lsd.experiments, "generate_lattice", _no_draw)
     six = [SchemeId("cir", v) for v in ("lsd1", "lsd2", "lsd3", "sd_theta",
                                         "alf", "ns")]
     with pytest.raises(ConfigurationError, match=(
-            rf"^step {re.escape(str(2.0**-14))} over the horizon 1\.0 gives "
-            rf"1\.64e\+04 steps, whose lattice of {re.escape(many)} "
+            rf"^step {re.escape(str(dt))} over the horizon 1\.0 gives "
+            rf"{re.escape(steps)} steps, whose lattice of {re.escape(many)} "
             rf"bytes exceeds physical memory \(2\.1e\+06 bytes\)$")):
         run(six, cir_ou_params)
 
@@ -562,7 +637,7 @@ class TestExactCir:
                                drivers=2).increments
         dw = cir_effective_increment(res.x1[:-1], res.x2[:-1], *inc)
         for s, got in zip(ids, res.schemes, strict=True):
-            path = simulate_path(s, cir_ou_params, 4.0, 1.0, 100, dw)
+            path = run_path(s, cir_ou_params, 4.0, 1.0, 100, dw)
             np.testing.assert_array_equal(got, path.values)
 
     def test_decay_error_names_scheme_dt_step_and_paths(self, cir_ou_params,
@@ -783,7 +858,7 @@ class TestBatches:
     def test_path_order_levels_and_release(self, drivers):
         T, n, seed = 1.0, 32, 4
         yielded = []
-        for paths, chunks in _blocks(seed, 300, T, n, (3, 0, 1), drivers=drivers):
+        for paths, chunks in _blocks(seed, range(300), T, n, (3, 0, 1), drivers=drivers):
             lattice = np.stack([generate_lattice(path_seed(seed, i), T, n, 0,
                                                  drivers=drivers).increments
                                 for i in paths])
@@ -804,7 +879,7 @@ class TestBatches:
     @pytest.mark.parametrize("drivers", [1, 2])
     def test_levels_are_time_major(self, drivers):
         # each step's increments for the block are one contiguous block
-        for paths, chunks in _blocks(4, 40, 1.0, 32, (0, 2), drivers=drivers):
+        for paths, chunks in _blocks(4, range(40), 1.0, 32, (0, 2), drivers=drivers):
             for _, inc in chunks:
                 for level in inc.values():
                     assert level.shape[0] == len(paths)
@@ -833,7 +908,7 @@ class TestBatches:
         guarded = 8 * drivers * min(M * n, _BATCH * max(n, 2 * _CHUNK)) * sum(
             0.5**h for h in {0, *halvings})
         blocks, drawn = [], []
-        for paths, chunks in _blocks(seed, M, T, n, halvings, drivers=drivers):
+        for paths, chunks in _blocks(seed, range(M), T, n, halvings, drivers=drivers):
             lattice = np.stack([generate_lattice(path_seed(seed, i), T, n, 0,
                                                  drivers=drivers).increments
                                 for i in paths])
@@ -915,18 +990,55 @@ class TestBatches:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(lsd.experiments, "generate_lattice", checked)
-        for _, chunks in _blocks(3, 300, 1.0, 4096, (0, 2), drivers=drivers):
+        for _, chunks in _blocks(3, range(300), 1.0, 4096, (0, 2), drivers=drivers):
             for _, inc in chunks:
                 earlier[:] = [weakref.ref(a) for level in inc.values()
                               for a in (level, level.base) if a is not None]
         assert all(ref() is None for ref in earlier)
         assert draws[0] >= 4 * drivers
 
+    @pytest.mark.parametrize("run", [
+        lambda p, q: strong_error([CIR_LSD1], CIR_LSD2, p, 4.0, 1.0,
+                                  [2.0**-10], 2.0**-12, M=300, seed=1),
+        lambda p, q: exact_cir_error_decay(q, 4.0, 0.5, [2.0**-10, 2.0**-11],
+                                           1.0, M=50, seed=1,
+                                           schemes=[CIR_LSD1]),
+        lambda p, q: simulate_paths([CIR_EXACT_OU, CIR_LSD1], q, 4.0, 1.0,
+                                    [2.0**-12], seed=1),
+        lambda p, q: exact_cir_experiment(q, 4.0, 0.5, 2.0**-12, 1.0, 1,
+                                          [CIR_LSD1]),
+    ], ids=["strong_error", "decay", "recorded", "sample-path"])
+    def test_no_run_keeps_a_chunk_alive_past_its_turn(self, cir_params,
+                                                      cir_ou_params, run,
+                                                      monkeypatch):
+        # every run of _terminal_blocks advances over a chunk before the
+        # next is drawn; no view of the chunk, and no array under one, may
+        # stay alive then, in the engine or in a one-driver run that takes
+        # the first driver of a two-driver lattice
+        chunks, draw = lsd.experiments._chunks, generate_lattice
+        earlier, drawn = [], [0]
+
+        def watched(*args):
+            for offset, inc in chunks(*args):
+                earlier[:] = [weakref.ref(a) for level in inc.values()
+                              for a in (level, level.base) if a is not None]
+                drawn[0] += 1
+                yield offset, inc
+
+        def checked(*args, **kwargs):
+            assert all(ref() is None for ref in earlier)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(lsd.experiments, "_chunks", watched)
+        monkeypatch.setattr(lsd.experiments, "generate_lattice", checked)
+        run(cir_params, cir_ou_params)
+        assert drawn[0] >= 4
+
     def test_each_driver_continues_the_path_stream(self):
         # driver d of path i takes normals d n .. (d + 1) n - 1 of the
         # path's generator, so three drivers chunk as two do
         T, n, seed = 1.0, 4096, 2
-        for paths, chunks in _blocks(seed, 40, T, n, (0,), drivers=3):
+        for paths, chunks in _blocks(seed, range(40), T, n, (0,), drivers=3):
             stream = np.stack([
                 np.random.default_rng(path_seed(seed, i)).standard_normal(3 * n)
                 for i in paths]).reshape(len(paths), 3, n) * np.sqrt(T / n)
@@ -1036,13 +1148,6 @@ class TestBatches:
         lambda p: exact_cir_error_decay(p, 4.0, 0.5, [0.25, 0.5, 0.25], 1.0, 1,
                                         0, [CIR_LSD1]),
         r"^step sizes \[0\.25, 0\.5, 0\.25\] repeat a value$", id="decay-repeat"),
-    pytest.param(
-        lambda p: simulate_path(CIR_LSD1, p, 4.0, 1.0, -1, np.empty(0)),
-        r"^step count must be >= 0, got -1$", id="negative-steps"),
-    pytest.param(
-        lambda p: simulate_path(CIR_EXACT_OU, p, 4.0, 1.0, 4, np.zeros(4)),
-        r"^scheme cir:exact_ou needs a \(2, >= 4\) driver, got \(4,\)$",
-        id="two-driver-shape"),
 ])
 def test_rejects_with_its_message(cir_ou_params, run, message):
     with pytest.raises(ConfigurationError, match=message):

@@ -11,8 +11,8 @@ from lsd.models import CirParams
 from lsd.schemes import SCHEMES, SchemeId, make_stepper
 from lsd.schemes import cir as cir_mod
 from lsd.wiener import generate_lattice, path_seed
-from lsd.experiments import simulate_path
 from oracles import ulps_apart
+from test_experiments import run_path
 
 STRESS_PARAMS = [CirParams(1.0, 2.0, k3) for k3 in (4.0, 10.0, 20.0)]
 
@@ -170,8 +170,8 @@ class TestCompanions:
         for variant in hits:
             for i in range(100):
                 lat = generate_lattice(path_seed(3, i), 1.0, 100, 0)
-                res = simulate_path(SchemeId("cir", variant), p, 4.0, 1.0, 100,
-                                    lat.increments)
+                res = run_path(SchemeId("cir", variant), p, 4.0, 1.0, 100,
+                               lat.increments)
                 hits[variant] += res.counters.non_real_events
         assert hits["alf"] >= 1
         assert hits["ns"] >= 1

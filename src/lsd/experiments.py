@@ -188,13 +188,13 @@ def _dyadic_plan(T: float, step_sizes: Sequence[float], M: int,
     levels = sum(0.5**h for h in {0, *halvings.values()})
     width, j, tile = _block(M, n_ref, halvings.values(), drivers)
     chunks = drivers * width
-    need = 8 * max(chunks * levels, chunks + tile) * (n_ref >> j) + kept
+    block = 8 * max(chunks * levels, chunks + tile) * (n_ref >> j)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > memory:
+    if block + kept > memory:
         raise ConfigurationError(
             f"step {ref_step} over the horizon {T} gives {n_ref:.3g} steps, "
-            f"whose lattice of {need:.3g} bytes exceeds physical memory "
-            f"({memory:.3g} bytes)")
+            f"whose block of {block:.3g} bytes and {kept:.3g} bytes kept "
+            f"exceed physical memory ({memory:.3g} bytes)")
     return n_ref, halvings
 
 
@@ -455,7 +455,7 @@ def simulate_paths(schemes: Sequence[SchemeId], params: ModelParams,
     drivers = max(st.drivers for st in steppers)
     ns = [_steps_for(T, dt) for dt in step_sizes]
     kept = 16 * len(schemes) * sum(n + 1 for n in ns)
-    for dt in step_sizes:
+    for dt in sorted(step_sizes):    # a refusal names the finest step
         _dyadic_plan(T, [dt], 1, drivers, kept=kept)
     results = {}
     for k, (dt, n) in enumerate(zip(step_sizes, ns)):

@@ -117,7 +117,12 @@ class WfParams:
 
 @dataclass(frozen=True)
 class Heston32Params:
-    """dx = (k1 x - k2 x^2) dt + k3 x^(3/2) dW on (0, inf)."""
+    """dx = (k1 x - k2 x^2) dt + k3 x^(3/2) dW on (0, inf).
+
+    1/x is CIR with (k2 + k3^2, k1, k3) driven by -W, and the transformed
+    state y = (2/k3) x^(-1/2) is its Lamperti state, with drift a/y - b y
+    and noise -dW: a = 2(k2 + k3^2)/k3^2 - 1/2 and b = k1/2.
+    """
 
     k1: float
     k2: float
@@ -128,14 +133,12 @@ class Heston32Params:
         _require_positive(self, "k1", "k2", "k3")
 
     @property
-    def c_star(self) -> float:
-        """Coefficient of dt inside the squared transformed updates."""
-        return 4.0 * self.k2 / self.k3**2 + 6.0
+    def a(self) -> float:
+        return 2.0 * self.k2 / self.k3**2 + 1.5
 
     @property
-    def c_impl(self) -> float:
-        """Coefficient of the inverse term in the drift-implicit map."""
-        return self.k2 / 2.0 + 3.0 * self.k3**2 / 8.0
+    def b(self) -> float:
+        return self.k1 / 2.0
 
     def forward(self, x):
         return (2.0 / self.k3) / np.sqrt(x)

@@ -7,18 +7,22 @@ arrays (a lone state is a 0-d array).  :data:`SCHEMES` holds one row per
 description of a row: :func:`make_stepper` builds one :class:`Stepper` for
 every row, the squared-OU pair included, which binds the row's map once per
 dt; a row that runs CIR's LSD maps binds its own (a, b), and cev's LSD
-rows bind (a, b, c, q).  Each bind folds its per-dt constants once into
-0-d float64 arrays, which the map then applies in the order its formula
-states: a folded product or sum is one the formula evaluates as a unit, so
-no float moves.  numpy 2 promotes a Python float operand as a weak scalar
-on every ufunc call; a 0-d array operand gives the same float64 or
-complex128 result at less cost per call.  A step returns
-``(state, mask)``: the map's own pair for a row that declares a ``mask``
-kind, which the stepper's ``event`` names, and ``(state, None)`` for the
-others.  A name selects exactly one computation.
-The rows named ``implicit_printed`` run a drift-implicit map as printed in
-its source, whose drift does not match the SDE; the plain ``implicit`` rows
-run the consistent form.
+rows bind (a, b, c, q).  Heston 3/2's 1/x is CIR driven by -W, so its
+``lsd1``, ``lsd2`` and ``implicit`` rows bind CIR's ``lsd1``, ``lsd2`` and
+``lsd3`` maps on its own (a, b) and -dw.  Each bind folds its per-dt
+constants once into 0-d float64 arrays, which the map then applies in the
+order its formula states: a folded product or sum is one the formula
+evaluates as a unit, so no float moves.  numpy 2 promotes a Python float
+operand as a weak scalar on every ufunc call; a 0-d array operand gives
+the same float64 or complex128 result at less cost per call.  A step
+returns ``(state, mask)``: the map's own pair for a row that declares a
+``mask`` kind, which the stepper's ``event`` names, and ``(state, None)``
+for the others.  A name selects one computation, with six exceptions: cir
+and cev ``lsd1``-``lsd3`` compute what their ``lsdN_printed`` twins do
+until the consistent coefficients replace the printed ones in
+:mod:`lsd.models`.  The rows named ``implicit_printed`` run a
+drift-implicit map as printed in its source, whose drift does not match
+the SDE; the plain ``implicit`` rows run the consistent form.
 """
 
 from dataclasses import dataclass
@@ -66,9 +70,10 @@ _IN_X = dict(to_state=_identity, to_x=_identity)
 
 # The LSD coefficients as the paper prints them, which the ``lsdN_printed``
 # rows bind: cir (a, b) = (2k1/k3^2, k2/2 + k3^2/8); cev (a, b, c, q) with
-# a = k1 k3^((1-2q)/(1-q)) (1-q)^(-q/(1-q)); heston32 (a, b) = (c_star/2,
-# k1/2) with c_star = 4k2/k3^2 + 6, on +dw.  The plain ``lsdN`` rows read
-# the same values from lsd.models until the consistent ones replace them.
+# a = k1 k3^((1-2q)/(1-q)) (1-q)^(-q/(1-q)); heston32 (a, b) =
+# (2k2/k3^2 + 3, k1/2), on +dw.  The plain cir and cev ``lsdN`` rows read
+# the same values from lsd.models until the consistent ones replace them;
+# heston32's plain rows bind the consistent ones, through _reciprocal.
 def _cir_printed(p):
     return 2.0 * p.k1 / p.k3**2, p.k2 / 2.0 + p.k3**2 / 8.0
 
@@ -83,11 +88,12 @@ def _heston32_printed(p):
     return 0.5 * (4.0 * p.k2 / p.k3**2 + 6.0), 0.5 * p.k1
 
 
-def _heston32_implicit(p, dt):
-    """Drift-implicit Euler in v = x^(-1/2): cir's lsd3 quadratic with
-    (a, b) = (c_impl, k1/2), driven by -k3 dw/2."""
-    step, gain = cir.lsd3_bind(p.c_impl, 0.5 * p.k1, dt), np.array(-0.5 * p.k3)
-    return lambda v, dw: step(v, gain * dw)
+def _reciprocal(bind):
+    """A heston32 row that runs CIR's map ``bind`` on (p.a, p.b) and -dw."""
+    def bound(p, dt):
+        step = bind(p.a, p.b, dt)
+        return lambda y, dw: step(y, -dw)
+    return bound
 
 
 SCHEMES = {
@@ -131,18 +137,14 @@ SCHEMES = {
     ("wf", "hyb"): Scheme(wf.hyb_bind, **_IN_X),
     ("wf", "implicit"): Scheme(bind=partial(wf.implicit_bind, sign_mode="corrected")),
     ("wf", "implicit_printed"): Scheme(bind=partial(wf.implicit_bind, sign_mode="printed")),
-    ("heston32", "lsd1"): Scheme(
-        bind=lambda p, dt: cir.lsd1_bind(0.5 * p.c_star, 0.5 * p.k1, dt)),
-    ("heston32", "lsd2"): Scheme(
-        bind=lambda p, dt: cir.lsd2_bind(0.5 * p.c_star, 0.5 * p.k1, dt)),
+    ("heston32", "lsd1"): Scheme(_reciprocal(cir.lsd1_bind)),
+    ("heston32", "lsd2"): Scheme(_reciprocal(cir.lsd2_bind)),
     ("heston32", "lsd1_printed"): Scheme(
         bind=lambda p, dt: cir.lsd1_bind(*_heston32_printed(p), dt)),
     ("heston32", "lsd2_printed"): Scheme(
         bind=lambda p, dt: cir.lsd2_bind(*_heston32_printed(p), dt)),
     ("heston32", "sd_exp"): Scheme(heston.sd_exp_bind, **_IN_X),
-    ("heston32", "implicit"): Scheme(
-        _heston32_implicit, to_state=lambda p, x: x ** -0.5,
-        to_x=lambda p, v: v ** -2.0),
+    ("heston32", "implicit"): Scheme(_reciprocal(cir.lsd3_bind)),
     ("ait", "lsd1"): Scheme(ait.lsd1_bind),
     ("ait", "lsd2"): Scheme(ait.lsd2_bind),
     ("ait", "implicit"): Scheme(bind=partial(ait.implicit_bind, variant="drift")),

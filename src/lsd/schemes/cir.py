@@ -2,8 +2,9 @@
 
 LSD variants advance the transformed state y = 2 sqrt(x) / k3, whose drift is
 a/y - b y with a = 2 k1/k3^2 and b = k2/2 + k3^2/8; their binds take (a, b),
-which each row of the scheme table states, as Heston 3/2's LSD rows bind
-lsd1 and lsd2 and its drift-implicit row lsd3, in v = x**(-1/2).
+which each row of the scheme table states.  Heston 3/2's reciprocal is CIR
+driven by -W, so its LSD rows bind lsd1 and lsd2 and its drift-implicit row
+lsd3 on its own (a, b) and -dw.
 Companion schemes advance the original state (or its square root for the
 drift-implicit variant) and may leave the real line; they then continue in
 the complex plane and the real part is what gets reported.

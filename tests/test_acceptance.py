@@ -30,7 +30,6 @@ from lsd.schemes import SchemeId, make_stepper
 from lsd.schemes import ait as ait_mod
 from lsd.schemes import cir as cir_mod
 from lsd.schemes import cev as cev_mod
-from lsd.schemes import heston as heston_mod
 from lsd.schemes import wf as wf_mod
 from lsd.wiener import generate_lattice, path_seed
 from oracles import bisect, rk4, ulps_apart
@@ -262,14 +261,19 @@ def test_c7_implicit_inversions():
             + " (tol 1e-12)")
     assert ok
 
-    # the inverse-volatility map has a closed-form root; check it against
-    # plain bisection
+    # the inverse-volatility map G(v) = c1 v - c dt / v, the drift-implicit
+    # Euler map of v = x^(-1/2), whose drift is c/v - (k1/2) v, has a
+    # closed-form root; check it against plain bisection
     dt = 1e-3
-    g = heston_mod.implicit_map(HESTON, dt)
     c1 = 1.0 + 0.5 * HESTON.k1 * dt
+    c = HESTON.k2 / 2.0 + 3.0 * HESTON.k3**2 / 8.0
+
+    def g(v):
+        return c1 * v - c * dt / v
+
     worst_h = 0.0
     for u in rng.uniform(0.05, 20.0, 200):
-        v = (u + math.sqrt(u * u + 4.0 * c1 * HESTON.c_impl * dt)) / (2.0 * c1)
+        v = (u + math.sqrt(u * u + 4.0 * c1 * c * dt)) / (2.0 * c1)
         ref = bisect(lambda t: g(t) - u, 1e-8, 1e4, tol=1e-14)
         worst_h = max(worst_h, abs(v - ref))
     ok_h = worst_h <= 1e-12

@@ -563,8 +563,8 @@ seed = 6
         assert main([str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             "error: step 3.0517578125e-05 over the horizon 1.0 gives 3.28e+04 "
-            "steps, whose lattice of 1.32e+06 bytes exceeds physical memory "
-            "(1.05e+06 bytes)\n")
+            "steps, whose block of 1.23e+04 bytes and 1.31e+06 bytes kept "
+            "exceed physical memory (1.05e+06 bytes)\n")
         assert decays == []
         assert not out.exists()
 

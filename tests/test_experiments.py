@@ -502,7 +502,7 @@ def test_memory_guard_counts_a_block_not_a_lattice(monkeypatch, cir_params):
     assert counts == [{2.0**-17: ScanCounters()}]
 
 
-@pytest.mark.parametrize("run, lattice_bytes", [
+@pytest.mark.parametrize("run, block_bytes", [
     (lambda M, p: strong_error([CIR_LSD1], None, p, 4.0, 1.0, [2.0**-13, 2.0**-14],
                                2.0**-14, M=M, seed=0), "1.64e+06"),
     (lambda M, p: domain_violation_scan([CIR_LSD1], p, [2.0**-14], 1.0, M,
@@ -511,7 +511,7 @@ def test_memory_guard_counts_a_block_not_a_lattice(monkeypatch, cir_params):
                                         M, 0, [CIR_LSD1]), "1.23e+06"),
 ], ids=["strong_error", "scan", "exact_cir_error_decay"])
 def test_memory_guard_counts_the_batch(monkeypatch, cir_ou_params, run,
-                                       lattice_bytes):
+                                       block_bytes):
     # with 1 MiB of memory, two paths' blocks of 2^14 steps fit; a batch of
     # 100 does not.  One driver takes 16 chunks of 1024 steps, 800 KiB for
     # 100 paths, and its draw tile of 100 paths is as large while it fills
@@ -524,8 +524,8 @@ def test_memory_guard_counts_the_batch(monkeypatch, cir_ou_params, run,
     run(2, cir_ou_params)
     with pytest.raises(ConfigurationError, match=(
             rf"^step {re.escape(str(2.0**-14))} over the horizon 1\.0 gives "
-            rf"1\.64e\+04 steps, whose lattice of {re.escape(lattice_bytes)} "
-            rf"bytes exceeds physical memory \(1\.05e\+06 bytes\)$")):
+            rf"1\.64e\+04 steps, whose block of {re.escape(block_bytes)} bytes "
+            rf"and 0 bytes kept exceed physical memory \(1\.05e\+06 bytes\)$")):
         run(100, cir_ou_params)
 
 
@@ -562,25 +562,27 @@ def test_memory_guard_counts_a_widened_block(monkeypatch, cir_params):
                         {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.get)
     with pytest.raises(ConfigurationError, match=(
             r"^step 0\.001953125 over the horizon 1\.0 gives 512 steps, whose "
-            r"lattice of 3\.15e\+06 bytes exceeds physical memory")):
+            r"block of 3\.15e\+06 bytes and 0 bytes kept exceed physical "
+            r"memory")):
         strong_error([CIR_LSD1], None, cir_params, 4.0, 1.0, [2.0**-9],
                      2.0**-9, M=600, seed=0)
 
 
-@pytest.mark.parametrize("run, few, dt, steps, many", [
-    # the first step size is checked first: its block of 1024 steps beside
-    # a time and a value per step of every path, 2^13 + 2^14 steps each
+@pytest.mark.parametrize("run, few, dt, steps, block, many", [
+    # the finest step size is checked first, though listed last: its block
+    # of 1024 steps beside a time and a value per step of every path,
+    # 2^13 + 2^14 steps each
     (lambda schemes, p: simulate_paths(schemes, p, 4.0, 1.0,
                                        [2.0**-13, 2.0**-14], seed=0),
-     [CIR_LSD1], 2.0**-13, "8.19e+03", "2.38e+06"),
+     [CIR_LSD1], 2.0**-14, "1.64e+04", "1.64e+04", "2.36e+06"),
     # a block of 512 steps of two drivers beside the times and the x1, x2,
     # squared-OU and scheme values of every step
     (lambda schemes, p: exact_cir_experiment(p, 4.0, 0.5, 2.0**-15, 1.0, 0,
                                              schemes),
-     [], 2.0**-15, "3.28e+04", "2.63e+06"),
+     [], 2.0**-15, "3.28e+04", "1.23e+04", "2.62e+06"),
 ], ids=["simulate_paths", "exact_cir_experiment"])
 def test_memory_guard_counts_the_kept_paths(monkeypatch, cir_ou_params, run,
-                                            few, dt, steps, many):
+                                            few, dt, steps, block, many):
     # with 2 MiB of memory, few recorded paths fit beside their blocks; the
     # recorded paths of six cir schemes do not
     monkeypatch.setattr(lsd.experiments.os, "sysconf",
@@ -591,8 +593,9 @@ def test_memory_guard_counts_the_kept_paths(monkeypatch, cir_ou_params, run,
                                         "alf", "ns")]
     with pytest.raises(ConfigurationError, match=(
             rf"^step {re.escape(str(dt))} over the horizon 1\.0 gives "
-            rf"{re.escape(steps)} steps, whose lattice of {re.escape(many)} "
-            rf"bytes exceeds physical memory \(2\.1e\+06 bytes\)$")):
+            rf"{re.escape(steps)} steps, whose block of {re.escape(block)} bytes "
+            rf"and {re.escape(many)} bytes kept exceed physical memory "
+            rf"\(2\.1e\+06 bytes\)$")):
         run(six, cir_ou_params)
 
 

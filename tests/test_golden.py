@@ -122,7 +122,7 @@ SHA256 = {
     "compare-exact-ou":
         "29a58f69220fb6391215dafab3925ae1472bec6d1553fafdd669e4fdd81850dd",
     "heston32":
-        "19bc615cb22ccbb1255cce4f83c0da79916b4798d135eb8f7c8f906e8c5fcc07",
+        "b9d2e26ab072fdc7175e0d15a68e230ebc2378ce95dc86a5719619d5ebcb0e96",
     "cev":
         "ec8ee9149d6e27af55d23a8127bafbcd2bff93bd750aeb897caa85b7310d9a45",
     "wf":

@@ -5,7 +5,7 @@ dY = (F'(x) mu(x) + F''(x) sigma^2(x) / 2) dt + F'(x) sigma(x) dW.  F' and
 F'' come from central differences of ``params.forward`` and mu, sigma^2 from
 the model equations, so the reference shares no code with the schemes.  The
 LSD maps are built on the transformed drift written out below from each
-model's derived coefficients (a, b, c, c_star, K...), and on a constant
+model's derived coefficients (a, b, c, K...), and on a constant
 diffusion.
 """
 
@@ -26,7 +26,7 @@ ENCODED = {
     "cev": lambda p, y: (p.a * y ** (-p.q / (1.0 - p.q)) - p.b / y
                          - p.c * y),
     "wf": lambda p, y: p.a / np.tan(y / 2.0) - p.b * np.tan(y / 2.0),
-    "heston32": lambda p, y: 0.5 * p.c_star / y - 0.5 * p.k1 * y,
+    "heston32": lambda p, y: p.a / y - p.b * y,
     "ait": lambda p, y: (-p.Km1 * y**p.e1 + p.K0 * y**p.e2 - p.K1 * y
                          + p.K2 * y**p.e5 + p.K4 / y),
 }
@@ -37,7 +37,7 @@ DIFFUSION = {"cir": lambda p: 1.0, "cev": lambda p: 1.0, "wf": lambda p: p.k3,
 
 # The LSD rows of these models fail the one-step drift check; the diagnosis
 # is the same here.
-WRONG = {model: KNOWN_WRONG[model, "lsd1"] for model in ("cir", "cev", "heston32")}
+WRONG = {model: KNOWN_WRONG[model, "lsd1"] for model in ("cir", "cev")}
 
 
 def _derivatives(f, x):

@@ -45,8 +45,12 @@ class TestDerivedCoefficients:
 
     def test_heston(self):
         p = Heston32Params(0.1, 70.0, math.sqrt(0.2))
-        assert p.c_star == pytest.approx(1406.0, rel=1e-14)
-        assert p.c_impl == p.k2 / 2.0 + 3.0 * p.k3**2 / 8.0
+        # 1/x is CIR with (k2 + k3^2, k1, k3): a = 2(k2 + k3^2)/k3^2 - 1/2
+        assert p.a == pytest.approx(701.5, rel=1e-14)
+        assert p.b == p.k1 / 2.0 == 0.05
+        # in v = x^(-1/2) = (k3/2) y the drift-implicit coefficient of 1/v
+        assert p.k3**2 * p.a / 4.0 == pytest.approx(
+            p.k2 / 2.0 + 3.0 * p.k3**2 / 8.0, rel=1e-14)
 
     def test_ait(self):
         p = AitParams(2.0, 3.0, 4.0, 6.0, 1.0, 2.0, 1.5)

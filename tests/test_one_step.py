@@ -72,11 +72,6 @@ NOISE_FLIPPED = {("heston32", "lsd1_printed"), ("heston32", "lsd2_printed")}
 _LSD_CIR = ("the LSD coefficients should be a = 2k1/k3^2 - 1/2 and "
             "b = k2/2; the drift error is (k3^2/4)(1 - x)")
 _LSD_CEV = "the LSD coefficient a is too large by a factor of k3^2"
-_LSD_HESTON = ("the Lamperti drift is (2k2/k3^2 + 3/2)/y - k1 y/2, so "
-               "c_star should be 4k2/k3^2 + 3, not + 6")
-_HESTON_NOISE = ("; and the noise has the wrong sign: y = (2/k3) x^(-1/2) "
-                 "falls as x rises, so the map must take -dw, and "
-                 "E[dX z]/(sigma sqrt(dt)) reads -1")
 KNOWN_WRONG = {
     ("cir", "lsd1"): _LSD_CIR,
     ("cir", "lsd2"): _LSD_CIR,
@@ -86,8 +81,6 @@ KNOWN_WRONG = {
     ("cev", "lsd1"): _LSD_CEV,
     ("cev", "lsd2"): _LSD_CEV,
     ("cev", "lsd3"): _LSD_CEV + ", and the update lacks the -dt/y term",
-    ("heston32", "lsd1"): _LSD_HESTON + _HESTON_NOISE,
-    ("heston32", "lsd2"): _LSD_HESTON + _HESTON_NOISE,
     ("wf", "sd_alt"): "drift 0.596 where the SDE gives 0.2; not diagnosed",
 }
 

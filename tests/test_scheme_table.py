@@ -99,17 +99,20 @@ def _cir_ab(p):
 
 
 def _heston32_ab(p):
-    """Heston 3/2's drift (2 k2/k3^2 + 3)/y - (k1/2) y in y = (2/k3) x^(-1/2)."""
-    return 2.0 * p.k2 / p.k3**2 + 3.0, p.k1 / 2.0
+    """Heston 3/2's drift (2 k2/k3^2 + 3/2)/y - (k1/2) y in y = (2/k3) x^(-1/2),
+    CIR's of the reciprocal, with (K1, K2, K3) = (k2 + k3^2, k1, k3)."""
+    return 2.0 * p.k2 / p.k3**2 + 1.5, p.k1 / 2.0
 
 
-# The rows that run one of CIR's LSD maps, with the (a, b) each must bind.
+# The rows that run one of CIR's LSD maps, with the (a, b) each must bind
+# and the sign of the noise it takes: y = (2/k3) x^(-1/2) falls as x rises.
 SHARED_MAPS = {
-    ("cir", "lsd1"): (cir_mod.lsd1_bind, _cir_ab),
-    ("cir", "lsd2"): (cir_mod.lsd2_bind, _cir_ab),
-    ("cir", "lsd3"): (cir_mod.lsd3_bind, _cir_ab),
-    ("heston32", "lsd1"): (cir_mod.lsd1_bind, _heston32_ab),
-    ("heston32", "lsd2"): (cir_mod.lsd2_bind, _heston32_ab),
+    ("cir", "lsd1"): (cir_mod.lsd1_bind, _cir_ab, 1.0),
+    ("cir", "lsd2"): (cir_mod.lsd2_bind, _cir_ab, 1.0),
+    ("cir", "lsd3"): (cir_mod.lsd3_bind, _cir_ab, 1.0),
+    ("heston32", "lsd1"): (cir_mod.lsd1_bind, _heston32_ab, -1.0),
+    ("heston32", "lsd2"): (cir_mod.lsd2_bind, _heston32_ab, -1.0),
+    ("heston32", "implicit"): (cir_mod.lsd3_bind, _heston32_ab, -1.0),
 }
 
 
@@ -117,16 +120,51 @@ SHARED_MAPS = {
 def test_shared_map_row_binds_its_printed_coefficients(key, request):
     # dt = 1e-13 puts lsd2 on the linear branch of the Bernoulli solution
     model, variant = key
-    bind, coefficients = SHARED_MAPS[key]
+    bind, coefficients, sign = SHARED_MAPS[key]
     params = request.getfixturevalue(FIXTURE[model])
     stepper = make_stepper(SchemeId(model, variant), params)
     rng = np.random.default_rng(5)
     y = stepper.init(X0[model], size=64)
     for dt in (DT, 2.0**-6, 1e-13):
         dw = rng.standard_normal(64) * np.sqrt(dt)
-        want = bind(*coefficients(params), dt)(y, dw)
+        want = bind(*coefficients(params), dt)(y, sign * dw)
         y, _ = stepper.step(y, dw, dt)
         assert y.tobytes() == want.tobytes()
+
+
+# The names that select the same computation as another: the plain cir and
+# cev LSD rows run the printed coefficients until the consistent ones
+# replace them in lsd.models.
+ALIASES = {frozenset({(model, f"lsd{n}"), (model, f"lsd{n}_printed")})
+           for model in ("cir", "cev") for n in (1, 2, 3)}
+
+# States spread over each domain: from one state a pair of rows can agree
+# (at wf's x = 0.5, where a = b, lsd2 and sd give the same bytes).
+STATES = {"cir": np.geomspace(0.05, 20.0, 32),
+          "cev": np.geomspace(0.01, 2.0, 32),
+          "wf": np.linspace(0.05, 0.95, 32),
+          "heston32": np.geomspace(0.01, 2.0, 32),
+          "ait": np.geomspace(0.5, 8.0, 32)}
+
+
+@pytest.mark.parametrize("model", list(FIXTURE))
+def test_one_name_selects_one_computation(model, request):
+    # every one-driver row steps once from the same states on the same dw;
+    # no two may give the same bytes unless ALIASES names the pair
+    params = request.getfixturevalue(FIXTURE[model])
+    x = STATES[model]
+    dw = np.random.default_rng(13).standard_normal(x.size) * np.sqrt(DT)
+    out = {}
+    for (m, variant), row in SCHEMES.items():
+        if m == model and row.drivers == 1:
+            stepper = make_stepper(SchemeId(m, variant), params)
+            state, _ = stepper.step(stepper.init(x), dw, DT)
+            x_next = stepper.x_of(state)
+            assert np.all(np.isfinite(x_next))
+            out[m, variant] = x_next.tobytes()
+    same = {frozenset({k, j}) for k in out for j in out
+            if k != j and out[k] == out[j]}
+    assert same == {pair for pair in ALIASES if min(pair)[0] == model}
 
 
 @pytest.mark.parametrize("key, params, kwargs, message", [

@@ -4,20 +4,17 @@ import numpy as np
 import pytest
 
 from lsd.closedform import bernoulli_power
+from lsd.models import Heston32Params
 from lsd.schemes import SCHEMES, SchemeId, make_stepper
 from lsd.schemes import cir as cir_mod
-from lsd.schemes import heston as heston_mod
 from oracles import bisect, ulps_apart
 
 
-def _ab(p):
-    # heston32's LSD rows run cir's maps with (a, b) = (c_star/2, k1/2)
-    return 0.5 * p.c_star, 0.5 * p.k1
-
-
 def _lsd(variant):
+    # heston32's LSD rows run cir's maps with its (a, b) on -dw: 1/x is CIR
+    # driven by -W
     bind = getattr(cir_mod, f"{variant}_bind")
-    return lambda p, y, dw, dt: bind(*_ab(p), dt)(y, dw)
+    return lambda p, y, dw, dt: bind(p.a, p.b, dt)(y, -dw)
 
 
 def _companion(variant, p, x, dw, dt):
@@ -25,6 +22,14 @@ def _companion(variant, p, x, dw, dt):
     stepper = make_stepper(SchemeId("heston32", variant), p)
     state, _ = stepper.step(stepper.init(x), dw, dt)
     return stepper.x_of(state)
+
+
+def _implicit_map(p, dt):
+    """G(v) = (1 + k1 dt/2) v - (k2/2 + 3 k3^2/8) dt / v, the drift-implicit
+    Euler map of v = x^(-1/2), whose SDE is
+    dv = ((k2/2 + 3 k3^2/8)/v - (k1/2) v) dt - (k3/2) dW."""
+    c1, c = 1.0 + 0.5 * p.k1 * dt, p.k2 / 2.0 + 3.0 * p.k3**2 / 8.0
+    return lambda v: c1 * v - c * dt / v
 
 
 class TestLsdValues:
@@ -45,8 +50,8 @@ class TestLsdValues:
         y = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), 5000))
         dw = rng.standard_normal(5000) * 2.0
         dt = 1e-3
-        out = cir_mod.lsd1_bind(*_ab(heston_params), dt)(y, dw)
-        assert np.all(out >= math.sqrt(heston_params.c_star * dt) - 1e-15)
+        out = _lsd("lsd1")(heston_params, y, dw, dt)
+        assert np.all(out >= math.sqrt(2.0 * heston_params.a * dt) - 1e-15)
 
     @pytest.mark.parametrize("variant", ["lsd1", "lsd2"])
     def test_bulk_positivity(self, heston_params, variant, rng):
@@ -62,10 +67,9 @@ class TestClosedFormAgreement:
         for _ in range(200):
             y = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
             dw, dt = rng.normal() * 0.2, 10 ** rng.uniform(-6, -2)
-            got = cir_mod.lsd1_bind(*_ab(p), dt)(y, dw)
-            A = dw + (1.0 - 0.5 * p.k1 * dt) * y
-            want = math.sqrt(bernoulli_power(A=A, B=0.5 * p.c_star, C=0.0,
-                                             l=1.0, dt=dt))
+            got = _lsd("lsd1")(p, y, dw, dt)
+            A = -dw + (1.0 - 0.5 * p.k1 * dt) * y
+            want = math.sqrt(bernoulli_power(A=A, B=p.a, C=0.0, l=1.0, dt=dt))
             assert ulps_apart(got, want) <= 2
 
     def test_lsd2_equals_bernoulli(self, heston_params, rng):
@@ -73,8 +77,8 @@ class TestClosedFormAgreement:
         for _ in range(200):
             y = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
             dw, dt = rng.normal() * 0.2, 10 ** rng.uniform(-6, -2)
-            got = cir_mod.lsd2_bind(*_ab(p), dt)(y, dw)
-            want = math.sqrt(bernoulli_power(A=dw + y, B=0.5 * p.c_star,
+            got = _lsd("lsd2")(p, y, dw, dt)
+            want = math.sqrt(bernoulli_power(A=-dw + y, B=p.a,
                                              C=-0.5 * p.k1, l=1.0, dt=dt))
             assert ulps_apart(got, want) <= 2
 
@@ -96,11 +100,35 @@ class TestCompanions:
 
     def test_implicit_closed_form_matches_bisection(self, heston_params):
         p = heston_params
-        dt = 1e-4
-        g = heston_mod.implicit_map(p, dt)
+        dt, dw = 1e-4, 0.05
+        g = _implicit_map(p, dt)
         for u in (0.1, 1.0, 10.0):
             v = (u + math.sqrt(u * u + 4.0 * (1.0 + 0.5 * p.k1 * dt)
-                               * p.c_impl * dt)) / (2.0 * (1.0 + 0.5 * p.k1 * dt))
+                               * (p.k2 / 2.0 + 3.0 * p.k3**2 / 8.0) * dt)
+                 ) / (2.0 * (1.0 + 0.5 * p.k1 * dt))
             assert abs(g(v) - u) <= 1e-12 * max(1.0, abs(u))
             ref = bisect(lambda t: g(t) - u, 1e-8, 1e4, tol=1e-14)
             assert v == pytest.approx(ref, rel=1e-9)
+            # the row's step from v0 = u + k3 dw/2 lands on G's root at u
+            x = _companion("implicit", p, (u + 0.5 * p.k3 * dw) ** -2.0, dw, dt)
+            assert x ** -0.5 == pytest.approx(v, rel=1e-12)
+
+
+# 1/x is CIR of dimension 4 k2/k3^2 + 4 > 4, so a > 3/2: the rows that run
+# CIR's maps on it never reach the dimension below 1 where CIR's consistent
+# maps can leave the real line.
+DOMAIN_ROWS = ("lsd1", "lsd2", "implicit")
+
+
+def test_reciprocal_rows_stay_positive_over_the_parameter_space():
+    rng = np.random.default_rng(2104)
+    dts = 2.0 ** -np.arange(0, 15, 2)
+    for k in np.exp(rng.uniform(np.log(1e-2), np.log(1e2), (100, 3))):
+        p = Heston32Params(*k)
+        assert p.a > 1.5
+        for dt in dts:
+            y = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 64))
+            dw = rng.uniform(-8.0, 8.0, 64) * np.sqrt(dt)
+            for variant in DOMAIN_ROWS:
+                out = SCHEMES["heston32", variant].bind(p, dt)(y, dw)
+                assert np.all(np.isfinite(out) & (out > 0)), (k, dt, variant)
